@@ -135,31 +135,30 @@ def _scan_scalar(ctx: FieldCtx, fam: SetFamily) -> list[int]:
 
 
 def _scan_vector(ctx: FieldCtx, fam: SetFamily) -> list[int]:
-    tb = ctx.tables()
-    chi = tb.np_chi
-    if fam.kind == "S1":
-        (k,), e = fam.params, fam.signs
-        mask = chi[tb.np_add[k]] == e
-        mask[0] = False
-    elif fam.kind in ("A", "S"):
-        (k, l), (e1, e2) = fam.params, fam.signs
-        mask = (chi[tb.np_add[k]] == e1) & (chi[tb.np_add[l]] == e2)
-        if fam.kind == "S":
-            mask[0] = False
-    else:
-        (j, l), (e1, e2) = fam.params, fam.signs
-        mask = (chi[tb.np_add[j][tb.np_neg]] == e1) & (chi[tb.np_add[l]] == e2)
-        mask[0] = False
     import numpy as np
 
+    shifted = ctx.tables().shifted
+    if fam.kind == "S1":
+        (k,), e = fam.params, fam.signs
+        mask = shifted(k) == e
+    elif fam.kind in ("A", "S"):
+        (k, l), (e1, e2) = fam.params, fam.signs
+        mask = (shifted(k) == e1) & (shifted(l) == e2)
+    else:
+        # chi(j - a) = chi(-1) * chi(a - j)
+        (j, l), (e1, e2) = fam.params, fam.signs
+        mask = (shifted(ctx.neg(j)) == ctx.eps * e1) & (shifted(l) == e2)
+    if fam.kind != "A":
+        mask[0] = False
     return np.nonzero(mask)[0].tolist()
 
 
 def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
     """Exact member list by scanning the whole field, canonically sorted.
 
-    Uses the vectorized scan when the context has its dense tables built
-    (``ctx.tables()``), a plain scan otherwise; both visit every element.
+    Compares whole shifted character vectors (``FieldTables.shifted``) when
+    the context has built its tables, and tests one element at a time with
+    scalar arithmetic otherwise; both visit every element.
     """
     fam.validate(ctx)
     vector = ctx._tables is not None

@@ -212,8 +212,7 @@ def render_table(ctx: FieldCtx, table_id: int) -> tuple[list[str], int]:
 
 def _cmd_table(args) -> int:
     ctx = mk_field(args.p, args.n)
-    if ctx.tables_allowed():
-        ctx.tables()
+    ctx.tables()
     lines, mismatches = render_table(ctx, args.table_id)
     for line in lines:
         print(line)

@@ -19,10 +19,6 @@ def poly_trim(f: list[int]) -> list[int]:
     return f
 
 
-def poly_deg(f: list[int]) -> int:
-    return len(f) - 1
-
-
 def _dickson(ctx: FieldCtx, k: int, seed0: int) -> list[int]:
     if k == 0:
         return [seed0]

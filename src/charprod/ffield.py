@@ -10,6 +10,12 @@ the corresponding sort key; it agrees with integer order only for n == 1.
 
 The quadratic extension F_{q^2} is represented as pairs lo + hi*theta
 with theta^2 = delta, delta the canonically smallest nonsquare of F_q.
+
+Every operation works without precomputation.  ``FieldCtx.tables()``
+adds lookup tables of size O(q) -- discrete logarithms to the canonically
+smallest generator of F_q^*, the quadratic character and negation.  Once
+built, they replace polynomial arithmetic and power-based Legendre
+symbols with lookups and serve the vectorized set scans.
 """
 
 from __future__ import annotations
@@ -18,10 +24,6 @@ import itertools
 from typing import Iterator, NamedTuple, Optional
 
 MACHINE_BOUND = 1 << 31
-
-# Full q x q tables are only built below this order; larger fields fall
-# back to scalar arithmetic everywhere.
-TABLE_LIMIT = 4096
 
 
 class FieldError(ValueError):
@@ -196,53 +198,48 @@ class Ext2Elem(NamedTuple):
 
 
 class FieldTables:
-    """Dense lookup tables for one field; built once per context.
+    """Linear-size lookup tables for one field; built once per context.
 
-    numpy arrays serve the vectorized set scans, the plain-list mirrors
-    serve scalar hot loops (python-level indexing of a list is much
-    faster than indexing a numpy array).
+    ``exp[i]`` is gen^i and ``log`` its inverse on the units.  ``exp`` holds
+    two periods followed by a run of zeros that ``log[0]`` points into, so
+    the product of any two elements is ``exp[log[a] + log[b]]``.  ``chi``
+    (the parity of ``log``) and ``neg`` are plain lists for scalar lookups;
+    ``shifted(k)`` serves the vectorized scans.
     """
 
-    __slots__ = ("np_chi", "np_add", "np_neg", "chi", "neg", "mul", "inv")
+    __slots__ = ("exp", "log", "chi", "neg", "_p", "_n", "_wrap")
 
-    def __init__(self, ctx: "FieldCtx"):
+    def __init__(self, ctx: "FieldCtx", gen: int):
         import numpy as np
 
-        q, p, n = ctx.q, ctx.p, ctx.n
-        if n == 1:
-            ar = np.arange(q, dtype=np.int64)
-            np_add = (ar[:, None] + ar[None, :]) % q
-            np_mul = (ar[:, None] * ar[None, :]) % q
-            np_neg = (q - ar) % q
-        else:
-            dig = np.zeros((q, n), dtype=np.int64)
-            tmp = np.arange(q)
-            for i in range(n):
-                dig[:, i] = tmp % p
-                tmp //= p
-            pw = p ** np.arange(n)
-            np_add = ((dig[:, None, :] + dig[None, :, :]) % p) @ pw
-            np_neg = ((p - dig) % p) @ pw
-            conv = np.zeros((q, q, 2 * n - 1), dtype=np.int64)
-            for i in range(n):
-                for j in range(n):
-                    conv[:, :, i + j] += dig[:, None, i] * dig[None, :, j]
-            red = np.array(ctx._red, dtype=np.int64)  # (n-1, n)
-            coeffs = (conv[..., :n] + conv[..., n:] @ red) % p
-            np_mul = coeffs @ pw
-        self.np_chi = np.full(q, -1, dtype=np.int8)
-        self.np_chi[np_mul.diagonal()] = 1
-        self.np_chi[0] = 0
-        self.np_add = np_add.astype(np.int32)
-        self.np_neg = np_neg.astype(np.int32)
-        self.chi = self.np_chi.tolist()
-        self.neg = np_neg.tolist()
-        inv = [0] * q
-        rows, cols = np.nonzero(np_mul == 1)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            inv[r] = c
-        self.inv = inv
-        self.mul = np_mul.tolist() if n > 1 else None
+        q, u = ctx.q, ctx.q - 1
+        cycle = [ctx.one] * u
+        for i in range(1, u):
+            cycle[i] = ctx.mul(cycle[i - 1], gen)
+        if set(cycle) != set(range(1, q)):
+            raise FieldError(f"{ctx.elem_str(gen)} does not generate F_{q}^*")
+        self.exp = cycle + cycle + [0] * (2 * q - 1)
+        self.log = log = [2 * u] * q
+        self.chi = chi = [0] * q
+        for i, x in enumerate(cycle):
+            log[x] = i
+            chi[x] = -1 if i & 1 else 1
+        half = u // 2  # gen^half = -1
+        self.neg = [self.exp[i + half] for i in log]
+        self._p, self._n = ctx.p, ctx.n
+        # chi over the coefficient grid (c_{n-1}, ..., c_0), repeated twice
+        # along every axis so that each shift by a constant is a slice
+        grid = np.array(chi, dtype=np.int8).reshape((ctx.p,) * ctx.n)
+        self._wrap = np.tile(grid, (2,) * ctx.n)
+        self._wrap.flags.writeable = False
+
+    def shifted(self, k: int):
+        """Read-only int8 vector of chi(a + k) over all a, indexed by a."""
+        idx = []
+        for _ in range(self._n):
+            k, c = divmod(k, self._p)
+            idx.append(slice(c, c + self._p))
+        return self._wrap[tuple(reversed(idx))].reshape(-1)
 
 
 class FieldCtx:
@@ -373,8 +370,9 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if self.n == 1:
             return a * b % self.q
-        if self._tables is not None:
-            return self._tables.mul[a][b]
+        tb = self._tables
+        if tb is not None:
+            return tb.exp[tb.log[a] + tb.log[b]]
         return self._mul_poly(a, b)
 
     def _mul_poly(self, a: int, b: int) -> int:
@@ -402,8 +400,9 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero")
         if self.n == 1:
             return pow(a, self.q - 2, self.q)
-        if self._tables is not None:
-            return self._tables.inv[a]
+        tb = self._tables
+        if tb is not None:
+            return tb.exp[self.q - 1 - tb.log[a]]
         return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -481,26 +480,21 @@ class FieldCtx:
 
     # -- tables ----------------------------------------------------------------
 
-    def tables_allowed(self) -> bool:
-        return self.q <= TABLE_LIMIT
+    def primitive_element(self) -> int:
+        """Canonically smallest generator of the cyclic group F_q^*."""
+        cofactors = [(self.q - 1) // r for r, _ in factorize(self.q - 1)]
+        for g in self.elements_canonical():
+            if g and all(self.pow(g, c) != self.one for c in cofactors):
+                return g
+        raise FieldError(f"F_{self.q}^* has no generator")  # unreachable
 
     def tables(self) -> FieldTables:
-        """Build (once) and return the dense lookup tables."""
+        """Build (once) and return the O(q) lookup tables."""
         if self._tables is None:
-            if not self.tables_allowed():
-                raise FieldTooLargeError(
-                    f"q={self.q} exceeds the table limit {TABLE_LIMIT}")
             if self.n > 1 and self._digits is None:
-                dig = []
-                for a in range(self.q):
-                    out = []
-                    x = a
-                    for _ in range(self.n):
-                        x, r = divmod(x, self.p)
-                        out.append(r)
-                    dig.append(tuple(out))
-                self._digits = dig
-            self._tables = FieldTables(self)
+                self._digits = [t[::-1] for t in
+                                itertools.product(range(self.p), repeat=self.n)]
+            self._tables = FieldTables(self, self.primitive_element())
         return self._tables
 
     # -- quadratic extension F_{q^2} --------------------------------------------

@@ -24,6 +24,7 @@ ALL_SUITES = ("tables", "dickson", "cardinality", "correspondence",
               "reciprocity", "rescaling", "intro")
 
 _SEED = 0x5EED
+CARD_GRID_MAX = 4096
 
 
 @dataclass
@@ -45,6 +46,9 @@ class SweepConfig:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not prime_powers(self.q_min, self.q_max, self.max_degree):
+            raise ValueError(f"no odd prime power in [{self.q_min}, {self.q_max}]"
+                             f" with max_degree={self.max_degree}")
 
 
 def prime_powers(q_min: int, q_max: int,
@@ -152,13 +156,13 @@ def suite_dickson(ctx: FieldCtx) -> Iterator[dict]:
 def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
     """Closed cardinalities against matrix-counted enumerations, all pairs.
 
-    Fields too large for dense tables get only the linear-cost checks
-    (the four A_{0,1} families, the single-condition counts, and the
-    random spot checks); the all-pairs grid needs the tables.
+    The all-pairs grid holds q x q arrays, so fields above CARD_GRID_MAX
+    get only the linear-cost checks (the four A_{0,1} families and the
+    single-condition counts).
     """
     import numpy as np
 
-    if not ctx.tables_allowed():
+    if ctx.q > CARD_GRID_MAX:
         for sp in SIGN_PAIRS:
             fam = charsets.a_family(0, 1, sp)
             want = len(charsets.enumerate_family(ctx, fam))
@@ -172,12 +176,13 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
         return
 
     tb = ctx.tables()
-    chi = tb.np_chi
     q = ctx.q
-    shifted = chi[tb.np_add]              # shifted[k, a] = chi(k + a)
-    reflect = chi[tb.np_add[:, tb.np_neg]]  # reflect[j, a] = chi(j - a)
+    shifted = np.stack([tb.shifted(k) for k in range(q)])  # [k, a] = chi(k + a)
+    neg = np.array(tb.neg)
+    reflect = shifted[neg] * np.int8(ctx.eps)  # [j, a] = chi(j - a)
     offdiag = ~np.eye(q, dtype=bool)
-    tmask = tb.np_add != 0                # j + l != 0
+    tmask = np.ones((q, q), dtype=bool)     # j + l != 0
+    tmask[np.arange(q), neg] = False
     for sp in SIGN_PAIRS:
         x1 = (shifted == sp.e1).astype(np.int64)
         x2 = (shifted == sp.e2).astype(np.int64)
@@ -325,16 +330,11 @@ SUITE_FUNCS: dict[str, Callable[[FieldCtx], Iterator[dict]]] = {
     "intro": suite_intro,
 }
 
-# suites that benefit from the dense tables
-_TABLE_SUITES = {"tables", "dickson", "cardinality", "correspondence",
-                 "rescaling", "intro"}
-
 
 def run_field(p: int, n: int, suites: Iterable[str]) -> list[dict]:
     """All requested checks for one field, as finished report rows."""
     ctx = mk_field(p, n)
-    if ctx.tables_allowed() and _TABLE_SUITES & set(suites):
-        ctx.tables()
+    ctx.tables()
     rows = []
     for name in suites:
         for row in SUITE_FUNCS[name](ctx):

@@ -12,8 +12,7 @@ SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1),
 @functools.lru_cache(maxsize=None)
 def field(p, n=1):
     ctx = mk_field(p, n)
-    if ctx.tables_allowed():
-        ctx.tables()
+    ctx.tables()
     return ctx
 
 

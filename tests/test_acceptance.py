@@ -138,8 +138,7 @@ def test_criterion_6_reciprocity_suite():
                 failures.append((q, base, str(exc)))
     for q, p, n in prime_powers(3, 1000):
         ctx = mk_field(p, n)
-        if ctx.tables_allowed():
-            ctx.tables()
+        ctx.tables()
         for base, rad in (("sqrt2", 2), ("sqrt3", 3), ("golden", 5)):
             if rad % p == 0 or ctx.legendre(ctx.from_int(rad)) != 1:
                 continue
@@ -163,8 +162,7 @@ def test_criterion_7_relation_solver():
     for _ in range(100):
         q, p, n = fields[rng.randrange(len(fields))]
         ctx = mk_field(p, n)
-        if ctx.tables_allowed():
-            ctx.tables()
+        ctx.tables()
         k, l = rng.randrange(ctx.q), rng.randrange(ctx.q)
         while k == l:
             l = rng.randrange(ctx.q)

@@ -188,7 +188,8 @@ def test_scalar_and_vector_scans_agree():
     from charprod import charsets
 
     rng = random.Random(11)
-    for ctx in [field(13), field(3, 2), field(5, 2)]:
+    # 4099 and 17^3 = 4913: a large prime field and a large extension field
+    for ctx in [field(13), field(3, 2), field(5, 2), field(4099), field(17, 3)]:
         for _ in range(25):
             k, l = rng.randrange(ctx.q), rng.randrange(ctx.q)
             sp = SIGN_PAIRS[rng.randrange(4)]

@@ -67,8 +67,11 @@ def test_parse_family_shapes():
 
 
 def test_verify_empty_range(capsys):
-    assert main(["verify", "--qmin", "50", "--qmax", "40"]) == 0
-    assert capsys.readouterr().out == ""
+    # a range without a single field would run zero checks and "pass"
+    for qmin, qmax in (("50", "40"), ("10", "5"), ("4", "4")):
+        assert main(["verify", "--qmin", qmin, "--qmax", qmax]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no odd prime power" in captured.err
 
 
 def test_verify_small_range_report_roundtrip(tmp_path):
@@ -110,6 +113,14 @@ def test_verify_workers(tmp_path):
     assert rc == 0
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert {r["q"] for r in rows} == {3, 5, 7, 9, 11, 13}
+    # the report does not depend on the worker count
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.jsonl"
+        assert main(["verify", "--qmax", "31", "--workers", workers,
+                     "--suites", "tables,cardinality", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] and reports[0]
 
 
 def test_table_command(capsys):
@@ -144,3 +155,22 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # --qmax is required
     assert exc.value.code == 2
+
+
+def test_eval_never_imports_numpy():
+    # eval scans with scalar arithmetic; numpy stays out of the process
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from charprod.cli import main; "
+            "rc = main(['eval', 'T 2,1 1 --', '--p', '3', '--n', '2']); "
+            "sys.exit(rc or ('numpy' in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "match: true" in proc.stdout

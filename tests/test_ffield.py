@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charprod.ffield import (EvenCharacteristicError, Ext2Elem, FieldError,
-                             FieldTooLargeError, NotPrimeError,
+                             FieldTables, FieldTooLargeError, NotPrimeError,
                              ext2_solve_unit, is_prime,
                              mk_field, prime_power, unit_order_test)
 from helpers import SMALL_FIELDS, field, small_ctxs
@@ -83,13 +83,13 @@ def test_field_axioms_random():
 def test_large_prime_scalar_path():
     # near the machine bound everything must still work without tables
     ctx = mk_field(2147483629)
-    assert not ctx.tables_allowed()
     a = 123456789
     assert ctx.mul(a, ctx.inv(a)) == 1
     r = ctx.sqrt_canonical(ctx.mul(a, a))
     assert r in (a, ctx.neg(a)) and ctx.elem_key(r) <= ctx.elem_key(ctx.neg(r))
     assert ctx.legendre(ctx.mul(a, a)) == 1
     assert ctx.legendre(ctx.from_int(2)) == (-1) ** ctx.m
+    assert ctx._tables is None  # scalar arithmetic never builds the tables
 
 
 def test_division_by_zero():
@@ -255,3 +255,52 @@ def test_unit_order_examples():
     assert unit_order_test(c7, i, 2, -1)
     u = ext2_solve_unit(c7, 1)
     assert unit_order_test(c7, u, (c7.q + c7.eps) // 2, -1)
+
+
+def _to_gf(ctx, a):
+    """Element as a sympy dense polynomial (high degree first, stripped)."""
+    coeffs = list(reversed(ctx.decode(a)))
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    return coeffs
+
+
+def _from_gf(ctx, f):
+    return ctx.encode([int(c) for c in reversed(f)])
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2), (13, 3), (17, 3)])
+def test_extension_arithmetic_matches_sympy(p, n):
+    # differential check against an independent implementation of F_p[x]
+    from sympy import factorint
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import (gf_irreducible_p, gf_mul, gf_pow_mod,
+                                         gf_rem)
+
+    ctx = mk_field(p, n)
+    modulus = list(reversed(ctx.modulus))
+    assert gf_irreducible_p(modulus, p, ZZ)
+    # every canonically smaller monic candidate is reducible
+    for low in itertools.product(range(p), repeat=n):
+        if low == ctx.modulus[:n]:
+            break
+        assert not gf_irreducible_p([1] + list(reversed(low)), p, ZZ)
+    rng = random.Random(p * 100 + n)
+    pairs = [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(200)]
+    want = [_from_gf(ctx, gf_rem(gf_mul(_to_gf(ctx, a), _to_gf(ctx, b), p, ZZ),
+                                 modulus, p, ZZ)) for a, b in pairs]
+    assert [ctx.mul(a, b) for a, b in pairs] == want
+    tb = ctx.tables()
+    assert [ctx.mul(a, b) for a, b in pairs] == want
+    gen = _to_gf(ctx, tb.exp[1])
+    assert gf_pow_mod(gen, ctx.q - 1, modulus, p, ZZ) == [1]
+    for r in factorint(ctx.q - 1):
+        assert gf_pow_mod(gen, (ctx.q - 1) // r, modulus, p, ZZ) != [1]
+
+
+def test_tables_reject_non_generator():
+    # 3 has order 3 in F_13, 2 = -1 has order 2 in F_9, and 0 is no unit
+    # (in F_3 its powers 1, 0 are still distinct)
+    for ctx, g in ((mk_field(13), 3), (mk_field(3, 2), 2), (mk_field(3), 0)):
+        with pytest.raises(FieldError, match="does not generate"):
+            FieldTables(ctx, g)
