@@ -9,15 +9,15 @@ oracle plus sweep harness that re-verifies every formula exhaustively.
 from .charsets import (SIGN_PAIRS, ProductReport, SetFamily, SignPair,
                        a_family, brute_product, card_closed, enumerate_family,
                        s1_family, s_family, t_family, vanishing_poly)
-from .closedform import (INF, DetRoot, NormalizedFrame, det_sqrt,
-                         legendre_triple_identity, normalized_frame,
+from .closedform import (INF, DetRoot, NormalizedFrame, closed_product,
+                         det_sqrt, legendre_triple_identity, normalized_frame,
                          prod_S_closed, prod_S_single, prod_T_closed,
                          quadruple_from_one, rescale_T, swap_T)
 from .correspondence import (Orbit, classify_tau, orbit_count_card,
                              orbit_of_tau, tau_of_orbit)
 from .dickson import dickson_first, dickson_second, poly_eval
-from .ffield import (Ext2Elem, FieldCtx, FieldError, ext2_solve_unit,
-                     mk_field, unit_order_test)
+from .ffield import (Ext2Elem, FieldCtx, FieldError, IdentityFailure,
+                     ext2_solve_unit, mk_field, unit_order_test)
 from .reciprocity import (TowerSpec, prod_T_quadratic_irrational,
                           radical_tower_membership, special_angle_bracket,
                           sqrt2_tower_class)
@@ -27,9 +27,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_SUITES", "DetRoot", "Ext2Elem", "FieldCtx", "FieldError", "INF",
-    "NormalizedFrame", "Orbit", "ProductReport", "SIGN_PAIRS", "SetFamily",
-    "SignPair", "SweepConfig", "TowerSpec", "a_family", "brute_product",
-    "card_closed", "classify_tau", "det_sqrt", "dickson_first",
+    "IdentityFailure", "NormalizedFrame", "Orbit", "ProductReport",
+    "SIGN_PAIRS", "SetFamily", "SignPair", "SweepConfig", "TowerSpec",
+    "a_family", "brute_product", "card_closed", "classify_tau",
+    "closed_product", "det_sqrt", "dickson_first",
     "dickson_second", "enumerate_family", "ext2_solve_unit",
     "legendre_triple_identity", "mk_field", "normalized_frame",
     "orbit_count_card", "orbit_of_tau", "poly_eval", "prod_S_closed",

@@ -14,6 +14,8 @@ import sys
 
 from . import charsets, closedform, sweeps
 from .charsets import SIGN_PAIRS, SetFamily, parse_signs, sign_str
+from .closedform import closed_product
+from .dickson import poly_str
 from .ffield import FieldCtx, FieldError, mk_field
 
 
@@ -48,21 +50,6 @@ def parse_family(ctx: FieldCtx, text: str) -> SetFamily:
         fam = SetFamily(kind, tuple(params), signs)
     fam.validate(ctx)
     return fam
-
-
-def closed_product(ctx: FieldCtx, fam: SetFamily) -> int:
-    """Closed-form product of any family, via the T-product machinery."""
-    if fam.kind == "S1":
-        return closedform.prod_S_single(ctx, fam.params[0], fam.signs)
-    if fam.kind == "T":
-        return closedform.rescale_T(ctx, *fam.params, fam.signs)
-    k, l = fam.params
-    value = closedform.prod_S_closed(ctx, k, l, fam.signs)
-    if fam.kind == "A":
-        e1, e2 = fam.signs
-        if ctx.legendre(k) == e1 and ctx.legendre(l) == e2:
-            return 0  # the family contains 0
-    return value
 
 
 def _cmd_eval(args) -> int:
@@ -106,55 +93,35 @@ def _specific_rows(ctx: FieldCtx):
     return rows
 
 
-def _witness_tau(ctx: FieldCtx, cls: tuple[int, int], mu: int | None = None):
-    """First tau in canonical order with the given square classes."""
+def _witness_frame(ctx: FieldCtx, cls: tuple[int, int], mu: int | None = None):
+    """Frame of the first tau in canonical order with the given square
+    classes (and, if mu is given, with all-square class mu), or None."""
     for tau in ctx.elements_canonical():
-        if tau in (0, ctx.minus_one):
+        if closedform.square_classes(ctx, tau) != cls:
             continue
-        tau1 = ctx.add(tau, ctx.one)
-        if (ctx.legendre(tau), ctx.legendre(tau1)) != cls:
-            continue
-        if mu is not None:
-            frame = closedform.normalized_frame(ctx, tau)
-            half = ctx.inv(ctx.from_int(2))
-            root = ctx.sqrt_canonical(frame.l)
-            if ctx.legendre(ctx.add(ctx.one, ctx.mul(root, half))) != mu:
-                continue
-        return tau
+        frame = closedform.normalized_frame(ctx, tau)
+        if mu is None or closedform.all_square_class(ctx, frame) == mu:
+            return frame
     return None
 
 
 def _square_class_rows(ctx: FieldCtx, table_id: int):
-    rows = []
     if table_id in (1, 2):
-        for mu, name in ((1, "squares"), (-1, "nonsquares")):
-            tau = _witness_tau(ctx, (1, 1), mu)
-            if tau is None:
-                rows.append((f"tau,tau+1 squares; 1+-sqrt(l)/2 {name}",
-                             None, None, "no such tau at this q"))
-            else:
-                frame = closedform.normalized_frame(ctx, tau)
-                rows.append((f"tau,tau+1 squares; 1+-sqrt(l)/2 {name} "
-                             f"[tau={ctx.elem_str(tau)}]", frame.j, frame.l, None))
+        wanted = [((1, 1), mu, f"tau,tau+1 squares; 1+-sqrt(l)/2 {name}")
+                  for mu, name in ((1, "squares"), (-1, "nonsquares"))]
     else:
-        for cls, case in (((1, -1), "a1"), ((-1, 1), "a2"), ((-1, -1), "a3")):
-            label = f"chi(tau)={cls[0]:+d}, chi(tau+1)={cls[1]:+d}"
-            tau = _witness_tau(ctx, cls)
-            if tau is None:
-                rows.append((label, None, None, "no such tau at this q"))
-                continue
-            frame = closedform.normalized_frame(ctx, tau)
-            root = closedform.det_sqrt(ctx, frame, case)
-            named = closedform.named_sqrts(ctx, frame, root)
-            chi2 = ctx.legendre(ctx.from_int(2))
-            if case == "a1":
-                c = named["tau"] if chi2 == 1 else ctx.neg(named["tau"])
-            elif case == "a2":
-                c = named["tau+1"] if chi2 == 1 else ctx.neg(named["tau+1"])
-            else:
-                c = named["tau/(tau+1)"]
-            rows.append((f"{label} [tau={ctx.elem_str(tau)}, c={ctx.elem_str(c)}]",
-                         frame.j, frame.l, None))
+        wanted = [(cls, None, f"chi(tau)={cls[0]:+d}, chi(tau+1)={cls[1]:+d}")
+                  for cls in ((1, -1), (-1, 1), (-1, -1))]
+    rows = []
+    for cls, mu, label in wanted:
+        frame = _witness_frame(ctx, cls, mu)
+        if frame is None:
+            rows.append((label, None, None, "no such tau at this q"))
+            continue
+        note = f"tau={ctx.elem_str(frame.tau)}"
+        if mu is None:
+            note += f", c={ctx.elem_str(closedform.mixed_class_root(ctx, frame))}"
+        rows.append((f"{label} [{note}]", frame.j, frame.l, None))
     return rows
 
 
@@ -168,40 +135,29 @@ def render_table(ctx: FieldCtx, table_id: int) -> tuple[list[str], int]:
     lines = [f"table {table_id} at q={ctx.q} (p={ctx.p}, n={ctx.n}); "
              f"{'S' if s_flavor else 'T'}-products, "
              f"{'l-k=4' if s_flavor else 'j+l=4'} normalization"]
+    family, x_name = (charsets.s_family, "k") if s_flavor else (charsets.t_family, "j")
     mismatches = 0
     for label, j, l, skip in rows:
         if skip is not None:
             lines.append(f"  {label}: skipped ({skip})")
             continue
+        x = ctx.neg(j) if s_flavor else j
         parts = []
         for sp in SIGN_PAIRS:
-            if s_flavor:
-                k = ctx.neg(j)
-                closed = closedform.prod_S_closed(ctx, k, l, sp)
-                brute = charsets.brute_product(
-                    ctx, charsets.s_family(k, l, sp), members_cap=0).value
-            else:
-                closed = closedform.prod_T_closed(ctx, j, l, sp)
-                brute = charsets.brute_product(
-                    ctx, charsets.t_family(j, l, sp), members_cap=0).value
+            fam = family(x, l, sp)
+            closed = closed_product(ctx, fam)
+            brute = charsets.brute_product(ctx, fam, members_cap=0).value
             ok = closed == brute
             mismatches += not ok
             parts.append(f"{sign_str(sp)}: {ctx.elem_str(closed)}"
                          f"/{ctx.elem_str(brute)}{'' if ok else ' MISMATCH'}")
-        if s_flavor:
-            head = f"k={ctx.elem_str(ctx.neg(j))} l={ctx.elem_str(l)}"
-        else:
-            head = f"j={ctx.elem_str(j)} l={ctx.elem_str(l)}"
+        head = f"{x_name}={ctx.elem_str(x)} l={ctx.elem_str(l)}"
         lines.append(f"  {label} [{head}]  " + "  ".join(parts))
     lines.append("  (entries are closed/brute)")
     # the polynomial identities behind the tables, coefficient lists
     # low degree first
-    from .dickson import dickson_first, dickson_second, poly_str
-
-    for name, poly, signs in (
-            ("D_m", dickson_first(ctx, ctx.m), (-ctx.eps, -1)),
-            ("E_(m-1)", dickson_second(ctx, ctx.m - 1), (ctx.eps, 1))):
-        target = charsets.vanishing_poly(ctx, *signs)
+    for name, (poly, signs, target) in zip(("D_m", "E_(m-1)"),
+                                           sweeps.dickson_identities(ctx)):
         ok = poly == target
         mismatches += not ok
         lines.append(f"  {name} = {poly_str(ctx, poly)}")

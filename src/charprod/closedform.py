@@ -16,6 +16,8 @@ a2, a3 (which are rational in r, hence invariant under u -> 1/u).
 
 S-products are served exclusively through T-products: S_{k,l}^{s1,s2}
 equals T_{-k,l}^{eps*s1, s2} as a set, eps the character of -1.
+``closed_product(ctx, fam)`` is the one entry point for any A/S/S1/T
+family, the closed-form counterpart of ``charsets.brute_product``.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .charsets import SignPair
-from .ffield import FieldCtx, ext2_solve_unit
+from .charsets import SetFamily, SignPair
+from .ffield import FieldCtx, IdentityFailure, ext2_solve_unit
 
 
 class _Infinity:
@@ -84,6 +86,11 @@ def frame_from_pair(ctx: FieldCtx, j: int, l: int) -> NormalizedFrame:
     if ctx.add(j, l) != ctx.from_int(4):
         raise ValueError("pair is not normalized: j + l != 4")
     return normalized_frame(ctx, INF if l == 0 else ctx.div(j, l))
+
+
+def square_classes(ctx: FieldCtx, tau: int) -> tuple[int, int]:
+    """(chi(tau), chi(tau+1)), the pair that selects a tau's table row."""
+    return ctx.legendre(tau), ctx.legendre(ctx.add(tau, ctx.one))
 
 
 def prod_S_single(ctx: FieldCtx, k: int, sign: int) -> int:
@@ -178,7 +185,7 @@ def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str, *,
         raise ValueError(f"unknown case {case!r}")
     if isinstance(frame.tau, _Infinity) or frame.tau in (0, ctx.minus_one):
         raise ValueError("cases a1/a2/a3 need tau outside {0, -1, inf}")
-    cls = (ctx.legendre(frame.tau), ctx.legendre(ctx.add(frame.tau, ctx.one)))
+    cls = square_classes(ctx, frame.tau)
     if cls != _CASE_CLASS[case]:
         raise ValueError(f"square classes {cls} do not match case {case}")
 
@@ -261,25 +268,52 @@ def _specific_row(ctx: FieldCtx, frame: NormalizedFrame) -> Optional[dict[SignPa
     return None
 
 
-def _all_square_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int]:
-    """The two rows for tau and tau+1 both nonzero squares.
+def all_square_class(ctx: FieldCtx, frame: NormalizedFrame) -> int:
+    """Common square class mu of 1 +/- sqrt(l)/2 when tau, tau+1 are squares.
 
-    Keyed by the common square class of 1 +/- sqrt(l)/2; the two branches
-    must agree, which is asserted rather than assumed.
+    The two branches must agree; IdentityFailure is raised if they do not.
     """
-    el = ctx.from_int
-    half = ctx.inv(el(2))
+    if isinstance(frame.tau, _Infinity) or square_classes(ctx, frame.tau) != (1, 1):
+        raise ValueError("tau and tau+1 must both be nonzero squares")
+    half = ctx.inv(ctx.from_int(2))
     rt = ctx.sqrt_canonical(frame.l)
     mu_plus = ctx.legendre(ctx.add(ctx.one, ctx.mul(rt, half)))
     mu_minus = ctx.legendre(ctx.sub(ctx.one, ctx.mul(rt, half)))
-    assert mu_plus == mu_minus != 0, "branch dependence in the all-square class"
+    if not mu_plus == mu_minus != 0:
+        raise IdentityFailure(f"branch dependence in the all-square class at q={ctx.q}")
+    return mu_plus
+
+
+def _all_square_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int]:
+    """Rows for tau and tau+1 both nonzero squares, signed by all_square_class."""
+    el = ctx.from_int
     ce = _sign_elem(ctx, ctx.eps)
     jl2 = ctx.mul(el(2), ctx.mul(frame.j, frame.l))
     vals = {SignPair(1, 1): ctx.div(ce, jl2), SignPair(1, -1): ce,
             SignPair(-1, 1): ctx.one, SignPair(-1, -1): el(2)}
-    if mu_plus == 1:
+    if all_square_class(ctx, frame) == 1:
         return vals
     return {sp: ctx.neg(v) for sp, v in vals.items()}
+
+
+_CLASS_ROOT = {(1, -1): ("a1", "tau"), (-1, 1): ("a2", "tau+1"),
+               (-1, -1): ("a3", "tau/(tau+1)")}
+
+
+def mixed_class_root(ctx: FieldCtx, frame: NormalizedFrame) -> int:
+    """The root c behind the mixed square-class rows, built from det_sqrt.
+
+    c = chi(2) sqrt(tau) for case a1, chi(2) sqrt(tau+1) for a2 and
+    sqrt(tau/(tau+1)) for a3, each root the one its case determines.
+    """
+    cls = None if isinstance(frame.tau, _Infinity) else square_classes(ctx, frame.tau)
+    if cls not in _CLASS_ROOT:
+        raise ValueError(f"tau={tau_str(frame.tau, ctx)} is in no mixed square class")
+    case, radicand = _CLASS_ROOT[cls]
+    c = named_sqrts(ctx, frame, det_sqrt(ctx, frame, case))[radicand]
+    if case == "a3" or ctx.legendre(ctx.from_int(2)) == 1:
+        return c
+    return ctx.neg(c)
 
 
 def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int]:
@@ -288,12 +322,10 @@ def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, in
     two = el(2)
     tau = frame.tau
     tau1 = ctx.add(tau, ctx.one)
-    cls = (ctx.legendre(tau), ctx.legendre(tau1))
-    chi2 = _sign_elem(ctx, ctx.legendre(two))
     ce = _sign_elem(ctx, ctx.eps)
+    c = mixed_class_root(ctx, frame)
+    cls = square_classes(ctx, tau)
     if cls == (1, -1):
-        a1 = det_sqrt(ctx, frame, "a1").value
-        c = ctx.mul(chi2, named_sqrts(ctx, frame, DetRoot("a1", a1))["tau"])
         return {
             SignPair(1, 1): ctx.neg(ctx.div(tau1, ctx.mul(two, c))),
             SignPair(1, -1): ctx.neg(c),
@@ -301,24 +333,18 @@ def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, in
             SignPair(-1, -1): ctx.div(ctx.mul(ce, tau1), ctx.mul(el(8), c)),
         }
     if cls == (-1, 1):
-        a2 = det_sqrt(ctx, frame, "a2").value
-        c = ctx.mul(chi2, ctx.div(two, a2))  # chi(2) * sqrt(tau+1)
         return {
             SignPair(1, 1): ctx.div(ctx.mul(ce, c), two),
             SignPair(1, -1): ctx.mul(ce, c),
             SignPair(-1, 1): ctx.div(ctx.mul(c, tau1), ctx.mul(el(16), tau)),
             SignPair(-1, -1): ctx.div(two, c),
         }
-    if cls == (-1, -1):
-        a3 = det_sqrt(ctx, frame, "a3").value
-        c = ctx.div(a3, two)  # sqrt(tau/(tau+1))
-        return {
-            SignPair(1, 1): ctx.neg(ctx.div(ce, ctx.mul(two, c))),
-            SignPair(1, -1): ctx.neg(ctx.div(ctx.mul(ce, tau1), ctx.mul(el(16), c))),
-            SignPair(-1, 1): ctx.inv(c),
-            SignPair(-1, -1): ctx.mul(two, c),
-        }
-    raise AssertionError("all-square class must be dispatched earlier")
+    return {
+        SignPair(1, 1): ctx.neg(ctx.div(ce, ctx.mul(two, c))),
+        SignPair(1, -1): ctx.neg(ctx.div(ctx.mul(ce, tau1), ctx.mul(el(16), c))),
+        SignPair(-1, 1): ctx.inv(c),
+        SignPair(-1, -1): ctx.mul(two, c),
+    }
 
 
 def prod_T_values(ctx: FieldCtx, j: int, l: int) -> dict[SignPair, int]:
@@ -327,7 +353,7 @@ def prod_T_values(ctx: FieldCtx, j: int, l: int) -> dict[SignPair, int]:
     vals = _specific_row(ctx, frame)
     if vals is not None:
         return vals
-    if (ctx.legendre(frame.tau), ctx.legendre(ctx.add(frame.tau, ctx.one))) == (1, 1):
+    if square_classes(ctx, frame.tau) == (1, 1):
         return _all_square_row(ctx, frame)
     return _mixed_class_row(ctx, frame)
 
@@ -362,6 +388,19 @@ def prod_S_closed(ctx: FieldCtx, k: int, l: int, signs) -> int:
     """Closed S_{k,l} product, routed through the T-product formulas."""
     e1, e2 = SignPair(*signs)
     return rescale_T(ctx, ctx.neg(k), l, (ctx.eps * e1, e2))
+
+
+def closed_product(ctx: FieldCtx, fam: SetFamily) -> int:
+    """Closed-form product over any A/S/S1/T family (cf. brute_product)."""
+    fam.validate(ctx)
+    if fam.kind == "S1":
+        return prod_S_single(ctx, fam.params[0], fam.signs)
+    if fam.kind == "T":
+        return rescale_T(ctx, *fam.params, fam.signs)
+    k, l = fam.params
+    if fam.kind == "A" and (ctx.legendre(k), ctx.legendre(l)) == tuple(fam.signs):
+        return 0  # a = 0 is a member
+    return prod_S_closed(ctx, k, l, fam.signs)
 
 
 def swap_T(ctx: FieldCtx, j: int, l: int, mu: int) -> int:

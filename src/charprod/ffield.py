@@ -42,6 +42,14 @@ class FieldTooLargeError(FieldError):
     """q exceeds the machine bound."""
 
 
+class IdentityFailure(AssertionError):
+    """A checked mathematical identity did not hold.
+
+    Raised explicitly, so the check survives ``python -O``; it subclasses
+    AssertionError so callers that catch failed checks catch it too.
+    """
+
+
 def is_prime(m: int) -> bool:
     """Deterministic trial-division primality test."""
     if m < 2:

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .charsets import SignPair, brute_product, t_family
 from .dickson import dickson_first, poly_eval_ext2
-from .ffield import Ext2Elem, FieldCtx, factorize
+from .ffield import Ext2Elem, FieldCtx, IdentityFailure, factorize
 
 BASE_ORDERS = {"sqrt2": 4, "sqrt3": 6, "golden": 5}
 
@@ -137,9 +137,9 @@ class Sqrt2Classes:
 def sqrt2_tower_class(ctx: FieldCtx) -> Sqrt2Classes:
     """Square classes of 2 + sqrt(2) and of 2 + sqrt(2 + sqrt(2)).
 
-    Asserts the mod-16 criterion for the first and (when applicable) the
-    mod-32 criterion for the second; fields where 2 is a nonsquare report
-    only the first flag.
+    Checks the mod-16 criterion for the first and (when applicable) the
+    mod-32 criterion for the second, raising IdentityFailure when one
+    fails; fields where 2 is a nonsquare report only the first flag.
     """
     q = ctx.q
     two = ctx.from_int(2)
@@ -147,17 +147,23 @@ def sqrt2_tower_class(ctx: FieldCtx) -> Sqrt2Classes:
         return Sqrt2Classes(False, None, None)
     s = ctx.sqrt_canonical(two)
     c1 = ctx.legendre(ctx.add(two, s))
-    assert c1 == ctx.legendre(ctx.sub(two, s)) != 0
+    if not c1 == ctx.legendre(ctx.sub(two, s)) != 0:
+        raise IdentityFailure(f"2+sqrt2 and 2-sqrt2 differ in class at q={q}")
     want = (-1) ** ((q - 1) // 8) if q % 8 == 1 else (-1) ** ((q + 1) // 8)
-    assert c1 == want, f"biquadratic class of 2+sqrt2 is off at q={q}"
+    if c1 != want:
+        raise IdentityFailure(f"biquadratic class of 2+sqrt2 is off at q={q}")
     c2 = None
     if q % 16 in (1, 15):
-        assert c1 == 1
+        if c1 != 1:
+            raise IdentityFailure(f"2+sqrt2 is a nonsquare at q={q} = +-1 mod 16")
         t = ctx.sqrt_canonical(ctx.add(two, s))
         c2 = ctx.legendre(ctx.add(two, t))
-        assert c2 == ctx.legendre(ctx.sub(two, t)) != 0
-        assert (c2 == 1) == (q % 32 in (1, 31)), \
-            f"mod-32 criterion for 2+sqrt(2+sqrt2) is off at q={q}"
+        if not c2 == ctx.legendre(ctx.sub(two, t)) != 0:
+            raise IdentityFailure(
+                f"2+sqrt(2+sqrt2) and 2-sqrt(2+sqrt2) differ in class at q={q}")
+        if (c2 == 1) != (q % 32 in (1, 31)):
+            raise IdentityFailure(
+                f"mod-32 criterion for 2+sqrt(2+sqrt2) is off at q={q}")
     return Sqrt2Classes(True, c1, c2)
 
 

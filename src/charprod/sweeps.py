@@ -8,6 +8,8 @@ acceptance bar for the whole package.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import random
 import sys
@@ -25,6 +27,8 @@ ALL_SUITES = ("tables", "dickson", "cardinality", "correspondence",
 
 _SEED = 0x5EED
 CARD_GRID_MAX = 4096
+_PAIR_FAMILIES = {"A": charsets.a_family, "S": charsets.s_family,
+                  "T": charsets.t_family}
 
 
 @dataclass
@@ -87,10 +91,10 @@ def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
     for tau in taus:
         frame = closedform.normalized_frame(ctx, tau)
         for sp in SIGN_PAIRS:
+            fam = charsets.t_family(frame.j, frame.l, sp)
             closed = closedform.prod_T_closed(ctx, frame.j, frame.l, sp)
-            rescaled = closedform.rescale_T(ctx, frame.j, frame.l, sp)
-            brute = charsets.brute_product(
-                ctx, charsets.t_family(frame.j, frame.l, sp), members_cap=0).value
+            rescaled = closedform.closed_product(ctx, fam)
+            brute = charsets.brute_product(ctx, fam, members_cap=0).value
             actual = ctx.elem_str(closed) if closed == rescaled else \
                 f"closed={ctx.elem_str(closed)} rescaled={ctx.elem_str(rescaled)}"
             yield _row(f"T[{tau_str(tau, ctx)}]{sign_str(sp)}",
@@ -137,12 +141,20 @@ def suite_rescaling(ctx: FieldCtx) -> Iterator[dict]:
                    f"seed{sign_str(seed_sp)}", want, got)
 
 
+def dickson_identities(ctx: FieldCtx) -> list[tuple[list[int], tuple, list[int]]]:
+    """(Dickson polynomial, signs, vanishing polynomial) for D_m and E_{m-1}.
+
+    The identities pair D_m with the signs (-eps, -) and E_{m-1} with
+    (eps, +); each Dickson polynomial must equal its vanishing polynomial.
+    """
+    return [(poly, signs, charsets.vanishing_poly(ctx, *signs))
+            for poly, signs in ((dickson.dickson_first(ctx, ctx.m), (-ctx.eps, -1)),
+                                (dickson.dickson_second(ctx, ctx.m - 1), (ctx.eps, 1)))]
+
+
 def suite_dickson(ctx: FieldCtx) -> Iterator[dict]:
     """Coefficient-exact polynomial identities D_m and E_{m-1}."""
-    for name, poly, signs in (
-            ("D_m", dickson.dickson_first(ctx, ctx.m), (-ctx.eps, -1)),
-            ("E_m-1", dickson.dickson_second(ctx, ctx.m - 1), (ctx.eps, 1))):
-        target = charsets.vanishing_poly(ctx, *signs)
+    for name, (poly, signs, target) in zip(("D_m", "E_m-1"), dickson_identities(ctx)):
         ok = poly == target
         detail = "identical-coefficients"
         if not ok:
@@ -195,8 +207,7 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
         for kind, counts, valid in (("A", a_counts, offdiag),
                                     ("S", s_counts, offdiag),
                                     ("T", t_counts, tmask)):
-            fams = {"A": charsets.a_family, "S": charsets.s_family,
-                    "T": charsets.t_family}[kind]
+            fams = _PAIR_FAMILIES[kind]
             bad = 0
             first = ""
             for k in range(q):
@@ -227,8 +238,7 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
             continue
         if kind == "T" and ctx.add(k, l) == 0:
             continue
-        fam = {"A": charsets.a_family, "S": charsets.s_family,
-               "T": charsets.t_family}[kind](k, l, sp)
+        fam = _PAIR_FAMILIES[kind](k, l, sp)
         want = len(charsets.enumerate_family(ctx, fam))
         got = charsets.card_closed(ctx, fam)
         yield _row(f"card-spot[{fam.label(ctx)}]", str(want), str(got))
@@ -343,36 +353,23 @@ def run_field(p: int, n: int, suites: Iterable[str]) -> list[dict]:
     return rows
 
 
-def _run_field_args(args) -> list[dict]:
-    return run_field(*args)
-
-
 def run_verify(config: SweepConfig, stream=None) -> int:
     """Run the sweep, emit JSON lines, return the exit code (0 iff clean)."""
     config.validate()
-    close_me = None
-    if stream is None:
-        if config.report_path:
-            stream = close_me = open(config.report_path, "w", encoding="utf-8")
-        else:
-            stream = sys.stdout
+    fields = prime_powers(config.q_min, config.q_max, config.max_degree)
     mismatches = 0
-    try:
-        fields = prime_powers(config.q_min, config.q_max, config.max_degree)
-        jobs = [(p, n, tuple(config.suites)) for _, p, n in fields]
+    with contextlib.ExitStack() as stack:
+        if stream is None:
+            stream = (stack.enter_context(open(config.report_path, "w", encoding="utf-8"))
+                      if config.report_path else sys.stdout)
+        mapper = map
         if config.workers > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                results = pool.map(_run_field_args, jobs)
-                for rows in results:
-                    for row in rows:
-                        mismatches += not row["ok"]
-                        stream.write(json.dumps(row) + "\n")
-        else:
-            for job in jobs:
-                for row in _run_field_args(job):
-                    mismatches += not row["ok"]
-                    stream.write(json.dumps(row) + "\n")
-    finally:
-        if close_me is not None:
-            close_me.close()
+            mapper = stack.enter_context(
+                ProcessPoolExecutor(max_workers=config.workers)).map
+        ps, ns = [p for _, p, _ in fields], [n for _, _, n in fields]
+        # chain drops each field's rows before the next field runs
+        for row in itertools.chain.from_iterable(
+                mapper(run_field, ps, ns, itertools.repeat(tuple(config.suites)))):
+            mismatches += not row["ok"]
+            stream.write(json.dumps(row) + "\n")
     return 0 if mismatches == 0 else 1

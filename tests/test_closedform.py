@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from charprod.charsets import (SIGN_PAIRS, SignPair, brute_product, s1_family,
-                               s_family, t_family)
-from charprod.closedform import (INF, det_sqrt, frame_from_pair,
-                                 legendre_triple_identity, named_sqrts,
-                                 normalized_frame, prod_S_closed,
+from charprod.charsets import (SIGN_PAIRS, SignPair, a_family, brute_product,
+                               s1_family, s_family, t_family)
+from charprod.closedform import (INF, all_square_class, closed_product,
+                                 det_sqrt, frame_from_pair,
+                                 legendre_triple_identity, mixed_class_root,
+                                 named_sqrts, normalized_frame, prod_S_closed,
                                  prod_S_single, prod_T_closed, prod_T_values,
                                  quadruple_from_one, rescale_T, swap_T,
                                  _all_square_row, _mixed_class_row)
@@ -131,6 +132,13 @@ def test_det_sqrt_case_mismatch():
         det_sqrt(c7, normalized_frame(c7, 2), "bogus")
     with pytest.raises(ValueError):
         det_sqrt(c7, normalized_frame(c7, INF), "a1")
+    # tau = 1 is all-square at q = 7; 0 and inf are in no class
+    for tau in (1, 0, INF):
+        with pytest.raises(ValueError):
+            mixed_class_root(c7, normalized_frame(c7, tau))
+    for tau in (2, 0, INF):
+        with pytest.raises(ValueError):
+            all_square_class(c7, normalized_frame(c7, tau))
 
 
 def test_det_sqrt_named_roots_square_correctly():
@@ -145,15 +153,19 @@ def test_det_sqrt_named_roots_square_correctly():
             frame = normalized_frame(ctx, tau)
             root = det_sqrt(ctx, frame, case)
             named = named_sqrts(ctx, frame, root)
+            c = mixed_class_root(ctx, frame)
             if case == "a1":
                 assert ctx.mul(named["tau"], named["tau"]) == tau
+                assert ctx.mul(c, c) == tau
             elif case == "a2":
                 s = named["tau+1"]
                 assert ctx.mul(s, s) == ctx.add(tau, ctx.one)
+                assert ctx.mul(c, c) == ctx.add(tau, ctx.one)
             else:
                 s = named["tau/(tau+1)"]
                 want = ctx.div(tau, ctx.add(tau, ctx.one))
                 assert ctx.mul(s, s) == want
+                assert ctx.mul(c, c) == want
 
 
 def test_det_sqrt_reciprocal_invariance():
@@ -272,6 +284,35 @@ def test_rescale_q3_negative_exponent_edge():
                     brute_product(c3, t_family(jp, lp, sp)).value
 
 
+def test_closed_product_matches_brute_every_family():
+    # every A/S/S1/T family on the small fields with q <= 13, including
+    # A families that contain 0 (closed value 0) and S1 with k = 0
+    a_with_zero = s1_at_zero = 0
+    for ctx in small_ctxs():
+        if ctx.q > 13:
+            continue
+        for k in range(ctx.q):
+            for e in (1, -1):
+                fam = s1_family(k, e)
+                assert closed_product(ctx, fam) == brute_product(ctx, fam).value
+                s1_at_zero += k == 0
+            for l in range(ctx.q):
+                for sp in SIGN_PAIRS:
+                    fams = [t_family(k, l, sp)] if ctx.add(k, l) != 0 else []
+                    if k != l:
+                        fams += [a_family(k, l, sp), s_family(k, l, sp)]
+                    for fam in fams:
+                        want = brute_product(ctx, fam).value
+                        assert closed_product(ctx, fam) == want, (ctx.q, fam)
+                        a_with_zero += fam.kind == "A" and want == 0
+    assert a_with_zero and s1_at_zero
+    # eval and table compare the library dispatch itself, not a copy
+    from charprod import cli
+    assert cli.closed_product is closed_product
+    with pytest.raises(ValueError):
+        closed_product(field(7), t_family(3, 4, (1, 1)))  # j + l = 0
+
+
 def test_prod_S_closed_matches_brute():
     rng = random.Random(14)
     for ctx in small_ctxs():
@@ -384,6 +425,9 @@ def test_all_square_key_branch_independent():
                 plus = ctx.legendre(ctx.add(ctx.one, ctx.mul(s, half)))
                 minus = ctx.legendre(ctx.sub(ctx.one, ctx.mul(s, half)))
                 assert plus == minus != 0
+            mu = all_square_class(ctx, frame)
+            assert mu in (1, -1)
+            assert mu == ctx.legendre(ctx.sub(ctx.one, ctx.mul(root, half)))
 
 
 def test_sklu_products_via_unit_powers():

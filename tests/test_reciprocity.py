@@ -22,6 +22,39 @@ def test_sqrt2_class_examples():
     assert sqrt2_tower_class(field(13)) == Sqrt2Classes(False, None, None)
 
 
+def test_sqrt2_class_check_survives_python_O():
+    # a character corrupted only at 2 + sqrt2 (q = 7) must be caught
+    # even when the interpreter strips assert statements
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """
+import sys
+from charprod.ffield import IdentityFailure, mk_field
+from charprod.reciprocity import sqrt2_tower_class
+ctx = mk_field(7)
+two = ctx.from_int(2)
+bad = ctx.add(two, ctx.sqrt_canonical(two))
+real = ctx.legendre
+ctx.legendre = lambda a: -real(a) if a == bad else real(a)
+try:
+    print("returned", sqrt2_tower_class(ctx))
+except IdentityFailure as exc:
+    print("raised", exc)
+print("optimize", sys.flags.optimize)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised 2+sqrt2 and 2-sqrt2 differ in class at q=7", "optimize 1"]
+
+
 def test_sqrt2_class_root_choice_free():
     # the class of 2 + sqrt2 never depends on which root is picked,
     # since (2 + s)(2 - s) = 2 is a square whenever s exists
