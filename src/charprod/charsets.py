@@ -17,12 +17,9 @@ closed-form cardinality (never enumerates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .dickson import poly_trim
-from .ffield import FieldCtx
-
-MEMBERS_CAP = 10_000
+from .ffield import FieldCtx, poly_trim
 
 
 class SignPair(NamedTuple):
@@ -109,7 +106,6 @@ def t_family(j: int, l: int, signs) -> SetFamily:
 class ProductReport:
     value: int
     cardinality: int
-    members: Optional[list[int]]
 
 
 def _scan_scalar(ctx: FieldCtx, fam: SetFamily) -> list[int]:
@@ -168,15 +164,13 @@ def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
     return members
 
 
-def brute_product(ctx: FieldCtx, fam: SetFamily,
-                  members_cap: int = MEMBERS_CAP) -> ProductReport:
+def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
     """Oracle product over the enumerated members (empty product is 1)."""
     members = enumerate_family(ctx, fam)
     value = ctx.one
     for a in members:
         value = ctx.mul(value, a)
-    kept = members if len(members) <= members_cap else None
-    return ProductReport(value=value, cardinality=len(members), members=kept)
+    return ProductReport(value=value, cardinality=len(members))
 
 
 def _a_base_card(ctx: FieldCtx, e1: int, e2: int) -> int:

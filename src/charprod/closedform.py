@@ -77,7 +77,8 @@ def normalized_frame(ctx: FieldCtx, tau: ProjTau) -> NormalizedFrame:
     frame = NormalizedFrame(tau=tau, j=j, k=k, l=l, r=r,
                             tau_prime=ctx.div(k, four), tau_prime_defined=True)
     # round-trip tau = (2-r)/(2+r); 2+r = l is nonzero here
-    assert ctx.div(ctx.sub(ctx.from_int(2), r), l) == tau
+    if ctx.div(ctx.sub(ctx.from_int(2), r), l) != tau:
+        raise IdentityFailure(f"tau = (2-r)/(2+r) fails at q={ctx.q}")
     return frame
 
 
@@ -131,34 +132,21 @@ def quadruple_from_one(ctx: FieldCtx, k: int, l: int,
     pk_minus = prod_S_single(ctx, k, -1)
     pl_minus = prod_S_single(ctx, l, -1)
 
+    # each relation reads total = P[x] * P[y] * factor
+    relations = (
+        (pk_plus, SignPair(1, 1), SignPair(1, -1), f_plus),
+        (pl_minus, SignPair(1, -1), SignPair(-1, -1), f_minus),
+        (pk_minus, SignPair(-1, -1), SignPair(-1, 1), f_minus2),
+    )
     out: dict[SignPair, int] = {signs: value}
-
-    def solve_pp_pm():
-        # pk_plus = P[++] * P[+-] * f_plus
-        if SignPair(1, 1) in out and SignPair(1, -1) not in out:
-            out[SignPair(1, -1)] = ctx.div(pk_plus, ctx.mul(out[SignPair(1, 1)], f_plus))
-        elif SignPair(1, -1) in out and SignPair(1, 1) not in out:
-            out[SignPair(1, 1)] = ctx.div(pk_plus, ctx.mul(out[SignPair(1, -1)], f_plus))
-
-    def solve_mm():
-        # pl_minus = P[--] * P[+-] * f_minus
-        if SignPair(1, -1) in out and SignPair(-1, -1) not in out:
-            out[SignPair(-1, -1)] = ctx.div(pl_minus, ctx.mul(out[SignPair(1, -1)], f_minus))
-        elif SignPair(-1, -1) in out and SignPair(1, -1) not in out:
-            out[SignPair(1, -1)] = ctx.div(pl_minus, ctx.mul(out[SignPair(-1, -1)], f_minus))
-
-    def solve_mp():
-        # pk_minus = P[--] * P[-+] * f_minus2
-        if SignPair(-1, -1) in out and SignPair(-1, 1) not in out:
-            out[SignPair(-1, 1)] = ctx.div(pk_minus, ctx.mul(out[SignPair(-1, -1)], f_minus2))
-        elif SignPair(-1, 1) in out and SignPair(-1, -1) not in out:
-            out[SignPair(-1, -1)] = ctx.div(pk_minus, ctx.mul(out[SignPair(-1, 1)], f_minus2))
-
     for _ in range(3):
-        solve_pp_pm()
-        solve_mm()
-        solve_mp()
-    assert len(out) == 4
+        for total, x, y, factor in relations:
+            if x in out and y not in out:
+                out[y] = ctx.div(total, ctx.mul(out[x], factor))
+            elif y in out and x not in out:
+                out[x] = ctx.div(total, ctx.mul(out[y], factor))
+    if len(out) != 4:
+        raise IdentityFailure(f"the relations left {4 - len(out)} products unsolved")
     return out
 
 
@@ -193,7 +181,8 @@ def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str, *,
     if reciprocal_unit:
         u = ctx.e2_inv(u)
     one2 = ctx.e2_embed(ctx.one)
-    assert ctx.e2_mul(u, u) != one2, "u^2 = 1 is impossible for tau outside {0, inf}"
+    if ctx.e2_mul(u, u) == one2:
+        raise IdentityFailure(f"u^2 = 1 for tau outside {{0, inf}} at q={ctx.q}")
     um = ctx.e2_pow(u, ctx.m)
     umi = ctx.e2_inv(um)
     if case == "a1":
@@ -210,7 +199,9 @@ def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str, *,
         sign2 = ctx.legendre(ctx.from_int(2))  # (-1)^m
         val = bracket if sign2 == 1 else ctx.neg(bracket)
         want = frame.j
-    assert ctx.mul(val, val) == want, "square identity for the det root failed"
+    if ctx.mul(val, val) != want:
+        raise IdentityFailure(
+            f"square identity for the det root {case} failed at q={ctx.q}")
     return DetRoot(kind=case, value=val)
 
 

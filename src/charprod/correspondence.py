@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .charsets import SignPair
-from .ffield import Ext2Elem, FieldCtx, factorize, unit_order_test
+from .ffield import (Ext2Elem, FieldCtx, IdentityFailure, first_of_order,
+                     unit_order_test)
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,8 @@ def orbit_of_tau(ctx: FieldCtx, tau: int) -> Orbit:
     """The orbit of sqrt(tau+1) + sqrt(tau), roots taken in F_{q^2}."""
     v = ctx.e2_add(ctx.e2_sqrt(ctx.add(tau, ctx.one)), ctx.e2_sqrt(tau))
     orb = orbit_of(ctx, v)
-    assert tau_of_orbit(ctx, orb.rep) == tau, "orbit round-trip failed"
+    if tau_of_orbit(ctx, orb.rep) != tau:
+        raise IdentityFailure(f"orbit round-trip failed at q={ctx.q}")
     return orb
 
 
@@ -56,15 +58,15 @@ def classify_tau(ctx: FieldCtx, tau: int) -> Optional[SignPair]:
     """Square classes (chi(tau), chi(tau+1)), cross-checked on the orbit.
 
     Returns None for the degenerate tau in {0, -1} (fourth roots of
-    unity); otherwise asserts the order relation v^(q - ab) = b.
+    unity); otherwise checks the order relation v^(q - ab) = b.
     """
     if tau == 0 or tau == ctx.minus_one:
         return None
     a = ctx.legendre(tau)
     b = ctx.legendre(ctx.add(tau, ctx.one))
     v = orbit_of_tau(ctx, tau).rep
-    assert unit_order_test(ctx, v, ctx.q - a * b, b), \
-        "square classes disagree with the unit order"
+    if not unit_order_test(ctx, v, ctx.q - a * b, b):
+        raise IdentityFailure(f"square classes disagree with the unit order at q={ctx.q}")
     return SignPair(a, b)
 
 
@@ -90,17 +92,10 @@ def orbit_count_card(ctx: FieldCtx, e1: int, e2: int) -> int:
 
 def ext2_generator(ctx: FieldCtx) -> Ext2Elem:
     """A deterministic generator of F_{q^2}^* (first in canonical order)."""
-    order = ctx.q * ctx.q - 1
-    primes = [r for r, _ in factorize(order)]
-    one = ctx.e2_embed(ctx.one)
-    for lo in ctx.elements_canonical():
-        for hi in ctx.elements_canonical():
-            if hi == 0:
-                continue  # base-field elements never generate
-            g = Ext2Elem(lo, hi)
-            if all(ctx.e2_pow(g, order // r) != one for r in primes):
-                return g
-    raise AssertionError("no generator found")  # unreachable
+    # base-field elements (hi = 0) never generate
+    cands = (Ext2Elem(lo, hi) for lo in ctx.elements_canonical()
+             for hi in ctx.elements_canonical() if hi)
+    return first_of_order(cands, ctx.q * ctx.q - 1, ctx.e2_pow, ctx.e2_embed(ctx.one))
 
 
 def roots_of_unity_union(ctx: FieldCtx) -> list[Ext2Elem]:

@@ -13,12 +13,6 @@ from __future__ import annotations
 from .ffield import Ext2Elem, FieldCtx
 
 
-def poly_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def _dickson(ctx: FieldCtx, k: int, seed0: int) -> list[int]:
     if k == 0:
         return [seed0]

@@ -50,24 +50,11 @@ class IdentityFailure(AssertionError):
     """
 
 
-def is_prime(m: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def factorize(m: int) -> list[tuple[int, int]]:
-    """Factor m > 0 by trial division; returns [(prime, exponent), ...]."""
+    """Factor m by trial division; returns [(prime, exponent), ...].
+
+    Integers below 2 have no prime factors and give [].
+    """
     out = []
     d = 2
     while d * d <= m:
@@ -83,31 +70,73 @@ def factorize(m: int) -> list[tuple[int, int]]:
     return out
 
 
+def is_prime(m: int) -> bool:
+    """Deterministic trial-division primality test."""
+    return factorize(m) == [(m, 1)]
+
+
 def prime_power(q: int) -> Optional[tuple[int, int]]:
     """Write q as p^n with p prime, or return None."""
-    if q < 2:
-        return None
-    p = None
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            p = d
-            break
-        d += 1 if d == 2 else 2
-    if p is None:
-        return (q, 1)
-    m, n = q, 0
-    while m % p == 0:
-        m //= p
-        n += 1
-    return (p, n) if m == 1 else None
+    f = factorize(q)
+    return f[0] if len(f) == 1 else None
+
+
+# ---------------------------------------------------------------------------
+# group algorithms, generic in the multiplication; F_q, F_{q^2} and the
+# quadratic towers of ``reciprocity`` all run through these
+# ---------------------------------------------------------------------------
+
+def power(x, e: int, mul, one):
+    """x^e for e >= 0 by square-and-multiply."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, x)
+        x = mul(x, x)
+        e >>= 1
+    return result
+
+
+def tonelli_shanks(a, order: int, nonsquare, mul, pw, one):
+    """A square root of the nonzero square a in a cyclic group of even order.
+
+    ``pw(x, e)`` is the group's power map; ``nonsquare`` is any nonsquare.
+    """
+    t, s = order, 0
+    while t % 2 == 0:
+        t //= 2
+        s += 1
+    c = pw(nonsquare, t)
+    r = pw(a, (t + 1) // 2)
+    x = pw(a, t)
+    while x != one:
+        i, y = 0, x
+        while y != one:
+            y = mul(y, y)
+            i += 1
+        b = pw(c, 1 << (s - i - 1))
+        r = mul(r, b)
+        c = mul(b, b)
+        x = mul(x, c)
+        s = i
+    return r
+
+
+def first_of_order(cands, order: int, pw, one):
+    """The first candidate of exact order ``order``; each must have x^order = 1."""
+    cofactors = [order // r for r, _ in factorize(order)]
+    for g in cands:
+        if all(pw(g, c) != one for c in cofactors):
+            return g
+    raise IdentityFailure(f"no candidate has exact order {order}")
 
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (coefficient lists, little-endian, trimmed)
 # ---------------------------------------------------------------------------
 
-def _ptrim(a: list[int]) -> list[int]:
+def poly_trim(a: list[int]) -> list[int]:
+    """Drop trailing zero coefficients in place; the zero polynomial is []."""
     while a and a[-1] == 0:
         a.pop()
     return a
@@ -121,7 +150,7 @@ def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 c[i + j] = (c[i + j] + ai * bj) % p
-    return _ptrim(c)
+    return poly_trim(c)
 
 
 def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
@@ -133,7 +162,7 @@ def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
         if lead:
             for i in range(n):
                 a[len(a) - n + i] = (a[len(a) - n + i] - lead * f[i]) % p
-    return _ptrim(a)
+    return poly_trim(a)
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -147,14 +176,7 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _pow_mod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
-        e >>= 1
-    return result
+    return power(_pmod(base, f, p), e, lambda a, b: _pmod(_pmul(a, b, p), f, p), [1])
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
@@ -169,13 +191,13 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     t = x
     for _ in range(n):
         t = _pow_mod(t, p, f, p)
-    if _ptrim([(a - b) % p for a, b in itertools.zip_longest(t, x, fillvalue=0)]):
+    if poly_trim([(a - b) % p for a, b in itertools.zip_longest(t, x, fillvalue=0)]):
         return False
     for r, _ in factorize(n):
         t = x
         for _ in range(n // r):
             t = _pow_mod(t, p, f, p)
-        diff = _ptrim([(a - b) % p for a, b in itertools.zip_longest(t, x, fillvalue=0)])
+        diff = poly_trim([(a - b) % p for a, b in itertools.zip_longest(t, x, fillvalue=0)])
         if len(_pgcd(f, diff, p)) != 1:
             return False
     return True
@@ -320,9 +342,6 @@ class FieldCtx:
         """Embed the integer c (image of c*1 in the prime subfield)."""
         return c % self.p
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def elements_canonical(self) -> Iterator[int]:
         """All elements in canonical order."""
         if self.n == 1:
@@ -421,16 +440,11 @@ class FieldCtx:
         if e < 0:
             a = self.inv(a)
             e = -e
+        if self.n == 1:
+            return pow(a, e, self.q)
         if a == 0:
             return self.one if e == 0 else 0
-        e %= self.q - 1
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        return power(a, e % (self.q - 1), self.mul, self.one)
 
     # -- quadratic character and square roots --------------------------------
 
@@ -461,40 +475,16 @@ class FieldCtx:
             return 0
         if self.legendre(a) == -1:
             return None
-        r = self._tonelli(a)
+        r = tonelli_shanks(a, self.q - 1, self.delta, self.mul, self.pow, self.one)
         rn = self.neg(r)
         return r if self.elem_key(r) <= self.elem_key(rn) else rn
-
-    def _tonelli(self, a: int) -> int:
-        # generic Tonelli-Shanks in the cyclic group F_q^*
-        t, s = self.q - 1, 0
-        while t % 2 == 0:
-            t //= 2
-            s += 1
-        c = self.pow(self.delta, t)
-        r = self.pow(a, (t + 1) // 2)
-        x = self.pow(a, t)
-        while x != self.one:
-            i, y = 0, x
-            while y != self.one:
-                y = self.mul(y, y)
-                i += 1
-            b = self.pow(c, 1 << (s - i - 1))
-            r = self.mul(r, b)
-            c = self.mul(b, b)
-            x = self.mul(x, c)
-            s = i
-        return r
 
     # -- tables ----------------------------------------------------------------
 
     def primitive_element(self) -> int:
         """Canonically smallest generator of the cyclic group F_q^*."""
-        cofactors = [(self.q - 1) // r for r, _ in factorize(self.q - 1)]
-        for g in self.elements_canonical():
-            if g and all(self.pow(g, c) != self.one for c in cofactors):
-                return g
-        raise FieldError(f"F_{self.q}^* has no generator")  # unreachable
+        return first_of_order((g for g in self.elements_canonical() if g),
+                              self.q - 1, self.pow, self.one)
 
     def tables(self) -> FieldTables:
         """Build (once) and return the O(q) lookup tables."""
@@ -554,16 +544,10 @@ class FieldCtx:
         if e < 0:
             x = self.e2_inv(x)
             e = -e
+        one = Ext2Elem(self.one, 0)
         if x == (0, 0):
-            return x if e else Ext2Elem(self.one, 0)
-        e %= self.q * self.q - 1
-        result = Ext2Elem(self.one, 0)
-        while e:
-            if e & 1:
-                result = self.e2_mul(result, x)
-            x = self.e2_mul(x, x)
-            e >>= 1
-        return result
+            return x if e else one
+        return power(x, e % (self.q * self.q - 1), self.e2_mul, one)
 
     def e2_sqrt(self, a: int) -> Ext2Elem:
         """Canonical square root in F_{q^2} of the base element a."""

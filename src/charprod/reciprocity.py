@@ -23,7 +23,8 @@ from typing import Optional
 
 from .charsets import SignPair, brute_product, t_family
 from .dickson import dickson_first, poly_eval_ext2
-from .ffield import Ext2Elem, FieldCtx, IdentityFailure, factorize
+from .ffield import (Ext2Elem, FieldCtx, IdentityFailure, first_of_order,
+                     power, tonelli_shanks)
 
 BASE_ORDERS = {"sqrt2": 4, "sqrt3": 6, "golden": 5}
 
@@ -100,8 +101,9 @@ def radical_tower_membership(ctx: FieldCtx, spec: TowerSpec) -> list[bool]:
 
     Tracks every candidate value that the free square-root choices can
     produce inside F_q; all candidates at a level must agree about
-    whether the next level stays in the field (asserted).  The result is
-    asserted against the congruence criterion before returning.
+    whether the next level stays in the field.  The result is checked
+    against the congruence criterion before returning; IdentityFailure is
+    raised when either check fails.
     """
     cands = _level0_candidates(ctx, spec)
     member = [cands is not None]
@@ -110,7 +112,8 @@ def radical_tower_membership(ctx: FieldCtx, spec: TowerSpec) -> list[bool]:
             member.append(False)
             continue
         classes = {ctx.legendre(ctx.add(ctx.from_int(2), x)) for x in cands}
-        assert len(classes) == 1, "square class depends on the root choice"
+        if len(classes) != 1:
+            raise IdentityFailure(f"square class depends on the root choice at q={ctx.q}")
         if classes.pop() == -1:
             member.append(False)
             cands = None
@@ -122,8 +125,9 @@ def radical_tower_membership(ctx: FieldCtx, spec: TowerSpec) -> list[bool]:
             nxt.add(ctx.neg(r))
         cands = sorted(nxt, key=ctx.elem_key)
         member.append(True)
-    assert member == tower_congruences(ctx.q, spec), \
-        f"tower membership disagrees with the congruence criterion at q={ctx.q}"
+    if member != tower_congruences(ctx.q, spec):
+        raise IdentityFailure(
+            f"tower membership disagrees with the congruence criterion at q={ctx.q}")
     return member
 
 
@@ -182,7 +186,8 @@ def special_angle_bracket(ctx: FieldCtx, d: int) -> SpecialAngle:
     (1-sqrt5)/2) inside F_{q^2} and certified to be the bracket of a
     primitive d-th root of unity through the Dickson functional
     equation: D_e(<zeta>) = <zeta^e> equals 2 exactly when zeta^e = 1.
-    Also asserts the one-line rationality criteria q = +-1 (mod d).
+    Also checks the one-line rationality criteria q = +-1 (mod d); any
+    failed check raises IdentityFailure.
     """
     if d not in (8, 10, 12):
         raise ValueError("d must be one of 8, 10, 12")
@@ -203,23 +208,30 @@ def special_angle_bracket(ctx: FieldCtx, d: int) -> SpecialAngle:
         b = ctx.e2_mul(ctx.e2_sub(ctx.e2_embed(ctx.one), s5), half)
         sq_target, proper = ctx.from_int(5), (5, 2)
         other = ctx.e2_sub(ctx.e2_embed(ctx.one), b)  # the other root of x^2-x-1
+    q = ctx.q
     for cand in (b, other):
-        assert poly_eval_ext2(ctx, dickson_first(ctx, d), cand) == two2
+        if poly_eval_ext2(ctx, dickson_first(ctx, d), cand) != two2:
+            raise IdentityFailure(f"D_{d} of the bracket is not 2 at q={q}")
         for e in proper:
-            assert poly_eval_ext2(ctx, dickson_first(ctx, e), cand) != two2
+            if poly_eval_ext2(ctx, dickson_first(ctx, e), cand) == two2:
+                raise IdentityFailure(f"the bracket has order dividing {e} at q={q}")
     if d == 10:
         # b = (1 - sqrt5)/2, so 1 - 2b is a square root of 5 (the
         # bracket of a primitive fifth root is -b, and 2(-b)+1 = 1-2b)
         sq = ctx.e2_sub(ctx.e2_embed(ctx.one), ctx.e2_mul(two2, b))
-        assert ctx.e2_mul(sq, sq) == ctx.e2_embed(sq_target)
     else:
-        assert ctx.e2_mul(b, b) == ctx.e2_embed(sq_target)
+        sq = b
+    if ctx.e2_mul(sq, sq) != ctx.e2_embed(sq_target):
+        raise IdentityFailure(
+            f"the radical does not square to {ctx.elem_str(sq_target)} at q={q}")
     in_base = ctx.e2_is_base(b)
-    assert in_base == (ctx.q % d in (1, d - 1)), "bracket rationality criterion"
-    assert in_base == ctx.e2_is_base(other), "rationality depends on the root choice"
-    radicand = {8: 2, 12: 3, 10: 5}[d]
-    assert (ctx.legendre(ctx.from_int(radicand)) == 1) == \
-        (ctx.q % d in (1, d - 1)), "one-line Legendre criterion"
+    rational = q % d in (1, d - 1)
+    if in_base != rational:
+        raise IdentityFailure(f"bracket rationality criterion is off at q={q}, d={d}")
+    if in_base != ctx.e2_is_base(other):
+        raise IdentityFailure(f"rationality depends on the root choice at q={q}, d={d}")
+    if (ctx.legendre(sq_target) == 1) != rational:
+        raise IdentityFailure(f"one-line Legendre criterion is off at q={q}, d={d}")
     return SpecialAngle(d=d, bracket=b, in_base=in_base,
                         base_value=b.lo if in_base else None)
 
@@ -286,8 +298,9 @@ def prod_T_quadratic_irrational(ctx: FieldCtx, base: str, *,
         raise ValueError(f"unknown base {base!r}")
     j, l = ctx.sub(two, b0), ctx.add(two, b0)
     rep = brute_product(ctx, t_family(j, l, signs))
-    assert rep.value == closed, \
-        f"closed quadratic-irrational product is off at q={q}, base={base}"
+    if rep.value != closed:
+        raise IdentityFailure(
+            f"closed quadratic-irrational product is off at q={q}, base={base}")
     return QuadIrrProduct(base=base, j=j, l=l, signs=signs,
                           value=closed, cardinality=rep.cardinality)
 
@@ -363,13 +376,7 @@ class QuadTower:
     def pow(self, x, e: int, level: int):
         if e < 0:
             x, e = self.inv(x, level), -e
-        out = self.one(level)
-        while e:
-            if e & 1:
-                out = self.mul(out, x, level)
-            x = self.mul(x, x, level)
-            e >>= 1
-        return out
+        return power(x, e, lambda a, b: self.mul(a, b, level), self.one(level))
 
     def legendre(self, x, level: int) -> int:
         if x == self.zero(level):
@@ -392,27 +399,10 @@ class QuadTower:
             return None
         if x == self.zero(level):
             return x
-        # Tonelli-Shanks in the cyclic group of K_level
-        t, s = self.size(level) - 1, 0
-        while t % 2 == 0:
-            t //= 2
-            s += 1
-        one = self.one(level)
         z = self.deltas[level] if level < len(self.deltas) else self._find_nonsquare(level)
-        c = self.pow(z, t, level)
-        r = self.pow(x, (t + 1) // 2, level)
-        w = self.pow(x, t, level)
-        while w != one:
-            i, y = 0, w
-            while y != one:
-                y = self.mul(y, y, level)
-                i += 1
-            b = self.pow(c, 1 << (s - i - 1), level)
-            r = self.mul(r, b, level)
-            c = self.mul(b, b, level)
-            w = self.mul(w, c, level)
-            s = i
-        return r
+        return tonelli_shanks(x, self.size(level) - 1, z,
+                              lambda a, b: self.mul(a, b, level),
+                              lambda a, e: self.pow(a, e, level), self.one(level))
 
     def in_base(self, x, level: int) -> bool:
         while level > 0:
@@ -450,8 +440,6 @@ def unit_tower(ctx: FieldCtx, spec: TowerSpec) -> list[tuple]:
     # u_0: power candidates down to mu_{2k} until one has exact order 2k
     lvl = levels[0]
     size = tw.size(lvl)
-    u0 = None
-    d0_primes = [r for r, _ in factorize(d0)]
 
     def candidates():
         if lvl == 0:
@@ -462,12 +450,8 @@ def unit_tower(ctx: FieldCtx, spec: TowerSpec) -> list[tuple]:
                 for a in range(ctx.q):
                     yield (tw.embed(a, 0, lvl - 1), eb)
 
-    for cand in candidates():
-        w = tw.pow(cand, (size - 1) // d0, lvl)
-        if all(tw.pow(w, d0 // r, lvl) != tw.one(lvl) for r in d0_primes):
-            u0 = w
-            break
-    assert u0 is not None, "no element of the required order found"
+    u0 = first_of_order((tw.pow(c, (size - 1) // d0, lvl) for c in candidates()),
+                        d0, lambda x, e: tw.pow(x, e, lvl), tw.one(lvl))
     out = []
     u, cur = u0, levels[0]
     for i in range(spec.depth + 1):

@@ -27,14 +27,9 @@ def test_brute_product_examples():
                     brute_product(ctx, s1_family(0, -1)).value)
         assert v == ctx.minus_one
     rep = brute_product(field(5), t_family(1, 3, (-1, -1)))
-    assert (rep.value, rep.cardinality, rep.members) == (4, 1, [4])
+    assert (rep.value, rep.cardinality) == (4, 1)
     rep = brute_product(field(3), t_family(1, 1, (1, -1)))
-    assert (rep.value, rep.cardinality, rep.members) == (1, 0, [])
-
-
-def test_members_cap():
-    rep = brute_product(field(13), s1_family(0, 1), members_cap=3)
-    assert rep.members is None and rep.cardinality == 6
+    assert (rep.value, rep.cardinality) == (1, 0)
 
 
 def test_family_validation():

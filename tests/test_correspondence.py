@@ -87,6 +87,13 @@ def test_bijection_small():
             assert orbit_of_tau(ctx, tau) == by_tau[tau]
 
 
+def test_ext2_generator_pinned():
+    # the first generator in canonical (lo, hi) order, hi != 0
+    assert ext2_generator(field(5)) == (1, 2)
+    assert ext2_generator(field(3, 2)) == (3, 1)
+    assert ext2_generator(field(13)) == (1, 2)
+
+
 def test_classification_examples():
     # both squares -> v in F_q (v^(q-1) = 1)
     for ctx in small_ctxs()[:8]:

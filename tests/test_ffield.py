@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from charprod.ffield import (EvenCharacteristicError, Ext2Elem, FieldError,
                              FieldTables, FieldTooLargeError, NotPrimeError,
-                             ext2_solve_unit, is_prime,
-                             mk_field, prime_power, unit_order_test)
+                             ext2_solve_unit, is_prime, mk_field, power,
+                             prime_power, unit_order_test)
 from helpers import SMALL_FIELDS, field, small_ctxs
 
 
@@ -54,6 +54,26 @@ def test_is_prime_and_prime_power():
     assert prime_power(343) == (7, 3)
     assert prime_power(15) is None
     assert prime_power(13) == (13, 1)
+    assert [is_prime(m) for m in (0, 1, 2, 4, 9, 12, -9)] == \
+        [False, False, True, False, False, False, False]
+    assert [prime_power(m) for m in (0, 1, 2, 4, 9, 12, -9)] == \
+        [None, None, (2, 1), (2, 2), (3, 2), None, None]
+
+
+def test_power_matches_builtin_pow():
+    for m in (2, 7, 12, 101, 2**31 - 1):
+        for x in (0, 1, 3, m - 1, 12345):
+            for e in range(65):
+                assert power(x % m, e, lambda a, b: a * b % m, 1 % m) == pow(x, e, m)
+
+
+def test_primitive_element_pinned():
+    # the canonically first generator, which indexes the log tables; a
+    # change in the candidate order of the search shows up here
+    want = {(3, 1): 2, (5, 1): 2, (7, 1): 3, (11, 1): 2, (13, 1): 2, (17, 1): 3,
+            (19, 1): 2, (23, 1): 5, (29, 1): 2, (31, 1): 3, (3, 2): 4,
+            (3, 3): 18, (5, 2): 16, (7, 2): 15}
+    assert {pn: mk_field(*pn).primitive_element() for pn in SMALL_FIELDS} == want
 
 
 def test_arith_examples():

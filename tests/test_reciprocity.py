@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from charprod.closedform import rescale_T
@@ -22,9 +24,8 @@ def test_sqrt2_class_examples():
     assert sqrt2_tower_class(field(13)) == Sqrt2Classes(False, None, None)
 
 
-def test_sqrt2_class_check_survives_python_O():
-    # a character corrupted only at 2 + sqrt2 (q = 7) must be caught
-    # even when the interpreter strips assert statements
+def _run_optimized(code: str) -> list[str]:
+    """Run code under ``python -O`` (asserts stripped); its stdout lines."""
     import os
     import subprocess
     import sys
@@ -33,6 +34,15 @@ def test_sqrt2_class_check_survives_python_O():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_sqrt2_class_check_survives_python_O():
+    # a character corrupted only at 2 + sqrt2 (q = 7) must be caught
+    # even when the interpreter strips assert statements
     code = """
 import sys
 from charprod.ffield import IdentityFailure, mk_field
@@ -48,11 +58,39 @@ except IdentityFailure as exc:
     print("raised", exc)
 print("optimize", sys.flags.optimize)
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    assert _run_optimized(code) == [
         "raised 2+sqrt2 and 2-sqrt2 differ in class at q=7", "optimize 1"]
+
+
+def test_reciprocity_checks_survive_python_O():
+    # at q = 17, an oracle off by one must fail both quadirr[sqrt2] rows
+    # and a flipped chi(2) must fail the eighth-root bracket, asserts or not
+    code = """
+import sys
+from dataclasses import replace
+from charprod import reciprocity, sweeps
+from charprod.ffield import IdentityFailure, mk_field
+ctx = mk_field(17)
+real_brute = reciprocity.brute_product
+def bad_brute(c, fam):
+    rep = real_brute(c, fam)
+    return replace(rep, value=c.add(rep.value, c.one))
+reciprocity.brute_product = bad_brute
+for row in sweeps.suite_reciprocity(ctx):
+    if row["case"].startswith("quadirr[sqrt2]"):
+        print(row["case"], row["ok"])
+ctx = mk_field(17)  # fresh: delta is picked with the flipped chi(2)
+real_chi = ctx.legendre
+ctx.legendre = lambda a: -real_chi(a) if a == 2 else real_chi(a)
+try:
+    print("returned", reciprocity.special_angle_bracket(ctx, 8))
+except IdentityFailure as exc:
+    print("raised", exc)
+print("optimize", sys.flags.optimize)
+"""
+    assert _run_optimized(code) == [
+        "quadirr[sqrt2]root+ False", "quadirr[sqrt2]root- False",
+        "raised bracket rationality criterion is off at q=17, d=8", "optimize 1"]
 
 
 def test_sqrt2_class_root_choice_free():
@@ -219,6 +257,32 @@ def test_unit_tower_chain():
         for i, (lvl, u, b) in enumerate(chain):
             assert tw.add(u, tw.inv(u, lvl), lvl) == b
             assert tw.in_base(b, lvl) == congr[i], (q, base, i)
+
+
+def test_quad_tower_sqrt_squares_back():
+    # levels 1 and 2 over F_5 and F_7: roots of squares square back, and
+    # None comes exactly for nonsquares
+    rng = random.Random(5)
+    for p in (5, 7):
+        tw = QuadTower(mk_field(p), 3)
+
+        def rand(level):
+            if level == 0:
+                return rng.randrange(p)
+            return (rand(level - 1), rand(level - 1))
+
+        for level in (1, 2):
+            for _ in range(12):
+                y = rand(level)
+                x = tw.mul(y, y, level)
+                r = tw.sqrt(x, level)
+                assert tw.mul(r, r, level) == x
+                z = rand(level)
+                r = tw.sqrt(z, level)
+                if tw.legendre(z, level) == -1:
+                    assert r is None
+                else:
+                    assert tw.mul(r, r, level) == z
 
 
 def test_unit_tower_level0_matches_field_value():
