@@ -7,8 +7,9 @@ oracle plus sweep harness that re-verifies every formula exhaustively.
 """
 
 from .charsets import (SIGN_PAIRS, ProductReport, SetFamily, SignPair,
-                       a_family, brute_product, card_closed, enumerate_family,
-                       s1_family, s_family, t_family, vanishing_poly)
+                       a_family, brute_product, card_closed, card_grid,
+                       enumerate_family, s1_family, s_family, t_family,
+                       vanishing_poly)
 from .closedform import (INF, DetRoot, NormalizedFrame, closed_product,
                          det_sqrt, legendre_triple_identity, normalized_frame,
                          prod_S_closed, prod_S_single, prod_T_closed,
@@ -29,7 +30,7 @@ __all__ = [
     "ALL_SUITES", "DetRoot", "Ext2Elem", "FieldCtx", "FieldError", "INF",
     "IdentityFailure", "NormalizedFrame", "Orbit", "ProductReport",
     "SIGN_PAIRS", "SetFamily", "SignPair", "SweepConfig", "TowerSpec",
-    "a_family", "brute_product", "card_closed", "classify_tau",
+    "a_family", "brute_product", "card_closed", "card_grid", "classify_tau",
     "closed_product", "det_sqrt", "dickson_first",
     "dickson_second", "enumerate_family", "ext2_solve_unit",
     "legendre_triple_identity", "mk_field", "normalized_frame",

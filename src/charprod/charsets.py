@@ -11,7 +11,8 @@ chi is the quadratic character; a chi value of 0 never matches a sign.
 ``brute_product`` multiplies the members found by a full scan of the
 field.  It is the oracle every closed formula in this package is tested
 against, so it deliberately takes no shortcuts.  ``card_closed`` is the
-closed-form cardinality (never enumerates).
+closed-form cardinality (never enumerates); it and the all-pairs array
+form ``card_grid`` share one formula, ``_pair_card``.
 """
 
 from __future__ import annotations
@@ -173,13 +174,22 @@ def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
     return ProductReport(value=value, cardinality=len(members))
 
 
-def _a_base_card(ctx: FieldCtx, e1: int, e2: int) -> int:
-    # |A_{0,1}^{e1,e2}| in terms of m and eps
-    if (e1, e2) == (1, 1):
-        return ctx.m - 1
-    if (e1, e2) == (1, -1):
-        return ctx.m
-    return ctx.m + (ctx.eps - 1) // 2
+def _pair_card(ctx: FieldCtx, kind: str, signs, nu, ck, cl):
+    """|A_{k,l}|, |S_{k,l}| or |T_{k,l}| from three quadratic characters.
+
+    nu is chi(l - k) for A and S and chi(k + l) for T; ck and cl are chi(k)
+    and chi(l).  The body is arithmetic and ``==`` only, so the same code
+    serves Python ints and broadcastable numpy arrays.
+    """
+    e1, e2 = signs
+    # T_{j,l}^{e1,e2} is A_{-j,l}^{eps e1,e2} without 0; nu normalizes to A_{0,1}
+    s1 = nu * (ctx.eps * e1 if kind == "T" else e1)
+    s2 = nu * e2
+    # |A_{0,1}^{s1,s2}| in terms of m and eps
+    card = ctx.m - (s1 == 1) * (s2 == 1) + (s1 == -1) * ((ctx.eps - 1) // 2)
+    if kind == "A":
+        return card
+    return card - (ck == e1) * (cl == e2)  # 0 is a member of the A family
 
 
 def card_closed(ctx: FieldCtx, fam: SetFamily) -> int:
@@ -190,18 +200,44 @@ def card_closed(ctx: FieldCtx, fam: SetFamily) -> int:
         if k == 0:
             return (ctx.q - 1) // 2
         return (ctx.q - 3) // 2 if ctx.legendre(k) == e else (ctx.q - 1) // 2
-    if fam.kind == "A":
-        (k, l), (e1, e2) = fam.params, fam.signs
-        nu = ctx.legendre(ctx.sub(l, k))
-        return _a_base_card(ctx, nu * e1, nu * e2)
-    if fam.kind == "S":
-        (k, l), (e1, e2) = fam.params, fam.signs
-        drop = 1 if (ctx.legendre(k) == e1 and ctx.legendre(l) == e2) else 0
-        return card_closed(ctx, a_family(k, l, (e1, e2))) - drop
-    (j, l), (e1, e2) = fam.params, fam.signs
-    base = card_closed(ctx, a_family(ctx.neg(j), l, (ctx.eps * e1, e2)))
-    drop = 1 if (ctx.legendre(j) == e1 and ctx.legendre(l) == e2) else 0
-    return base - drop
+    k, l = fam.params
+    nu = ctx.legendre(ctx.add(l, k) if fam.kind == "T" else ctx.sub(l, k))
+    return _pair_card(ctx, fam.kind, fam.signs, nu, ctx.legendre(k), ctx.legendre(l))
+
+
+def pair_chars(ctx: FieldCtx, kind: str):
+    """int8 arrays (nu, chi(k), chi(l)) over all pairs (k, l) of an A/S/T kind.
+
+    nu is the q x q grid of ``_pair_card``; chi(k) is a column and chi(l) a
+    row.  nu reads ``tables().chi`` at codes of l - k (or k + l) computed
+    digit by digit in base p, never the shifted grid the scans count with.
+    """
+    import numpy as np
+
+    p, q = ctx.p, ctx.q
+    chi = np.array(ctx.tables().chi, dtype=np.int8)
+    sign = 1 if kind == "T" else -1
+    a = np.arange(q, dtype=np.int32)
+    code = np.zeros((q, q), dtype=np.int32)
+    for i in range(ctx.n):
+        d = a // p ** i % p
+        code += (d[None, :] + sign * d[:, None]) % p * p ** i
+    return chi[code], chi[:, None], chi[None, :]
+
+
+def card_grid(ctx: FieldCtx, kind: str, signs, chars=None):
+    """Closed cardinalities of every (k, l) family of one kind, as a q x q array.
+
+    Entry [k, l] equals ``card_closed`` of the family with parameters (k, l);
+    entries where that family is undefined (k == l for A and S, k + l == 0
+    for T) are meaningless.  ``chars`` is ``pair_chars(ctx, kind)``, built
+    here when not given.
+    """
+    if kind not in ("A", "S", "T"):
+        raise ValueError(f"card_grid takes an A, S or T kind, got {kind!r}")
+    if chars is None:
+        chars = pair_chars(ctx, kind)
+    return _pair_card(ctx, kind, signs, *chars)
 
 
 def vanishing_poly(ctx: FieldCtx, e1: int, e2: int) -> list[int]:

@@ -550,11 +550,18 @@ class FieldCtx:
         return power(x, e % (self.q * self.q - 1), self.e2_mul, one)
 
     def e2_sqrt(self, a: int) -> Ext2Elem:
-        """Canonical square root in F_{q^2} of the base element a."""
+        """Canonical square root in F_{q^2} of the base element a.
+
+        Raises IdentityFailure when neither a nor a/delta is a square, which
+        only an inconsistent quadratic character can cause.
+        """
         r = self.sqrt_canonical(a)
         if r is not None:
             return Ext2Elem(r, 0)
         hi = self.sqrt_canonical(self.div(a, self.delta))
+        if hi is None:
+            x = self.elem_str(a)
+            raise IdentityFailure(f"neither {x} nor {x}/delta is a square at q={self.q}")
         return Ext2Elem(0, hi)
 
 

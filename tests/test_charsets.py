@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charprod import sweeps
 from charprod.charsets import (SIGN_PAIRS, SetFamily, SignPair, a_family,
-                               brute_product, card_closed, enumerate_family,
-                               parse_signs, report_row, s1_family, s_family,
-                               sign_str, t_family, vanishing_poly)
+                               brute_product, card_closed, card_grid,
+                               enumerate_family, pair_chars, parse_signs,
+                               report_row, s1_family, s_family, sign_str,
+                               t_family, vanishing_poly)
 from charprod.dickson import dickson_first, dickson_second
+from charprod.ffield import mk_field
 from helpers import SMALL_FIELDS, field, small_ctxs
 
 
@@ -78,6 +81,44 @@ def test_card_closed_matches_enumeration_exhaustive():
                         fam = t_family(k, l, sp)
                         assert card_closed(ctx, fam) == \
                             len(enumerate_family(ctx, fam)), (ctx.q, fam)
+
+
+def test_card_grid_matches_card_closed():
+    # the array form of the closed cardinality equals the scalar form at
+    # every pair where the family is defined
+    makers = {"A": a_family, "S": s_family, "T": t_family}
+    for ctx in small_ctxs():
+        for kind, mk in makers.items():
+            chars = pair_chars(ctx, kind)
+            for sp in SIGN_PAIRS:
+                grid = card_grid(ctx, kind, sp, chars)
+                assert grid.shape == (ctx.q, ctx.q)
+                assert (grid == card_grid(ctx, kind, sp)).all()
+                for k in range(ctx.q):
+                    for l in range(ctx.q):
+                        undefined = ctx.add(k, l) == 0 if kind == "T" else k == l
+                        if not undefined:
+                            assert grid[k, l] == card_closed(ctx, mk(k, l, sp)), \
+                                (ctx.q, kind, sp, k, l)
+    with pytest.raises(ValueError):
+        card_grid(field(5), "S1", SIGN_PAIRS[0])
+
+
+@pytest.mark.parametrize("p, n, flip, want", [
+    (13, 1, 3, ["13 mismatches first=(0,3)", "0 mismatches", "0 mismatches",
+                "13 mismatches first=(0,3)"]),
+    (3, 3, 5, ["0 mismatches", "27 mismatches first=(0,0,0,2,1,0)",
+               "27 mismatches first=(0,0,0,2,1,0)", "0 mismatches"]),
+])
+def test_cardinality_suite_closed_side_reads_chi(p, n, flip, want):
+    # one chi entry flipped after the tables are built: the enumerated counts
+    # (from the shifted grid) keep the true character, the closed side must
+    # not, so the card[A] rows report mismatches
+    ctx = mk_field(p, n)
+    ctx.tables().chi[flip] *= -1
+    rows = [r for r in sweeps.suite_cardinality(ctx) if r["case"].startswith("card[A]")]
+    assert [r["case"] for r in rows] == [f"card[A]{sign_str(sp)}" for sp in SIGN_PAIRS]
+    assert [r["actual"] for r in rows] == want
 
 
 def test_disjoint_decomposition():

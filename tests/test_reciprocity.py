@@ -93,6 +93,32 @@ print("optimize", sys.flags.optimize)
         "raised bracket rationality criterion is off at q=17, d=8", "optimize 1"]
 
 
+def test_inconsistent_character_fails_rows_not_verify(monkeypatch, capsys):
+    # chi(2) flipped at q = 17 after delta is cached: neither 2 nor 2/delta
+    # reads as a square, so e2_sqrt(2) has no root; the reciprocity suite
+    # must report a failed row and verify must exit 1, not crash
+    from charprod import sweeps
+    from charprod.cli import main
+    from charprod.ffield import IdentityFailure
+
+    real_mk_field = sweeps.mk_field
+
+    def corrupted(p, n=1):
+        ctx = real_mk_field(p, n)
+        ctx.delta
+        ctx.tables().chi[2] *= -1
+        return ctx
+
+    with pytest.raises(IdentityFailure):
+        corrupted(17).e2_sqrt(2)
+    rows = {r["case"]: r["actual"] for r in sweeps.suite_reciprocity(corrupted(17))}
+    assert rows["special-angle[8]"] == \
+        "failed: neither 2 nor 2/delta is a square at q=17"
+    monkeypatch.setattr(sweeps, "mk_field", corrupted)
+    assert main(["verify", "--qmin", "17", "--qmax", "17",
+                 "--suites", "reciprocity"]) == 1
+
+
 def test_sqrt2_class_root_choice_free():
     # the class of 2 + sqrt2 never depends on which root is picked,
     # since (2 + s)(2 - s) = 2 is a square whenever s exists
