@@ -11,9 +11,9 @@ from .charsets import (SIGN_PAIRS, ProductReport, SetFamily, SignPair,
                        enumerate_family, s1_family, s_family, t_family,
                        vanishing_poly)
 from .closedform import (INF, DetRoot, NormalizedFrame, closed_product,
-                         det_sqrt, legendre_triple_identity, normalized_frame,
-                         prod_S_closed, prod_S_single, prod_T_closed,
-                         quadruple_from_one, rescale_T, swap_T)
+                         det_sqrt, normalized_frame, prod_S_closed,
+                         prod_S_single, prod_T_closed, quadruple_from_one,
+                         rescale_T, swap_T)
 from .correspondence import (Orbit, classify_tau, orbit_count_card,
                              orbit_of_tau, tau_of_orbit)
 from .dickson import dickson_first, dickson_second, poly_eval
@@ -31,9 +31,8 @@ __all__ = [
     "IdentityFailure", "NormalizedFrame", "Orbit", "ProductReport",
     "SIGN_PAIRS", "SetFamily", "SignPair", "SweepConfig", "TowerSpec",
     "a_family", "brute_product", "card_closed", "card_grid", "classify_tau",
-    "closed_product", "det_sqrt", "dickson_first",
-    "dickson_second", "enumerate_family", "ext2_solve_unit",
-    "legendre_triple_identity", "mk_field", "normalized_frame",
+    "closed_product", "det_sqrt", "dickson_first", "dickson_second",
+    "enumerate_family", "ext2_solve_unit", "mk_field", "normalized_frame",
     "orbit_count_card", "orbit_of_tau", "poly_eval", "prod_S_closed",
     "prod_S_single", "prod_T_closed", "prod_T_quadratic_irrational",
     "quadruple_from_one", "radical_tower_membership", "rescale_T",

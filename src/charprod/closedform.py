@@ -407,34 +407,3 @@ def swap_T(ctx: FieldCtx, j: int, l: int, mu: int) -> int:
         factor = -factor
     return base if factor == 1 else ctx.neg(base)
 
-
-@dataclass(frozen=True)
-class TripleVerdict:
-    lhs: int        # chi(c+a)
-    rhs: int        # chi(2) * chi(c+b)
-    equal: bool
-    nonzero: bool
-    sym_a: bool     # chi(c+a) == chi(c-a)
-    sym_b: bool     # chi(c+b) == chi(c-b)
-
-    @property
-    def ok(self) -> bool:
-        return self.equal and self.nonzero and self.sym_a and self.sym_b
-
-
-def legendre_triple_identity(ctx: FieldCtx, a: int, b: int, c: int) -> TripleVerdict:
-    """Character relations on a Pythagorean triple a^2 + b^2 = c^2, ab != 0."""
-    if a == 0 or b == 0:
-        raise ValueError("ab must be nonzero")
-    lhs_sq = ctx.add(ctx.mul(a, a), ctx.mul(b, b))
-    if lhs_sq != ctx.mul(c, c):
-        raise ValueError("a^2 + b^2 = c^2 violated")
-    lhs = ctx.legendre(ctx.add(c, a))
-    rhs = ctx.legendre(ctx.from_int(2)) * ctx.legendre(ctx.add(c, b))
-    return TripleVerdict(
-        lhs=lhs, rhs=rhs,
-        equal=lhs == rhs,
-        nonzero=lhs != 0,
-        sym_a=lhs == ctx.legendre(ctx.sub(c, a)),
-        sym_b=ctx.legendre(ctx.add(c, b)) == ctx.legendre(ctx.sub(c, b)),
-    )

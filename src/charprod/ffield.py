@@ -82,8 +82,8 @@ def prime_power(q: int) -> Optional[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# group algorithms, generic in the multiplication; F_q, F_{q^2} and the
-# quadratic towers of ``reciprocity`` all run through these
+# group algorithms, generic in the multiplication; F_q and F_{q^2} (whose
+# arithmetic is FieldCtx.e2_*) both run through these
 # ---------------------------------------------------------------------------
 
 def power(x, e: int, mul, one):
@@ -101,6 +101,9 @@ def tonelli_shanks(a, order: int, nonsquare, mul, pw, one):
     """A square root of the nonzero square a in a cyclic group of even order.
 
     ``pw(x, e)`` is the group's power map; ``nonsquare`` is any nonsquare.
+    Raises IdentityFailure when no root turns up, that is when a is a
+    nonsquare or ``nonsquare`` is a square: only an inconsistent quadratic
+    character lets a caller pass either.
     """
     t, s = order, 0
     while t % 2 == 0:
@@ -111,9 +114,12 @@ def tonelli_shanks(a, order: int, nonsquare, mul, pw, one):
     x = pw(a, t)
     while x != one:
         i, y = 0, x
-        while y != one:
+        while y != one and i < s:
             y = mul(y, y)
             i += 1
+        if i == s:  # no progress: x does not have order below 2^s
+            raise IdentityFailure(
+                f"no square root found in the group of order {order}")
         b = pw(c, 1 << (s - i - 1))
         r = mul(r, b)
         c = mul(b, b)
@@ -575,18 +581,19 @@ def ext2_solve_unit(ctx: FieldCtx, r: int) -> Ext2Elem:
 
     The two solutions are u and 1/u; the one with canonically smaller
     representation is returned.  Everything downstream is required to be
-    invariant under u -> 1/u, so the branch is a tie-break only.
+    invariant under u -> 1/u, so the branch is a tie-break only.  Raises
+    IdentityFailure (from e2_sqrt) when neither d = r^2 - 4 nor d/delta is
+    a square, which only an inconsistent quadratic character can cause.
     """
     d = ctx.sub(ctx.mul(r, r), ctx.from_int(4))
     half = ctx.inv(ctx.from_int(2))
-    s = ctx.sqrt_canonical(d)
-    if s is not None:
-        u1 = ctx.mul(ctx.add(r, s), half)
-        u2 = ctx.mul(ctx.sub(r, s), half)
+    root = ctx.e2_sqrt(d)
+    if root.hi == 0:
+        u1 = ctx.mul(ctx.add(r, root.lo), half)
+        u2 = ctx.mul(ctx.sub(r, root.lo), half)
         u = u1 if ctx.elem_key(u1) <= ctx.elem_key(u2) else u2
         return Ext2Elem(u, 0)
-    y = ctx.sqrt_canonical(ctx.div(d, ctx.delta))
-    hi = ctx.mul(y, half)
+    hi = ctx.mul(root.hi, half)
     hin = ctx.neg(hi)
     hi = hi if ctx.elem_key(hi) <= ctx.elem_key(hin) else hin
     return Ext2Elem(ctx.mul(r, half), hi)

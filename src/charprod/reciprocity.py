@@ -1,7 +1,9 @@
 """Rational reciprocity: square classes of nested radicals over F_q.
 
 The objects here are towers b_0, b_1 = sqrt(2 + b_0), b_2 = sqrt(2 + b_1),
-... seeded by b_0 = <u_0> for a primitive 2k-th root of unity u_0:
+... seeded by b_0 = <u_0> for a primitive 2k-th root of unity u_0.  The
+three bases, with k and the radicand whose square root builds b_0, are
+the table TOWER_BASES:
 
     sqrt2:  k = 4, b_0 = sqrt(2)           (<zeta_8> = sqrt 2)
     sqrt3:  k = 6, b_0 = sqrt(3)           (<zeta_12> = sqrt 3)
@@ -9,43 +11,53 @@ The objects here are towers b_0, b_1 = sqrt(2 + b_0), b_2 = sqrt(2 + b_1),
 
 Membership b_i in F_q is governed purely by the congruence
 q = +-1 (mod 2^(i+1) k); the functions below compute the memberships by
-explicit square-root extraction and check them against the congruence,
-for every admissible choice of the intermediate square roots.  The
-T-products at the quadratic-irrational parameters (2 - b_0, 2 + b_0)
-have closed forms that are verified against the brute-force scan.
+explicit square-root extraction inside F_q and check them against the
+congruence, for every admissible choice of the intermediate square
+roots.  The special-angle brackets are built in F_{q^2} through the
+field's own FieldCtx.e2_* arithmetic.  The T-products at the
+quadratic-irrational parameters (2 - b_0, 2 + b_0) have closed forms
+that are verified against the brute-force scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .charsets import SignPair, brute_product, t_family
 from .dickson import dickson_first, poly_eval_ext2
-from .ffield import (Ext2Elem, FieldCtx, IdentityFailure, first_of_order,
-                     power, tonelli_shanks)
+from .ffield import Ext2Elem, FieldCtx, IdentityFailure
 
-BASE_ORDERS = {"sqrt2": 4, "sqrt3": 6, "golden": 5}
+
+class TowerBase(NamedTuple):
+    k: int          # half the order of the root of unity u_0
+    radicand: int   # b_0 is built from a square root of this integer
+
+
+TOWER_BASES = {"sqrt2": TowerBase(4, 2), "sqrt3": TowerBase(6, 3),
+               "golden": TowerBase(5, 5)}
+
+
+def _b0(ctx: FieldCtx, base: str, root: int) -> int:
+    """b_0 of the named base, given a square root of its radicand."""
+    if base == "golden":
+        return ctx.mul(ctx.sub(ctx.one, root), ctx.inv(ctx.from_int(2)))
+    return root
 
 
 @dataclass(frozen=True)
 class TowerSpec:
     """A tower base plus the number of sqrt levels to take."""
 
-    base: str                 # sqrt2 | sqrt3 | golden | bracket
+    base: str                 # a key of TOWER_BASES
     depth: int = 5
-    k: Optional[int] = None   # half the root-of-unity order, bracket only
+
+    def __post_init__(self):
+        if self.base not in TOWER_BASES:
+            raise ValueError(f"unknown tower base {self.base!r}")
 
     def order_k(self) -> int:
-        if self.base == "bracket":
-            if not self.k or self.k < 1:
-                raise ValueError("bracket base needs k >= 1")
-            return self.k
-        try:
-            return BASE_ORDERS[self.base]
-        except KeyError:
-            raise ValueError(f"unknown tower base {self.base!r}") from None
+        return TOWER_BASES[self.base].k
 
 
 def _level0_candidates(ctx: FieldCtx, spec: TowerSpec) -> Optional[list[int]]:
@@ -53,37 +65,10 @@ def _level0_candidates(ctx: FieldCtx, spec: TowerSpec) -> Optional[list[int]]:
     k = spec.order_k()
     if (2 * k) % ctx.p == 0:
         raise ValueError(f"base order 2k={2*k} collides with characteristic {ctx.p}")
-    if spec.base == "sqrt2":
-        s = ctx.sqrt_canonical(ctx.from_int(2))
-        return None if s is None else [s, ctx.neg(s)]
-    if spec.base == "sqrt3":
-        s = ctx.sqrt_canonical(ctx.from_int(3))
-        return None if s is None else [s, ctx.neg(s)]
-    if spec.base == "golden":
-        s = ctx.sqrt_canonical(ctx.from_int(5))
-        if s is None:
-            return None
-        half = ctx.inv(ctx.from_int(2))
-        return [ctx.mul(ctx.sub(ctx.one, s), half),
-                ctx.mul(ctx.add(ctx.one, s), half)]
-    # generic bracket base: <zeta_2k> for a primitive 2k-th root zeta_2k
-    d = 2 * k
-    if (ctx.q * ctx.q - 1) % d != 0:
-        # zeta_2k is outside F_{q^2}, so its bracket cannot lie in F_q
-        # (any x = <zeta> in F_q would put zeta in a quadratic extension)
+    s = ctx.sqrt_canonical(ctx.from_int(TOWER_BASES[spec.base].radicand))
+    if s is None:
         return None
-    from .correspondence import ext2_generator
-
-    z = ctx.e2_pow(ext2_generator(ctx), (ctx.q * ctx.q - 1) // d)
-    cands = set()
-    w = z
-    for a in range(1, d):
-        if gcd(a, d) == 1:
-            br = ctx.e2_add(w, ctx.e2_inv(w))
-            if ctx.e2_is_base(br):
-                cands.add(ctx.e2_project(br))
-        w = ctx.e2_mul(w, z)
-    return sorted(cands, key=ctx.elem_key) if cands else None
+    return [_b0(ctx, spec.base, s), _b0(ctx, spec.base, ctx.neg(s))]
 
 
 def tower_congruences(q: int, spec: TowerSpec) -> list[bool]:
@@ -251,19 +236,22 @@ def prod_T_quadratic_irrational(ctx: FieldCtx, base: str, *,
     """Closed T_{2-b0, 2+b0} product for the named bases, oracle-checked.
 
     The congruence class of q picks the sign pattern; root_sign flips
-    which square root of 2 / 3 / 5 is called b_0 (the closed form holds
-    for either, which the tests exercise).  Raises when the base's
-    congruence precondition fails at this q.
+    which square root of the base's radicand is called b_0 (the closed
+    form holds for either, which the tests exercise).  Raises when the
+    base's congruence precondition fails at this q.
     """
     q, eps = ctx.q, ctx.eps
+    if base not in TOWER_BASES:
+        raise ValueError(f"unknown base {base!r}")
+    rad = TOWER_BASES[base].radicand
+    s = ctx.sqrt_canonical(ctx.from_int(rad))
+    if s is None:
+        raise ValueError(f"{rad} is a nonsquare at q={q}")
+    if root_sign < 0:
+        s = ctx.neg(s)
+    b0 = _b0(ctx, base, s)
     two = ctx.from_int(2)
     if base == "sqrt2":
-        s = ctx.sqrt_canonical(two)
-        if s is None:
-            raise ValueError(f"2 is a nonsquare at q={q}")
-        if root_sign < 0:
-            s = ctx.neg(s)
-        b0 = s
         if q % 16 in (1, 15):
             signs = SignPair(-1, -1)
             closed = ctx.from_int((-1) ** ((q - eps) // 16) * 2)
@@ -272,30 +260,15 @@ def prod_T_quadratic_irrational(ctx: FieldCtx, base: str, *,
             sgn = (-1) ** ((q + 8 - eps) // 16)
             closed = s if sgn == 1 else ctx.neg(s)
     elif base == "sqrt3":
-        s = ctx.sqrt_canonical(ctx.from_int(3))
-        if s is None:
-            raise ValueError(f"3 is a nonsquare at q={q}")
-        if root_sign < 0:
-            s = ctx.neg(s)
-        b0 = s
         nu = (-1) ** ((q - eps) // 12)
         signs = SignPair(-nu, -nu)
         closed = ctx.from_int((-1) ** ((q + 1) // 24) * 2)
-    elif base == "golden":
-        s = ctx.sqrt_canonical(ctx.from_int(5))
-        if s is None:
-            raise ValueError(f"5 is a nonsquare at q={q}")
-        if root_sign < 0:
-            s = ctx.neg(s)
-        b0 = ctx.mul(ctx.sub(ctx.one, s), ctx.inv(two))
-        if q % 20 in (1, 19):
-            signs = SignPair(-1, -1)
-            closed = two
-        else:
-            signs = SignPair(1, 1)
-            closed = ctx.neg(b0) if eps == 1 else b0  # -eps * r
+    elif q % 20 in (1, 19):  # golden
+        signs = SignPair(-1, -1)
+        closed = two
     else:
-        raise ValueError(f"unknown base {base!r}")
+        signs = SignPair(1, 1)
+        closed = ctx.neg(b0) if eps == 1 else b0  # -eps * r
     j, l = ctx.sub(two, b0), ctx.add(two, b0)
     rep = brute_product(ctx, t_family(j, l, signs))
     if rep.value != closed:
@@ -303,168 +276,3 @@ def prod_T_quadratic_irrational(ctx: FieldCtx, base: str, *,
             f"closed quadratic-irrational product is off at q={q}, base={base}")
     return QuadIrrProduct(base=base, j=j, l=l, signs=signs,
                           value=closed, cardinality=rep.cardinality)
-
-
-# ---------------------------------------------------------------------------
-# iterated quadratic extensions, used to realize the unit tower u_i
-# ---------------------------------------------------------------------------
-
-class QuadTower:
-    """F_q = K_0 < K_1 < ... with [K_j : K_{j-1}] = 2.
-
-    Level-j elements are pairs (lo, hi) of level-(j-1) elements meaning
-    lo + hi*s_j with s_j^2 = delta_{j-1}, a nonsquare of K_{j-1}.  Slow
-    and only meant for desk-scale verification of the unit towers; the
-    sweep-scale membership computations stay inside F_q.
-    """
-
-    def __init__(self, ctx: FieldCtx, levels: int):
-        self.ctx = ctx
-        self.levels = levels
-        self.deltas: list = [ctx.delta]
-        for j in range(1, levels):
-            self.deltas.append(self._find_nonsquare(j))
-
-    def size(self, level: int) -> int:
-        return self.ctx.q ** (1 << level)
-
-    def zero(self, level: int):
-        return 0 if level == 0 else (self.zero(level - 1), self.zero(level - 1))
-
-    def one(self, level: int):
-        return self.ctx.one if level == 0 else (self.one(level - 1), self.zero(level - 1))
-
-    def embed(self, x, from_level: int, to_level: int):
-        for lvl in range(from_level, to_level):
-            x = (x, self.zero(lvl))
-        return x
-
-    def add(self, x, y, level: int):
-        if level == 0:
-            return self.ctx.add(x, y)
-        return (self.add(x[0], y[0], level - 1), self.add(x[1], y[1], level - 1))
-
-    def neg(self, x, level: int):
-        if level == 0:
-            return self.ctx.neg(x)
-        return (self.neg(x[0], level - 1), self.neg(x[1], level - 1))
-
-    def sub(self, x, y, level: int):
-        return self.add(x, self.neg(y, level), level)
-
-    def mul(self, x, y, level: int):
-        if level == 0:
-            return self.ctx.mul(x, y)
-        a, b = x
-        c, d = y
-        lo = self.add(self.mul(a, c, level - 1),
-                      self.mul(self.mul(b, d, level - 1),
-                               self.deltas[level - 1], level - 1), level - 1)
-        hi = self.add(self.mul(a, d, level - 1), self.mul(b, c, level - 1), level - 1)
-        return (lo, hi)
-
-    def inv(self, x, level: int):
-        if level == 0:
-            return self.ctx.inv(x)
-        a, b = x
-        nrm = self.sub(self.mul(a, a, level - 1),
-                       self.mul(self.mul(b, b, level - 1),
-                                self.deltas[level - 1], level - 1), level - 1)
-        ni = self.inv(nrm, level - 1)
-        return (self.mul(a, ni, level - 1), self.mul(self.neg(b, level - 1), ni, level - 1))
-
-    def pow(self, x, e: int, level: int):
-        if e < 0:
-            x, e = self.inv(x, level), -e
-        return power(x, e, lambda a, b: self.mul(a, b, level), self.one(level))
-
-    def legendre(self, x, level: int) -> int:
-        if x == self.zero(level):
-            return 0
-        t = self.pow(x, (self.size(level) - 1) // 2, level)
-        return 1 if t == self.one(level) else -1
-
-    def _find_nonsquare(self, level: int):
-        # candidates c + s_level for base-field constants c
-        for c in range(self.ctx.q):
-            cand = (self.embed(c, 0, level - 1), self.one(level - 1)) \
-                if level > 1 else (c, self.ctx.one)
-            if self.legendre(cand, level) == -1:
-                return cand
-        raise AssertionError("no nonsquare found")  # unreachable
-
-    def sqrt(self, x, level: int):
-        """A square root of x at this level, or None if x is a nonsquare."""
-        if self.legendre(x, level) == -1:
-            return None
-        if x == self.zero(level):
-            return x
-        z = self.deltas[level] if level < len(self.deltas) else self._find_nonsquare(level)
-        return tonelli_shanks(x, self.size(level) - 1, z,
-                              lambda a, b: self.mul(a, b, level),
-                              lambda a, e: self.pow(a, e, level), self.one(level))
-
-    def in_base(self, x, level: int) -> bool:
-        while level > 0:
-            if x[1] != self.zero(level - 1):
-                return False
-            x = x[0]
-            level -= 1
-        return True
-
-
-def unit_tower(ctx: FieldCtx, spec: TowerSpec) -> list[tuple]:
-    """Realize u_0, u_1, ... with u_i^2 = u_{i-1} and return (u_i, b_i).
-
-    u_0 is a primitive 2k-th root of unity, found in the smallest level
-    of a quadratic tower whose multiplicative group contains mu_2k, and
-    each b_i = u_i + 1/u_i.  Entries are (level, u_i, b_i) with u_i, b_i
-    elements of K_level.  Desk-scale only.
-    """
-    k = spec.order_k()
-    d0 = 2 * k
-    if d0 % ctx.p == 0:
-        raise ValueError("base order collides with the characteristic")
-    # level needed for u_i of order 2^i * 2k
-    levels = []
-    for i in range(spec.depth + 1):
-        d = (1 << i) * d0
-        j = 0
-        while (ctx.q ** (1 << j) - 1) % d != 0:
-            j += 1
-            if j > 12:
-                raise ValueError(f"order {d} never divides q^(2^j)-1")
-        levels.append(j)
-    tw = QuadTower(ctx, max(levels) + 1)
-
-    # u_0: power candidates down to mu_{2k} until one has exact order 2k
-    lvl = levels[0]
-    size = tw.size(lvl)
-
-    def candidates():
-        if lvl == 0:
-            yield from range(2, ctx.q)
-        else:
-            for b in range(1, ctx.q):
-                eb = tw.embed(b, 0, lvl - 1)
-                for a in range(ctx.q):
-                    yield (tw.embed(a, 0, lvl - 1), eb)
-
-    u0 = first_of_order((tw.pow(c, (size - 1) // d0, lvl) for c in candidates()),
-                        d0, lambda x, e: tw.pow(x, e, lvl), tw.one(lvl))
-    out = []
-    u, cur = u0, levels[0]
-    for i in range(spec.depth + 1):
-        if i > 0:
-            r = tw.sqrt(u, cur)
-            if r is None:
-                u = (tw.zero(cur), tw.sqrt(tw.mul(u, tw.inv(tw.deltas[cur], cur), cur), cur))
-                cur += 1
-            else:
-                u = r
-            if cur < levels[i]:
-                u = tw.embed(u, cur, levels[i])
-                cur = levels[i]
-        b = tw.add(u, tw.inv(u, cur), cur)
-        out.append((cur, u, b))
-    return out

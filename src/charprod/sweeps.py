@@ -275,8 +275,8 @@ def suite_reciprocity(ctx: FieldCtx) -> Iterator[dict]:
         yield _row("biquad-sqrt2", "consistent", "consistent")
     except IdentityFailure as exc:
         yield _row("biquad-sqrt2", "consistent", f"failed: {exc}")
-    for base in ("sqrt2", "sqrt3", "golden"):
-        if (2 * reciprocity.BASE_ORDERS[base]) % ctx.p == 0:
+    for base, (k, _) in reciprocity.TOWER_BASES.items():
+        if (2 * k) % ctx.p == 0:
             continue
         spec = reciprocity.TowerSpec(base, 5)
         want = "".join("1" if b else "0"
@@ -287,7 +287,7 @@ def suite_reciprocity(ctx: FieldCtx) -> Iterator[dict]:
         except IdentityFailure as exc:
             got = f"failed: {exc}"
         yield _row(f"tower[{base}]", want, got)
-    for base, rad in (("sqrt2", 2), ("sqrt3", 3), ("golden", 5)):
+    for base, (_, rad) in reciprocity.TOWER_BASES.items():
         if rad % ctx.p == 0 or ctx.legendre(ctx.from_int(rad)) != 1:
             continue
         for rs in (1, -1):

@@ -125,8 +125,8 @@ def test_criterion_6_reciprocity_suite():
                 biquad += 1
         except AssertionError as exc:
             failures.append((q, "biquad2", str(exc)))
-        for base in ("sqrt2", "sqrt3", "golden"):
-            if (2 * reciprocity.BASE_ORDERS[base]) % p == 0:
+        for base, (k, _) in reciprocity.TOWER_BASES.items():
+            if (2 * k) % p == 0:
                 continue
             spec = reciprocity.TowerSpec(base, 5)
             try:
@@ -139,7 +139,7 @@ def test_criterion_6_reciprocity_suite():
     for q, p, n in prime_powers(3, 1000):
         ctx = mk_field(p, n)
         ctx.tables()
-        for base, rad in (("sqrt2", 2), ("sqrt3", 3), ("golden", 5)):
+        for base, (_, rad) in reciprocity.TOWER_BASES.items():
             if rad % p == 0 or ctx.legendre(ctx.from_int(rad)) != 1:
                 continue
             for rs in (1, -1):

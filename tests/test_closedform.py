@@ -5,8 +5,7 @@ import pytest
 from charprod.charsets import (SIGN_PAIRS, SignPair, a_family, brute_product,
                                s1_family, s_family, t_family)
 from charprod.closedform import (INF, all_square_class, closed_product,
-                                 det_sqrt, frame_from_pair,
-                                 legendre_triple_identity, mixed_class_root,
+                                 det_sqrt, frame_from_pair, mixed_class_root,
                                  named_sqrts, normalized_frame, prod_S_closed,
                                  prod_S_single, prod_T_closed, prod_T_values,
                                  quadruple_from_one, rescale_T, swap_T,
@@ -356,13 +355,8 @@ def test_swap_rejects_degenerate():
 # section-6 style identities
 # ---------------------------------------------------------------------------
 
-def test_triple_identity_345():
-    v = legendre_triple_identity(field(11), 3, 4, 5)
-    assert (v.lhs, v.rhs) == (-1, -1) and v.ok
-
-
-def test_triple_identity_reproduces_jell():
-    # a = sqrt j, b = sqrt l with j + l = 4 and both squares
+def test_two_plus_sqrt_classes_on_jl_pairs():
+    # j + l = 4 with j, l nonzero squares: chi(2 + sqrt j) = chi(2) chi(2 + sqrt l)
     for ctx in small_ctxs():
         for j in range(1, ctx.q):
             l = ctx.sub(ctx.from_int(4), j)
@@ -370,43 +364,10 @@ def test_triple_identity_reproduces_jell():
                 continue
             a = ctx.sqrt_canonical(j)
             b = ctx.sqrt_canonical(l)
-            v = legendre_triple_identity(ctx, a, b, ctx.from_int(2))
-            assert v.ok
-            # chi(2 + sqrt j) = chi(2) chi(2 + sqrt l)
             lhs = ctx.legendre(ctx.add(ctx.from_int(2), a))
             rhs = ctx.legendre(ctx.from_int(2)) * \
                 ctx.legendre(ctx.add(ctx.from_int(2), b))
             assert lhs == rhs
-
-
-def test_triple_identity_symmetric_case():
-    # a = b forces both sides equal by symmetry
-    for ctx in small_ctxs():
-        for a in range(1, ctx.q):
-            c2 = ctx.mul(ctx.from_int(2), ctx.mul(a, a))
-            c = ctx.sqrt_canonical(c2)
-            if c is None:
-                continue
-            v = legendre_triple_identity(ctx, a, a, c)
-            assert v.equal and v.sym_a == v.sym_b
-
-
-def test_triple_identity_exhaustive():
-    for ctx in small_ctxs()[:8]:
-        for a in range(1, ctx.q):
-            for b in range(1, ctx.q):
-                c = ctx.sqrt_canonical(ctx.add(ctx.mul(a, a), ctx.mul(b, b)))
-                if c is None:
-                    continue
-                assert legendre_triple_identity(ctx, a, b, c).ok
-
-
-def test_triple_identity_preconditions():
-    with pytest.raises(ValueError):
-        legendre_triple_identity(field(11), 0, 4, 5)
-    with pytest.raises(ValueError):
-        # 3^2 + 4^2 = 25 = 3 mod 11, but 7^2 = 49 = 5 mod 11
-        legendre_triple_identity(field(11), 3, 4, 7)
 
 
 def test_all_square_key_branch_independent():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charprod.ffield import (EvenCharacteristicError, Ext2Elem, FieldError,
-                             FieldTables, FieldTooLargeError, NotPrimeError,
-                             ext2_solve_unit, is_prime, mk_field, power,
-                             prime_power, unit_order_test)
+                             FieldTables, FieldTooLargeError, IdentityFailure,
+                             NotPrimeError, ext2_solve_unit, is_prime,
+                             mk_field, power, prime_power, tonelli_shanks,
+                             unit_order_test)
 from helpers import SMALL_FIELDS, field, small_ctxs
 
 
@@ -266,6 +267,42 @@ def test_ext2_solve_unit_bracket_all():
             u = ext2_solve_unit(ctx, r)
             assert ctx_bracket(ctx, u) == r
             assert ctx_bracket(ctx, ctx.e2_inv(u)) == r
+
+
+def test_ext2_solve_unit_inconsistent_character():
+    # with every character reading -1 neither d = r^2 - 4 nor d/delta is a
+    # square; that must raise IdentityFailure, not multiply a None root
+    ctx = mk_field(13)
+    ctx.delta
+    ctx.legendre = lambda a: -1
+    with pytest.raises(IdentityFailure,
+                       match="neither 9 nor 9/delta is a square at q=13"):
+        ext2_solve_unit(ctx, 0)
+
+
+def test_tonelli_shanks_rejects_nonsquares():
+    # prime fields with 2-adic orders s = 1, 2, 3, 4 of q - 1: squares get a
+    # root, nonsquares raise IdentityFailure (q = 13, a = 2 once failed
+    # with a negative shift count), and a square passed as the nonsquare
+    # gives a true root or IdentityFailure, never a wrong value
+    for p in (7, 13, 41, 17):
+        mul = lambda a, b, p=p: a * b % p
+        pw = lambda a, e, p=p: pow(a, e, p)
+        squares = {a * a % p for a in range(1, p)}
+        z = min(set(range(1, p)) - squares)
+        for a in range(1, p):
+            if a in squares:
+                r = tonelli_shanks(a, p - 1, z, mul, pw, 1)
+                assert r * r % p == a
+                for bad_z in squares:
+                    try:
+                        r = tonelli_shanks(a, p - 1, bad_z, mul, pw, 1)
+                    except IdentityFailure:
+                        continue
+                    assert r * r % p == a
+            else:
+                with pytest.raises(IdentityFailure, match="no square root"):
+                    tonelli_shanks(a, p - 1, z, mul, pw, 1)
 
 
 def test_unit_order_examples():

@@ -1,16 +1,14 @@
-import random
-
 import pytest
 
 from charprod.closedform import rescale_T
 from charprod.ffield import mk_field
-from charprod.reciprocity import (BASE_ORDERS, QuadTower, Sqrt2Classes,
-                                  TowerSpec, prod_T_quadratic_irrational,
+from charprod.reciprocity import (TOWER_BASES, Sqrt2Classes, TowerSpec,
+                                  prod_T_quadratic_irrational,
                                   radical_tower_membership,
                                   special_angle_bracket, sqrt2_tower_class,
-                                  tower_congruences, unit_tower)
+                                  tower_congruences)
 from charprod.sweeps import prime_powers
-from helpers import field, small_ctxs
+from helpers import field
 
 
 def test_sqrt2_class_examples():
@@ -155,31 +153,19 @@ def test_tower_characteristic_clash():
         radical_tower_membership(field(3), TowerSpec("sqrt3", 2))
     with pytest.raises(ValueError):
         radical_tower_membership(field(5), TowerSpec("golden", 2))
+    with pytest.raises(ValueError, match="unknown tower base 'bracket'"):
+        radical_tower_membership(field(7), TowerSpec("bracket", 4))
 
 
 def test_tower_membership_sweep():
     for q, p, n in prime_powers(3, 300, None):
         ctx = mk_field(p, n)
-        for base in ("sqrt2", "sqrt3", "golden"):
-            if (2 * BASE_ORDERS[base]) % p == 0:
+        for base, (k, _) in TOWER_BASES.items():
+            if (2 * k) % p == 0:
                 continue
             spec = TowerSpec(base, 5)
             assert radical_tower_membership(ctx, spec) == \
                 tower_congruences(q, spec)
-
-
-def test_tower_bracket_base():
-    # generic bracket base: k = 4 must agree with the sqrt2 base, and the
-    # degenerate orders k = 1, 2 thread through zero levels correctly
-    for ctx in small_ctxs():
-        got = radical_tower_membership(ctx, TowerSpec("bracket", 4, k=4))
-        assert got == radical_tower_membership(ctx, TowerSpec("sqrt2", 4))
-        for k in (1, 2, 3, 5, 6):
-            if (2 * k) % ctx.p == 0:
-                continue
-            spec = TowerSpec("bracket", 4, k=k)
-            assert radical_tower_membership(ctx, spec) == \
-                tower_congruences(ctx.q, spec)
 
 
 def test_special_angle_examples():
@@ -240,7 +226,7 @@ def test_quadratic_irrational_both_roots_sweep():
     for q, p, n in prime_powers(3, 300, None):
         ctx = mk_field(p, n)
         ctx.tables()
-        for base, rad in (("sqrt2", 2), ("sqrt3", 3), ("golden", 5)):
+        for base, (_, rad) in TOWER_BASES.items():
             if rad % p == 0 or ctx.legendre(ctx.from_int(rad)) != 1:
                 continue
             for rs in (1, -1):
@@ -252,74 +238,8 @@ def test_quadratic_irrational_agrees_with_rescale():
     # must give the same value
     for q, p, n in prime_powers(3, 200):
         ctx = mk_field(p, n)
-        for base, rad in (("sqrt2", 2), ("sqrt3", 3), ("golden", 5)):
+        for base, (_, rad) in TOWER_BASES.items():
             if rad % p == 0 or ctx.legendre(ctx.from_int(rad)) != 1:
                 continue
             out = prod_T_quadratic_irrational(ctx, base)
             assert rescale_T(ctx, out.j, out.l, out.signs) == out.value
-
-
-def test_unit_tower_chain():
-    # u_i^2 = u_{i-1}, b_i = <u_i>, b_i^2 = 2 + b_{i-1}, and rationality
-    # of b_i matches the congruence criterion, at desk scale
-    cases = [(7, "sqrt2", 3), (11, "golden", 3), (13, "sqrt3", 3),
-             (17, "sqrt2", 4), (5, "sqrt3", 3), (9, "sqrt2", 3)]
-    for q, base, depth in cases:
-        from charprod.ffield import prime_power
-
-        ctx = mk_field(*prime_power(q))
-        spec = TowerSpec(base, depth)
-        chain = unit_tower(ctx, spec)
-        assert len(chain) == depth + 1
-        congr = tower_congruences(ctx.q, spec)
-        levels = [lvl for lvl, _, _ in chain]
-        tw = QuadTower(ctx, max(levels) + 1)
-        for i in range(1, len(chain)):
-            la, ua, ba = chain[i - 1]
-            lb, ub, bb = chain[i]
-            assert tw.mul(ub, ub, lb) == tw.embed(ua, la, lb)
-            two = tw.embed(ctx.from_int(2), 0, lb)
-            assert tw.mul(bb, bb, lb) == tw.add(tw.embed(ba, la, lb), two, lb)
-        for i, (lvl, u, b) in enumerate(chain):
-            assert tw.add(u, tw.inv(u, lvl), lvl) == b
-            assert tw.in_base(b, lvl) == congr[i], (q, base, i)
-
-
-def test_quad_tower_sqrt_squares_back():
-    # levels 1 and 2 over F_5 and F_7: roots of squares square back, and
-    # None comes exactly for nonsquares
-    rng = random.Random(5)
-    for p in (5, 7):
-        tw = QuadTower(mk_field(p), 3)
-
-        def rand(level):
-            if level == 0:
-                return rng.randrange(p)
-            return (rand(level - 1), rand(level - 1))
-
-        for level in (1, 2):
-            for _ in range(12):
-                y = rand(level)
-                x = tw.mul(y, y, level)
-                r = tw.sqrt(x, level)
-                assert tw.mul(r, r, level) == x
-                z = rand(level)
-                r = tw.sqrt(z, level)
-                if tw.legendre(z, level) == -1:
-                    assert r is None
-                else:
-                    assert tw.mul(r, r, level) == z
-
-
-def test_unit_tower_level0_matches_field_value():
-    # where b_0 is rational its tower realization equals the F_q value
-    ctx = field(17)
-    chain = unit_tower(ctx, TowerSpec("sqrt2", 2))
-    lvl0, _, b0 = chain[0]
-    tw = QuadTower(ctx, max(l for l, _, _ in chain) + 1)
-    s = ctx.sqrt_canonical(ctx.from_int(2))
-    assert tw.in_base(b0, lvl0) if lvl0 else True
-    val = b0
-    for _ in range(lvl0):
-        val = val[0]
-    assert val in (s, ctx.neg(s))
