@@ -18,7 +18,7 @@ from .correspondence import (Orbit, classify_tau, orbit_count_card,
                              orbit_of_tau, tau_of_orbit)
 from .dickson import dickson_first, dickson_second, poly_eval
 from .ffield import (Ext2Elem, FieldCtx, FieldError, IdentityFailure,
-                     ext2_solve_unit, mk_field, unit_order_test)
+                     mk_field, unit_order_test)
 from .reciprocity import (TowerSpec, prod_T_quadratic_irrational,
                           radical_tower_membership, special_angle_bracket,
                           sqrt2_tower_class)
@@ -32,7 +32,7 @@ __all__ = [
     "SIGN_PAIRS", "SetFamily", "SignPair", "SweepConfig", "TowerSpec",
     "a_family", "brute_product", "card_closed", "card_grid", "classify_tau",
     "closed_product", "det_sqrt", "dickson_first", "dickson_second",
-    "enumerate_family", "ext2_solve_unit", "mk_field", "normalized_frame",
+    "enumerate_family", "mk_field", "normalized_frame",
     "orbit_count_card", "orbit_of_tau", "poly_eval", "prod_S_closed",
     "prod_S_single", "prod_T_closed", "prod_T_quadratic_irrational",
     "quadruple_from_one", "radical_tower_membership", "rescale_T",

@@ -12,7 +12,8 @@ at infinity (l = 0).  The linked quantities
 are carried in a NormalizedFrame.  The dispatch handles the special
 ratios tau in {0, inf, 1, 3, 1/3} first, then the all-square class, then
 the three mixed square classes via the deterministic square roots a1,
-a2, a3 (which are rational in r, hence invariant under u -> 1/u).
+a2, a3: Dickson values of r computed in F_q, so no choice of a unit u
+with u + 1/u = r, and no element of F_{q^2}, enters.
 
 S-products are served exclusively through T-products: S_{k,l}^{s1,s2}
 equals T_{-k,l}^{eps*s1, s2} as a set, eps the character of -1.
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .charsets import SetFamily, SignPair
-from .ffield import FieldCtx, IdentityFailure, ext2_solve_unit
+from .dickson import dickson_values
+from .ffield import FieldCtx, IdentityFailure
 
 
 class _Infinity:
@@ -161,13 +163,14 @@ class DetRoot:
 _CASE_CLASS = {"a1": (1, -1), "a2": (-1, 1), "a3": (-1, -1)}
 
 
-def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str, *,
-             reciprocal_unit: bool = False) -> DetRoot:
+def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> DetRoot:
     """Deterministic square-root quantity for the given square-class case.
 
-    a1 = (u^m - u^-m)/(u - 1/u), a2 = <u^m>, a3 = <(-u)^m>, where
-    r = <u> and m = (q - eps)/4.  Passing reciprocal_unit=True replaces u
-    by 1/u; the result must not change (tested, not assumed).
+    a1 = (u^m - u^-m)/(u - 1/u), a2 = <u^m>, a3 = <(-u)^m>, where r = <u>
+    and m = (q - eps)/4.  As Dickson values of r they are computed in F_q,
+    so the choice of u among u and 1/u cannot matter: a2 = D_m(r), a3 =
+    chi(2) D_m(r) and a1 = E_{m-1}(r) = (2 D_{m+1}(r) - r D_m(r))/(r^2 - 4).
+    Each must square to -4/(r^2 - 4), l or j; IdentityFailure otherwise.
     """
     if case not in _CASE_CLASS:
         raise ValueError(f"unknown case {case!r}")
@@ -177,27 +180,17 @@ def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str, *,
     if cls != _CASE_CLASS[case]:
         raise ValueError(f"square classes {cls} do not match case {case}")
 
-    u = ext2_solve_unit(ctx, frame.r)
-    if reciprocal_unit:
-        u = ctx.e2_inv(u)
-    one2 = ctx.e2_embed(ctx.one)
-    if ctx.e2_mul(u, u) == one2:
-        raise IdentityFailure(f"u^2 = 1 for tau outside {{0, inf}} at q={ctx.q}")
-    um = ctx.e2_pow(u, ctx.m)
-    umi = ctx.e2_inv(um)
+    r = frame.r
+    dm, dm1 = dickson_values(ctx, ctx.m, r)
     if case == "a1":
-        num = ctx.e2_sub(um, umi)
-        den = ctx.e2_sub(u, ctx.e2_inv(u))
-        val = ctx.e2_project(ctx.e2_div(num, den))
-        want = ctx.div(ctx.from_int(-4),
-                       ctx.sub(ctx.mul(frame.r, frame.r), ctx.from_int(4)))
+        d = ctx.sub(ctx.mul(r, r), ctx.from_int(4))  # (u - 1/u)^2 = -j*l, nonzero
+        val = ctx.div(ctx.sub(ctx.mul(ctx.from_int(2), dm1), ctx.mul(r, dm)), d)
+        want = ctx.div(ctx.from_int(-4), d)
     elif case == "a2":
-        val = ctx.e2_project(ctx.e2_add(um, umi))
+        val = dm
         want = frame.l
     else:
-        bracket = ctx.e2_project(ctx.e2_add(um, umi))
-        sign2 = ctx.legendre(ctx.from_int(2))  # (-1)^m
-        val = bracket if sign2 == 1 else ctx.neg(bracket)
+        val = dm if ctx.legendre(ctx.from_int(2)) == 1 else ctx.neg(dm)
         want = frame.j
     if ctx.mul(val, val) != want:
         raise IdentityFailure(
@@ -262,12 +255,16 @@ def _specific_row(ctx: FieldCtx, frame: NormalizedFrame) -> Optional[dict[SignPa
 def all_square_class(ctx: FieldCtx, frame: NormalizedFrame) -> int:
     """Common square class mu of 1 +/- sqrt(l)/2 when tau, tau+1 are squares.
 
-    The two branches must agree; IdentityFailure is raised if they do not.
+    The two branches must agree.  IdentityFailure is raised if they do not,
+    or if l reads as a nonsquare, which only an inconsistent character can
+    cause.
     """
     if isinstance(frame.tau, _Infinity) or square_classes(ctx, frame.tau) != (1, 1):
         raise ValueError("tau and tau+1 must both be nonzero squares")
     half = ctx.inv(ctx.from_int(2))
     rt = ctx.sqrt_canonical(frame.l)
+    if rt is None:  # l = 4/(tau+1) is a square whenever tau+1 is
+        raise IdentityFailure(f"l is a nonsquare in the all-square class at q={ctx.q}")
     mu_plus = ctx.legendre(ctx.add(ctx.one, ctx.mul(rt, half)))
     mu_minus = ctx.legendre(ctx.sub(ctx.one, ctx.mul(rt, half)))
     if not mu_plus == mu_minus != 0:

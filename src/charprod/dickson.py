@@ -6,6 +6,8 @@ the three-term recursion f_{k+2} = x*f_{k+1} - f_k, with seeds (2, x)
 for the first kind and (1, x) for the second.  The defining functional
 equations are D_k(u + 1/u) = u^k + u^(-k) and
 E_{k-1}(u + 1/u) = (u^k - u^(-k)) / (u - 1/u).
+``dickson_values`` evaluates D_k at a point with a Lucas-sequence
+doubling ladder (Joye and Quisquater, 1996) instead of the polynomial.
 """
 
 from __future__ import annotations
@@ -38,6 +40,26 @@ def dickson_second(ctx: FieldCtx, k: int) -> list[int]:
     if k < 0:
         raise ValueError("k must be nonnegative")
     return _dickson(ctx, k, ctx.one)
+
+
+def dickson_values(ctx: FieldCtx, k: int, x: int) -> tuple[int, int]:
+    """(D_k(x), D_{k+1}(x)) for x in F_q, in O(log k) multiplications.
+
+    Walks the bits of k from the top, keeping (D_i, D_{i+1}) and using
+    D_{2i} = D_i^2 - 2 and D_{2i+1} = D_i*D_{i+1} - x, both instances of
+    D_a*D_b = D_{a+b} + D_{a-b}.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    two = ctx.from_int(2)
+    lo, hi = two, x  # (D_0, D_1)
+    for bit in bin(k)[2:]:
+        mid = ctx.sub(ctx.mul(lo, hi), x)  # D_{2i+1}
+        if bit == "1":
+            lo, hi = mid, ctx.sub(ctx.mul(hi, hi), two)
+        else:
+            lo, hi = ctx.sub(ctx.mul(lo, lo), two), mid
+    return lo, hi
 
 
 def poly_eval(ctx: FieldCtx, f: list[int], x: int) -> int:

@@ -526,10 +526,6 @@ class FieldCtx:
     def e2_neg(self, x: Ext2Elem) -> Ext2Elem:
         return Ext2Elem(self.neg(x.lo), self.neg(x.hi))
 
-    def e2_conj(self, x: Ext2Elem) -> Ext2Elem:
-        """Frobenius x -> x^q, which is lo - hi*theta."""
-        return Ext2Elem(x.lo, self.neg(x.hi))
-
     def e2_mul(self, x: Ext2Elem, y: Ext2Elem) -> Ext2Elem:
         lo = self.add(self.mul(x.lo, y.lo), self.mul(self.mul(x.hi, y.hi), self.delta))
         hi = self.add(self.mul(x.lo, y.hi), self.mul(x.hi, y.lo))
@@ -542,9 +538,6 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero in F_{q^2}")
         ninv = self.inv(nrm)
         return Ext2Elem(self.mul(x.lo, ninv), self.mul(self.neg(x.hi), ninv))
-
-    def e2_div(self, x: Ext2Elem, y: Ext2Elem) -> Ext2Elem:
-        return self.e2_mul(x, self.e2_inv(y))
 
     def e2_pow(self, x: Ext2Elem, e: int) -> Ext2Elem:
         if e < 0:
@@ -574,29 +567,6 @@ class FieldCtx:
 def mk_field(p: int, n: int = 1) -> FieldCtx:
     """Construct F_{p^n} with the canonical modulus."""
     return FieldCtx(p, n)
-
-
-def ext2_solve_unit(ctx: FieldCtx, r: int) -> Ext2Elem:
-    """The unit u in F_{q^2} with u + 1/u = r, canonical branch.
-
-    The two solutions are u and 1/u; the one with canonically smaller
-    representation is returned.  Everything downstream is required to be
-    invariant under u -> 1/u, so the branch is a tie-break only.  Raises
-    IdentityFailure (from e2_sqrt) when neither d = r^2 - 4 nor d/delta is
-    a square, which only an inconsistent quadratic character can cause.
-    """
-    d = ctx.sub(ctx.mul(r, r), ctx.from_int(4))
-    half = ctx.inv(ctx.from_int(2))
-    root = ctx.e2_sqrt(d)
-    if root.hi == 0:
-        u1 = ctx.mul(ctx.add(r, root.lo), half)
-        u2 = ctx.mul(ctx.sub(r, root.lo), half)
-        u = u1 if ctx.elem_key(u1) <= ctx.elem_key(u2) else u2
-        return Ext2Elem(u, 0)
-    hi = ctx.mul(root.hi, half)
-    hin = ctx.neg(hi)
-    hi = hi if ctx.elem_key(hi) <= ctx.elem_key(hin) else hin
-    return Ext2Elem(ctx.mul(r, half), hi)
 
 
 def unit_order_test(ctx: FieldCtx, u: Ext2Elem, e: int, target: int) -> bool:

@@ -77,6 +77,22 @@ def _row(case: str, expected: str, actual: str) -> dict:
             "ok": expected == actual}
 
 
+def _check(case: str, expected: str, actual: Callable[[], str]) -> dict:
+    """One check row; an IdentityFailure raised by ``actual()``, the text
+    of the closed side, becomes a failed row and the sweep goes on."""
+    try:
+        got = actual()
+    except IdentityFailure as exc:
+        got = f"failed: {exc}"
+    return _row(case, expected, got)
+
+
+def _returns(text: str, check: Callable[..., object], *args, **kwargs) -> str:
+    """``text`` once ``check`` returns, for checks that fail only by raising."""
+    check(*args, **kwargs)
+    return text
+
+
 def _rng(ctx: FieldCtx, salt: str) -> random.Random:
     return random.Random(f"{_SEED}:{ctx.q}:{salt}")
 
@@ -85,6 +101,15 @@ def _rng(ctx: FieldCtx, salt: str) -> random.Random:
 # suites
 # ---------------------------------------------------------------------------
 
+def _closed_vs_rescaled(ctx: FieldCtx, fam: charsets.SetFamily) -> str:
+    """Table value of a normalized T-family, cross-checked by closed_product."""
+    closed = closedform.prod_T_closed(ctx, *fam.params, fam.signs)
+    rescaled = closedform.closed_product(ctx, fam)
+    if closed == rescaled:
+        return ctx.elem_str(closed)
+    return f"closed={ctx.elem_str(closed)} rescaled={ctx.elem_str(rescaled)}"
+
+
 def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
     """Normalized T-products: closed form vs oracle, all tau, all signs."""
     taus = [INF] + [t for t in range(ctx.q) if t != ctx.minus_one]
@@ -92,13 +117,9 @@ def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
         frame = closedform.normalized_frame(ctx, tau)
         for sp in SIGN_PAIRS:
             fam = charsets.t_family(frame.j, frame.l, sp)
-            closed = closedform.prod_T_closed(ctx, frame.j, frame.l, sp)
-            rescaled = closedform.closed_product(ctx, fam)
             brute = charsets.brute_product(ctx, fam).value
-            actual = ctx.elem_str(closed) if closed == rescaled else \
-                f"closed={ctx.elem_str(closed)} rescaled={ctx.elem_str(rescaled)}"
-            yield _row(f"T[{tau_str(tau, ctx)}]{sign_str(sp)}",
-                       ctx.elem_str(brute), actual)
+            yield _check(f"T[{tau_str(tau, ctx)}]{sign_str(sp)}", ctx.elem_str(brute),
+                         lambda: _closed_vs_rescaled(ctx, fam))
 
 
 def suite_rescaling(ctx: FieldCtx) -> Iterator[dict]:
@@ -111,19 +132,19 @@ def suite_rescaling(ctx: FieldCtx) -> Iterator[dict]:
             pairs.append((jp, lp))
     for jp, lp in pairs:
         for sp in SIGN_PAIRS:
-            got = closedform.rescale_T(ctx, jp, lp, sp)
             want = charsets.brute_product(ctx, charsets.t_family(jp, lp, sp)).value
-            yield _row(f"rescale[{ctx.elem_str(jp)},{ctx.elem_str(lp)}]{sign_str(sp)}",
-                       ctx.elem_str(want), ctx.elem_str(got))
+            yield _check(f"rescale[{ctx.elem_str(jp)},{ctx.elem_str(lp)}]{sign_str(sp)}",
+                         ctx.elem_str(want),
+                         lambda: ctx.elem_str(closedform.rescale_T(ctx, jp, lp, sp)))
     for _ in range(3):
         j, l = rng.randrange(ctx.q), rng.randrange(ctx.q)
         if ctx.add(j, l) == 0:
             continue
         for mu in (1, -1):
-            got = closedform.swap_T(ctx, j, l, mu)
             want = charsets.brute_product(ctx, charsets.t_family(l, j, (mu, mu))).value
-            yield _row(f"swap[{ctx.elem_str(j)},{ctx.elem_str(l)}]{sign_str((mu, mu))}",
-                       ctx.elem_str(want), ctx.elem_str(got))
+            yield _check(f"swap[{ctx.elem_str(j)},{ctx.elem_str(l)}]{sign_str((mu, mu))}",
+                         ctx.elem_str(want),
+                         lambda: ctx.elem_str(closedform.swap_T(ctx, j, l, mu)))
     for _ in range(2):
         k, l = rng.randrange(ctx.q), rng.randrange(ctx.q)
         if k == l:
@@ -131,11 +152,14 @@ def suite_rescaling(ctx: FieldCtx) -> Iterator[dict]:
         brute = {sp: charsets.brute_product(ctx, charsets.s_family(k, l, sp)).value
                  for sp in SIGN_PAIRS}
         seed_sp = SIGN_PAIRS[rng.randrange(4)]
-        quad = closedform.quadruple_from_one(ctx, k, l, (seed_sp, brute[seed_sp]))
         want = " ".join(ctx.elem_str(brute[sp]) for sp in SIGN_PAIRS)
-        got = " ".join(ctx.elem_str(quad[sp]) for sp in SIGN_PAIRS)
-        yield _row(f"quadruple[{ctx.elem_str(k)},{ctx.elem_str(l)}]"
-                   f"seed{sign_str(seed_sp)}", want, got)
+
+        def quadruple():
+            quad = closedform.quadruple_from_one(ctx, k, l, (seed_sp, brute[seed_sp]))
+            return " ".join(ctx.elem_str(quad[sp]) for sp in SIGN_PAIRS)
+
+        yield _check(f"quadruple[{ctx.elem_str(k)},{ctx.elem_str(l)}]"
+                     f"seed{sign_str(seed_sp)}", want, quadruple)
 
 
 def dickson_identities(ctx: FieldCtx) -> list[tuple[list[int], tuple, list[int]]]:
@@ -249,9 +273,8 @@ def suite_correspondence(ctx: FieldCtx) -> Iterator[dict]:
     yield _row("orbit-image", "all-of-F_q",
                "all-of-F_q" if taus == list(range(ctx.q)) else "not-injective")
     by_tau = {correspondence.tau_of_orbit(ctx, o.rep): o for o in orbits}
-    bad = sum(1 for t in range(ctx.q)
-              if correspondence.orbit_of_tau(ctx, t) != by_tau[t])
-    yield _row("orbit-roundtrip", "0 mismatches", f"{bad} mismatches")
+    yield _check("orbit-roundtrip", "0 mismatches", lambda: "{} mismatches".format(
+        sum(correspondence.orbit_of_tau(ctx, t) != by_tau[t] for t in range(ctx.q))))
     bad = 0
     for t in range(ctx.q):
         try:
@@ -270,43 +293,28 @@ def suite_correspondence(ctx: FieldCtx) -> Iterator[dict]:
 
 def suite_reciprocity(ctx: FieldCtx) -> Iterator[dict]:
     """Nested-radical classes, towers, and quadratic-irrational products."""
-    try:
-        reciprocity.sqrt2_tower_class(ctx)
-        yield _row("biquad-sqrt2", "consistent", "consistent")
-    except IdentityFailure as exc:
-        yield _row("biquad-sqrt2", "consistent", f"failed: {exc}")
+    yield _check("biquad-sqrt2", "consistent",
+                 lambda: _returns("consistent", reciprocity.sqrt2_tower_class, ctx))
     for base, (k, _) in reciprocity.TOWER_BASES.items():
         if (2 * k) % ctx.p == 0:
             continue
         spec = reciprocity.TowerSpec(base, 5)
         want = "".join("1" if b else "0"
                        for b in reciprocity.tower_congruences(ctx.q, spec))
-        try:
-            got = "".join("1" if b else "0"
-                          for b in reciprocity.radical_tower_membership(ctx, spec))
-        except IdentityFailure as exc:
-            got = f"failed: {exc}"
-        yield _row(f"tower[{base}]", want, got)
+        yield _check(f"tower[{base}]", want, lambda: "".join(
+            "1" if b else "0" for b in reciprocity.radical_tower_membership(ctx, spec)))
     for base, (_, rad) in reciprocity.TOWER_BASES.items():
         if rad % ctx.p == 0 or ctx.legendre(ctx.from_int(rad)) != 1:
             continue
         for rs in (1, -1):
-            try:
-                reciprocity.prod_T_quadratic_irrational(ctx, base, root_sign=rs)
-                got = "verified"
-            except IdentityFailure as exc:
-                got = f"failed: {exc}"
-            yield _row(f"quadirr[{base}]root{'+' if rs > 0 else '-'}",
-                       "verified", got)
+            yield _check(f"quadirr[{base}]root{'+' if rs > 0 else '-'}", "verified",
+                         lambda: _returns("verified", reciprocity.prod_T_quadratic_irrational,
+                                          ctx, base, root_sign=rs))
     for d in (8, 10, 12):
         if d % ctx.p == 0:
             continue
-        try:
-            reciprocity.special_angle_bracket(ctx, d)
-            got = "verified"
-        except IdentityFailure as exc:
-            got = f"failed: {exc}"
-        yield _row(f"special-angle[{d}]", "verified", got)
+        yield _check(f"special-angle[{d}]", "verified",
+                     lambda: _returns("verified", reciprocity.special_angle_bracket, ctx, d))
 
 
 def suite_intro(ctx: FieldCtx) -> Iterator[dict]:

@@ -13,6 +13,7 @@ from charprod import charsets, closedform, correspondence, reciprocity
 from charprod.charsets import SIGN_PAIRS, a_family, s_family
 from charprod.ffield import mk_field
 from charprod.sweeps import SweepConfig, prime_powers, run_verify
+from helpers import det_root_ext2, ext2_solve_unit
 
 _SEED = 20260810
 
@@ -214,9 +215,11 @@ def test_criterion_8_choice_invariance():
                 bad += 1
         else:
             case = {(1, -1): "a1", (-1, 1): "a2", (-1, -1): "a3"}[cls]
-            r1 = closedform.det_sqrt(ctx, frame, case)
-            r2 = closedform.det_sqrt(ctx, frame, case, reciprocal_unit=True)
-            if r1 != r2:
+            # the F_q value against the F_{q^2} one at both roots u, 1/u
+            got = closedform.det_sqrt(ctx, frame, case).value
+            u = ext2_solve_unit(ctx, frame.r)
+            if {det_root_ext2(ctx, case, u),
+                    det_root_ext2(ctx, case, ctx.e2_inv(u))} != {got}:
                 bad += 1
     ok = bad == 0
     _report(8, ok, f"choice invariance: {cases} random cases, {bad} failures")

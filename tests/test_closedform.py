@@ -10,8 +10,8 @@ from charprod.closedform import (INF, all_square_class, closed_product,
                                  prod_S_single, prod_T_closed, prod_T_values,
                                  quadruple_from_one, rescale_T, swap_T,
                                  _all_square_row, _mixed_class_row)
-from charprod.ffield import ext2_solve_unit
-from helpers import field, small_ctxs
+from charprod.ffield import IdentityFailure, mk_field
+from helpers import det_root_ext2, e2_div, ext2_solve_unit, field, small_ctxs
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +168,8 @@ def test_det_sqrt_named_roots_square_correctly():
 
 
 def test_det_sqrt_reciprocal_invariance():
+    # the F_q ladder value equals the F_{q^2} one for either root u, 1/u
+    # of u + 1/u = r, so the choice of u does not matter
     for ctx in small_ctxs():
         for tau in range(1, ctx.q):
             if tau == ctx.minus_one:
@@ -177,8 +179,10 @@ def test_det_sqrt_reciprocal_invariance():
             if case is None:
                 continue
             frame = normalized_frame(ctx, tau)
-            assert det_sqrt(ctx, frame, case) == \
-                det_sqrt(ctx, frame, case, reciprocal_unit=True)
+            u = ext2_solve_unit(ctx, frame.r)
+            got = det_sqrt(ctx, frame, case).value
+            assert got == det_root_ext2(ctx, case, u), (ctx.q, tau)
+            assert got == det_root_ext2(ctx, case, ctx.e2_inv(u)), (ctx.q, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +374,17 @@ def test_two_plus_sqrt_classes_on_jl_pairs():
             assert lhs == rhs
 
 
+def test_all_square_class_inconsistent_character():
+    # chi(5) flipped at q = 13 after delta is cached puts tau = 4 in the
+    # all-square class while l = 6 still reads as a nonsquare; that must
+    # raise IdentityFailure, not multiply a None root
+    ctx = mk_field(13)
+    ctx.delta
+    ctx.tables().chi[5] *= -1
+    with pytest.raises(IdentityFailure, match="l is a nonsquare"):
+        all_square_class(ctx, normalized_frame(ctx, 4))
+
+
 def test_all_square_key_branch_independent():
     # the class of 1 + sqrt(l)/2 equals that of 1 - sqrt(l)/2 whenever
     # tau and tau+1 are both nonzero squares
@@ -410,7 +425,7 @@ def test_sklu_products_via_unit_powers():
                 assert val1 == ctx.e2_embed(want1), (ctx.q, r)
             if r not in (two, ctx.neg(two)):
                 den = ctx.e2_sub(u, ctx.e2_inv(u))
-                val2 = ctx.e2_neg(ctx.e2_div(ctx.e2_sub(mu, mui), den))
+                val2 = ctx.e2_neg(e2_div(ctx, ctx.e2_sub(mu, mui), den))
                 want2 = brute_product(ctx, s_family(k, l, (ctx.eps, 1))).value
                 if ctx.legendre(ctx.sub(r, two)) != ctx.eps \
                         or ctx.legendre(l) != 1:

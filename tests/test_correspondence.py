@@ -6,7 +6,7 @@ from charprod.correspondence import (all_orbits, classify_tau, ext2_generator,
                                      orbit_of_tau, roots_of_unity_union,
                                      tau_of_orbit)
 from charprod.ffield import unit_order_test
-from helpers import field, small_ctxs
+from helpers import e2_div, ext2_solve_unit, field, small_ctxs
 
 
 def _unit_of_order(ctx, d):
@@ -160,7 +160,6 @@ def test_vw_relation_exists():
     # with <u> = r, for some branch pair (existential over the choices
     # of v within its orbit and of the square root i of -1)
     from charprod.closedform import normalized_frame
-    from charprod.ffield import ext2_solve_unit
 
     for ctx in [field(5), field(7), field(11), field(13), field(3, 2)]:
         for tau in range(1, ctx.q):
@@ -178,7 +177,7 @@ def test_vw_relation_exists():
                     num = ctx.e2_add(ctx.e2_embed(ctx.from_int(2)),
                                      ctx.e2_mul(ii, dv))
                     try:
-                        w = ctx.e2_div(num, sv)
+                        w = e2_div(ctx, num, sv)
                     except ZeroDivisionError:
                         continue
                     if ctx.e2_mul(w, w) in u_orbit:
@@ -190,7 +189,6 @@ def test_all_square_class_power_is_mu():
     # for tau with both classes +1: u^m = mu, the class of 1 +- 1/sqrt(tau+1)
     for ctx in small_ctxs():
         from charprod.closedform import normalized_frame
-        from charprod.ffield import ext2_solve_unit
 
         for tau in range(1, ctx.q):
             if tau == ctx.minus_one:

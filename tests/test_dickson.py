@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from charprod.dickson import (dickson_first, dickson_second, poly_eval,
-                              poly_eval_ext2, poly_str)
+from charprod.dickson import (dickson_first, dickson_second, dickson_values,
+                              poly_eval, poly_eval_ext2, poly_str)
 from charprod.ffield import Ext2Elem
-from helpers import field, small_ctxs
+from helpers import e2_div, field, small_ctxs
 
 
 def test_dickson_first_examples():
@@ -37,6 +37,19 @@ def test_rejects_negative_degree():
         dickson_second(field(7), -2)
 
 
+def test_dickson_values_ladder_matches_horner():
+    # (D_k(x), D_{k+1}(x)) from the doubling ladder equals Horner evaluation
+    # of the coefficient vectors, for k = 0..40 and k = m at every x
+    for ctx in small_ctxs():
+        for k in sorted(set(range(41)) | {ctx.m}):
+            dk, dk1 = dickson_first(ctx, k), dickson_first(ctx, k + 1)
+            for x in range(ctx.q):
+                assert dickson_values(ctx, k, x) == \
+                    (poly_eval(ctx, dk, x), poly_eval(ctx, dk1, x)), (ctx.q, k, x)
+    with pytest.raises(ValueError):
+        dickson_values(field(7), -1, 3)
+
+
 def test_poly_eval_examples():
     c13 = field(13)
     assert poly_eval(c13, dickson_first(c13, 3), 4) == 0
@@ -63,7 +76,7 @@ def test_functional_equations_random_units():
                 assert poly_eval_ext2(ctx, dickson_first(ctx, k), br) == \
                     ctx.e2_add(uk, uki)
                 if k >= 1 and ctx.e2_mul(u, u) != ctx.e2_embed(ctx.one):
-                    want = ctx.e2_div(ctx.e2_sub(uk, uki), ctx.e2_sub(u, ui))
+                    want = e2_div(ctx, ctx.e2_sub(uk, uki), ctx.e2_sub(u, ui))
                     assert poly_eval_ext2(ctx, dickson_second(ctx, k - 1), br) == want
 
 

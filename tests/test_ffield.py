@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from charprod.ffield import (EvenCharacteristicError, Ext2Elem, FieldError,
                              FieldTables, FieldTooLargeError, IdentityFailure,
-                             NotPrimeError, ext2_solve_unit, is_prime,
-                             mk_field, power, prime_power, tonelli_shanks,
-                             unit_order_test)
-from helpers import SMALL_FIELDS, field, small_ctxs
+                             NotPrimeError, is_prime, mk_field, power,
+                             prime_power, tonelli_shanks, unit_order_test)
+from helpers import SMALL_FIELDS, ext2_solve_unit, field, small_ctxs
 
 
 def test_mk_field_examples():
@@ -223,7 +222,7 @@ def test_ext2_conjugation_is_frobenius():
     for ctx in small_ctxs():
         for _ in range(20):
             x = Ext2Elem(rng.randrange(ctx.q), rng.randrange(ctx.q))
-            assert ctx.e2_pow(x, ctx.q) == ctx.e2_conj(x)
+            assert ctx.e2_pow(x, ctx.q) == Ext2Elem(x.lo, ctx.neg(x.hi))
 
 
 def test_ext2_field_behaviour():
