@@ -16,9 +16,8 @@ from .closedform import (INF, DetRoot, NormalizedFrame, closed_product,
                          rescale_T, swap_T)
 from .correspondence import (Orbit, classify_tau, orbit_count_card,
                              orbit_of_tau, tau_of_orbit)
-from .dickson import dickson_first, dickson_second, poly_eval
-from .ffield import (Ext2Elem, FieldCtx, FieldError, IdentityFailure,
-                     mk_field, unit_order_test)
+from .dickson import dickson_first, dickson_second
+from .ffield import Ext2Elem, FieldCtx, FieldError, IdentityFailure, mk_field
 from .reciprocity import (TowerSpec, prod_T_quadratic_irrational,
                           radical_tower_membership, special_angle_bracket,
                           sqrt2_tower_class)
@@ -33,10 +32,10 @@ __all__ = [
     "a_family", "brute_product", "card_closed", "card_grid", "classify_tau",
     "closed_product", "det_sqrt", "dickson_first", "dickson_second",
     "enumerate_family", "mk_field", "normalized_frame",
-    "orbit_count_card", "orbit_of_tau", "poly_eval", "prod_S_closed",
+    "orbit_count_card", "orbit_of_tau", "prod_S_closed",
     "prod_S_single", "prod_T_closed", "prod_T_quadratic_irrational",
     "quadruple_from_one", "radical_tower_membership", "rescale_T",
     "run_verify", "s1_family", "s_family", "special_angle_bracket",
     "sqrt2_tower_class", "swap_T", "t_family", "tau_of_orbit",
-    "unit_order_test", "vanishing_poly",
+    "vanishing_poly",
 ]

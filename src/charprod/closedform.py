@@ -366,6 +366,8 @@ def rescale_T(ctx: FieldCtx, j_prime: int, l_prime: int, signs) -> int:
     nu = ctx.legendre(s)
     j = ctx.div(j_prime, lam)
     l = ctx.div(l_prime, lam)
+    if ctx.add(j, l) != ctx.from_int(4):
+        raise IdentityFailure(f"(j' + l')/lambda != 4 at q={ctx.q}")
     beta = 1 if (ctx.legendre(j_prime) == e1 and ctx.legendre(l_prime) == e2) else 0
     gamma = 1 if (nu == ctx.eps * e1 == e2) or (ctx.eps == -1 and nu * e1 == 1) else 0
     base = prod_T_closed(ctx, j, l, (nu * e1, nu * e2))

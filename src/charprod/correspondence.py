@@ -6,6 +6,8 @@ tau maps back to the orbit of sqrt(tau+1) + sqrt(tau).  The
 multiplicative order of v encodes the square classes of tau and tau+1,
 which yields a second, independent closed form for the cardinalities of
 the A_{0,1} families (orbit counting instead of the rescaled formula).
+No power of v is computed: v^q = conj(v) (Frobenius), so v^(q+1) is the
+norm N(v) and v^(q-1) = conj(v)/v is +1 iff hi = 0 and -1 iff lo = 0.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .charsets import SignPair
-from .ffield import (Ext2Elem, FieldCtx, IdentityFailure, first_of_order,
-                     unit_order_test)
+from .ffield import Ext2Elem, FieldCtx, IdentityFailure
 
 
 @dataclass(frozen=True)
@@ -34,10 +35,24 @@ def orbit_of(ctx: FieldCtx, v: Ext2Elem) -> Orbit:
     return Orbit(min(orbit_members(ctx, v), key=ctx.e2_key))
 
 
+def unit_power_is(ctx: FieldCtx, v: Ext2Elem, e: int, b: int) -> bool:
+    """v^e == b for a unit v of F_{q^2}, e = q +- 1 and b = +-1, in O(1)."""
+    if e == ctx.q + 1:
+        return ctx.e2_norm(v) == ctx.from_int(b)
+    if e == ctx.q - 1:
+        return (v.hi if b == 1 else v.lo) == 0
+    raise ValueError(f"exponent {e} is neither q-1 nor q+1")
+
+
+def in_unit_groups(ctx: FieldCtx, v: Ext2Elem) -> bool:
+    """v lies in mu_{2(q-1)} or mu_{2(q+1)}: v^(q-1) or v^(q+1) is +-1."""
+    return v != (0, 0) and (v.lo == 0 or v.hi == 0
+                            or ctx.e2_norm(v) in (ctx.one, ctx.minus_one))
+
+
 def tau_of_orbit(ctx: FieldCtx, v: Ext2Elem) -> int:
     """tau = (v - 1/v)^2 / 4; v must lie in mu_{2q-2} or mu_{2q+2}."""
-    if not (unit_order_test(ctx, v, 2 * (ctx.q - 1), 1)
-            or unit_order_test(ctx, v, 2 * (ctx.q + 1), 1)):
+    if not in_unit_groups(ctx, v):
         raise ValueError("v is not a 2(q-1)-st or 2(q+1)-st root of unity")
     d = ctx.e2_sub(v, ctx.e2_inv(v))
     sq = ctx.e2_mul(d, d)
@@ -65,7 +80,7 @@ def classify_tau(ctx: FieldCtx, tau: int) -> Optional[SignPair]:
     a = ctx.legendre(tau)
     b = ctx.legendre(ctx.add(tau, ctx.one))
     v = orbit_of_tau(ctx, tau).rep
-    if not unit_order_test(ctx, v, ctx.q - a * b, b):
+    if not unit_power_is(ctx, v, ctx.q - a * b, b):
         raise IdentityFailure(f"square classes disagree with the unit order at q={ctx.q}")
     return SignPair(a, b)
 
@@ -90,29 +105,22 @@ def orbit_count_card(ctx: FieldCtx, e1: int, e2: int) -> int:
     return (q + a - mu4) // 4
 
 
-def ext2_generator(ctx: FieldCtx) -> Ext2Elem:
-    """A deterministic generator of F_{q^2}^* (first in canonical order)."""
-    # base-field elements (hi = 0) never generate
-    cands = (Ext2Elem(lo, hi) for lo in ctx.elements_canonical()
-             for hi in ctx.elements_canonical() if hi)
-    return first_of_order(cands, ctx.q * ctx.q - 1, ctx.e2_pow, ctx.e2_embed(ctx.one))
-
-
 def roots_of_unity_union(ctx: FieldCtx) -> list[Ext2Elem]:
-    """mu_{2(q-1)} united with mu_{2(q+1)}, by stepping a generator."""
-    g = ext2_generator(ctx)
-    order = ctx.q * ctx.q - 1
-    seen: set[Ext2Elem] = set()
-    for d in (2 * (ctx.q - 1), 2 * (ctx.q + 1)):
-        z = ctx.e2_pow(g, order // d)
-        w = ctx.e2_embed(ctx.one)
-        for _ in range(d):
-            seen.add(w)
-            w = ctx.e2_mul(w, z)
+    """mu_{2(q-1)} = F_q^* u theta*F_q^* united with mu_{2(q+1)} = {v : N(v) = +-1}."""
+    seen = {u for x in range(1, ctx.q) for u in (Ext2Elem(x, 0), Ext2Elem(0, x))}
+    root = {ctx.mul(x, x): x for x in range(ctx.q)}
+    for hi in range(ctx.q):
+        dh = ctx.mul(ctx.mul(hi, hi), ctx.delta)  # N(lo + hi*theta) = lo^2 - dh
+        for s in (ctx.one, ctx.minus_one):
+            lo = root.get(ctx.add(s, dh))
+            if lo is not None:
+                seen.update((Ext2Elem(lo, hi), Ext2Elem(ctx.neg(lo), hi)))
     return sorted(seen, key=ctx.e2_key)
 
 
 def all_orbits(ctx: FieldCtx) -> list[Orbit]:
     """The distinct orbits partitioning the two root-of-unity groups."""
     reps = {orbit_of(ctx, v).rep for v in roots_of_unity_union(ctx)}
+    if not all(in_unit_groups(ctx, r) for r in reps):
+        raise IdentityFailure(f"an orbit leaves the groups of roots of unity at q={ctx.q}")
     return [Orbit(r) for r in sorted(reps, key=ctx.e2_key)]

@@ -62,14 +62,6 @@ def dickson_values(ctx: FieldCtx, k: int, x: int) -> tuple[int, int]:
     return lo, hi
 
 
-def poly_eval(ctx: FieldCtx, f: list[int], x: int) -> int:
-    """Horner evaluation of f at x in F_q."""
-    acc = 0
-    for c in reversed(f):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
-
-
 def poly_eval_ext2(ctx: FieldCtx, f: list[int], x: Ext2Elem) -> Ext2Elem:
     """Horner evaluation at a point of F_{q^2}."""
     acc = Ext2Elem(0, 0)

@@ -82,8 +82,8 @@ def prime_power(q: int) -> Optional[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# group algorithms, generic in the multiplication; F_q and F_{q^2} (whose
-# arithmetic is FieldCtx.e2_*) both run through these
+# group algorithms for F_q^*, generic in the multiplication (``power`` also
+# serves the modulus search); F_{q^2} needs none: unit orders are norms
 # ---------------------------------------------------------------------------
 
 def power(x, e: int, mul, one):
@@ -531,22 +531,16 @@ class FieldCtx:
         hi = self.add(self.mul(x.lo, y.hi), self.mul(x.hi, y.lo))
         return Ext2Elem(lo, hi)
 
+    def e2_norm(self, x: Ext2Elem) -> int:
+        """N(x) = x*conj(x) = lo^2 - delta*hi^2, which is x^(q+1)."""
+        return self.sub(self.mul(x.lo, x.lo), self.mul(self.mul(x.hi, x.hi), self.delta))
+
     def e2_inv(self, x: Ext2Elem) -> Ext2Elem:
-        nrm = self.sub(self.mul(x.lo, x.lo),
-                       self.mul(self.mul(x.hi, x.hi), self.delta))
+        nrm = self.e2_norm(x)
         if nrm == 0:
             raise ZeroDivisionError("inverse of zero in F_{q^2}")
         ninv = self.inv(nrm)
         return Ext2Elem(self.mul(x.lo, ninv), self.mul(self.neg(x.hi), ninv))
-
-    def e2_pow(self, x: Ext2Elem, e: int) -> Ext2Elem:
-        if e < 0:
-            x = self.e2_inv(x)
-            e = -e
-        one = Ext2Elem(self.one, 0)
-        if x == (0, 0):
-            return x if e else one
-        return power(x, e % (self.q * self.q - 1), self.e2_mul, one)
 
     def e2_sqrt(self, a: int) -> Ext2Elem:
         """Canonical square root in F_{q^2} of the base element a.
@@ -567,9 +561,3 @@ class FieldCtx:
 def mk_field(p: int, n: int = 1) -> FieldCtx:
     """Construct F_{p^n} with the canonical modulus."""
     return FieldCtx(p, n)
-
-
-def unit_order_test(ctx: FieldCtx, u: Ext2Elem, e: int, target: int) -> bool:
-    """True iff u^e equals target, with target in {+1, -1}."""
-    want = Ext2Elem(ctx.one if target == 1 else ctx.minus_one, 0)
-    return ctx.e2_pow(u, e) == want

@@ -103,6 +103,8 @@ def _rng(ctx: FieldCtx, salt: str) -> random.Random:
 
 def _closed_vs_rescaled(ctx: FieldCtx, fam: charsets.SetFamily) -> str:
     """Table value of a normalized T-family, cross-checked by closed_product."""
+    if ctx.add(*fam.params) != ctx.from_int(4):
+        raise IdentityFailure(f"the pair of a table row has j + l != 4 at q={ctx.q}")
     closed = closedform.prod_T_closed(ctx, *fam.params, fam.signs)
     rescaled = closedform.closed_product(ctx, fam)
     if closed == rescaled:
@@ -113,10 +115,11 @@ def _closed_vs_rescaled(ctx: FieldCtx, fam: charsets.SetFamily) -> str:
 def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
     """Normalized T-products: closed form vs oracle, all tau, all signs."""
     taus = [INF] + [t for t in range(ctx.q) if t != ctx.minus_one]
-    for tau in taus:
-        frame = closedform.normalized_frame(ctx, tau)
+    for tau in taus:  # the oracle's pair, apart from the closed side's checked frame
+        l = 0 if tau is INF else ctx.div(ctx.from_int(4), ctx.add(tau, ctx.one))
+        j = ctx.from_int(4) if tau is INF else ctx.mul(tau, l)
         for sp in SIGN_PAIRS:
-            fam = charsets.t_family(frame.j, frame.l, sp)
+            fam = charsets.t_family(j, l, sp)
             brute = charsets.brute_product(ctx, fam).value
             yield _check(f"T[{tau_str(tau, ctx)}]{sign_str(sp)}", ctx.elem_str(brute),
                          lambda: _closed_vs_rescaled(ctx, fam))
@@ -267,14 +270,21 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
 
 def suite_correspondence(ctx: FieldCtx) -> Iterator[dict]:
     """Orbit bijection, order classification, and orbit counting."""
-    orbits = correspondence.all_orbits(ctx)
-    yield _row("orbit-count", str(ctx.q), str(len(orbits)))
-    taus = sorted(correspondence.tau_of_orbit(ctx, o.rep) for o in orbits)
-    yield _row("orbit-image", "all-of-F_q",
-               "all-of-F_q" if taus == list(range(ctx.q)) else "not-injective")
-    by_tau = {correspondence.tau_of_orbit(ctx, o.rep): o for o in orbits}
+    orbits, by_tau = [], {}  # filled by the first two checks
+
+    def count() -> str:
+        orbits.extend(correspondence.all_orbits(ctx))
+        return str(len(orbits))
+
+    def image() -> str:
+        taus = [correspondence.tau_of_orbit(ctx, o.rep) for o in orbits]
+        by_tau.update(zip(taus, orbits))
+        return "all-of-F_q" if sorted(taus) == list(range(ctx.q)) else "not-injective"
+
+    yield _check("orbit-count", str(ctx.q), count)
+    yield _check("orbit-image", "all-of-F_q", image)
     yield _check("orbit-roundtrip", "0 mismatches", lambda: "{} mismatches".format(
-        sum(correspondence.orbit_of_tau(ctx, t) != by_tau[t] for t in range(ctx.q))))
+        sum(correspondence.orbit_of_tau(ctx, t) != by_tau.get(t) for t in range(ctx.q))))
     bad = 0
     for t in range(ctx.q):
         try:

@@ -2,7 +2,7 @@
 
 import functools
 
-from charprod.ffield import Ext2Elem, mk_field
+from charprod.ffield import Ext2Elem, first_of_order, mk_field, power
 
 # small fields exercised by most unit tests; mixes residue classes mod 4/8/12
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1),
@@ -55,7 +55,7 @@ def det_root_ext2(ctx, case, u):
 
     The value must lie in F_q; it is returned as a base-field element.
     """
-    um = ctx.e2_pow(u, ctx.m)
+    um = e2_pow(ctx, u, ctx.m)
     umi = ctx.e2_inv(um)
     if case == "a1":
         return ctx.e2_project(e2_div(ctx, ctx.e2_sub(um, umi),
@@ -64,3 +64,65 @@ def det_root_ext2(ctx, case, u):
     if case == "a3" and ctx.m % 2:
         return ctx.neg(bracket)
     return bracket
+
+
+# ---------------------------------------------------------------------------
+# F_{q^2} powers and a generator of F_{q^2}^*: the reference for the unit
+# orders, which the library reads off norms and conjugates
+# ---------------------------------------------------------------------------
+
+def e2_pow(ctx, x, e):
+    """x^e in F_{q^2} for any integer e, by square-and-multiply."""
+    if e < 0:
+        x = ctx.e2_inv(x)
+        e = -e
+    one = Ext2Elem(ctx.one, 0)
+    if x == (0, 0):
+        return x if e else one
+    return power(x, e % (ctx.q * ctx.q - 1), ctx.e2_mul, one)
+
+
+def unit_order_test(ctx, u, e, target):
+    """True iff u^e equals target, with target in {+1, -1}."""
+    want = Ext2Elem(ctx.one if target == 1 else ctx.minus_one, 0)
+    return e2_pow(ctx, u, e) == want
+
+
+@functools.lru_cache(maxsize=None)
+def ext2_generator(ctx):
+    """A deterministic generator of F_{q^2}^* (first in canonical order)."""
+    # base-field elements (hi = 0) never generate
+    cands = (Ext2Elem(lo, hi) for lo in ctx.elements_canonical()
+             for hi in ctx.elements_canonical() if hi)
+    return first_of_order(cands, ctx.q * ctx.q - 1,
+                          lambda x, e: e2_pow(ctx, x, e), ctx.e2_embed(ctx.one))
+
+
+def unit_of_order(ctx, d):
+    """g^((q^2 - 1)/d) for the generator g: an element of exact order d."""
+    assert (ctx.q * ctx.q - 1) % d == 0
+    return e2_pow(ctx, ext2_generator(ctx), (ctx.q * ctx.q - 1) // d)
+
+
+def stepped_roots_of_unity_union(ctx):
+    """mu_{2(q-1)} united with mu_{2(q+1)}, by stepping a generator."""
+    seen = set()
+    for d in (2 * (ctx.q - 1), 2 * (ctx.q + 1)):
+        z = unit_of_order(ctx, d)
+        w = ctx.e2_embed(ctx.one)
+        for _ in range(d):
+            seen.add(w)
+            w = ctx.e2_mul(w, z)
+    return sorted(seen, key=ctx.e2_key)
+
+
+# ---------------------------------------------------------------------------
+# Horner evaluation: the reference for the ladder dickson.dickson_values
+# ---------------------------------------------------------------------------
+
+def poly_eval(ctx, f, x):
+    """Horner evaluation of f at x in F_q."""
+    acc = 0
+    for c in reversed(f):
+        acc = ctx.add(ctx.mul(acc, x), c)
+    return acc

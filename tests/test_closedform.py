@@ -11,7 +11,8 @@ from charprod.closedform import (INF, all_square_class, closed_product,
                                  quadruple_from_one, rescale_T, swap_T,
                                  _all_square_row, _mixed_class_row)
 from charprod.ffield import IdentityFailure, mk_field
-from helpers import det_root_ext2, e2_div, ext2_solve_unit, field, small_ctxs
+from helpers import (det_root_ext2, e2_div, e2_pow, ext2_solve_unit, field,
+                     small_ctxs)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +416,7 @@ def test_sklu_products_via_unit_powers():
         for r in range(ctx.q):
             u = ext2_solve_unit(ctx, r)
             k, l = ctx.sub(r, two), ctx.add(r, two)
-            mu = ctx.e2_pow(ctx.e2_neg(u), m)
+            mu = e2_pow(ctx, ctx.e2_neg(u), m)
             mui = ctx.e2_inv(mu)
             want1 = brute_product(ctx, s_family(k, l, (-ctx.eps, -1))).value
             val1 = ctx.e2_add(mu, mui)

@@ -1,18 +1,14 @@
 import pytest
 
 from charprod.charsets import SIGN_PAIRS, a_family, card_closed, enumerate_family
-from charprod.correspondence import (all_orbits, classify_tau, ext2_generator,
+from charprod.correspondence import (all_orbits, classify_tau, in_unit_groups,
                                      orbit_count_card, orbit_members,
                                      orbit_of_tau, roots_of_unity_union,
-                                     tau_of_orbit)
-from charprod.ffield import unit_order_test
-from helpers import e2_div, ext2_solve_unit, field, small_ctxs
-
-
-def _unit_of_order(ctx, d):
-    g = ext2_generator(ctx)
-    assert (ctx.q * ctx.q - 1) % d == 0
-    return ctx.e2_pow(g, (ctx.q * ctx.q - 1) // d)
+                                     tau_of_orbit, unit_power_is)
+from charprod.ffield import Ext2Elem
+from helpers import (e2_div, e2_pow, ext2_generator, ext2_solve_unit, field,
+                     small_ctxs, stepped_roots_of_unity_union, unit_of_order,
+                     unit_order_test)
 
 
 def test_tau_examples():
@@ -20,12 +16,12 @@ def test_tau_examples():
         one = ctx.e2_embed(ctx.one)
         assert tau_of_orbit(ctx, one) == 0
         # primitive eighth root -> tau = -1/2
-        zeta = _unit_of_order(ctx, 8)
+        zeta = unit_of_order(ctx, 8)
         want = ctx.neg(ctx.inv(ctx.from_int(2)))
         assert tau_of_orbit(ctx, zeta) == want
         # primitive cube root -> tau = -3/4
         if ctx.p != 3:
-            omega = _unit_of_order(ctx, 3)
+            omega = unit_of_order(ctx, 3)
             want = ctx.neg(ctx.div(ctx.from_int(3), ctx.from_int(4)))
             assert tau_of_orbit(ctx, omega) == want
 
@@ -87,6 +83,49 @@ def test_bijection_small():
             assert orbit_of_tau(ctx, tau) == by_tau[tau]
 
 
+def test_roots_of_unity_union_matches_generator_steps():
+    for ctx in small_ctxs():
+        assert roots_of_unity_union(ctx) == stepped_roots_of_unity_union(ctx), ctx.q
+
+
+def test_norm_and_conjugate_give_the_unit_powers():
+    # v^q = conj(v): v^(q+1) = N(v), v^(q-1) = conj(v)/v, and the doubled
+    # exponents are their squares; all eight (e, target) pairs against
+    # square-and-multiply, on every v of the union
+    for ctx in small_ctxs():
+        q = ctx.q
+        for v in roots_of_unity_union(ctx):
+            conj_ratio = e2_div(ctx, Ext2Elem(v.lo, ctx.neg(v.hi)), v)
+            powers = {q + 1: ctx.e2_embed(ctx.e2_norm(v)), q - 1: conj_ratio}
+            for e, w in powers.items():
+                for b in (1, -1):
+                    want = unit_order_test(ctx, v, e, b)
+                    assert unit_power_is(ctx, v, e, b) == want, (q, v, e, b)
+                    assert (w == ctx.e2_embed(ctx.from_int(b))) == want
+                    assert (ctx.e2_mul(w, w) == ctx.e2_embed(ctx.from_int(b))) == \
+                        unit_order_test(ctx, v, 2 * e, b), (q, v, 2 * e, b)
+
+
+def test_unit_power_is_rejects_other_exponents():
+    ctx = field(7)
+    with pytest.raises(ValueError):
+        unit_power_is(ctx, ctx.e2_embed(ctx.one), 2 * (ctx.q + 1), 1)
+
+
+def test_membership_is_the_generator_union():
+    # over all of F_{q^2}: in_unit_groups holds exactly on the stepped
+    # union, and tau_of_orbit rejects everything else with ValueError
+    for ctx in small_ctxs()[:8] + [field(3, 2)]:
+        union = set(stepped_roots_of_unity_union(ctx))
+        for lo in range(ctx.q):
+            for hi in range(ctx.q):
+                v = Ext2Elem(lo, hi)
+                assert in_unit_groups(ctx, v) == (v in union), (ctx.q, v)
+                if v not in union:
+                    with pytest.raises(ValueError):
+                        tau_of_orbit(ctx, v)
+
+
 def test_ext2_generator_pinned():
     # the first generator in canonical (lo, hi) order, hi != 0
     assert ext2_generator(field(5)) == (1, 2)
@@ -128,7 +167,7 @@ def test_set_descriptions_via_units():
         for sp in SIGN_PAIRS:
             a01, a22 = set(), set()
             for v in union:
-                if ctx.e2_pow(v, 4) == one2:
+                if e2_pow(ctx, v, 4) == one2:
                     continue
                 if not unit_order_test(ctx, v, ctx.q - sp.e1 * sp.e2, sp.e2):
                     continue

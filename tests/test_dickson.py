@@ -3,9 +3,9 @@ import random
 import pytest
 
 from charprod.dickson import (dickson_first, dickson_second, dickson_values,
-                              poly_eval, poly_eval_ext2, poly_str)
+                              poly_eval_ext2, poly_str)
 from charprod.ffield import Ext2Elem
-from helpers import e2_div, field, small_ctxs
+from helpers import e2_div, e2_pow, field, poly_eval, small_ctxs, unit_of_order
 
 
 def test_dickson_first_examples():
@@ -71,7 +71,7 @@ def test_functional_equations_random_units():
                 continue
             br = ctx.e2_add(u, ui)
             for k in range(0, 51, 7):
-                uk = ctx.e2_pow(u, k)
+                uk = e2_pow(ctx, u, k)
                 uki = ctx.e2_inv(uk)
                 assert poly_eval_ext2(ctx, dickson_first(ctx, k), br) == \
                     ctx.e2_add(uk, uki)
@@ -83,16 +83,13 @@ def test_functional_equations_random_units():
 def test_functional_equation_in_base_field():
     # brackets of roots of unity in mu_{q-1} and mu_{q+1} land in F_q,
     # where plain poly_eval applies
-    from charprod.correspondence import ext2_generator
-
     for ctx in small_ctxs()[:6]:
-        g = ext2_generator(ctx)
         for d in (ctx.q - 1, ctx.q + 1):
-            u = ctx.e2_pow(g, (ctx.q * ctx.q - 1) // d)
+            u = unit_of_order(ctx, d)
             br = ctx.e2_add(u, ctx.e2_inv(u))
             x = ctx.e2_project(br)
             for k in (2, 3, 5, 11):
-                want = ctx.e2_add(ctx.e2_pow(u, k), ctx.e2_pow(u, -k))
+                want = ctx.e2_add(e2_pow(ctx, u, k), e2_pow(ctx, u, -k))
                 assert ctx.e2_embed(poly_eval(ctx, dickson_first(ctx, k), x)) == want
 
 

@@ -1,4 +1,4 @@
-"""Fault injection: an inconsistent quadratic character gives failed rows.
+"""Fault injection: corrupted field arithmetic gives failed rows.
 
 Each fault is applied to a fresh context that ``sweeps.run_field`` then
 sweeps, one suite at a time.  No suite may raise on a fault, and every
@@ -11,20 +11,52 @@ from charprod import sweeps
 from charprod.ffield import mk_field
 
 
+def _failed_rows(monkeypatch, p, n, fault):
+    """Failed-row count per suite, each suite run on a freshly faulted field."""
+    def corrupted(p, n=1):
+        ctx = mk_field(p, n)
+        fault(ctx)
+        return ctx
+
+    monkeypatch.setattr(sweeps, "mk_field", corrupted)
+    return {suite: sum(not r["ok"] for r in sweeps.run_field(p, n, (suite,)))
+            for suite in sweeps.ALL_SUITES}
+
+
 @pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
 def test_flipped_character_fails_rows_never_raises(monkeypatch, p, n):
     # chi flipped at index k after delta is cached, for every k in 1..q-1
-    q = p ** n
-    for k in range(1, q):
-        def corrupted(p, n=1):
-            ctx = mk_field(p, n)
+    for k in range(1, p ** n):
+        def flip(ctx):
             ctx.delta
             ctx.tables().chi[k] *= -1
-            return ctx
 
-        monkeypatch.setattr(sweeps, "mk_field", corrupted)
-        failed = {}
-        for suite in sweeps.ALL_SUITES:
-            rows = sweeps.run_field(p, n, (suite,))
-            failed[suite] = sum(not r["ok"] for r in rows)
-        assert sum(failed.values()) > 0, (q, k, failed)
+        failed = _failed_rows(monkeypatch, p, n, flip)
+        assert sum(failed.values()) > 0, (p ** n, k, failed)
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
+def test_square_delta_fails_rows_never_raises(monkeypatch, p, n):
+    # delta replaced by the canonically first square other than 0 and 1,
+    # after the tables are built: F_q[theta] is then no field
+    def square_delta(ctx):
+        chi = ctx.tables().chi
+        ctx._delta = next(x for x in ctx.elements_canonical()
+                          if x not in (0, 1) and chi[x] == 1)
+
+    failed = _failed_rows(monkeypatch, p, n, square_delta)
+    caught = {suite for suite, count in failed.items() if count}
+    assert {"correspondence", "reciprocity"} <= caught, failed
+
+
+def test_swapped_exp_entries_fail_rows_never_raise(monkeypatch):
+    # gen^1 and gen^2 swapped in the first period of exp, log fixed to
+    # match, at q = 27 (prime fields multiply without the tables)
+    def swap_exp(ctx):
+        tb = ctx.tables()
+        tb.exp[1], tb.exp[2] = tb.exp[2], tb.exp[1]
+        tb.log[tb.exp[1]], tb.log[tb.exp[2]] = 1, 2
+
+    failed = _failed_rows(monkeypatch, 3, 3, swap_exp)
+    caught = {suite for suite, count in failed.items() if count}
+    assert {"tables", "correspondence", "rescaling"} <= caught, failed

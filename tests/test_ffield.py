@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from charprod.ffield import (EvenCharacteristicError, Ext2Elem, FieldError,
                              FieldTables, FieldTooLargeError, IdentityFailure,
                              NotPrimeError, is_prime, mk_field, power,
-                             prime_power, tonelli_shanks, unit_order_test)
-from helpers import SMALL_FIELDS, ext2_solve_unit, field, small_ctxs
+                             prime_power, tonelli_shanks)
+from helpers import (SMALL_FIELDS, e2_pow, ext2_solve_unit, field, small_ctxs,
+                     unit_order_test)
 
 
 def test_mk_field_examples():
@@ -222,7 +223,21 @@ def test_ext2_conjugation_is_frobenius():
     for ctx in small_ctxs():
         for _ in range(20):
             x = Ext2Elem(rng.randrange(ctx.q), rng.randrange(ctx.q))
-            assert ctx.e2_pow(x, ctx.q) == Ext2Elem(x.lo, ctx.neg(x.hi))
+            assert e2_pow(ctx, x, ctx.q) == Ext2Elem(x.lo, ctx.neg(x.hi))
+
+
+def test_ext2_norm_is_x_times_conjugate():
+    # N(x) = x*conj(x) = x^(q+1), and the norm is multiplicative
+    rng = random.Random(9)
+    for ctx in small_ctxs():
+        for _ in range(20):
+            x = Ext2Elem(rng.randrange(ctx.q), rng.randrange(ctx.q))
+            y = Ext2Elem(rng.randrange(ctx.q), rng.randrange(ctx.q))
+            nx = ctx.e2_embed(ctx.e2_norm(x))
+            assert nx == ctx.e2_mul(x, Ext2Elem(x.lo, ctx.neg(x.hi)))
+            assert nx == e2_pow(ctx, x, ctx.q + 1)
+            assert ctx.e2_norm(ctx.e2_mul(x, y)) == \
+                ctx.mul(ctx.e2_norm(x), ctx.e2_norm(y))
 
 
 def test_ext2_field_behaviour():
@@ -234,7 +249,7 @@ def test_ext2_field_behaviour():
             if x == (0, 0):
                 continue
             assert ctx.e2_mul(x, ctx.e2_inv(x)) == one
-            assert ctx.e2_pow(x, ctx.q * ctx.q - 1) == one
+            assert e2_pow(ctx, x, ctx.q * ctx.q - 1) == one
 
 
 def test_ext2_sqrt():
