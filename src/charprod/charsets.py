@@ -10,9 +10,13 @@ Four kinds of family over F_q (signs are +1/-1, written +/- in text):
 chi is the quadratic character; a chi value of 0 never matches a sign.
 ``brute_product`` multiplies the members found by a full scan of the
 field.  It is the oracle every closed formula in this package is tested
-against, so it deliberately takes no shortcuts.  ``card_closed`` is the
-closed-form cardinality (never enumerates); it and the all-pairs array
-form ``card_grid`` share one formula, ``_pair_card``.
+against, so it deliberately takes no shortcuts.  On a field without
+tables the scan reads chi from ``square_table``, built by squaring every
+unit, so it shares no chi arithmetic with ``FieldCtx.legendre`` (Euler's
+criterion, which the closed side uses).  The table takes q bytes, so
+fields above ``SCAN_LIMIT`` = 2^26 elements are refused.  ``card_closed``
+is the closed-form cardinality (never enumerates); it and the all-pairs
+array form ``card_grid`` share one formula, ``_pair_card``.
 """
 
 from __future__ import annotations
@@ -109,24 +113,46 @@ class ProductReport:
     cardinality: int
 
 
+# largest q the table-free scan accepts: its table of squares takes q bytes
+SCAN_LIMIT = 1 << 26
+
+
+def square_table(ctx: FieldCtx) -> bytearray:
+    """Byte x is 1 exactly when x is a nonzero square, from squaring every unit.
+
+    Only ``ctx.mul`` is used, never ``legendre`` or ``pow``: the oracle's
+    character comes from the definition of a square, not Euler's criterion.
+    """
+    if ctx.q > SCAN_LIMIT:
+        raise ValueError(f"q={ctx.q} is above the scan bound {SCAN_LIMIT}: a full "
+                         f"scan needs a table of squares of q bytes")
+    sq = bytearray(ctx.q)
+    mul = ctx.mul
+    for x in range(1, ctx.q):
+        sq[mul(x, x)] = 1
+    return sq
+
+
 def _scan_scalar(ctx: FieldCtx, fam: SetFamily) -> list[int]:
-    chi = ctx.legendre
+    sq = square_table(ctx)
+    add, sub = ctx.add, ctx.sub
+    # chi(y) = e  <=>  y != 0 and sq[y] == byte[e]
+    byte = {1: 1, -1: 0}
     out = []
     if fam.kind == "S1":
-        (k,), e = fam.params, fam.signs
+        (k,), e = fam.params, byte[fam.signs]
         for a in range(1, ctx.q):
-            if chi(ctx.add(a, k)) == e:
+            y = add(a, k)
+            if y and sq[y] == e:
                 out.append(a)
-    elif fam.kind in ("A", "S"):
-        (k, l), (e1, e2) = fam.params, fam.signs
-        start = 0 if fam.kind == "A" else 1
-        for a in range(start, ctx.q):
-            if chi(ctx.add(a, k)) == e1 and chi(ctx.add(a, l)) == e2:
-                out.append(a)
-    else:
-        (j, l), (e1, e2) = fam.params, fam.signs
-        for a in range(1, ctx.q):
-            if chi(ctx.sub(j, a)) == e1 and chi(ctx.add(l, a)) == e2:
+        return out
+    (x, l), (e1, e2) = fam.params, (byte[s] for s in fam.signs)
+    start, is_t = (0 if fam.kind == "A" else 1), fam.kind == "T"
+    for a in range(start, ctx.q):
+        y = sub(x, a) if is_t else add(a, x)  # j - a for T, a + k for A and S
+        if y and sq[y] == e1:
+            z = add(a, l)
+            if z and sq[z] == e2:
                 out.append(a)
     return out
 
@@ -154,8 +180,9 @@ def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
     """Exact member list by scanning the whole field, canonically sorted.
 
     Compares whole shifted character vectors (``FieldTables.shifted``) when
-    the context has built its tables, and tests one element at a time with
-    scalar arithmetic otherwise; both visit every element.
+    the context has built its tables.  Otherwise it tests one element at a
+    time against ``square_table`` and raises ValueError above
+    ``SCAN_LIMIT``.  Both visit every element.
     """
     fam.validate(ctx)
     vector = ctx._tables is not None

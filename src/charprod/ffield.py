@@ -82,8 +82,8 @@ def prime_power(q: int) -> Optional[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# group algorithms for F_q^*, generic in the multiplication (``power`` also
-# serves the modulus search); F_{q^2} needs none: unit orders are norms
+# group algorithms for F_q^*; ``power`` and ``first_of_order`` take the
+# multiplication as an argument (``power`` also serves the modulus search)
 # ---------------------------------------------------------------------------
 
 def power(x, e: int, mul, one):
@@ -97,21 +97,21 @@ def power(x, e: int, mul, one):
     return result
 
 
-def tonelli_shanks(a, order: int, nonsquare, mul, pw, one):
-    """A square root of the nonzero square a in a cyclic group of even order.
+def tonelli_shanks(ctx: "FieldCtx", a: int) -> int:
+    """A square root of the nonzero square a of F_q, with delta as nonsquare.
 
-    ``pw(x, e)`` is the group's power map; ``nonsquare`` is any nonsquare.
     Raises IdentityFailure when no root turns up, that is when a is a
-    nonsquare or ``nonsquare`` is a square: only an inconsistent quadratic
+    nonsquare or ``ctx.delta`` is a square: only an inconsistent quadratic
     character lets a caller pass either.
     """
-    t, s = order, 0
+    one, mul = ctx.one, ctx.mul
+    t, s = ctx.q - 1, 0
     while t % 2 == 0:
         t //= 2
         s += 1
-    c = pw(nonsquare, t)
-    r = pw(a, (t + 1) // 2)
-    x = pw(a, t)
+    c = ctx.pow(ctx.delta, t)
+    r = ctx.pow(a, (t + 1) // 2)
+    x = ctx.pow(a, t)
     while x != one:
         i, y = 0, x
         while y != one and i < s:
@@ -119,8 +119,8 @@ def tonelli_shanks(a, order: int, nonsquare, mul, pw, one):
             i += 1
         if i == s:  # no progress: x does not have order below 2^s
             raise IdentityFailure(
-                f"no square root found in the group of order {order}")
-        b = pw(c, 1 << (s - i - 1))
+                f"no square root of {ctx.elem_str(a)} found in F_{ctx.q}")
+        b = ctx.pow(c, 1 << (s - i - 1))
         r = mul(r, b)
         c = mul(b, b)
         x = mul(x, c)
@@ -481,7 +481,7 @@ class FieldCtx:
             return 0
         if self.legendre(a) == -1:
             return None
-        r = tonelli_shanks(a, self.q - 1, self.delta, self.mul, self.pow, self.one)
+        r = tonelli_shanks(self, a)
         rn = self.neg(r)
         return r if self.elem_key(r) <= self.elem_key(rn) else rn
 

@@ -10,7 +10,7 @@ from charprod.charsets import (SIGN_PAIRS, SetFamily, SignPair, a_family,
                                brute_product, card_closed, card_grid,
                                enumerate_family, pair_chars, parse_signs,
                                report_row, s1_family, s_family, sign_str,
-                               t_family, vanishing_poly)
+                               square_table, t_family, vanishing_poly)
 from charprod.dickson import dickson_first, dickson_second
 from charprod.ffield import mk_field
 from helpers import SMALL_FIELDS, field, small_ctxs
@@ -238,3 +238,39 @@ def test_scalar_and_vector_scans_agree():
                 vec = charsets._scan_vector(ctx, fam)
                 sca = charsets._scan_scalar(ctx, fam)
                 assert vec == sca
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(4099, 1), (17, 3)])
+def test_square_table_is_euler_criterion(p, n):
+    # the oracle's character (squares found by squaring every unit) equals
+    # a^((q-1)/2) on every element of a table-free field
+    ctx = mk_field(p, n)
+    sq = square_table(ctx)
+    assert ctx._tables is None
+    assert len(sq) == ctx.q and sq[0] == 0
+    for x in range(1, ctx.q):
+        assert (1 if sq[x] else -1) == ctx.legendre(x), (ctx.q, x)
+
+
+def test_scan_never_reads_the_field_character(monkeypatch):
+    # brute_product on a table-free field is right with legendre and pow
+    # gone: the oracle shares no chi arithmetic with the closed side
+    def broken(*args):
+        raise RuntimeError("the scan must not call this")
+
+    rng = random.Random(9)
+    for p, n in [(13, 1), (3, 3), (5, 2), (31, 1)]:
+        want = field(p, n)  # tables built: vector scan, chi from the logs
+        ctx = mk_field(p, n)
+        monkeypatch.setattr(ctx, "legendre", broken)
+        monkeypatch.setattr(ctx, "pow", broken)
+        for _ in range(10):
+            k, l = rng.randrange(ctx.q), rng.randrange(ctx.q)
+            sp = SIGN_PAIRS[rng.randrange(4)]
+            fams = [s1_family(k, sp.e1)]
+            if k != l:
+                fams += [a_family(k, l, sp), s_family(k, l, sp)]
+            if want.add(k, l) != 0:
+                fams.append(t_family(k, l, sp))
+            for fam in fams:
+                assert brute_product(ctx, fam) == brute_product(want, fam), (p, n, fam)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from charprod import charsets
 from charprod.cli import main, parse_family, render_table
 from charprod.charsets import SignPair
 from helpers import field
@@ -50,6 +51,24 @@ def test_eval_parse_errors(capsys):
     assert main(["eval", "S 1 1 ++", "--p", "13"]) == 2
     assert "k != l" in capsys.readouterr().err
     assert main(["eval", "T 1 3 --", "--p", "12"]) == 2
+
+
+def test_eval_refuses_a_scan_above_the_bound(monkeypatch, capsys):
+    # near the machine bound the table of squares would take 2 GB: eval
+    # exits 2, naming q and the bound, before it allocates anything
+    def no_alloc(size):
+        raise AssertionError(f"allocated a {size}-byte table")
+
+    monkeypatch.setattr(charsets, "bytearray", no_alloc, raising=False)
+    assert main(["eval", "T 5 7 +-", "--p", "2147483629"]) == 2
+    err = capsys.readouterr().err
+    assert "q=2147483629" in err and f"bound {charsets.SCAN_LIMIT}" in err
+    monkeypatch.undo()
+    # the bound itself is allowed
+    monkeypatch.setattr(charsets, "SCAN_LIMIT", 13)
+    assert main(["eval", "T 1 3 --", "--p", "13"]) == 0
+    assert main(["eval", "T 1 3 --", "--p", "17"]) == 2
+    assert "q=17 is above the scan bound 13" in capsys.readouterr().err
 
 
 def test_parse_family_shapes():

@@ -60,3 +60,17 @@ def test_swapped_exp_entries_fail_rows_never_raise(monkeypatch):
     failed = _failed_rows(monkeypatch, 3, 3, swap_exp)
     caught = {suite for suite, count in failed.items() if count}
     assert {"tables", "correspondence", "rescaling"} <= caught, failed
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
+def test_shifted_m_fails_rows_never_raises(monkeypatch, p, n):
+    # m = (q - eps)/4 off by one after the tables are built; reciprocity and
+    # intro read no m, every other suite must report it
+    def shift_m(ctx):
+        ctx.tables()
+        ctx.m += 1
+
+    failed = _failed_rows(monkeypatch, p, n, shift_m)
+    caught = {suite for suite, count in failed.items() if count}
+    assert caught == {"tables", "dickson", "cardinality", "correspondence",
+                      "rescaling"}, failed

@@ -300,23 +300,26 @@ def test_tonelli_shanks_rejects_nonsquares():
     # with a negative shift count), and a square passed as the nonsquare
     # gives a true root or IdentityFailure, never a wrong value
     for p in (7, 13, 41, 17):
-        mul = lambda a, b, p=p: a * b % p
-        pw = lambda a, e, p=p: pow(a, e, p)
+        ctx = mk_field(p)
         squares = {a * a % p for a in range(1, p)}
-        z = min(set(range(1, p)) - squares)
+        z = ctx.delta
+        assert z == min(set(range(1, p)) - squares)
         for a in range(1, p):
             if a in squares:
-                r = tonelli_shanks(a, p - 1, z, mul, pw, 1)
+                ctx._delta = z
+                r = tonelli_shanks(ctx, a)
                 assert r * r % p == a
                 for bad_z in squares:
+                    ctx._delta = bad_z
                     try:
-                        r = tonelli_shanks(a, p - 1, bad_z, mul, pw, 1)
+                        r = tonelli_shanks(ctx, a)
                     except IdentityFailure:
                         continue
                     assert r * r % p == a
             else:
+                ctx._delta = z
                 with pytest.raises(IdentityFailure, match="no square root"):
-                    tonelli_shanks(a, p - 1, z, mul, pw, 1)
+                    tonelli_shanks(ctx, a)
 
 
 def test_unit_order_examples():
