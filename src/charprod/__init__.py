@@ -19,8 +19,7 @@ from .correspondence import (Orbit, classify_tau, orbit_count_card,
 from .dickson import dickson_first, dickson_second
 from .ffield import Ext2Elem, FieldCtx, FieldError, IdentityFailure, mk_field
 from .reciprocity import (TowerSpec, prod_T_quadratic_irrational,
-                          radical_tower_membership, special_angle_bracket,
-                          sqrt2_tower_class)
+                          radical_tower_membership, special_angle_bracket)
 from .sweeps import ALL_SUITES, SweepConfig, run_verify
 
 __version__ = "0.1.0"
@@ -36,6 +35,5 @@ __all__ = [
     "prod_S_single", "prod_T_closed", "prod_T_quadratic_irrational",
     "quadruple_from_one", "radical_tower_membership", "rescale_T",
     "run_verify", "s1_family", "s_family", "special_angle_bracket",
-    "sqrt2_tower_class", "swap_T", "t_family", "tau_of_orbit",
-    "vanishing_poly",
+    "swap_T", "t_family", "tau_of_orbit", "vanishing_poly",
 ]

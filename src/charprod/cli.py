@@ -16,7 +16,7 @@ from . import charsets, closedform, sweeps
 from .charsets import SIGN_PAIRS, SetFamily, parse_signs, sign_str
 from .closedform import closed_product
 from .dickson import poly_str
-from .ffield import FieldCtx, FieldError, mk_field
+from .ffield import FieldCtx, mk_field
 
 
 def parse_family(ctx: FieldCtx, text: str) -> SetFamily:
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FieldError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -6,8 +6,8 @@ T-families (equivalently l - k = 4 for S-families, with j = -k), which
 reduces all products to a single parameter tau = j/l in F_q plus a point
 at infinity (l = 0).  The linked quantities
 
-    k = -j = 4*tau/(tau+1)     l = 4/(tau+1)     r = l - 2 = k + 2
-    tau' = k/4                 tau = j/l = (2-r)/(2+r)
+    j = 4*tau/(tau+1)     l = 4/(tau+1)     r = l - 2 = 2 - j
+    tau = j/l = (2-r)/(2+r)
 
 are carried in a NormalizedFrame.  The dispatch handles the special
 ratios tau in {0, inf, 1, 3, 1/3} first, then the all-square class, then
@@ -55,29 +55,22 @@ class NormalizedFrame:
 
     tau: ProjTau
     j: int
-    k: int
     l: int
     r: int
-    tau_prime: int
-    tau_prime_defined: bool  # False only at tau = inf, where k/4 = -1
 
 
 def normalized_frame(ctx: FieldCtx, tau: ProjTau) -> NormalizedFrame:
-    """Compute (j, k, l, r, tau') for a ratio tau != -1."""
+    """Compute (j, l, r) for a ratio tau != -1."""
     four = ctx.from_int(4)
     if isinstance(tau, _Infinity):
-        return NormalizedFrame(tau=INF, j=four, k=ctx.neg(four), l=0,
-                               r=ctx.from_int(-2), tau_prime=ctx.minus_one,
-                               tau_prime_defined=False)
+        return NormalizedFrame(tau=INF, j=four, l=0, r=ctx.from_int(-2))
     if tau == ctx.minus_one:
         raise ValueError("tau = -1 is excluded")
     den = ctx.add(tau, ctx.one)
     l = ctx.div(four, den)
     j = ctx.mul(tau, l)
-    k = ctx.neg(j)
     r = ctx.sub(l, ctx.from_int(2))
-    frame = NormalizedFrame(tau=tau, j=j, k=k, l=l, r=r,
-                            tau_prime=ctx.div(k, four), tau_prime_defined=True)
+    frame = NormalizedFrame(tau=tau, j=j, l=l, r=r)
     # round-trip tau = (2-r)/(2+r); 2+r = l is nonzero here
     if ctx.div(ctx.sub(ctx.from_int(2), r), l) != tau:
         raise IdentityFailure(f"tau = (2-r)/(2+r) fails at q={ctx.q}")

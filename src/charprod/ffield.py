@@ -284,13 +284,18 @@ class FieldCtx:
     def __init__(self, p: int, n: int = 1):
         if p % 2 == 0:
             raise EvenCharacteristicError(f"characteristic must be odd, got p={p}")
-        if not is_prime(p):
-            raise NotPrimeError(f"p={p} is not prime")
         if n < 1:
             raise FieldError(f"extension degree must be >= 1, got n={n}")
-        q = p ** n
+        # bound p, then q, before the trial division of p; q stops growing
+        # at the bound, so even an absurd n takes at most 20 multiplications
+        q, i = p, 1
+        while q < MACHINE_BOUND and i < n:
+            q, i = q * p, i + 1
         if q >= MACHINE_BOUND:
-            raise FieldTooLargeError(f"q={q} exceeds the machine bound 2^31")
+            shown = q if i == n else f"{p}^{n}"
+            raise FieldTooLargeError(f"q={shown} exceeds the machine bound 2^31")
+        if not is_prime(p):
+            raise NotPrimeError(f"p={p} is not prime")
         self.p = p
         self.n = n
         self.q = q

@@ -50,6 +50,9 @@ class SweepConfig:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.q_max > charsets.SCAN_LIMIT:  # the oracle scans every element
+            raise ValueError(f"q_max={self.q_max} is above the scan bound "
+                             f"{charsets.SCAN_LIMIT}")
         if not prime_powers(self.q_min, self.q_max, self.max_degree):
             raise ValueError(f"no odd prime power in [{self.q_min}, {self.q_max}]"
                              f" with max_degree={self.max_degree}")
@@ -303,8 +306,10 @@ def suite_correspondence(ctx: FieldCtx) -> Iterator[dict]:
 
 def suite_reciprocity(ctx: FieldCtx) -> Iterator[dict]:
     """Nested-radical classes, towers, and quadratic-irrational products."""
+    # 2 + sqrt(2) is a square iff q = +-1 (mod 16): level 1 of the sqrt2 tower
     yield _check("biquad-sqrt2", "consistent",
-                 lambda: _returns("consistent", reciprocity.sqrt2_tower_class, ctx))
+                 lambda: _returns("consistent", reciprocity.radical_tower_membership,
+                                  ctx, reciprocity.TowerSpec("sqrt2", 2)))
     for base, (k, _) in reciprocity.TOWER_BASES.items():
         if (2 * k) % ctx.p == 0:
             continue

@@ -1,6 +1,10 @@
 """Shared helpers for the test suite."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from charprod.ffield import Ext2Elem, first_of_order, mk_field, power
 
@@ -18,6 +22,18 @@ def field(p, n=1):
 
 def small_ctxs():
     return [field(p, n) for p, n in SMALL_FIELDS]
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this checkout's charprod.
+
+    The timeout makes a hang fail the calling test instead of stalling it.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from charprod import charsets
+from charprod import charsets, sweeps
 from charprod.cli import main, parse_family, render_table
 from charprod.charsets import SignPair
-from helpers import field
+from helpers import field, run_python
 
 
 def test_eval_t13(capsys):
@@ -125,6 +125,22 @@ def test_verify_rejects_bad_suite(capsys):
     assert main(["verify", "--qmax", "9", "--suites", "nope"]) == 2
 
 
+def test_verify_refuses_a_range_above_the_scan_bound(monkeypatch, capsys):
+    # verify refuses the fields eval refuses, before any field is built
+    def no_field(p, n=1):
+        raise AssertionError(f"built the field {p}^{n}")
+
+    monkeypatch.setattr(sweeps, "mk_field", no_field)
+    assert main(["verify", "--qmin", "2147483647", "--qmax", "2147483647"]) == 2
+    assert f"above the scan bound {charsets.SCAN_LIMIT}" in capsys.readouterr().err
+    monkeypatch.undo()
+    # the bound itself is allowed
+    monkeypatch.setattr(charsets, "SCAN_LIMIT", 13)
+    assert main(["verify", "--qmin", "13", "--qmax", "13", "--suites", "intro"]) == 0
+    assert main(["verify", "--qmin", "13", "--qmax", "17", "--suites", "intro"]) == 2
+    assert "q_max=17 is above the scan bound 13" in capsys.readouterr().err
+
+
 def test_verify_workers(tmp_path):
     out = tmp_path / "par.jsonl"
     rc = main(["verify", "--qmax", "13", "--workers", "2",
@@ -178,18 +194,22 @@ def test_usage_errors_exit_two():
 
 def test_eval_never_imports_numpy():
     # eval scans with scalar arithmetic; numpy stays out of the process
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys; from charprod.cli import main; "
             "rc = main(['eval', 'T 2,1 1 --', '--p', '3', '--n', '2']); "
             "sys.exit(rc or ('numpy' in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60, env=env)
+    proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert "match: true" in proc.stdout
+
+
+@pytest.mark.parametrize("field_args", [["--p", "1000000000000000000000007"],
+                                        ["--p", "3", "--n", "100000000"]])
+def test_eval_rejects_oversized_fields_at_once(field_args):
+    # p and q are held against the machine bound before the trial division
+    # of p and without building p ** n; in a subprocess, so that a hang
+    # fails the test instead of stalling the suite
+    code = ("import sys; from charprod.cli import main; "
+            f"sys.exit(main(['eval', 'S1 0 +', *{field_args!r}]))")
+    proc = run_python(code)
+    assert proc.returncode == 2, proc.stderr
+    assert "exceeds the machine bound 2^31" in proc.stderr

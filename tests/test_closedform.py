@@ -75,14 +75,12 @@ def test_quadruple_rejects_equal_params():
 
 def test_frame_examples():
     f = normalized_frame(field(13), 0)
-    assert (f.j, f.k, f.l, f.r) == (0, 0, 4, 2)
+    assert (f.j, f.l, f.r) == (0, 4, 2)
     f = normalized_frame(field(7), INF)
     c7 = field(7)
-    assert (f.j, f.k, f.l, f.r) == (4, c7.neg(4), 0, c7.from_int(-2))
-    assert not f.tau_prime_defined and f.tau_prime == c7.minus_one
+    assert (f.j, f.l, f.r) == (4, 0, c7.from_int(-2))
     f = normalized_frame(c7, 5)
     assert (f.j, f.l, f.r) == (1, 3, 1)
-    assert f.tau_prime_defined
 
 
 def test_frame_relations_all_tau():
@@ -91,14 +89,7 @@ def test_frame_relations_all_tau():
         for tau in [INF] + [t for t in range(ctx.q) if t != ctx.minus_one]:
             f = normalized_frame(ctx, tau)
             assert ctx.add(f.j, f.l) == four
-            assert ctx.sub(f.l, f.k) == four
-            assert f.j == ctx.neg(f.k)
-            assert f.r == ctx.add(f.k, ctx.from_int(2)) == ctx.sub(f.l, ctx.from_int(2))
-            assert f.tau_prime == ctx.div(f.k, four)
-            if f.tau_prime_defined:
-                # chain tau = -tau'/(tau'+1)
-                tp1 = ctx.add(f.tau_prime, ctx.one)
-                assert ctx.neg(ctx.div(f.tau_prime, tp1)) == tau
+            assert f.r == ctx.sub(f.l, ctx.from_int(2))
 
 
 def test_frame_rejects_minus_one():

@@ -2,38 +2,31 @@ import pytest
 
 from charprod.closedform import rescale_T
 from charprod.ffield import mk_field
-from charprod.reciprocity import (TOWER_BASES, Sqrt2Classes, TowerSpec,
+from charprod.reciprocity import (TOWER_BASES, TowerSpec,
                                   prod_T_quadratic_irrational,
                                   radical_tower_membership,
-                                  special_angle_bracket, sqrt2_tower_class,
-                                  tower_congruences)
+                                  special_angle_bracket, tower_congruences)
 from charprod.sweeps import prime_powers
-from helpers import field
+from helpers import field, run_python
 
 
 def test_sqrt2_class_examples():
+    # level 1 of the sqrt2 tower is the class of 2 + sqrt2: a square
+    # exactly when q = +-1 (mod 16)
+    spec = TowerSpec("sqrt2", 2)
     c17 = field(17)
     assert c17.sqrt_canonical(2) == 6
-    assert sqrt2_tower_class(c17) == Sqrt2Classes(True, 1, -1)
+    assert radical_tower_membership(c17, spec) == [True, True, False]
     c7 = field(7)
     assert c7.sqrt_canonical(2) == 3
-    assert sqrt2_tower_class(c7) == Sqrt2Classes(True, -1, None)
-    assert sqrt2_tower_class(field(23)).class_2_plus_sqrt2 == -1
-    assert sqrt2_tower_class(field(13)) == Sqrt2Classes(False, None, None)
+    assert radical_tower_membership(c7, spec) == [True, False, False]
+    assert radical_tower_membership(field(23), spec) == [True, False, False]
+    assert radical_tower_membership(field(13), spec) == [False, False, False]
 
 
 def _run_optimized(code: str) -> list[str]:
     """Run code under ``python -O`` (asserts stripped); its stdout lines."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                          text=True, timeout=60, env=env)
+    proc = run_python(code, "-O")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -44,20 +37,20 @@ def test_sqrt2_class_check_survives_python_O():
     code = """
 import sys
 from charprod.ffield import IdentityFailure, mk_field
-from charprod.reciprocity import sqrt2_tower_class
+from charprod.reciprocity import TowerSpec, radical_tower_membership
 ctx = mk_field(7)
 two = ctx.from_int(2)
 bad = ctx.add(two, ctx.sqrt_canonical(two))
 real = ctx.legendre
 ctx.legendre = lambda a: -real(a) if a == bad else real(a)
 try:
-    print("returned", sqrt2_tower_class(ctx))
+    print("returned", radical_tower_membership(ctx, TowerSpec("sqrt2", 2)))
 except IdentityFailure as exc:
     print("raised", exc)
 print("optimize", sys.flags.optimize)
 """
     assert _run_optimized(code) == [
-        "raised 2+sqrt2 and 2-sqrt2 differ in class at q=7", "optimize 1"]
+        "raised square class depends on the root choice at q=7", "optimize 1"]
 
 
 def test_reciprocity_checks_survive_python_O():
@@ -94,7 +87,8 @@ print("optimize", sys.flags.optimize)
 def test_inconsistent_character_fails_rows_not_verify(monkeypatch, capsys):
     # chi(2) flipped at q = 17 after delta is cached: neither 2 nor 2/delta
     # reads as a square, so e2_sqrt(2) has no root; the reciprocity suite
-    # must report a failed row and verify must exit 1, not crash
+    # must report failed rows (the bracket and the 2 + sqrt2 class) and
+    # verify must exit 1, not crash
     from charprod import sweeps
     from charprod.cli import main
     from charprod.ffield import IdentityFailure
@@ -112,6 +106,7 @@ def test_inconsistent_character_fails_rows_not_verify(monkeypatch, capsys):
     rows = {r["case"]: r["actual"] for r in sweeps.suite_reciprocity(corrupted(17))}
     assert rows["special-angle[8]"] == \
         "failed: neither 2 nor 2/delta is a square at q=17"
+    assert rows["biquad-sqrt2"].startswith("failed:")
     monkeypatch.setattr(sweeps, "mk_field", corrupted)
     assert main(["verify", "--qmin", "17", "--qmax", "17",
                  "--suites", "reciprocity"]) == 1
