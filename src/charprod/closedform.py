@@ -9,11 +9,14 @@ at infinity (l = 0).  The linked quantities
     j = 4*tau/(tau+1)     l = 4/(tau+1)     r = l - 2 = 2 - j
     tau = j/l = (2-r)/(2+r)
 
-are carried in a NormalizedFrame.  The dispatch handles the special
-ratios tau in {0, inf, 1, 3, 1/3} first, then the all-square class, then
-the three mixed square classes via the deterministic square roots a1,
-a2, a3: Dickson values of r computed in F_q, so no choice of a unit u
-with u + 1/u = r, and no element of F_{q^2}, enters.
+are carried in a NormalizedFrame.  The dispatch is one decision on the
+square classes (chi(tau), chi(tau+1)): only tau = 0 and tau = inf, where
+chi(tau) or l vanishes, are special.  The all-square class reads its
+sign off 1 +/- sqrt(l)/2, and the three mixed classes use the
+deterministic square roots a1, a2, a3: Dickson values of r computed in
+F_q, so no choice of a unit u with u + 1/u = r, and no element of
+F_{q^2}, enters.  The paper's named corollaries (tau = 1, 3, 1/3, by q
+mod 8 and mod 12) are rows of these classes, not separate cases.
 
 S-products are served exclusively through T-products: S_{k,l}^{s1,s2}
 equals T_{-k,l}^{eps*s1, s2} as a set, eps the character of -1.
@@ -191,24 +194,12 @@ def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> DetRoot:
     return DetRoot(kind=case, value=val)
 
 
-def named_sqrts(ctx: FieldCtx, frame: NormalizedFrame, root: DetRoot) -> dict[str, int]:
-    """The square roots each case determines (keys name the radicand)."""
-    two = ctx.from_int(2)
-    if root.kind == "a1":
-        s = ctx.div(two, ctx.mul(root.value, frame.l))
-        return {"tau": s}
-    if root.kind == "a2":
-        return {"l": root.value, "tau+1": ctx.div(two, root.value)}
-    return {"j": root.value, "tau/(tau+1)": ctx.div(root.value, two)}
-
-
 def _sign_elem(ctx: FieldCtx, s: int) -> int:
     return ctx.one if s == 1 else ctx.minus_one
 
 
 def _specific_row(ctx: FieldCtx, frame: NormalizedFrame) -> Optional[dict[SignPair, int]]:
-    """Values for tau in {0, inf, 1, 3, 1/3}, or None."""
-    q = ctx.q
+    """Values for tau in {0, inf}, where chi(tau) or l vanishes, or None."""
     e = ctx.eps
     chi2 = ctx.legendre(ctx.from_int(2))
     el = ctx.from_int
@@ -224,24 +215,6 @@ def _specific_row(ctx: FieldCtx, frame: NormalizedFrame) -> Optional[dict[SignPa
     if frame.l == 0:  # tau = inf, (j,l) = (4,0)
         c = _sign_elem(ctx, e)
         return row(ctx.neg(ctx.div(c, el(4))), ctx.div(c, el(2)), ctx.one, el(2))
-    if frame.j == el(2) and frame.l == el(2):  # tau = 1
-        s_lo = _sign_elem(ctx, (-1) ** (q // 8))
-        s_hi = _sign_elem(ctx, (-1) ** ((q + 3) // 8))
-        if q % 8 in (1, 7):
-            return row(ctx.div(s_lo, el(8)), s_lo, s_hi, ctx.mul(s_hi, el(2)))
-        return row(s_lo, s_lo, s_hi, ctx.div(s_hi, el(4)))
-    if frame.j == el(3) and frame.l == el(1):  # tau = 3 (p != 3 here)
-        cm2 = _sign_elem(ctx, e * chi2)
-        c2 = _sign_elem(ctx, chi2)
-        if q % 12 in (1, 11):
-            return row(ctx.div(cm2, el(6)), cm2, c2, ctx.mul(c2, el(2)))
-        return row(ctx.neg(cm2), ctx.neg(ctx.mul(cm2, el(2))),
-                   ctx.neg(ctx.div(c2, el(6))), ctx.neg(c2))
-    if frame.j == el(1) and frame.l == el(3):  # tau = 1/3
-        ce = _sign_elem(ctx, e)
-        if q % 12 in (1, 11):
-            return row(ctx.div(ce, el(6)), ce, ctx.one, el(2))
-        return row(ce, ctx.div(ce, el(6)), ctx.neg(el(2)), ctx.minus_one)
     return None
 
 
@@ -277,27 +250,26 @@ def _all_square_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int
     return {sp: ctx.neg(v) for sp, v in vals.items()}
 
 
-_CLASS_ROOT = {(1, -1): ("a1", "tau"), (-1, 1): ("a2", "tau+1"),
-               (-1, -1): ("a3", "tau/(tau+1)")}
-
-
 def mixed_class_root(ctx: FieldCtx, frame: NormalizedFrame) -> int:
     """The root c behind the mixed square-class rows, built from det_sqrt.
 
-    c = chi(2) sqrt(tau) for case a1, chi(2) sqrt(tau+1) for a2 and
-    sqrt(tau/(tau+1)) for a3, each root the one its case determines.
+    c = chi(2) sqrt(tau) = chi(2) 2/(a1 l) for case a1, chi(2) sqrt(tau+1)
+    = chi(2) 2/a2 for a2 and sqrt(tau/(tau+1)) = a3/2 for a3.
     """
     cls = None if isinstance(frame.tau, _Infinity) else square_classes(ctx, frame.tau)
-    if cls not in _CLASS_ROOT:
+    case = next((k for k, v in _CASE_CLASS.items() if v == cls), None)
+    if case is None:
         raise ValueError(f"tau={tau_str(frame.tau, ctx)} is in no mixed square class")
-    case, radicand = _CLASS_ROOT[cls]
-    c = named_sqrts(ctx, frame, det_sqrt(ctx, frame, case))[radicand]
-    if case == "a3" or ctx.legendre(ctx.from_int(2)) == 1:
-        return c
-    return ctx.neg(c)
+    a = det_sqrt(ctx, frame, case).value
+    two = ctx.from_int(2)
+    if case == "a3":
+        return ctx.div(a, two)
+    c = ctx.div(two, a if case == "a2" else ctx.mul(a, frame.l))
+    return c if ctx.legendre(two) == 1 else ctx.neg(c)
 
 
-def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int]:
+def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame,
+                     cls: tuple[int, int]) -> dict[SignPair, int]:
     """Rows for the three square-class patterns with a nonsquare present."""
     el = ctx.from_int
     two = el(2)
@@ -305,7 +277,6 @@ def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, in
     tau1 = ctx.add(tau, ctx.one)
     ce = _sign_elem(ctx, ctx.eps)
     c = mixed_class_root(ctx, frame)
-    cls = square_classes(ctx, tau)
     if cls == (1, -1):
         return {
             SignPair(1, 1): ctx.neg(ctx.div(tau1, ctx.mul(two, c))),
@@ -334,9 +305,10 @@ def prod_T_values(ctx: FieldCtx, j: int, l: int) -> dict[SignPair, int]:
     vals = _specific_row(ctx, frame)
     if vals is not None:
         return vals
-    if square_classes(ctx, frame.tau) == (1, 1):
+    cls = square_classes(ctx, frame.tau)
+    if cls == (1, 1):
         return _all_square_row(ctx, frame)
-    return _mixed_class_row(ctx, frame)
+    return _mixed_class_row(ctx, frame, cls)
 
 
 def prod_T_closed(ctx: FieldCtx, j: int, l: int, signs) -> int:

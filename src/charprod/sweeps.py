@@ -53,9 +53,6 @@ class SweepConfig:
         if self.q_max > charsets.SCAN_LIMIT:  # the oracle scans every element
             raise ValueError(f"q_max={self.q_max} is above the scan bound "
                              f"{charsets.SCAN_LIMIT}")
-        if not prime_powers(self.q_min, self.q_max, self.max_degree):
-            raise ValueError(f"no odd prime power in [{self.q_min}, {self.q_max}]"
-                             f" with max_degree={self.max_degree}")
 
 
 def prime_powers(q_min: int, q_max: int,
@@ -377,15 +374,19 @@ def run_verify(config: SweepConfig, stream=None) -> int:
     """Run the sweep, emit JSON lines, return the exit code (0 iff clean)."""
     config.validate()
     fields = prime_powers(config.q_min, config.q_max, config.max_degree)
+    if not fields:
+        raise ValueError(f"no odd prime power in [{config.q_min}, {config.q_max}]"
+                         f" with max_degree={config.max_degree}")
     mismatches = 0
     with contextlib.ExitStack() as stack:
         if stream is None:
             stream = (stack.enter_context(open(config.report_path, "w", encoding="utf-8"))
                       if config.report_path else sys.stdout)
         mapper = map
-        if config.workers > 1:
-            mapper = stack.enter_context(
-                ProcessPoolExecutor(max_workers=config.workers)).map
+        # the pool forks all its workers at once, so ask for no idle ones
+        workers = min(config.workers, len(fields))
+        if workers > 1:
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         ps, ns = [p for _, p, _ in fields], [n for _, _, n in fields]
         # chain drops each field's rows before the next field runs
         for row in itertools.chain.from_iterable(

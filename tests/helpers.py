@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from charprod.charsets import SignPair
 from charprod.ffield import Ext2Elem, first_of_order, mk_field, power
 
 # small fields exercised by most unit tests; mixes residue classes mod 4/8/12
@@ -142,3 +143,45 @@ def poly_eval(ctx, f, x):
     for c in reversed(f):
         acc = ctx.add(ctx.mul(acc, x), c)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the paper's named ratios tau = 1, 3, 1/3 by q mod 8 and mod 12: the
+# reference for the square-class rows, which serve these tau in the library
+# ---------------------------------------------------------------------------
+
+def named_ratio_row(ctx, tau):
+    """All four T-products at tau in {1, 3, 1/3}, by q mod 8 or q mod 12."""
+    q = ctx.q
+    e = ctx.eps
+    chi2 = ctx.legendre(ctx.from_int(2))
+    el = ctx.from_int
+
+    def sign(s):
+        return ctx.one if s == 1 else ctx.minus_one
+
+    def row(pp, pm, mp, mm):
+        return {SignPair(1, 1): pp, SignPair(1, -1): pm,
+                SignPair(-1, 1): mp, SignPair(-1, -1): mm}
+
+    if tau == ctx.one:
+        s_lo = sign((-1) ** (q // 8))
+        s_hi = sign((-1) ** ((q + 3) // 8))
+        if q % 8 in (1, 7):
+            return row(ctx.div(s_lo, el(8)), s_lo, s_hi, ctx.mul(s_hi, el(2)))
+        return row(s_lo, s_lo, s_hi, ctx.div(s_hi, el(4)))
+    if ctx.p == 3:
+        raise ValueError("tau = 3 and 1/3 need p != 3")
+    if tau == el(3):
+        cm2 = sign(e * chi2)
+        c2 = sign(chi2)
+        if q % 12 in (1, 11):
+            return row(ctx.div(cm2, el(6)), cm2, c2, ctx.mul(c2, el(2)))
+        return row(ctx.neg(cm2), ctx.neg(ctx.mul(cm2, el(2))),
+                   ctx.neg(ctx.div(c2, el(6))), ctx.neg(c2))
+    if tau == ctx.inv(el(3)):
+        ce = sign(e)
+        if q % 12 in (1, 11):
+            return row(ctx.div(ce, el(6)), ce, ctx.one, el(2))
+        return row(ce, ctx.div(ce, el(6)), ctx.neg(el(2)), ctx.minus_one)
+    raise ValueError("tau must be 1, 3 or 1/3")

@@ -85,12 +85,56 @@ def test_parse_family_shapes():
         parse_family(ctx, "")
 
 
-def test_verify_empty_range(capsys):
+def test_verify_empty_range(capsys, tmp_path):
     # a range without a single field would run zero checks and "pass"
     for qmin, qmax in (("50", "40"), ("10", "5"), ("4", "4")):
         assert main(["verify", "--qmin", qmin, "--qmax", qmax]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "no odd prime power" in captured.err
+    # the range is refused before --out is opened
+    out = tmp_path / "report.jsonl"
+    assert main(["verify", "--qmin", "50", "--qmax", "40", "--out", str(out)]) == 2
+    assert "no odd prime power" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_enumerates_the_range_once(monkeypatch):
+    calls = []
+    real = sweeps.prime_powers
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sweeps, "prime_powers", counted)
+    assert main(["verify", "--qmax", "13", "--suites", "intro"]) == 0
+    assert main(["verify", "--qmin", "50", "--qmax", "40"]) == 2
+    assert calls == [(3, 13, 3), (50, 40, 3)]
+
+
+def test_verify_pool_never_exceeds_the_field_count(monkeypatch, capsys):
+    # a fake pool records its size and maps in-process: no process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FakePool)
+    assert main(["verify", "--qmax", "13", "--workers", "64", "--suites", "intro"]) == 0
+    assert sizes == [6]  # q = 3, 5, 7, 9, 11, 13
+    assert main(["verify", "--qmin", "13", "--qmax", "13", "--workers", "64",
+                 "--suites", "intro"]) == 0
+    assert sizes == [6]  # one field runs without a pool
 
 
 def test_verify_small_range_report_roundtrip(tmp_path):

@@ -6,13 +6,12 @@ from charprod.charsets import (SIGN_PAIRS, SignPair, a_family, brute_product,
                                s1_family, s_family, t_family)
 from charprod.closedform import (INF, all_square_class, closed_product,
                                  det_sqrt, frame_from_pair, mixed_class_root,
-                                 named_sqrts, normalized_frame, prod_S_closed,
+                                 normalized_frame, prod_S_closed,
                                  prod_S_single, prod_T_closed, prod_T_values,
-                                 quadruple_from_one, rescale_T, swap_T,
-                                 _all_square_row, _mixed_class_row)
+                                 quadruple_from_one, rescale_T, swap_T)
 from charprod.ffield import IdentityFailure, mk_field
 from helpers import (det_root_ext2, e2_div, e2_pow, ext2_solve_unit, field,
-                     small_ctxs)
+                     named_ratio_row, small_ctxs)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +111,7 @@ def test_det_sqrt_examples_q7():
     fr = normalized_frame(c7, 2)
     r1 = det_sqrt(c7, fr, "a1")
     assert r1.value == 4
-    assert named_sqrts(c7, fr, r1)["tau"] == 3  # 3^2 = 2 = tau
+    assert mixed_class_root(c7, fr) == 3  # 3^2 = 2 = tau, and chi(2) = 1
 
 
 def test_det_sqrt_case_mismatch():
@@ -142,21 +141,14 @@ def test_det_sqrt_named_roots_square_correctly():
             if case is None:
                 continue
             frame = normalized_frame(ctx, tau)
-            root = det_sqrt(ctx, frame, case)
-            named = named_sqrts(ctx, frame, root)
+            det_sqrt(ctx, frame, case)  # raises unless it squares correctly
             c = mixed_class_root(ctx, frame)
             if case == "a1":
-                assert ctx.mul(named["tau"], named["tau"]) == tau
                 assert ctx.mul(c, c) == tau
             elif case == "a2":
-                s = named["tau+1"]
-                assert ctx.mul(s, s) == ctx.add(tau, ctx.one)
                 assert ctx.mul(c, c) == ctx.add(tau, ctx.one)
             else:
-                s = named["tau/(tau+1)"]
-                want = ctx.div(tau, ctx.add(tau, ctx.one))
-                assert ctx.mul(s, s) == want
-                assert ctx.mul(c, c) == want
+                assert ctx.mul(c, c) == ctx.div(tau, ctx.add(tau, ctx.one))
 
 
 def test_det_sqrt_reciprocal_invariance():
@@ -204,21 +196,22 @@ def test_master_small_sweep():
                 assert vals[sp] == want, (ctx.q, tau, sp)
 
 
-def test_overlap_specific_vs_class_rows():
-    # where a named tau is also covered by a square-class row, both give
-    # the same values
+def test_named_ratio_rows_match_oracle_and_dispatch():
+    # the paper's q mod 8 / mod 12 rows at tau = 1, 3, 1/3 are served by
+    # the square-class rows; SMALL_FIELDS has every unit residue mod 24
+    checked = set()
     for ctx in small_ctxs():
-        for tau in (ctx.one, ctx.from_int(3), ctx.inv(ctx.from_int(3)) if ctx.p != 3 else None):
-            if tau in (None, 0, ctx.minus_one):
-                continue
+        taus = [ctx.one] if ctx.p == 3 else [ctx.one, ctx.from_int(3),
+                                             ctx.inv(ctx.from_int(3))]
+        for tau in taus:
             frame = normalized_frame(ctx, tau)
-            cls = (ctx.legendre(tau), ctx.legendre(ctx.add(tau, ctx.one)))
-            specific = prod_T_values(ctx, frame.j, frame.l)
-            if cls == (1, 1):
-                alt = _all_square_row(ctx, frame)
-            else:
-                alt = _mixed_class_row(ctx, frame)
-            assert specific == alt, (ctx.q, tau)
+            want = named_ratio_row(ctx, tau)
+            assert prod_T_values(ctx, frame.j, frame.l) == want, (ctx.q, tau)
+            for sp in SIGN_PAIRS:
+                fam = t_family(frame.j, frame.l, sp)
+                assert brute_product(ctx, fam).value == want[sp], (ctx.q, tau, sp)
+        checked.add(ctx.q % 24)
+    assert {1, 5, 7, 11, 13, 17, 19, 23} <= checked
 
 
 def test_mixed_class_products_square_to_targets():
