@@ -10,13 +10,19 @@ Four kinds of family over F_q (signs are +1/-1, written +/- in text):
 chi is the quadratic character; a chi value of 0 never matches a sign.
 ``brute_product`` multiplies the members found by a full scan of the
 field.  It is the oracle every closed formula in this package is tested
-against, so it deliberately takes no shortcuts.  On a field without
-tables the scan reads chi from ``square_table``, built by squaring every
-unit, so it shares no chi arithmetic with ``FieldCtx.legendre`` (Euler's
-criterion, which the closed side uses).  The table takes q bytes, so
-fields above ``SCAN_LIMIT`` = 2^26 elements are refused.  ``card_closed``
-is the closed-form cardinality (never enumerates); it and the all-pairs
-array form ``card_grid`` share one formula, ``_pair_card``.
+against, so it deliberately takes no shortcuts: every member is
+multiplied in.  Only the order is free, as a product does not depend on
+it.  With tables, a prime field's members are folded by halving in int64
+and the last ``_FOLD_TAIL`` go through ``ctx.mul``; an extension field's
+members go through ``ctx.mul`` unsorted.  ``enumerate_family`` lists
+members in canonical order, and both read one mask builder.  On a field
+without tables the scan reads chi from ``square_table``, built by
+squaring every unit, so it shares no chi arithmetic with
+``FieldCtx.legendre`` (Euler's criterion, which the closed side uses).
+The table takes q bytes, so fields above ``SCAN_LIMIT`` = 2^26 elements
+are refused.  ``card_closed`` is the closed-form cardinality (never
+enumerates); it and the all-pairs array form ``card_grid`` share one
+formula, ``_pair_card``.
 """
 
 from __future__ import annotations
@@ -157,9 +163,8 @@ def _scan_scalar(ctx: FieldCtx, fam: SetFamily) -> list[int]:
     return out
 
 
-def _scan_vector(ctx: FieldCtx, fam: SetFamily) -> list[int]:
-    import numpy as np
-
+def _mask(ctx: FieldCtx, fam: SetFamily):
+    """Boolean numpy vector over all a, true exactly at the members of fam."""
     shifted = ctx.tables().shifted
     if fam.kind == "S1":
         (k,), e = fam.params, fam.signs
@@ -173,14 +178,21 @@ def _scan_vector(ctx: FieldCtx, fam: SetFamily) -> list[int]:
         mask = (shifted(ctx.neg(j)) == ctx.eps * e1) & (shifted(l) == e2)
     if fam.kind != "A":
         mask[0] = False
-    return np.nonzero(mask)[0].tolist()
+    return mask
+
+
+def _scan_vector(ctx: FieldCtx, fam: SetFamily) -> list[int]:
+    import numpy as np
+
+    return np.flatnonzero(_mask(ctx, fam)).tolist()
 
 
 def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
     """Exact member list by scanning the whole field, canonically sorted.
 
     Compares whole shifted character vectors (``FieldTables.shifted``) when
-    the context has built its tables.  Otherwise it tests one element at a
+    the context has built its tables; ``brute_product`` reads the same mask
+    but skips the list and the sort.  Otherwise it tests one element at a
     time against ``square_table`` and raises ValueError above
     ``SCAN_LIMIT``.  Both visit every element.
     """
@@ -192,13 +204,38 @@ def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
     return members
 
 
+# members left to the scalar ctx.mul loop once int64 halving has folded the rest
+_FOLD_TAIL = 64
+
+
 def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
-    """Oracle product over the enumerated members (empty product is 1)."""
-    members = enumerate_family(ctx, fam)
+    """Oracle product over the members of fam (empty product is 1).
+
+    The product does not depend on the order of the members, so with tables
+    the member codes stay a numpy index array, unsorted.  For n = 1 they are
+    folded by halving, x[:h] * x[h:2h] % p in int64 (exact, as p < 2^31),
+    until ``_FOLD_TAIL`` remain; ``ctx.mul`` multiplies what is left, and
+    every member for n > 1.  Without tables the sorted members of
+    ``enumerate_family`` go through the same ``ctx.mul`` loop.
+    """
+    if ctx._tables is None:
+        members = enumerate_family(ctx, fam)
+        count = len(members)
+    else:
+        import numpy as np
+
+        fam.validate(ctx)
+        x = np.flatnonzero(_mask(ctx, fam)).astype(np.int64, copy=False)
+        count = len(x)
+        if ctx.n == 1:
+            while len(x) > _FOLD_TAIL:
+                h = len(x) // 2
+                x = np.concatenate((x[:h] * x[h:2 * h] % ctx.p, x[2 * h:]))
+        members = x.tolist()
     value = ctx.one
     for a in members:
         value = ctx.mul(value, a)
-    return ProductReport(value=value, cardinality=len(members))
+    return ProductReport(value=value, cardinality=count)
 
 
 def _pair_card(ctx: FieldCtx, kind: str, signs, nu, ck, cl):

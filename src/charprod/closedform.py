@@ -157,6 +157,7 @@ class DetRoot:
 
 
 _CASE_CLASS = {"a1": (1, -1), "a2": (-1, 1), "a3": (-1, -1)}
+_CLASS_CASE = {cls: case for case, cls in _CASE_CLASS.items()}
 
 
 def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> DetRoot:
@@ -175,7 +176,11 @@ def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> DetRoot:
     cls = square_classes(ctx, frame.tau)
     if cls != _CASE_CLASS[case]:
         raise ValueError(f"square classes {cls} do not match case {case}")
+    return DetRoot(kind=case, value=_det_value(ctx, frame, case))
 
+
+def _det_value(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> int:
+    """det_sqrt's value for a frame whose square class is already read."""
     r = frame.r
     dm, dm1 = dickson_values(ctx, ctx.m, r)
     if case == "a1":
@@ -191,7 +196,7 @@ def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> DetRoot:
     if ctx.mul(val, val) != want:
         raise IdentityFailure(
             f"square identity for the det root {case} failed at q={ctx.q}")
-    return DetRoot(kind=case, value=val)
+    return val
 
 
 def _sign_elem(ctx: FieldCtx, s: int) -> int:
@@ -227,6 +232,11 @@ def all_square_class(ctx: FieldCtx, frame: NormalizedFrame) -> int:
     """
     if isinstance(frame.tau, _Infinity) or square_classes(ctx, frame.tau) != (1, 1):
         raise ValueError("tau and tau+1 must both be nonzero squares")
+    return _all_square_sign(ctx, frame)
+
+
+def _all_square_sign(ctx: FieldCtx, frame: NormalizedFrame) -> int:
+    """all_square_class for a frame whose square class is already read."""
     half = ctx.inv(ctx.from_int(2))
     rt = ctx.sqrt_canonical(frame.l)
     if rt is None:  # l = 4/(tau+1) is a square whenever tau+1 is
@@ -245,7 +255,7 @@ def _all_square_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int
     jl2 = ctx.mul(el(2), ctx.mul(frame.j, frame.l))
     vals = {SignPair(1, 1): ctx.div(ce, jl2), SignPair(1, -1): ce,
             SignPair(-1, 1): ctx.one, SignPair(-1, -1): el(2)}
-    if all_square_class(ctx, frame) == 1:
+    if _all_square_sign(ctx, frame) == 1:
         return vals
     return {sp: ctx.neg(v) for sp, v in vals.items()}
 
@@ -257,10 +267,14 @@ def mixed_class_root(ctx: FieldCtx, frame: NormalizedFrame) -> int:
     = chi(2) 2/a2 for a2 and sqrt(tau/(tau+1)) = a3/2 for a3.
     """
     cls = None if isinstance(frame.tau, _Infinity) else square_classes(ctx, frame.tau)
-    case = next((k for k, v in _CASE_CLASS.items() if v == cls), None)
-    if case is None:
+    if cls not in _CLASS_CASE:
         raise ValueError(f"tau={tau_str(frame.tau, ctx)} is in no mixed square class")
-    a = det_sqrt(ctx, frame, case).value
+    return _mixed_root(ctx, frame, _CLASS_CASE[cls])
+
+
+def _mixed_root(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> int:
+    """mixed_class_root for a frame whose square class is already read."""
+    a = _det_value(ctx, frame, case)
     two = ctx.from_int(2)
     if case == "a3":
         return ctx.div(a, two)
@@ -276,7 +290,7 @@ def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame,
     tau = frame.tau
     tau1 = ctx.add(tau, ctx.one)
     ce = _sign_elem(ctx, ctx.eps)
-    c = mixed_class_root(ctx, frame)
+    c = _mixed_root(ctx, frame, _CLASS_CASE[cls])
     if cls == (1, -1):
         return {
             SignPair(1, 1): ctx.neg(ctx.div(tau1, ctx.mul(two, c))),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 from . import charsets, closedform, correspondence, dickson, reciprocity
 from .charsets import SIGN_PAIRS, sign_str
 from .closedform import INF, tau_str
-from .ffield import FieldCtx, IdentityFailure, mk_field, prime_power
+from .ffield import FieldCtx, IdentityFailure, mk_field
 
 ALL_SUITES = ("tables", "dickson", "cardinality", "correspondence",
               "reciprocity", "rescaling", "intro")
@@ -57,18 +58,31 @@ class SweepConfig:
 
 def prime_powers(q_min: int, q_max: int,
                  max_degree: int | None = None) -> list[tuple[int, int, int]]:
-    """Odd prime powers q in [q_min, q_max] as (q, p, n), ordered by q."""
-    out = []
-    for q in range(max(3, q_min), q_max + 1):
-        if q % 2 == 0:
-            continue
-        pp = prime_power(q)
-        if pp is None:
-            continue
-        p, n = pp
-        if max_degree is not None and n > max_degree:
-            continue
-        out.append((q, p, n))
+    """Odd prime powers q in [q_min, q_max] as (q, p, n), ordered by q.
+
+    Sieves the primes up to sqrt(q_max), then the window [q_min, q_max]
+    with them, so memory is O(q_max - q_min + sqrt(q_max)) bytes.
+    """
+    lo = max(3, q_min)
+    if q_max < lo or (max_degree is not None and max_degree < 1):
+        return []
+    root = math.isqrt(q_max)
+    small = bytearray([1]) * (root + 1)  # small[i] == 1: i is 0, 1 or prime
+    window = bytearray([1]) * (q_max - lo + 1)  # window[i] == 1: lo + i is prime
+    for p in range(2, root + 1):
+        if small[p]:
+            small[p * p::p] = bytes(len(range(p * p, root + 1, p)))
+            first = max(p * p, -(-lo // p) * p) - lo
+            window[first::p] = bytes(len(range(first, len(window), p)))
+    out = [(q, q, 1) for q in itertools.compress(range(lo, q_max + 1), window)]
+    for p in range(3, root + 1):
+        if small[p]:
+            q, n = p * p, 2
+            while q <= q_max and (max_degree is None or n <= max_degree):
+                if q >= lo:
+                    out.append((q, p, n))
+                q, n = q * p, n + 1
+    out.sort()
     return out
 
 

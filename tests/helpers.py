@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from charprod.charsets import SignPair
+from charprod.charsets import (SIGN_PAIRS, ProductReport, SignPair, a_family,
+                               enumerate_family, s1_family, s_family, t_family)
 from charprod.ffield import Ext2Elem, first_of_order, mk_field, power
 
 # small fields exercised by most unit tests; mixes residue classes mod 4/8/12
@@ -35,6 +36,31 @@ def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
                           text=True, timeout=60, env=env)
+
+
+def product_reference(ctx, fam):
+    """brute_product by the sorted members of enumerate_family, one at a
+    time with ctx._mul_poly, so the multiplication reads no table."""
+    members = enumerate_family(ctx, fam)
+    value = ctx.one
+    for a in members:
+        value = ctx._mul_poly(value, a)
+    return ProductReport(value=value, cardinality=len(members))
+
+
+def all_families(ctx):
+    """Every valid A/S/S1/T family of a field."""
+    q = ctx.q
+    for k in range(q):
+        for e in (1, -1):
+            yield s1_family(k, e)
+        for l in range(q):
+            for sp in SIGN_PAIRS:
+                if k != l:
+                    yield a_family(k, l, sp)
+                    yield s_family(k, l, sp)
+                if ctx.add(k, l) != 0:
+                    yield t_family(k, l, sp)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from charprod.charsets import (SIGN_PAIRS, SetFamily, SignPair, a_family,
                                square_table, t_family, vanishing_poly)
 from charprod.dickson import dickson_first, dickson_second
 from charprod.ffield import mk_field
-from helpers import SMALL_FIELDS, field, small_ctxs
+from helpers import (SMALL_FIELDS, all_families, field, product_reference,
+                     small_ctxs)
 
 
 def test_enumerate_examples():
@@ -238,6 +239,35 @@ def test_scalar_and_vector_scans_agree():
                 vec = charsets._scan_vector(ctx, fam)
                 sca = charsets._scan_scalar(ctx, fam)
                 assert vec == sca
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS)
+def test_brute_product_matches_reference_on_every_small_family(p, n):
+    ctx = field(p, n)
+    for fam in all_families(ctx):
+        assert brute_product(ctx, fam) == product_reference(ctx, fam), (ctx.q, fam)
+
+
+def test_brute_product_matches_reference_on_sampled_families():
+    # member counts around q/4 (A, S, T) and q/2 (S1) fall on both sides of
+    # the 64 members that int64 halving leaves to the ctx.mul loop at n = 1
+    rng = random.Random(41)
+    counts = []
+    for ctx in [field(131), field(257), field(4093), field(13, 3)]:
+        for _ in range(24):
+            k, l = rng.randrange(ctx.q), rng.randrange(ctx.q)
+            sp = SIGN_PAIRS[rng.randrange(4)]
+            fam = rng.choice([s1_family(k, sp.e1), a_family(k, l, sp),
+                              s_family(k, l, sp), t_family(k, l, sp)])
+            try:
+                fam.validate(ctx)
+            except ValueError:
+                continue
+            want = product_reference(ctx, fam)
+            assert brute_product(ctx, fam) == want, (ctx.q, fam)
+            counts.append((ctx.n, want.cardinality))
+    assert {c > 64 for n, c in counts if n == 1} == {False, True}
+    assert any(n == 3 for n, c in counts)
 
 
 @pytest.mark.parametrize("p, n", SMALL_FIELDS + [(4099, 1), (17, 3)])

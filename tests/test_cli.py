@@ -5,6 +5,7 @@ import pytest
 from charprod import charsets, sweeps
 from charprod.cli import main, parse_family, render_table
 from charprod.charsets import SignPair
+from charprod.ffield import prime_power
 from helpers import field, run_python
 
 
@@ -110,6 +111,22 @@ def test_verify_enumerates_the_range_once(monkeypatch):
     assert main(["verify", "--qmax", "13", "--suites", "intro"]) == 0
     assert main(["verify", "--qmin", "50", "--qmax", "40"]) == 2
     assert calls == [(3, 13, 3), (50, 40, 3)]
+
+
+@pytest.mark.parametrize("max_degree", [None, 1, 3])
+def test_prime_powers_sieve_matches_factorization(max_degree):
+    def reference(q_min, q_max):
+        out = []
+        for q in range(max(3, q_min), q_max + 1):
+            pp = prime_power(q) if q % 2 else None
+            if pp is not None and (max_degree is None or pp[1] <= max_degree):
+                out.append((q, *pp))
+        return out
+
+    assert sweeps.prime_powers(3, 20000, max_degree) == reference(3, 20000)
+    for q_min, q_max in [(0, 2), (3, 3), (9, 9), (10, 10), (2187, 2197),
+                         (4093, 4093), (19000, 19700)]:
+        assert sweeps.prime_powers(q_min, q_max, max_degree) == reference(q_min, q_max)
 
 
 def test_verify_pool_never_exceeds_the_field_count(monkeypatch, capsys):

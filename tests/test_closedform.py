@@ -196,6 +196,28 @@ def test_master_small_sweep():
                 assert vals[sp] == want, (ctx.q, tau, sp)
 
 
+def test_prod_T_values_reads_the_square_class_once(monkeypatch):
+    # one (chi(tau), chi(tau + 1)) read per tau off {0, inf}: the class rows
+    # take the class they are given, the public root entry points re-check
+    from charprod import closedform
+
+    reads = []
+
+    def counted(ctx, tau):
+        reads.append(tau)
+        return real(ctx, tau)
+
+    real = closedform.square_classes
+    monkeypatch.setattr(closedform, "square_classes", counted)
+    for ctx in [field(13), field(3, 3)]:
+        taus = [t for t in range(1, ctx.q) if t != ctx.minus_one]
+        reads.clear()
+        for tau in taus:
+            f = normalized_frame(ctx, tau)
+            prod_T_values(ctx, f.j, f.l)
+        assert reads == taus, ctx.q
+
+
 def test_named_ratio_rows_match_oracle_and_dispatch():
     # the paper's q mod 8 / mod 12 rows at tau = 1, 3, 1/3 are served by
     # the square-class rows; SMALL_FIELDS has every unit residue mod 24
