@@ -10,10 +10,10 @@ from .charsets import (SIGN_PAIRS, ProductReport, SetFamily, SignPair,
                        a_family, brute_product, card_closed, card_grid,
                        enumerate_family, s1_family, s_family, t_family,
                        vanishing_poly)
-from .closedform import (INF, DetRoot, NormalizedFrame, closed_product,
-                         det_sqrt, normalized_frame, prod_S_closed,
-                         prod_S_single, prod_T_closed, quadruple_from_one,
-                         rescale_T, swap_T)
+from .closedform import (INF, NormalizedFrame, closed_product, det_sqrt,
+                         normalized_frame, prod_S_closed, prod_S_single,
+                         prod_T_closed, quadruple_from_one, rescale_T,
+                         swap_T)
 from .correspondence import (Orbit, classify_tau, orbit_count_card,
                              orbit_of_tau, tau_of_orbit)
 from .dickson import dickson_first, dickson_second
@@ -25,7 +25,7 @@ from .sweeps import ALL_SUITES, SweepConfig, run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_SUITES", "DetRoot", "Ext2Elem", "FieldCtx", "FieldError", "INF",
+    "ALL_SUITES", "Ext2Elem", "FieldCtx", "FieldError", "INF",
     "IdentityFailure", "NormalizedFrame", "Orbit", "ProductReport",
     "SIGN_PAIRS", "SetFamily", "SignPair", "SweepConfig", "TowerSpec",
     "a_family", "brute_product", "card_closed", "card_grid", "classify_tau",

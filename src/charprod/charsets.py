@@ -215,16 +215,16 @@ def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
     the member codes stay a numpy index array, unsorted.  For n = 1 they are
     folded by halving, x[:h] * x[h:2h] % p in int64 (exact, as p < 2^31),
     until ``_FOLD_TAIL`` remain; ``ctx.mul`` multiplies what is left, and
-    every member for n > 1.  Without tables the sorted members of
-    ``enumerate_family`` go through the same ``ctx.mul`` loop.
+    every member for n > 1.  Without tables the members of ``_scan_scalar``
+    go through the same ``ctx.mul`` loop, unsorted as well.
     """
+    fam.validate(ctx)
     if ctx._tables is None:
-        members = enumerate_family(ctx, fam)
+        members = _scan_scalar(ctx, fam)
         count = len(members)
     else:
         import numpy as np
 
-        fam.validate(ctx)
         x = np.flatnonzero(_mask(ctx, fam)).astype(np.int64, copy=False)
         count = len(x)
         if ctx.n == 1:

@@ -9,14 +9,16 @@ at infinity (l = 0).  The linked quantities
     j = 4*tau/(tau+1)     l = 4/(tau+1)     r = l - 2 = 2 - j
     tau = j/l = (2-r)/(2+r)
 
-are carried in a NormalizedFrame.  The dispatch is one decision on the
-square classes (chi(tau), chi(tau+1)): only tau = 0 and tau = inf, where
-chi(tau) or l vanishes, are special.  The all-square class reads its
-sign off 1 +/- sqrt(l)/2, and the three mixed classes use the
-deterministic square roots a1, a2, a3: Dickson values of r computed in
-F_q, so no choice of a unit u with u + 1/u = r, and no element of
-F_{q^2}, enters.  The paper's named corollaries (tau = 1, 3, 1/3, by q
-mod 8 and mod 12) are rows of these classes, not separate cases.
+are carried in a NormalizedFrame, together with the square class
+cls = (chi(tau), chi(tau+1)), read once when the frame is built.  The
+dispatch is one decision on cls: only tau = 0 and tau = inf, where
+chi(tau) or l vanishes, are special.  Each root below checks the class
+it needs by one comparison on cls.  The all-square class reads its sign
+off 1 +/- sqrt(l)/2, and the three mixed classes use the deterministic
+square roots a1, a2, a3 (det_sqrt): Dickson values of r computed in F_q,
+so no choice of a unit u with u + 1/u = r, and no element of F_{q^2},
+enters.  The paper's named corollaries (tau = 1, 3, 1/3, by q mod 8 and
+mod 12) are rows of these classes, not separate cases.
 
 S-products are served exclusively through T-products: S_{k,l}^{s1,s2}
 equals T_{-k,l}^{eps*s1, s2} as a set, eps the character of -1.
@@ -54,30 +56,33 @@ def tau_str(tau: ProjTau, ctx: Optional[FieldCtx] = None) -> str:
 
 @dataclass(frozen=True)
 class NormalizedFrame:
-    """tau together with the linked normalized parameters."""
+    """tau together with the linked normalized parameters and its square class.
+
+    cls is (chi(tau), chi(tau+1)): None at tau = inf and (0, 1) at tau = 0.
+    """
 
     tau: ProjTau
     j: int
     l: int
     r: int
+    cls: Optional[tuple[int, int]]
 
 
 def normalized_frame(ctx: FieldCtx, tau: ProjTau) -> NormalizedFrame:
-    """Compute (j, l, r) for a ratio tau != -1."""
+    """Compute (j, l, r) and the square class for a ratio tau != -1."""
     four = ctx.from_int(4)
     if isinstance(tau, _Infinity):
-        return NormalizedFrame(tau=INF, j=four, l=0, r=ctx.from_int(-2))
+        return NormalizedFrame(tau=INF, j=four, l=0, r=ctx.from_int(-2), cls=None)
     if tau == ctx.minus_one:
         raise ValueError("tau = -1 is excluded")
     den = ctx.add(tau, ctx.one)
     l = ctx.div(four, den)
     j = ctx.mul(tau, l)
     r = ctx.sub(l, ctx.from_int(2))
-    frame = NormalizedFrame(tau=tau, j=j, l=l, r=r)
     # round-trip tau = (2-r)/(2+r); 2+r = l is nonzero here
     if ctx.div(ctx.sub(ctx.from_int(2), r), l) != tau:
         raise IdentityFailure(f"tau = (2-r)/(2+r) fails at q={ctx.q}")
-    return frame
+    return NormalizedFrame(tau=tau, j=j, l=l, r=r, cls=square_classes(ctx, tau))
 
 
 def frame_from_pair(ctx: FieldCtx, j: int, l: int) -> NormalizedFrame:
@@ -148,20 +153,12 @@ def quadruple_from_one(ctx: FieldCtx, k: int, l: int,
     return out
 
 
-@dataclass(frozen=True)
-class DetRoot:
-    """One of the branch-free square roots a1, a2, a3."""
-
-    kind: str
-    value: int
-
-
 _CASE_CLASS = {"a1": (1, -1), "a2": (-1, 1), "a3": (-1, -1)}
 _CLASS_CASE = {cls: case for case, cls in _CASE_CLASS.items()}
 
 
-def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> DetRoot:
-    """Deterministic square-root quantity for the given square-class case.
+def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> int:
+    """Deterministic square root a1, a2 or a3 for the frame's square class.
 
     a1 = (u^m - u^-m)/(u - 1/u), a2 = <u^m>, a3 = <(-u)^m>, where r = <u>
     and m = (q - eps)/4.  As Dickson values of r they are computed in F_q,
@@ -171,18 +168,10 @@ def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> DetRoot:
     """
     if case not in _CASE_CLASS:
         raise ValueError(f"unknown case {case!r}")
-    if isinstance(frame.tau, _Infinity) or frame.tau in (0, ctx.minus_one):
-        raise ValueError("cases a1/a2/a3 need tau outside {0, -1, inf}")
-    cls = square_classes(ctx, frame.tau)
-    if cls != _CASE_CLASS[case]:
-        raise ValueError(f"square classes {cls} do not match case {case}")
-    return DetRoot(kind=case, value=_det_value(ctx, frame, case))
-
-
-def _det_value(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> int:
-    """det_sqrt's value for a frame whose square class is already read."""
+    if frame.cls != _CASE_CLASS[case]:
+        raise ValueError(f"square classes {frame.cls} do not match case {case}")
     r = frame.r
-    dm, dm1 = dickson_values(ctx, ctx.m, r)
+    dm, dm1 = dickson_values(ctx.m, r, ctx.sub, ctx.mul, ctx.from_int(2))
     if case == "a1":
         d = ctx.sub(ctx.mul(r, r), ctx.from_int(4))  # (u - 1/u)^2 = -j*l, nonzero
         val = ctx.div(ctx.sub(ctx.mul(ctx.from_int(2), dm1), ctx.mul(r, dm)), d)
@@ -203,8 +192,8 @@ def _sign_elem(ctx: FieldCtx, s: int) -> int:
     return ctx.one if s == 1 else ctx.minus_one
 
 
-def _specific_row(ctx: FieldCtx, frame: NormalizedFrame) -> Optional[dict[SignPair, int]]:
-    """Values for tau in {0, inf}, where chi(tau) or l vanishes, or None."""
+def _specific_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int]:
+    """Values for tau in {0, inf}, where chi(tau) or l vanishes."""
     e = ctx.eps
     chi2 = ctx.legendre(ctx.from_int(2))
     el = ctx.from_int
@@ -213,14 +202,13 @@ def _specific_row(ctx: FieldCtx, frame: NormalizedFrame) -> Optional[dict[SignPa
         return {SignPair(1, 1): pp, SignPair(1, -1): pm,
                 SignPair(-1, 1): mp, SignPair(-1, -1): mm}
 
-    if frame.j == 0:  # tau = 0, (j,l) = (0,4)
-        c = _sign_elem(ctx, e * chi2)  # character of -2
-        d = _sign_elem(ctx, chi2)
-        return row(ctx.div(c, el(4)), c, ctx.div(d, el(2)), ctx.mul(d, el(2)))
     if frame.l == 0:  # tau = inf, (j,l) = (4,0)
         c = _sign_elem(ctx, e)
         return row(ctx.neg(ctx.div(c, el(4))), ctx.div(c, el(2)), ctx.one, el(2))
-    return None
+    # tau = 0, (j,l) = (0,4)
+    c = _sign_elem(ctx, e * chi2)  # character of -2
+    d = _sign_elem(ctx, chi2)
+    return row(ctx.div(c, el(4)), c, ctx.div(d, el(2)), ctx.mul(d, el(2)))
 
 
 def all_square_class(ctx: FieldCtx, frame: NormalizedFrame) -> int:
@@ -230,13 +218,8 @@ def all_square_class(ctx: FieldCtx, frame: NormalizedFrame) -> int:
     or if l reads as a nonsquare, which only an inconsistent character can
     cause.
     """
-    if isinstance(frame.tau, _Infinity) or square_classes(ctx, frame.tau) != (1, 1):
+    if frame.cls != (1, 1):
         raise ValueError("tau and tau+1 must both be nonzero squares")
-    return _all_square_sign(ctx, frame)
-
-
-def _all_square_sign(ctx: FieldCtx, frame: NormalizedFrame) -> int:
-    """all_square_class for a frame whose square class is already read."""
     half = ctx.inv(ctx.from_int(2))
     rt = ctx.sqrt_canonical(frame.l)
     if rt is None:  # l = 4/(tau+1) is a square whenever tau+1 is
@@ -255,7 +238,7 @@ def _all_square_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int
     jl2 = ctx.mul(el(2), ctx.mul(frame.j, frame.l))
     vals = {SignPair(1, 1): ctx.div(ce, jl2), SignPair(1, -1): ce,
             SignPair(-1, 1): ctx.one, SignPair(-1, -1): el(2)}
-    if _all_square_sign(ctx, frame) == 1:
+    if all_square_class(ctx, frame) == 1:
         return vals
     return {sp: ctx.neg(v) for sp, v in vals.items()}
 
@@ -266,15 +249,10 @@ def mixed_class_root(ctx: FieldCtx, frame: NormalizedFrame) -> int:
     c = chi(2) sqrt(tau) = chi(2) 2/(a1 l) for case a1, chi(2) sqrt(tau+1)
     = chi(2) 2/a2 for a2 and sqrt(tau/(tau+1)) = a3/2 for a3.
     """
-    cls = None if isinstance(frame.tau, _Infinity) else square_classes(ctx, frame.tau)
-    if cls not in _CLASS_CASE:
+    case = _CLASS_CASE.get(frame.cls)
+    if case is None:
         raise ValueError(f"tau={tau_str(frame.tau, ctx)} is in no mixed square class")
-    return _mixed_root(ctx, frame, _CLASS_CASE[cls])
-
-
-def _mixed_root(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> int:
-    """mixed_class_root for a frame whose square class is already read."""
-    a = _det_value(ctx, frame, case)
+    a = det_sqrt(ctx, frame, case)
     two = ctx.from_int(2)
     if case == "a3":
         return ctx.div(a, two)
@@ -282,23 +260,22 @@ def _mixed_root(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> int:
     return c if ctx.legendre(two) == 1 else ctx.neg(c)
 
 
-def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame,
-                     cls: tuple[int, int]) -> dict[SignPair, int]:
+def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int]:
     """Rows for the three square-class patterns with a nonsquare present."""
     el = ctx.from_int
     two = el(2)
     tau = frame.tau
     tau1 = ctx.add(tau, ctx.one)
     ce = _sign_elem(ctx, ctx.eps)
-    c = _mixed_root(ctx, frame, _CLASS_CASE[cls])
-    if cls == (1, -1):
+    c = mixed_class_root(ctx, frame)
+    if frame.cls == (1, -1):
         return {
             SignPair(1, 1): ctx.neg(ctx.div(tau1, ctx.mul(two, c))),
             SignPair(1, -1): ctx.neg(c),
             SignPair(-1, 1): ctx.div(ce, c),
             SignPair(-1, -1): ctx.div(ctx.mul(ce, tau1), ctx.mul(el(8), c)),
         }
-    if cls == (-1, 1):
+    if frame.cls == (-1, 1):
         return {
             SignPair(1, 1): ctx.div(ctx.mul(ce, c), two),
             SignPair(1, -1): ctx.mul(ce, c),
@@ -316,13 +293,11 @@ def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame,
 def prod_T_values(ctx: FieldCtx, j: int, l: int) -> dict[SignPair, int]:
     """All four T_{j,l} products for a normalized pair (j + l = 4)."""
     frame = frame_from_pair(ctx, j, l)
-    vals = _specific_row(ctx, frame)
-    if vals is not None:
-        return vals
-    cls = square_classes(ctx, frame.tau)
-    if cls == (1, 1):
+    if frame.cls == (1, 1):
         return _all_square_row(ctx, frame)
-    return _mixed_class_row(ctx, frame, cls)
+    if frame.cls in _CLASS_CASE:
+        return _mixed_class_row(ctx, frame)
+    return _specific_row(ctx, frame)
 
 
 def prod_T_closed(ctx: FieldCtx, j: int, l: int, signs) -> int:

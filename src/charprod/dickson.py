@@ -1,4 +1,4 @@
-"""Dickson polynomials over F_q and polynomial evaluation.
+"""Dickson polynomials over F_q and their values at a point.
 
 Polynomials are lists of field elements (ints), little-endian, with no
 trailing zeros; the zero polynomial is the empty list.  Both kinds obey
@@ -6,13 +6,14 @@ the three-term recursion f_{k+2} = x*f_{k+1} - f_k, with seeds (2, x)
 for the first kind and (1, x) for the second.  The defining functional
 equations are D_k(u + 1/u) = u^k + u^(-k) and
 E_{k-1}(u + 1/u) = (u^k - u^(-k)) / (u - 1/u).
-``dickson_values`` evaluates D_k at a point with a Lucas-sequence
+``dickson_values`` evaluates D_k at a point of any commutative ring (F_q
+or F_{q^2}, through the ring operations it is given) with a Lucas-sequence
 doubling ladder (Joye and Quisquater, 1996) instead of the polynomial.
 """
 
 from __future__ import annotations
 
-from .ffield import Ext2Elem, FieldCtx
+from .ffield import FieldCtx
 
 
 def _dickson(ctx: FieldCtx, k: int, seed0: int) -> list[int]:
@@ -42,32 +43,24 @@ def dickson_second(ctx: FieldCtx, k: int) -> list[int]:
     return _dickson(ctx, k, ctx.one)
 
 
-def dickson_values(ctx: FieldCtx, k: int, x: int) -> tuple[int, int]:
-    """(D_k(x), D_{k+1}(x)) for x in F_q, in O(log k) multiplications.
+def dickson_values(k: int, x, sub, mul, two):
+    """(D_k(x), D_{k+1}(x)) in O(log k) multiplications.
 
-    Walks the bits of k from the top, keeping (D_i, D_{i+1}) and using
-    D_{2i} = D_i^2 - 2 and D_{2i+1} = D_i*D_{i+1} - x, both instances of
-    D_a*D_b = D_{a+b} + D_{a-b}.
+    The ring operations are arguments, so F_q and F_{q^2} share the ladder;
+    ``two`` is the ring's 2.  Walks the bits of k from the top, keeping
+    (D_i, D_{i+1}) and using D_{2i} = D_i^2 - 2 and D_{2i+1} = D_i*D_{i+1}
+    - x, both instances of D_a*D_b = D_{a+b} + D_{a-b}.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    two = ctx.from_int(2)
     lo, hi = two, x  # (D_0, D_1)
     for bit in bin(k)[2:]:
-        mid = ctx.sub(ctx.mul(lo, hi), x)  # D_{2i+1}
+        mid = sub(mul(lo, hi), x)  # D_{2i+1}
         if bit == "1":
-            lo, hi = mid, ctx.sub(ctx.mul(hi, hi), two)
+            lo, hi = mid, sub(mul(hi, hi), two)
         else:
-            lo, hi = ctx.sub(ctx.mul(lo, lo), two), mid
+            lo, hi = sub(mul(lo, lo), two), mid
     return lo, hi
-
-
-def poly_eval_ext2(ctx: FieldCtx, f: list[int], x: Ext2Elem) -> Ext2Elem:
-    """Horner evaluation at a point of F_{q^2}."""
-    acc = Ext2Elem(0, 0)
-    for c in reversed(f):
-        acc = ctx.e2_add(ctx.e2_mul(acc, x), ctx.e2_embed(c))
-    return acc
 
 
 def poly_str(ctx: FieldCtx, f: list[int]) -> str:

@@ -75,12 +75,6 @@ def is_prime(m: int) -> bool:
     return factorize(m) == [(m, 1)]
 
 
-def prime_power(q: int) -> Optional[tuple[int, int]]:
-    """Write q as p^n with p prime, or return None."""
-    f = factorize(q)
-    return f[0] if len(f) == 1 else None
-
-
 # ---------------------------------------------------------------------------
 # group algorithms for F_q^*; ``power`` and ``first_of_order`` take the
 # multiplication as an argument (``power`` also serves the modulus search)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .charsets import SignPair, brute_product, t_family
-from .dickson import dickson_first, poly_eval_ext2
+from .dickson import dickson_values
 from .ffield import Ext2Elem, FieldCtx, IdentityFailure, factorize
 
 
@@ -150,11 +150,15 @@ def special_angle_bracket(ctx: FieldCtx, d: int) -> SpecialAngle:
                 for x in (s, ctx.e2_neg(s)))
     two2 = ctx.e2_embed(ctx.from_int(2))
     q = ctx.q
+
+    def dickson(k, x):  # D_k(x) in F_{q^2}
+        return dickson_values(k, x, ctx.e2_sub, ctx.e2_mul, two2)[0]
+
     for cand in (b, other):
-        if poly_eval_ext2(ctx, dickson_first(ctx, d), cand) != two2:
+        if dickson(d, cand) != two2:
             raise IdentityFailure(f"D_{d} of the bracket is not 2 at q={q}")
         for r, _ in factorize(d):
-            if poly_eval_ext2(ctx, dickson_first(ctx, d // r), cand) == two2:
+            if dickson(d // r, cand) == two2:
                 raise IdentityFailure(f"the bracket has order dividing {d // r} at q={q}")
     if ctx.e2_mul(s, s) != ctx.e2_embed(rad):
         raise IdentityFailure(

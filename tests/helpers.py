@@ -8,7 +8,7 @@ from pathlib import Path
 
 from charprod.charsets import (SIGN_PAIRS, ProductReport, SignPair, a_family,
                                enumerate_family, s1_family, s_family, t_family)
-from charprod.ffield import Ext2Elem, first_of_order, mk_field, power
+from charprod.ffield import Ext2Elem, factorize, first_of_order, mk_field, power
 
 # small fields exercised by most unit tests; mixes residue classes mod 4/8/12
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1),
@@ -24,6 +24,12 @@ def field(p, n=1):
 
 def small_ctxs():
     return [field(p, n) for p, n in SMALL_FIELDS]
+
+
+def prime_power(q):
+    """Write q as p^n with p prime, or return None: the sieve's reference."""
+    f = factorize(q)
+    return f[0] if len(f) == 1 else None
 
 
 def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
@@ -168,6 +174,14 @@ def poly_eval(ctx, f, x):
     acc = 0
     for c in reversed(f):
         acc = ctx.add(ctx.mul(acc, x), c)
+    return acc
+
+
+def poly_eval_ext2(ctx, f, x):
+    """Horner evaluation of f at x in F_{q^2}."""
+    acc = Ext2Elem(0, 0)
+    for c in reversed(f):
+        acc = ctx.e2_add(ctx.e2_mul(acc, x), ctx.e2_embed(c))
     return acc
 
 

@@ -5,8 +5,7 @@ import pytest
 from charprod import charsets, sweeps
 from charprod.cli import main, parse_family, render_table
 from charprod.charsets import SignPair
-from charprod.ffield import prime_power
-from helpers import field, run_python
+from helpers import field, prime_power, run_python
 
 
 def test_eval_t13(capsys):
@@ -200,6 +199,29 @@ def test_verify_refuses_a_range_above_the_scan_bound(monkeypatch, capsys):
     assert main(["verify", "--qmin", "13", "--qmax", "13", "--suites", "intro"]) == 0
     assert main(["verify", "--qmin", "13", "--qmax", "17", "--suites", "intro"]) == 2
     assert "q_max=17 is above the scan bound 13" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
+def test_cardinality_above_the_grid_bound_runs_linear_checks(monkeypatch, p, n):
+    # above CARD_GRID_MAX the suite skips the q x q grids and checks only
+    # the four A_{0,1} families and the two single-condition counts
+    monkeypatch.setattr(sweeps, "CARD_GRID_MAX", 12)
+    rows = sweeps.run_field(p, n, ("cardinality",))
+    a01 = [f"card[A01]{s}" for s in ("++", "+-", "-+", "--")]
+    assert [r["case"] for r in rows] == a01 + ["card[S1]+", "card[S1]-"]
+    assert all(r["ok"] for r in rows)
+
+    # m = (q - eps)/4 off by one: the closed A_{0,1} counts read m and fail
+    def shift_m(p, n=1):
+        ctx = real(p, n)
+        ctx.tables()
+        ctx.m += 1
+        return ctx
+
+    real = sweeps.mk_field
+    monkeypatch.setattr(sweeps, "mk_field", shift_m)
+    rows = sweeps.run_field(p, n, ("cardinality",))
+    assert [r["case"] for r in rows if not r["ok"]] == a01
 
 
 def test_verify_workers(tmp_path):

@@ -91,6 +91,17 @@ def test_frame_relations_all_tau():
             assert f.r == ctx.sub(f.l, ctx.from_int(2))
 
 
+def test_frame_carries_square_class():
+    # cls is (chi(tau), chi(tau+1)); None at inf and (0, 1) at tau = 0
+    for ctx in small_ctxs():
+        assert normalized_frame(ctx, INF).cls is None
+        assert normalized_frame(ctx, 0).cls == (0, 1)
+        for tau in range(1, ctx.q):
+            if tau != ctx.minus_one:
+                assert normalized_frame(ctx, tau).cls == \
+                    (ctx.legendre(tau), ctx.legendre(ctx.add(tau, ctx.one)))
+
+
 def test_frame_rejects_minus_one():
     with pytest.raises(ValueError):
         normalized_frame(field(13), 12)
@@ -105,12 +116,12 @@ def test_frame_rejects_minus_one():
 def test_det_sqrt_examples_q7():
     c7 = field(7)
     r3 = det_sqrt(c7, normalized_frame(c7, 5), "a3")
-    assert r3.value == 6  # <u^2> with u = 3, and 6^2 = 1 = j
+    assert r3 == 6  # <u^2> with u = 3, and 6^2 = 1 = j
     r2 = det_sqrt(c7, normalized_frame(c7, 3), "a2")
-    assert r2.value == 6  # <4> = 4 + 2, and 6^2 = 1 = l
+    assert r2 == 6  # <4> = 4 + 2, and 6^2 = 1 = l
     fr = normalized_frame(c7, 2)
     r1 = det_sqrt(c7, fr, "a1")
-    assert r1.value == 4
+    assert r1 == 4
     assert mixed_class_root(c7, fr) == 3  # 3^2 = 2 = tau, and chi(2) = 1
 
 
@@ -164,7 +175,7 @@ def test_det_sqrt_reciprocal_invariance():
                 continue
             frame = normalized_frame(ctx, tau)
             u = ext2_solve_unit(ctx, frame.r)
-            got = det_sqrt(ctx, frame, case).value
+            got = det_sqrt(ctx, frame, case)
             assert got == det_root_ext2(ctx, case, u), (ctx.q, tau)
             assert got == det_root_ext2(ctx, case, ctx.e2_inv(u)), (ctx.q, tau)
 
@@ -197,8 +208,8 @@ def test_master_small_sweep():
 
 
 def test_prod_T_values_reads_the_square_class_once(monkeypatch):
-    # one (chi(tau), chi(tau + 1)) read per tau off {0, inf}: the class rows
-    # take the class they are given, the public root entry points re-check
+    # one (chi(tau), chi(tau + 1)) read per tau off {0, inf}: the frame
+    # carries the class, and the rows and root entry points read it there
     from charprod import closedform
 
     reads = []
@@ -211,9 +222,9 @@ def test_prod_T_values_reads_the_square_class_once(monkeypatch):
     monkeypatch.setattr(closedform, "square_classes", counted)
     for ctx in [field(13), field(3, 3)]:
         taus = [t for t in range(1, ctx.q) if t != ctx.minus_one]
+        frames = [normalized_frame(ctx, tau) for tau in taus]
         reads.clear()
-        for tau in taus:
-            f = normalized_frame(ctx, tau)
+        for f in frames:
             prod_T_values(ctx, f.j, f.l)
         assert reads == taus, ctx.q
 

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from charprod.dickson import (dickson_first, dickson_second, dickson_values,
-                              poly_eval_ext2, poly_str)
+                              poly_str)
 from charprod.ffield import Ext2Elem
-from helpers import e2_div, e2_pow, field, poly_eval, small_ctxs, unit_of_order
+from helpers import (e2_div, e2_pow, field, poly_eval, poly_eval_ext2,
+                     small_ctxs, unit_of_order)
 
 
 def test_dickson_first_examples():
@@ -41,13 +42,14 @@ def test_dickson_values_ladder_matches_horner():
     # (D_k(x), D_{k+1}(x)) from the doubling ladder equals Horner evaluation
     # of the coefficient vectors, for k = 0..40 and k = m at every x
     for ctx in small_ctxs():
+        two = ctx.from_int(2)
         for k in sorted(set(range(41)) | {ctx.m}):
             dk, dk1 = dickson_first(ctx, k), dickson_first(ctx, k + 1)
             for x in range(ctx.q):
-                assert dickson_values(ctx, k, x) == \
+                assert dickson_values(k, x, ctx.sub, ctx.mul, two) == \
                     (poly_eval(ctx, dk, x), poly_eval(ctx, dk1, x)), (ctx.q, k, x)
     with pytest.raises(ValueError):
-        dickson_values(field(7), -1, 3)
+        dickson_values(-1, 3, field(7).sub, field(7).mul, 2)
 
 
 def test_poly_eval_examples():
@@ -60,9 +62,10 @@ def test_poly_eval_examples():
 
 def test_functional_equations_random_units():
     # D_k(<u>) = <u^k> and E_{k-1}(<u>) = (u^k - u^-k)/(u - 1/u), checked
-    # in F_{q^2} for random units u
+    # in F_{q^2} for random units u, by Horner and (D_k) by the ladder
     rng = random.Random(99)
     for ctx in small_ctxs():
+        two2 = ctx.e2_embed(ctx.from_int(2))
         for _ in range(6):
             u = Ext2Elem(rng.randrange(ctx.q), rng.randrange(ctx.q))
             try:
@@ -74,6 +77,8 @@ def test_functional_equations_random_units():
                 uk = e2_pow(ctx, u, k)
                 uki = ctx.e2_inv(uk)
                 assert poly_eval_ext2(ctx, dickson_first(ctx, k), br) == \
+                    ctx.e2_add(uk, uki)
+                assert dickson_values(k, br, ctx.e2_sub, ctx.e2_mul, two2)[0] == \
                     ctx.e2_add(uk, uki)
                 if k >= 1 and ctx.e2_mul(u, u) != ctx.e2_embed(ctx.one):
                     want = e2_div(ctx, ctx.e2_sub(uk, uki), ctx.e2_sub(u, ui))

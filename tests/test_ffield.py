@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from charprod.ffield import (EvenCharacteristicError, Ext2Elem, FieldError,
                              FieldTables, FieldTooLargeError, IdentityFailure,
                              NotPrimeError, is_prime, mk_field, power,
-                             prime_power, tonelli_shanks)
-from helpers import (SMALL_FIELDS, e2_pow, ext2_solve_unit, field, small_ctxs,
-                     unit_order_test)
+                             tonelli_shanks)
+from helpers import (SMALL_FIELDS, e2_pow, ext2_solve_unit, field, prime_power,
+                     small_ctxs, unit_order_test)
 
 
 def test_mk_field_examples():
