@@ -14,8 +14,8 @@ from .closedform import (INF, NormalizedFrame, closed_product, det_sqrt,
                          normalized_frame, prod_S_closed, prod_S_single,
                          prod_T_closed, quadruple_from_one, rescale_T,
                          swap_T)
-from .correspondence import (Orbit, classify_tau, orbit_count_card,
-                             orbit_of_tau, tau_of_orbit)
+from .correspondence import (classify_tau, orbit_count_card, orbit_of_tau,
+                             tau_of_orbit)
 from .dickson import dickson_first, dickson_second
 from .ffield import Ext2Elem, FieldCtx, FieldError, IdentityFailure, mk_field
 from .reciprocity import (TowerSpec, prod_T_quadratic_irrational,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_SUITES", "Ext2Elem", "FieldCtx", "FieldError", "INF",
-    "IdentityFailure", "NormalizedFrame", "Orbit", "ProductReport",
+    "IdentityFailure", "NormalizedFrame", "ProductReport",
     "SIGN_PAIRS", "SetFamily", "SignPair", "SweepConfig", "TowerSpec",
     "a_family", "brute_product", "card_closed", "card_grid", "classify_tau",
     "closed_product", "det_sqrt", "dickson_first", "dickson_second",

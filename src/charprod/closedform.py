@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .charsets import SetFamily, SignPair
+from .charsets import SIGN_PAIRS, SetFamily, SignPair
 from .dickson import dickson_values
 from .ffield import FieldCtx, IdentityFailure
 
@@ -48,10 +48,8 @@ INF = _Infinity()
 ProjTau = Union[int, _Infinity]
 
 
-def tau_str(tau: ProjTau, ctx: Optional[FieldCtx] = None) -> str:
-    if isinstance(tau, _Infinity):
-        return "inf"
-    return ctx.elem_str(tau) if ctx is not None else str(tau)
+def tau_str(tau: ProjTau, ctx: FieldCtx) -> str:
+    return "inf" if isinstance(tau, _Infinity) else ctx.elem_str(tau)
 
 
 @dataclass(frozen=True)
@@ -192,23 +190,23 @@ def _sign_elem(ctx: FieldCtx, s: int) -> int:
     return ctx.one if s == 1 else ctx.minus_one
 
 
+def _sign_row(pp: int, pm: int, mp: int, mm: int) -> dict[SignPair, int]:
+    """A table row: the values for the sign pairs ++, +-, -+, -- in order."""
+    return dict(zip(SIGN_PAIRS, (pp, pm, mp, mm)))
+
+
 def _specific_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int]:
     """Values for tau in {0, inf}, where chi(tau) or l vanishes."""
     e = ctx.eps
     chi2 = ctx.legendre(ctx.from_int(2))
     el = ctx.from_int
-
-    def row(pp, pm, mp, mm):
-        return {SignPair(1, 1): pp, SignPair(1, -1): pm,
-                SignPair(-1, 1): mp, SignPair(-1, -1): mm}
-
     if frame.l == 0:  # tau = inf, (j,l) = (4,0)
         c = _sign_elem(ctx, e)
-        return row(ctx.neg(ctx.div(c, el(4))), ctx.div(c, el(2)), ctx.one, el(2))
+        return _sign_row(ctx.neg(ctx.div(c, el(4))), ctx.div(c, el(2)), ctx.one, el(2))
     # tau = 0, (j,l) = (0,4)
     c = _sign_elem(ctx, e * chi2)  # character of -2
     d = _sign_elem(ctx, chi2)
-    return row(ctx.div(c, el(4)), c, ctx.div(d, el(2)), ctx.mul(d, el(2)))
+    return _sign_row(ctx.div(c, el(4)), c, ctx.div(d, el(2)), ctx.mul(d, el(2)))
 
 
 def all_square_class(ctx: FieldCtx, frame: NormalizedFrame) -> int:
@@ -236,8 +234,7 @@ def _all_square_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int
     el = ctx.from_int
     ce = _sign_elem(ctx, ctx.eps)
     jl2 = ctx.mul(el(2), ctx.mul(frame.j, frame.l))
-    vals = {SignPair(1, 1): ctx.div(ce, jl2), SignPair(1, -1): ce,
-            SignPair(-1, 1): ctx.one, SignPair(-1, -1): el(2)}
+    vals = _sign_row(ctx.div(ce, jl2), ce, ctx.one, el(2))
     if all_square_class(ctx, frame) == 1:
         return vals
     return {sp: ctx.neg(v) for sp, v in vals.items()}
@@ -269,25 +266,19 @@ def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, in
     ce = _sign_elem(ctx, ctx.eps)
     c = mixed_class_root(ctx, frame)
     if frame.cls == (1, -1):
-        return {
-            SignPair(1, 1): ctx.neg(ctx.div(tau1, ctx.mul(two, c))),
-            SignPair(1, -1): ctx.neg(c),
-            SignPair(-1, 1): ctx.div(ce, c),
-            SignPair(-1, -1): ctx.div(ctx.mul(ce, tau1), ctx.mul(el(8), c)),
-        }
+        return _sign_row(ctx.neg(ctx.div(tau1, ctx.mul(two, c))),
+                         ctx.neg(c),
+                         ctx.div(ce, c),
+                         ctx.div(ctx.mul(ce, tau1), ctx.mul(el(8), c)))
     if frame.cls == (-1, 1):
-        return {
-            SignPair(1, 1): ctx.div(ctx.mul(ce, c), two),
-            SignPair(1, -1): ctx.mul(ce, c),
-            SignPair(-1, 1): ctx.div(ctx.mul(c, tau1), ctx.mul(el(16), tau)),
-            SignPair(-1, -1): ctx.div(two, c),
-        }
-    return {
-        SignPair(1, 1): ctx.neg(ctx.div(ce, ctx.mul(two, c))),
-        SignPair(1, -1): ctx.neg(ctx.div(ctx.mul(ce, tau1), ctx.mul(el(16), c))),
-        SignPair(-1, 1): ctx.inv(c),
-        SignPair(-1, -1): ctx.mul(two, c),
-    }
+        return _sign_row(ctx.div(ctx.mul(ce, c), two),
+                         ctx.mul(ce, c),
+                         ctx.div(ctx.mul(c, tau1), ctx.mul(el(16), tau)),
+                         ctx.div(two, c))
+    return _sign_row(ctx.neg(ctx.div(ce, ctx.mul(two, c))),
+                     ctx.neg(ctx.div(ctx.mul(ce, tau1), ctx.mul(el(16), c))),
+                     ctx.inv(c),
+                     ctx.mul(two, c))
 
 
 def prod_T_values(ctx: FieldCtx, j: int, l: int) -> dict[SignPair, int]:

@@ -1,29 +1,22 @@
 """Bijection between unit orbits {v, 1/v, -v, -1/v} and elements of F_q.
 
 The orbits live in the union of the 2(q-1)-st and 2(q+1)-st roots of
-unity inside F_{q^2}; the orbit of v maps to tau = (v - 1/v)^2 / 4 and
-tau maps back to the orbit of sqrt(tau+1) + sqrt(tau).  The
-multiplicative order of v encodes the square classes of tau and tau+1,
-which yields a second, independent closed form for the cardinalities of
-the A_{0,1} families (orbit counting instead of the rescaled formula).
+unity inside F_{q^2}, each one held as its member of minimal key; the
+orbit of v maps to tau = (v - 1/v)^2 / 4 and tau maps back to the orbit
+of sqrt(tau+1) + sqrt(tau).  The multiplicative order of v encodes the
+square classes of tau and tau+1, which yields a second, independent
+closed form for the cardinalities of the A_{0,1} families (orbit
+counting instead of the rescaled formula).
 No power of v is computed: v^q = conj(v) (Frobenius), so v^(q+1) is the
 norm N(v) and v^(q-1) = conj(v)/v is +1 iff hi = 0 and -1 iff lo = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .charsets import SignPair
 from .ffield import Ext2Elem, FieldCtx, IdentityFailure
-
-
-@dataclass(frozen=True)
-class Orbit:
-    """Canonical representative of {v, 1/v, -v, -1/v} (minimal key)."""
-
-    rep: Ext2Elem
 
 
 def orbit_members(ctx: FieldCtx, v: Ext2Elem) -> tuple[Ext2Elem, ...]:
@@ -31,8 +24,8 @@ def orbit_members(ctx: FieldCtx, v: Ext2Elem) -> tuple[Ext2Elem, ...]:
     return tuple({v, vi, ctx.e2_neg(v), ctx.e2_neg(vi)})
 
 
-def orbit_of(ctx: FieldCtx, v: Ext2Elem) -> Orbit:
-    return Orbit(min(orbit_members(ctx, v), key=ctx.e2_key))
+def orbit_of(ctx: FieldCtx, v: Ext2Elem) -> Ext2Elem:
+    return min(orbit_members(ctx, v), key=ctx.e2_key)
 
 
 def unit_power_is(ctx: FieldCtx, v: Ext2Elem, e: int, b: int) -> bool:
@@ -60,26 +53,26 @@ def tau_of_orbit(ctx: FieldCtx, v: Ext2Elem) -> int:
     return ctx.e2_project(ctx.e2_mul(sq, quarter))
 
 
-def orbit_of_tau(ctx: FieldCtx, tau: int) -> Orbit:
+def orbit_of_tau(ctx: FieldCtx, tau: int) -> Ext2Elem:
     """The orbit of sqrt(tau+1) + sqrt(tau), roots taken in F_{q^2}."""
     v = ctx.e2_add(ctx.e2_sqrt(ctx.add(tau, ctx.one)), ctx.e2_sqrt(tau))
-    orb = orbit_of(ctx, v)
-    if tau_of_orbit(ctx, orb.rep) != tau:
+    rep = orbit_of(ctx, v)
+    if tau_of_orbit(ctx, rep) != tau:
         raise IdentityFailure(f"orbit round-trip failed at q={ctx.q}")
-    return orb
+    return rep
 
 
-def classify_tau(ctx: FieldCtx, tau: int) -> Optional[SignPair]:
-    """Square classes (chi(tau), chi(tau+1)), cross-checked on the orbit.
+def classify_tau(ctx: FieldCtx, v: Ext2Elem) -> Optional[SignPair]:
+    """Square classes (chi(tau), chi(tau+1)) of the orbit v's tau, checked on v.
 
     Returns None for the degenerate tau in {0, -1} (fourth roots of
     unity); otherwise checks the order relation v^(q - ab) = b.
     """
+    tau = tau_of_orbit(ctx, v)
     if tau == 0 or tau == ctx.minus_one:
         return None
     a = ctx.legendre(tau)
     b = ctx.legendre(ctx.add(tau, ctx.one))
-    v = orbit_of_tau(ctx, tau).rep
     if not unit_power_is(ctx, v, ctx.q - a * b, b):
         raise IdentityFailure(f"square classes disagree with the unit order at q={ctx.q}")
     return SignPair(a, b)
@@ -118,9 +111,9 @@ def roots_of_unity_union(ctx: FieldCtx) -> list[Ext2Elem]:
     return sorted(seen, key=ctx.e2_key)
 
 
-def all_orbits(ctx: FieldCtx) -> list[Orbit]:
-    """The distinct orbits partitioning the two root-of-unity groups."""
-    reps = {orbit_of(ctx, v).rep for v in roots_of_unity_union(ctx)}
+def all_orbits(ctx: FieldCtx) -> list[Ext2Elem]:
+    """Representatives of the orbits partitioning the two root-of-unity groups."""
+    reps = {orbit_of(ctx, v) for v in roots_of_unity_union(ctx)}
     if not all(in_unit_groups(ctx, r) for r in reps):
         raise IdentityFailure(f"an orbit leaves the groups of roots of unity at q={ctx.q}")
-    return [Orbit(r) for r in sorted(reps, key=ctx.e2_key)]
+    return sorted(reps, key=ctx.e2_key)

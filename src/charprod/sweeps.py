@@ -46,6 +46,8 @@ class SweepConfig:
             raise ValueError("q_min must be at least 3")
         if not self.suites:
             raise ValueError("at least one suite is required")
+        if len(set(self.suites)) != len(self.suites):
+            raise ValueError(f"duplicate suites: {list(self.suites)}")
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -91,12 +93,16 @@ def _row(case: str, expected: str, actual: str) -> dict:
             "ok": expected == actual}
 
 
+# what a check raises on a broken identity or on arithmetic that is no field
+_CHECK_FAILURES = (IdentityFailure, ValueError, ZeroDivisionError)
+
+
 def _check(case: str, expected: str, actual: Callable[[], str]) -> dict:
-    """One check row; an IdentityFailure raised by ``actual()``, the text
-    of the closed side, becomes a failed row and the sweep goes on."""
+    """One check row; a _CHECK_FAILURES exception raised by ``actual()``,
+    the text of the closed side, becomes a failed row and the sweep goes on."""
     try:
         got = actual()
-    except IdentityFailure as exc:
+    except _CHECK_FAILURES as exc:
         got = f"failed: {exc}"
     return _row(case, expected, got)
 
@@ -291,7 +297,7 @@ def suite_correspondence(ctx: FieldCtx) -> Iterator[dict]:
         return str(len(orbits))
 
     def image() -> str:
-        taus = [correspondence.tau_of_orbit(ctx, o.rep) for o in orbits]
+        taus = [correspondence.tau_of_orbit(ctx, v) for v in orbits]
         by_tau.update(zip(taus, orbits))
         return "all-of-F_q" if sorted(taus) == list(range(ctx.q)) else "not-injective"
 
@@ -299,14 +305,11 @@ def suite_correspondence(ctx: FieldCtx) -> Iterator[dict]:
     yield _check("orbit-image", "all-of-F_q", image)
     yield _check("orbit-roundtrip", "0 mismatches", lambda: "{} mismatches".format(
         sum(correspondence.orbit_of_tau(ctx, t) != by_tau.get(t) for t in range(ctx.q))))
-    bad = 0
-    for t in range(ctx.q):
+    bad = ctx.q - len(by_tau)  # a tau no orbit maps to
+    for v in by_tau.values():
         try:
-            cls = correspondence.classify_tau(ctx, t)
-        except IdentityFailure:
-            bad += 1
-            continue
-        if cls is None and t not in (0, ctx.minus_one):
+            correspondence.classify_tau(ctx, v)
+        except _CHECK_FAILURES:
             bad += 1
     yield _row("v-correspondence", "0 mismatches", f"{bad} mismatches")
     for sp in SIGN_PAIRS:
@@ -373,14 +376,19 @@ SUITE_FUNCS: dict[str, Callable[[FieldCtx], Iterator[dict]]] = {
 
 
 def run_field(p: int, n: int, suites: Iterable[str]) -> list[dict]:
-    """All requested checks for one field, as finished report rows."""
+    """All requested checks for one field, as finished report rows; a
+    _CHECK_FAILURES exception ends its suite with a failed <suite>-aborted row."""
     ctx = mk_field(p, n)
     ctx.tables()
     rows = []
     for name in suites:
-        for row in SUITE_FUNCS[name](ctx):
-            row.update(q=ctx.q, suite=name)
-            rows.append(row)
+        try:
+            for row in SUITE_FUNCS[name](ctx):
+                row.update(q=ctx.q, suite=name)
+                rows.append(row)
+        except _CHECK_FAILURES as exc:
+            rows.append(dict(_row(f"{name}-aborted", "completed", f"failed: {exc}"),
+                             q=ctx.q, suite=name))
     return rows
 
 

@@ -185,6 +185,11 @@ def test_verify_rejects_bad_suite(capsys):
     assert main(["verify", "--qmax", "9", "--suites", "nope"]) == 2
 
 
+def test_verify_rejects_duplicate_suites(capsys):
+    assert main(["verify", "--qmax", "9", "--suites", "intro,intro"]) == 2
+    assert "duplicate suites" in capsys.readouterr().err
+
+
 def test_verify_refuses_a_range_above_the_scan_bound(monkeypatch, capsys):
     # verify refuses the fields eval refuses, before any field is built
     def no_field(p, n=1):

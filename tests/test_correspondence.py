@@ -1,5 +1,6 @@
 import pytest
 
+from charprod import correspondence, sweeps
 from charprod.charsets import SIGN_PAIRS, a_family, card_closed, enumerate_family
 from charprod.correspondence import (all_orbits, classify_tau, in_unit_groups,
                                      orbit_count_card, orbit_members,
@@ -35,11 +36,11 @@ def test_tau_of_orbit_rejects_foreign_units():
 
 def test_orbit_of_tau_examples():
     c13 = field(13)
-    orb = orbit_of_tau(c13, 0)
-    assert set(orbit_members(c13, orb.rep)) == \
+    rep = orbit_of_tau(c13, 0)
+    assert set(orbit_members(c13, rep)) == \
         {c13.e2_embed(c13.one), c13.e2_embed(c13.minus_one)}
-    orb = orbit_of_tau(c13, c13.minus_one)
-    members = orbit_members(c13, orb.rep)
+    rep = orbit_of_tau(c13, c13.minus_one)
+    members = orbit_members(c13, rep)
     assert len(members) == 2
     for v in members:
         assert c13.e2_mul(v, v) == c13.e2_embed(c13.minus_one)
@@ -47,8 +48,8 @@ def test_orbit_of_tau_examples():
     c7 = field(7)
     tau = c7.neg(c7.div(c7.from_int(3), c7.from_int(4)))
     assert tau == 1
-    orb = orbit_of_tau(c7, tau)
-    orders = sorted(_order(c7, v) for v in orbit_members(c7, orb.rep))
+    rep = orbit_of_tau(c7, tau)
+    orders = sorted(_order(c7, v) for v in orbit_members(c7, rep))
     assert orders == [3, 3, 6, 6]
 
 
@@ -64,8 +65,8 @@ def _order(ctx, v):
 def test_orbit_size_four_unless_fourth_root():
     for ctx in small_ctxs()[:8]:
         for tau in range(ctx.q):
-            orb = orbit_of_tau(ctx, tau)
-            size = len(orbit_members(ctx, orb.rep))
+            rep = orbit_of_tau(ctx, tau)
+            size = len(orbit_members(ctx, rep))
             if tau in (0, ctx.minus_one):
                 assert size == 2
             else:
@@ -76,11 +77,38 @@ def test_bijection_small():
     for ctx in small_ctxs():
         orbits = all_orbits(ctx)
         assert len(orbits) == ctx.q
-        taus = sorted(tau_of_orbit(ctx, o.rep) for o in orbits)
+        taus = sorted(tau_of_orbit(ctx, o) for o in orbits)
         assert taus == list(range(ctx.q))
-        by_tau = {tau_of_orbit(ctx, o.rep): o for o in orbits}
+        by_tau = {tau_of_orbit(ctx, o): o for o in orbits}
         for tau in range(ctx.q):
             assert orbit_of_tau(ctx, tau) == by_tau[tau]
+
+
+def test_classify_every_enumerated_orbit():
+    # the square classes of tau, None exactly at tau in {0, -1}
+    for ctx in small_ctxs():
+        for v in all_orbits(ctx):
+            tau = tau_of_orbit(ctx, v)
+            want = None if tau in (0, ctx.minus_one) else \
+                (ctx.legendre(tau), ctx.legendre(ctx.add(tau, ctx.one)))
+            assert classify_tau(ctx, v) == want, (ctx.q, v)
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 2)])
+def test_correspondence_suite_builds_each_orbit_from_tau_once(monkeypatch, p, n):
+    # the round trip builds each tau's orbit; the classification reads the
+    # enumerated orbits and builds none
+    calls = []
+
+    def counted(ctx, tau):
+        calls.append(tau)
+        return orbit_of_tau(ctx, tau)
+
+    monkeypatch.setattr(correspondence, "orbit_of_tau", counted)
+    ctx = field(p, n)
+    rows = list(sweeps.suite_correspondence(ctx))
+    assert all(r["ok"] for r in rows), rows
+    assert sorted(calls) == list(range(ctx.q))
 
 
 def test_roots_of_unity_union_matches_generator_steps():
@@ -139,12 +167,12 @@ def test_classification_examples():
         for tau in range(1, ctx.q):
             if tau == ctx.minus_one:
                 continue
-            cls = classify_tau(ctx, tau)
-            v = orbit_of_tau(ctx, tau).rep
+            v = orbit_of_tau(ctx, tau)
+            cls = classify_tau(ctx, v)
             if cls == (1, 1):
                 assert unit_order_test(ctx, v, ctx.q - 1, 1)
-        assert classify_tau(ctx, 0) is None
-        assert classify_tau(ctx, ctx.minus_one) is None
+        assert classify_tau(ctx, orbit_of_tau(ctx, 0)) is None
+        assert classify_tau(ctx, orbit_of_tau(ctx, ctx.minus_one)) is None
 
 
 def test_classify_minus_half():
@@ -153,7 +181,7 @@ def test_classify_minus_half():
     for q in (11, 19, 17, 23):
         ctx = field(q)
         tau = ctx.neg(ctx.inv(ctx.from_int(2)))
-        cls = classify_tau(ctx, tau)
+        cls = classify_tau(ctx, orbit_of_tau(ctx, tau))
         assert cls == (ctx.legendre(ctx.from_int(-2)),
                        ctx.legendre(ctx.from_int(2)))
 
@@ -206,7 +234,7 @@ def test_vw_relation_exists():
                 continue
             frame = normalized_frame(ctx, tau)
             u_orbit = orbit_members(ctx, ext2_solve_unit(ctx, frame.r))
-            v = orbit_of_tau(ctx, tau).rep
+            v = orbit_of_tau(ctx, tau)
             i2 = ctx.e2_sqrt(ctx.minus_one)
             witnesses = []
             for vv in orbit_members(ctx, v):

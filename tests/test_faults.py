@@ -62,6 +62,21 @@ def test_swapped_exp_entries_fail_rows_never_raise(monkeypatch):
     assert {"tables", "correspondence", "rescaling"} <= caught, failed
 
 
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3)])
+def test_swapped_exp_matrix_fails_rows_never_raises(monkeypatch, p, n):
+    # gen^i and gen^k swapped for several (i, k) and extension fields; the
+    # arithmetic is then no field, so suites meet non-units and foreign
+    # elements, and each must end in failed rows, not an exception
+    for i, k in ((1, 2), (1, 3), (2, 5), (3, 4)):
+        def swap_exp(ctx):
+            tb = ctx.tables()
+            tb.exp[i], tb.exp[k] = tb.exp[k], tb.exp[i]
+            tb.log[tb.exp[i]], tb.log[tb.exp[k]] = i, k
+
+        failed = _failed_rows(monkeypatch, p, n, swap_exp)
+        assert sum(failed.values()) > 0, (p ** n, (i, k), failed)
+
+
 @pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
 def test_shifted_m_fails_rows_never_raises(monkeypatch, p, n):
     # m = (q - eps)/4 off by one after the tables are built; reciprocity and
