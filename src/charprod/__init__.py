@@ -11,9 +11,8 @@ from .charsets import (SIGN_PAIRS, ProductReport, SetFamily, SignPair,
                        enumerate_family, s1_family, s_family, t_family,
                        vanishing_poly)
 from .closedform import (INF, NormalizedFrame, closed_product, det_sqrt,
-                         normalized_frame, prod_S_closed, prod_S_single,
-                         prod_T_closed, quadruple_from_one, rescale_T,
-                         swap_T)
+                         normalized_frame, prod_S_single, prod_T_values,
+                         quadruple_from_one, rescale_T, swap_T)
 from .correspondence import (classify_tau, orbit_count_card, orbit_of_tau,
                              tau_of_orbit)
 from .dickson import dickson_first, dickson_second
@@ -31,8 +30,8 @@ __all__ = [
     "a_family", "brute_product", "card_closed", "card_grid", "classify_tau",
     "closed_product", "det_sqrt", "dickson_first", "dickson_second",
     "enumerate_family", "mk_field", "normalized_frame",
-    "orbit_count_card", "orbit_of_tau", "prod_S_closed",
-    "prod_S_single", "prod_T_closed", "prod_T_quadratic_irrational",
+    "orbit_count_card", "orbit_of_tau", "prod_S_single",
+    "prod_T_quadratic_irrational", "prod_T_values",
     "quadruple_from_one", "radical_tower_membership", "rescale_T",
     "run_verify", "s1_family", "s_family", "special_angle_bracket",
     "swap_T", "t_family", "tau_of_orbit", "vanishing_poly",

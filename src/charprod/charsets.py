@@ -123,15 +123,20 @@ class ProductReport:
 SCAN_LIMIT = 1 << 26
 
 
+def check_scan_bound(q: int) -> None:
+    """ValueError when q is above SCAN_LIMIT, before any q-sized table exists."""
+    if q > SCAN_LIMIT:
+        raise ValueError(f"q={q} is above the scan bound {SCAN_LIMIT}: a full "
+                         f"scan needs a table of squares of q bytes")
+
+
 def square_table(ctx: FieldCtx) -> bytearray:
     """Byte x is 1 exactly when x is a nonzero square, from squaring every unit.
 
     Only ``ctx.mul`` is used, never ``legendre`` or ``pow``: the oracle's
     character comes from the definition of a square, not Euler's criterion.
     """
-    if ctx.q > SCAN_LIMIT:
-        raise ValueError(f"q={ctx.q} is above the scan bound {SCAN_LIMIT}: a full "
-                         f"scan needs a table of squares of q bytes")
+    check_scan_bound(ctx.q)
     sq = bytearray(ctx.q)
     mul = ctx.mul
     for x in range(1, ctx.q):

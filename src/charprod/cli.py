@@ -77,19 +77,18 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _specific_rows(ctx: FieldCtx):
-    """(label, j, l, skip_reason) for the named-ratio table rows."""
-    el = ctx.from_int
+    """(label, frame, skip_reason) for the named-ratio table rows."""
     q = ctx.q
-    rows = [("tau=0", el(0), el(4), None), ("tau=inf", el(4), el(0), None)]
     branch8 = "q=+-1 mod 8" if q % 8 in (1, 7) else "q=+-3 mod 8"
-    rows.append((f"tau=1 [{branch8}]", el(2), el(2), None))
-    if ctx.p == 3:
-        rows.append(("tau=3", None, None, "p=3 folds this into tau=0"))
-        rows.append(("tau=1/3", None, None, "p=3 folds this into tau=inf"))
-    else:
+    named = [("tau=0", 0), ("tau=inf", closedform.INF), (f"tau=1 [{branch8}]", ctx.one)]
+    if ctx.p != 3:
         branch12 = "q=+-1 mod 12" if q % 12 in (1, 11) else "q=+-5 mod 12"
-        rows.append((f"tau=3 [{branch12}]", el(3), el(1), None))
-        rows.append((f"tau=1/3 [{branch12}]", el(1), el(3), None))
+        three = ctx.from_int(3)
+        named += [(f"tau=3 [{branch12}]", three), (f"tau=1/3 [{branch12}]", ctx.inv(three))]
+    rows = [(label, closedform.normalized_frame(ctx, tau), None) for label, tau in named]
+    if ctx.p == 3:
+        rows.append(("tau=3", None, "p=3 folds this into tau=0"))
+        rows.append(("tau=1/3", None, "p=3 folds this into tau=inf"))
     return rows
 
 
@@ -97,10 +96,10 @@ def _witness_frame(ctx: FieldCtx, cls: tuple[int, int], mu: int | None = None):
     """Frame of the first tau in canonical order with the given square
     classes (and, if mu is given, with all-square class mu), or None."""
     for tau in ctx.elements_canonical():
-        if closedform.square_classes(ctx, tau) != cls:
+        if tau == ctx.minus_one:
             continue
         frame = closedform.normalized_frame(ctx, tau)
-        if mu is None or closedform.all_square_class(ctx, frame) == mu:
+        if frame.cls == cls and (mu is None or closedform.all_square_class(ctx, frame) == mu):
             return frame
     return None
 
@@ -116,12 +115,12 @@ def _square_class_rows(ctx: FieldCtx, table_id: int):
     for cls, mu, label in wanted:
         frame = _witness_frame(ctx, cls, mu)
         if frame is None:
-            rows.append((label, None, None, "no such tau at this q"))
+            rows.append((label, None, "no such tau at this q"))
             continue
         note = f"tau={ctx.elem_str(frame.tau)}"
         if mu is None:
             note += f", c={ctx.elem_str(closedform.mixed_class_root(ctx, frame))}"
-        rows.append((f"{label} [{note}]", frame.j, frame.l, None))
+        rows.append((f"{label} [{note}]", frame, None))
     return rows
 
 
@@ -137,11 +136,11 @@ def render_table(ctx: FieldCtx, table_id: int) -> tuple[list[str], int]:
              f"{'l-k=4' if s_flavor else 'j+l=4'} normalization"]
     family, x_name = (charsets.s_family, "k") if s_flavor else (charsets.t_family, "j")
     mismatches = 0
-    for label, j, l, skip in rows:
+    for label, frame, skip in rows:
         if skip is not None:
             lines.append(f"  {label}: skipped ({skip})")
             continue
-        x = ctx.neg(j) if s_flavor else j
+        x, l = (ctx.neg(frame.j) if s_flavor else frame.j), frame.l
         parts = []
         for sp in SIGN_PAIRS:
             fam = family(x, l, sp)
@@ -168,6 +167,7 @@ def render_table(ctx: FieldCtx, table_id: int) -> tuple[list[str], int]:
 
 def _cmd_table(args) -> int:
     ctx = mk_field(args.p, args.n)
+    charsets.check_scan_bound(ctx.q)  # before the O(q) tables
     ctx.tables()
     lines, mismatches = render_table(ctx, args.table_id)
     for line in lines:

@@ -11,17 +11,20 @@ at infinity (l = 0).  The linked quantities
 
 are carried in a NormalizedFrame, together with the square class
 cls = (chi(tau), chi(tau+1)), read once when the frame is built.  The
-dispatch is one decision on cls: only tau = 0 and tau = inf, where
-chi(tau) or l vanishes, are special.  Each root below checks the class
-it needs by one comparison on cls.  The all-square class reads its sign
-off 1 +/- sqrt(l)/2, and the three mixed classes use the deterministic
-square roots a1, a2, a3 (det_sqrt): Dickson values of r computed in F_q,
-so no choice of a unit u with u + 1/u = r, and no element of F_{q^2},
-enters.  The paper's named corollaries (tau = 1, 3, 1/3, by q mod 8 and
-mod 12) are rows of these classes, not separate cases.
+frame is the only input of the normalized side: ``prod_T_values(ctx, j,
+l)`` checks j + l = 4, builds the frame and makes one decision on cls,
+where only tau = 0 and tau = inf, at which chi(tau) or l vanishes, are
+special.  Each root below reads the class it needs off cls.  The
+all-square class reads its sign off 1 +/- sqrt(l)/2, and the three mixed
+classes use the deterministic square roots a1, a2, a3 (det_sqrt, which
+picks its root by cls): Dickson values of r computed in F_q, so no
+choice of a unit u with u + 1/u = r, and no element of F_{q^2}, enters.
+The paper's named corollaries (tau = 1, 3, 1/3, by q mod 8 and mod 12)
+are rows of these classes, not separate cases.
 
 S-products are served exclusively through T-products: S_{k,l}^{s1,s2}
-equals T_{-k,l}^{eps*s1, s2} as a set, eps the character of -1.
+equals T_{-k,l}^{eps*s1, s2} as a set, eps the character of -1, and
+``rescale_T`` takes any T-pair to a normalized one.
 ``closed_product(ctx, fam)`` is the one entry point for any A/S/S1/T
 family, the closed-form counterpart of ``charsets.brute_product``.
 """
@@ -83,13 +86,6 @@ def normalized_frame(ctx: FieldCtx, tau: ProjTau) -> NormalizedFrame:
     return NormalizedFrame(tau=tau, j=j, l=l, r=r, cls=square_classes(ctx, tau))
 
 
-def frame_from_pair(ctx: FieldCtx, j: int, l: int) -> NormalizedFrame:
-    """Frame for a normalized pair (j + l = 4)."""
-    if ctx.add(j, l) != ctx.from_int(4):
-        raise ValueError("pair is not normalized: j + l != 4")
-    return normalized_frame(ctx, INF if l == 0 else ctx.div(j, l))
-
-
 def square_classes(ctx: FieldCtx, tau: int) -> tuple[int, int]:
     """(chi(tau), chi(tau+1)), the pair that selects a tau's table row."""
     return ctx.legendre(tau), ctx.legendre(ctx.add(tau, ctx.one))
@@ -99,7 +95,7 @@ def prod_S_single(ctx: FieldCtx, k: int, sign: int) -> int:
     """Product over {a in F_q^* : chi(a+k) = sign}, in closed form."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    eps_elem = ctx.one if ctx.eps == 1 else ctx.minus_one
+    eps_elem = ctx.from_int(ctx.eps)
     if k == 0:
         return ctx.neg(eps_elem) if sign == 1 else eps_elem
     two = ctx.from_int(2)
@@ -151,43 +147,39 @@ def quadruple_from_one(ctx: FieldCtx, k: int, l: int,
     return out
 
 
-_CASE_CLASS = {"a1": (1, -1), "a2": (-1, 1), "a3": (-1, -1)}
-_CLASS_CASE = {cls: case for case, cls in _CASE_CLASS.items()}
+_MIXED_CLASSES = ((1, -1), (-1, 1), (-1, -1))  # the classes of a1, a2, a3
 
 
-def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame, case: str) -> int:
-    """Deterministic square root a1, a2 or a3 for the frame's square class.
+def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame) -> int:
+    """Deterministic square root of the frame's mixed square class.
 
-    a1 = (u^m - u^-m)/(u - 1/u), a2 = <u^m>, a3 = <(-u)^m>, where r = <u>
-    and m = (q - eps)/4.  As Dickson values of r they are computed in F_q,
-    so the choice of u among u and 1/u cannot matter: a2 = D_m(r), a3 =
-    chi(2) D_m(r) and a1 = E_{m-1}(r) = (2 D_{m+1}(r) - r D_m(r))/(r^2 - 4).
-    Each must square to -4/(r^2 - 4), l or j; IdentityFailure otherwise.
+    The classes (1, -1), (-1, 1) and (-1, -1) select a1, a2 and a3; a frame
+    in no mixed class raises ValueError.  a1 = (u^m - u^-m)/(u - 1/u), a2 =
+    <u^m>, a3 = <(-u)^m>, where r = <u> and m = (q - eps)/4.  As Dickson
+    values of r they are computed in F_q, so the choice of u among u and 1/u
+    cannot matter: a2 = D_m(r), a3 = chi(2) D_m(r) and a1 = E_{m-1}(r) =
+    (2 D_{m+1}(r) - r D_m(r))/(r^2 - 4).  Each must square to -4/(r^2 - 4),
+    l or j; IdentityFailure otherwise.
     """
-    if case not in _CASE_CLASS:
-        raise ValueError(f"unknown case {case!r}")
-    if frame.cls != _CASE_CLASS[case]:
-        raise ValueError(f"square classes {frame.cls} do not match case {case}")
+    if frame.cls not in _MIXED_CLASSES:
+        raise ValueError(f"tau={tau_str(frame.tau, ctx)} is in no mixed square class")
     r = frame.r
     dm, dm1 = dickson_values(ctx.m, r, ctx.sub, ctx.mul, ctx.from_int(2))
-    if case == "a1":
+    if frame.cls == (1, -1):
+        name = "a1"
         d = ctx.sub(ctx.mul(r, r), ctx.from_int(4))  # (u - 1/u)^2 = -j*l, nonzero
         val = ctx.div(ctx.sub(ctx.mul(ctx.from_int(2), dm1), ctx.mul(r, dm)), d)
         want = ctx.div(ctx.from_int(-4), d)
-    elif case == "a2":
-        val = dm
-        want = frame.l
+    elif frame.cls == (-1, 1):
+        name, val, want = "a2", dm, frame.l
     else:
+        name = "a3"
         val = dm if ctx.legendre(ctx.from_int(2)) == 1 else ctx.neg(dm)
         want = frame.j
     if ctx.mul(val, val) != want:
         raise IdentityFailure(
-            f"square identity for the det root {case} failed at q={ctx.q}")
+            f"square identity for the det root {name} failed at q={ctx.q}")
     return val
-
-
-def _sign_elem(ctx: FieldCtx, s: int) -> int:
-    return ctx.one if s == 1 else ctx.minus_one
 
 
 def _sign_row(pp: int, pm: int, mp: int, mm: int) -> dict[SignPair, int]:
@@ -201,11 +193,11 @@ def _specific_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int]:
     chi2 = ctx.legendre(ctx.from_int(2))
     el = ctx.from_int
     if frame.l == 0:  # tau = inf, (j,l) = (4,0)
-        c = _sign_elem(ctx, e)
+        c = el(e)
         return _sign_row(ctx.neg(ctx.div(c, el(4))), ctx.div(c, el(2)), ctx.one, el(2))
     # tau = 0, (j,l) = (0,4)
-    c = _sign_elem(ctx, e * chi2)  # character of -2
-    d = _sign_elem(ctx, chi2)
+    c = el(e * chi2)  # character of -2
+    d = el(chi2)
     return _sign_row(ctx.div(c, el(4)), c, ctx.div(d, el(2)), ctx.mul(d, el(2)))
 
 
@@ -232,7 +224,7 @@ def all_square_class(ctx: FieldCtx, frame: NormalizedFrame) -> int:
 def _all_square_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int]:
     """Rows for tau and tau+1 both nonzero squares, signed by all_square_class."""
     el = ctx.from_int
-    ce = _sign_elem(ctx, ctx.eps)
+    ce = el(ctx.eps)
     jl2 = ctx.mul(el(2), ctx.mul(frame.j, frame.l))
     vals = _sign_row(ctx.div(ce, jl2), ce, ctx.one, el(2))
     if all_square_class(ctx, frame) == 1:
@@ -243,17 +235,15 @@ def _all_square_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int
 def mixed_class_root(ctx: FieldCtx, frame: NormalizedFrame) -> int:
     """The root c behind the mixed square-class rows, built from det_sqrt.
 
-    c = chi(2) sqrt(tau) = chi(2) 2/(a1 l) for case a1, chi(2) sqrt(tau+1)
-    = chi(2) 2/a2 for a2 and sqrt(tau/(tau+1)) = a3/2 for a3.
+    c = chi(2) sqrt(tau) = chi(2) 2/(a1 l) for the class (1, -1), chi(2)
+    sqrt(tau+1) = chi(2) 2/a2 for (-1, 1) and sqrt(tau/(tau+1)) = a3/2
+    for (-1, -1).
     """
-    case = _CLASS_CASE.get(frame.cls)
-    if case is None:
-        raise ValueError(f"tau={tau_str(frame.tau, ctx)} is in no mixed square class")
-    a = det_sqrt(ctx, frame, case)
+    a = det_sqrt(ctx, frame)
     two = ctx.from_int(2)
-    if case == "a3":
+    if frame.cls == (-1, -1):
         return ctx.div(a, two)
-    c = ctx.div(two, a if case == "a2" else ctx.mul(a, frame.l))
+    c = ctx.div(two, a if frame.cls == (-1, 1) else ctx.mul(a, frame.l))
     return c if ctx.legendre(two) == 1 else ctx.neg(c)
 
 
@@ -263,7 +253,7 @@ def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, in
     two = el(2)
     tau = frame.tau
     tau1 = ctx.add(tau, ctx.one)
-    ce = _sign_elem(ctx, ctx.eps)
+    ce = el(ctx.eps)
     c = mixed_class_root(ctx, frame)
     if frame.cls == (1, -1):
         return _sign_row(ctx.neg(ctx.div(tau1, ctx.mul(two, c))),
@@ -283,17 +273,14 @@ def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, in
 
 def prod_T_values(ctx: FieldCtx, j: int, l: int) -> dict[SignPair, int]:
     """All four T_{j,l} products for a normalized pair (j + l = 4)."""
-    frame = frame_from_pair(ctx, j, l)
+    if ctx.add(j, l) != ctx.from_int(4):
+        raise ValueError("pair is not normalized: j + l != 4")
+    frame = normalized_frame(ctx, INF if l == 0 else ctx.div(j, l))
     if frame.cls == (1, 1):
         return _all_square_row(ctx, frame)
-    if frame.cls in _CLASS_CASE:
+    if frame.cls in _MIXED_CLASSES:
         return _mixed_class_row(ctx, frame)
     return _specific_row(ctx, frame)
-
-
-def prod_T_closed(ctx: FieldCtx, j: int, l: int, signs) -> int:
-    """Closed form of the T_{j,l} product for normalized (j, l)."""
-    return prod_T_values(ctx, j, l)[SignPair(*signs)]
 
 
 def rescale_T(ctx: FieldCtx, j_prime: int, l_prime: int, signs) -> int:
@@ -315,14 +302,8 @@ def rescale_T(ctx: FieldCtx, j_prime: int, l_prime: int, signs) -> int:
         raise IdentityFailure(f"(j' + l')/lambda != 4 at q={ctx.q}")
     beta = 1 if (ctx.legendre(j_prime) == e1 and ctx.legendre(l_prime) == e2) else 0
     gamma = 1 if (nu == ctx.eps * e1 == e2) or (ctx.eps == -1 and nu * e1 == 1) else 0
-    base = prod_T_closed(ctx, j, l, (nu * e1, nu * e2))
+    base = prod_T_values(ctx, j, l)[SignPair(nu * e1, nu * e2)]
     return ctx.mul(ctx.pow(lam, ctx.m - beta - gamma), base)
-
-
-def prod_S_closed(ctx: FieldCtx, k: int, l: int, signs) -> int:
-    """Closed S_{k,l} product, routed through the T-product formulas."""
-    e1, e2 = SignPair(*signs)
-    return rescale_T(ctx, ctx.neg(k), l, (ctx.eps * e1, e2))
 
 
 def closed_product(ctx: FieldCtx, fam: SetFamily) -> int:
@@ -335,7 +316,8 @@ def closed_product(ctx: FieldCtx, fam: SetFamily) -> int:
     k, l = fam.params
     if fam.kind == "A" and (ctx.legendre(k), ctx.legendre(l)) == tuple(fam.signs):
         return 0  # a = 0 is a member
-    return prod_S_closed(ctx, k, l, fam.signs)
+    e1, e2 = fam.signs  # S_{k,l}^{e1,e2} is T_{-k,l}^{eps*e1,e2} as a set
+    return rescale_T(ctx, ctx.neg(k), l, (ctx.eps * e1, e2))
 
 
 def swap_T(ctx: FieldCtx, j: int, l: int, mu: int) -> int:

@@ -209,7 +209,7 @@ def test_criterion_8_choice_invariance():
         else:
             case = {(1, -1): "a1", (-1, 1): "a2", (-1, -1): "a3"}[cls]
             # the F_q value against the F_{q^2} one at both roots u, 1/u
-            got = closedform.det_sqrt(ctx, frame, case)
+            got = closedform.det_sqrt(ctx, frame)
             u = ext2_solve_unit(ctx, frame.r)
             if {det_root_ext2(ctx, case, u),
                     det_root_ext2(ctx, case, ctx.e2_inv(u))} != {got}:

@@ -171,13 +171,15 @@ def test_verify_exit_one_on_mismatch(monkeypatch, capsys):
     # poison one closed form to prove mismatches flip the exit code
     from charprod import closedform, sweeps
 
-    real = closedform.prod_T_closed
+    real = closedform.prod_T_values
 
-    def poisoned(ctx, j, l, signs):
-        value = real(ctx, j, l, signs)
-        return ctx.add(value, ctx.one) if (j, tuple(signs)) == (0, (1, 1)) else value
+    def poisoned(ctx, j, l):
+        values = real(ctx, j, l)
+        if j == 0:
+            values[(1, 1)] = ctx.add(values[(1, 1)], ctx.one)
+        return values
 
-    monkeypatch.setattr(sweeps.closedform, "prod_T_closed", poisoned)
+    monkeypatch.setattr(sweeps.closedform, "prod_T_values", poisoned)
     assert main(["verify", "--qmax", "5", "--suites", "tables"]) == 1
 
 
@@ -269,6 +271,27 @@ def test_table_rows_against_spec_examples(capsys):
 def test_table_render_extension_field():
     lines, mismatches = render_table(field(3, 2), 4)
     assert mismatches == 0
+
+
+def test_table_refuses_a_field_above_the_scan_bound(monkeypatch, capsys):
+    # table refuses the fields eval and verify refuse, before its O(q)
+    # tables are built
+    from charprod import ffield
+
+    def no_tables(ctx, gen):
+        raise AssertionError(f"built the tables of q={ctx.q}")
+
+    monkeypatch.setattr(ffield, "FieldTables", no_tables)
+    assert main(["table", "1", "--p", "2147483647"]) == 2
+    err = capsys.readouterr().err
+    assert "q=2147483647" in err and f"bound {charsets.SCAN_LIMIT}" in err
+    monkeypatch.undo()
+    # the bound itself is allowed
+    monkeypatch.setattr(charsets, "SCAN_LIMIT", 13)
+    assert main(["table", "1", "--p", "13"]) == 0
+    assert "table 1 at q=13" in capsys.readouterr().out
+    assert main(["table", "1", "--p", "17"]) == 2
+    assert "q=17 is above the scan bound 13" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two():

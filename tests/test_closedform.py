@@ -5,9 +5,8 @@ import pytest
 from charprod.charsets import (SIGN_PAIRS, SignPair, a_family, brute_product,
                                s1_family, s_family, t_family)
 from charprod.closedform import (INF, all_square_class, closed_product,
-                                 det_sqrt, frame_from_pair, mixed_class_root,
-                                 normalized_frame, prod_S_closed,
-                                 prod_S_single, prod_T_closed, prod_T_values,
+                                 det_sqrt, mixed_class_root, normalized_frame,
+                                 prod_S_single, prod_T_values,
                                  quadruple_from_one, rescale_T, swap_T)
 from charprod.ffield import IdentityFailure, mk_field
 from helpers import (det_root_ext2, e2_div, e2_pow, ext2_solve_unit, field,
@@ -106,7 +105,7 @@ def test_frame_rejects_minus_one():
     with pytest.raises(ValueError):
         normalized_frame(field(13), 12)
     with pytest.raises(ValueError):
-        frame_from_pair(field(13), 5, 5)  # j + l = 10 != 4
+        prod_T_values(field(13), 5, 5)  # j + l = 10 != 4
 
 
 # ---------------------------------------------------------------------------
@@ -115,26 +114,22 @@ def test_frame_rejects_minus_one():
 
 def test_det_sqrt_examples_q7():
     c7 = field(7)
-    r3 = det_sqrt(c7, normalized_frame(c7, 5), "a3")
+    r3 = det_sqrt(c7, normalized_frame(c7, 5))
     assert r3 == 6  # <u^2> with u = 3, and 6^2 = 1 = j
-    r2 = det_sqrt(c7, normalized_frame(c7, 3), "a2")
+    r2 = det_sqrt(c7, normalized_frame(c7, 3))
     assert r2 == 6  # <4> = 4 + 2, and 6^2 = 1 = l
     fr = normalized_frame(c7, 2)
-    r1 = det_sqrt(c7, fr, "a1")
+    r1 = det_sqrt(c7, fr)
     assert r1 == 4
     assert mixed_class_root(c7, fr) == 3  # 3^2 = 2 = tau, and chi(2) = 1
 
 
 def test_det_sqrt_case_mismatch():
     c7 = field(7)
-    with pytest.raises(ValueError):
-        det_sqrt(c7, normalized_frame(c7, 5), "a1")
-    with pytest.raises(ValueError):
-        det_sqrt(c7, normalized_frame(c7, 2), "bogus")
-    with pytest.raises(ValueError):
-        det_sqrt(c7, normalized_frame(c7, INF), "a1")
     # tau = 1 is all-square at q = 7; 0 and inf are in no class
     for tau in (1, 0, INF):
+        with pytest.raises(ValueError):
+            det_sqrt(c7, normalized_frame(c7, tau))
         with pytest.raises(ValueError):
             mixed_class_root(c7, normalized_frame(c7, tau))
     for tau in (2, 0, INF):
@@ -152,7 +147,7 @@ def test_det_sqrt_named_roots_square_correctly():
             if case is None:
                 continue
             frame = normalized_frame(ctx, tau)
-            det_sqrt(ctx, frame, case)  # raises unless it squares correctly
+            det_sqrt(ctx, frame)  # raises unless it squares correctly
             c = mixed_class_root(ctx, frame)
             if case == "a1":
                 assert ctx.mul(c, c) == tau
@@ -175,7 +170,7 @@ def test_det_sqrt_reciprocal_invariance():
                 continue
             frame = normalized_frame(ctx, tau)
             u = ext2_solve_unit(ctx, frame.r)
-            got = det_sqrt(ctx, frame, case)
+            got = det_sqrt(ctx, frame)
             assert got == det_root_ext2(ctx, case, u), (ctx.q, tau)
             assert got == det_root_ext2(ctx, case, ctx.e2_inv(u)), (ctx.q, tau)
 
@@ -186,14 +181,14 @@ def test_det_sqrt_reciprocal_invariance():
 
 def test_prod_T_closed_examples():
     c7 = field(7)
-    assert prod_T_closed(c7, 2, 2, (-1, -1)) == 5
-    assert prod_T_closed(c7, 0, 4, (-1, -1)) == 2
-    assert prod_T_closed(c7, 1, 3, (-1, -1)) == 6
+    assert prod_T_values(c7, 2, 2)[(-1, -1)] == 5
+    assert prod_T_values(c7, 0, 4)[(-1, -1)] == 2
+    assert prod_T_values(c7, 1, 3)[(-1, -1)] == 6
 
 
 def test_prod_T_closed_rejects_unnormalized():
     with pytest.raises(ValueError):
-        prod_T_closed(field(13), 1, 1, (1, 1))
+        prod_T_values(field(13), 1, 1)[(1, 1)]
 
 
 def test_master_small_sweep():
@@ -257,20 +252,20 @@ def test_mixed_class_products_square_to_targets():
             frame = normalized_frame(ctx, tau)
             cj, cl = ctx.legendre(frame.j), ctx.legendre(frame.l)
             if (cj, cl) == (1, -1):
-                v = prod_T_closed(ctx, frame.j, frame.l, (-1, -1))
+                v = prod_T_values(ctx, frame.j, frame.l)[(-1, -1)]
                 assert ctx.mul(v, v) == frame.j
             elif (cj, cl) == (-1, 1):
-                v = prod_T_closed(ctx, frame.j, frame.l, (-1, -1))
+                v = prod_T_values(ctx, frame.j, frame.l)[(-1, -1)]
                 assert ctx.mul(v, v) == frame.l
             elif (cj, cl) == (-1, -1):
-                v = prod_T_closed(ctx, frame.j, frame.l, (1, -1))
+                v = prod_T_values(ctx, frame.j, frame.l)[(1, -1)]
                 assert ctx.mul(v, v) == ctx.div(frame.j, frame.l)
 
 
 def test_rescale_examples():
     c7 = field(7)
     # lambda = 1 reduces to the normalized dispatch
-    assert rescale_T(c7, 0, 4, (-1, -1)) == prod_T_closed(c7, 0, 4, (-1, -1))
+    assert rescale_T(c7, 0, 4, (-1, -1)) == prod_T_values(c7, 0, 4)[(-1, -1)]
     assert rescale_T(c7, 4, 4, (-1, -1)) == 6
     assert brute_product(c7, t_family(4, 4, (-1, -1))).value == 6
 
@@ -342,8 +337,8 @@ def test_prod_S_closed_matches_brute():
             if k == l:
                 continue
             for sp in SIGN_PAIRS:
-                assert prod_S_closed(ctx, k, l, sp) == \
-                    brute_product(ctx, s_family(k, l, sp)).value
+                fam = s_family(k, l, sp)
+                assert closed_product(ctx, fam) == brute_product(ctx, fam).value
 
 
 def test_swap_examples():

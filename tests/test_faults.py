@@ -11,15 +11,20 @@ from charprod import sweeps
 from charprod.ffield import mk_field
 
 
-def _failed_rows(monkeypatch, p, n, fault):
-    """Failed-row count per suite, each suite run on a freshly faulted field."""
+def _suite_rows(monkeypatch, p, n, fault, suite):
+    """Rows of one suite, run by ``sweeps.run_field`` on a freshly faulted field."""
     def corrupted(p, n=1):
         ctx = mk_field(p, n)
         fault(ctx)
         return ctx
 
     monkeypatch.setattr(sweeps, "mk_field", corrupted)
-    return {suite: sum(not r["ok"] for r in sweeps.run_field(p, n, (suite,)))
+    return sweeps.run_field(p, n, (suite,))
+
+
+def _failed_rows(monkeypatch, p, n, fault):
+    """Failed-row count per suite, each suite run on a freshly faulted field."""
+    return {suite: sum(not r["ok"] for r in _suite_rows(monkeypatch, p, n, fault, suite))
             for suite in sweeps.ALL_SUITES}
 
 
@@ -75,6 +80,21 @@ def test_swapped_exp_matrix_fails_rows_never_raises(monkeypatch, p, n):
 
         failed = _failed_rows(monkeypatch, p, n, swap_exp)
         assert sum(failed.values()) > 0, (p ** n, (i, k), failed)
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (5, 3)])
+def test_swapped_exp_matrix_tables_suite_gives_every_row(monkeypatch, p, n):
+    # a failure on the oracle's side is a failed row, so every tau still
+    # gives its four rows: 4 q in all (inf and the q - 1 others than -1)
+    for i, k in ((1, 2), (1, 3), (2, 5), (3, 4)):
+        def swap_exp(ctx):
+            tb = ctx.tables()
+            tb.exp[i], tb.exp[k] = tb.exp[k], tb.exp[i]
+            tb.log[tb.exp[i]], tb.log[tb.exp[k]] = i, k
+
+        rows = _suite_rows(monkeypatch, p, n, swap_exp, "tables")
+        assert len(rows) == 4 * p ** n, (p ** n, (i, k))
+        assert not any(r["case"].endswith("-aborted") for r in rows), (p ** n, (i, k))
 
 
 @pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
