@@ -21,8 +21,8 @@ squaring every unit, so it shares no chi arithmetic with
 ``FieldCtx.legendre`` (Euler's criterion, which the closed side uses).
 The table takes q bytes, so fields above ``SCAN_LIMIT`` = 2^26 elements
 are refused.  ``card_closed`` is the closed-form cardinality (never
-enumerates); it and the all-pairs array form ``card_grid`` share one
-formula, ``_pair_card``.
+enumerates); it and ``card_grid``, its array form over a block of rows of
+(k, l) pairs, share one formula, ``_pair_card``.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class ProductReport:
     cardinality: int
 
 
-# largest q the table-free scan accepts: its table of squares takes q bytes
+# largest q the oracle scans: either scan first builds tables of q entries
 SCAN_LIMIT = 1 << 26
 
 
@@ -127,7 +127,7 @@ def check_scan_bound(q: int) -> None:
     """ValueError when q is above SCAN_LIMIT, before any q-sized table exists."""
     if q > SCAN_LIMIT:
         raise ValueError(f"q={q} is above the scan bound {SCAN_LIMIT}: a full "
-                         f"scan needs a table of squares of q bytes")
+                         f"scan first builds tables of q entries")
 
 
 def square_table(ctx: FieldCtx) -> bytearray:
@@ -274,12 +274,12 @@ def card_closed(ctx: FieldCtx, fam: SetFamily) -> int:
     return _pair_card(ctx, fam.kind, fam.signs, nu, ctx.legendre(k), ctx.legendre(l))
 
 
-def pair_chars(ctx: FieldCtx, kind: str):
-    """int8 arrays (nu, chi(k), chi(l)) over all pairs (k, l) of an A/S/T kind.
+def pair_chars(ctx: FieldCtx, kind: str, rows: slice):
+    """int8 arrays (nu, chi(k), chi(l)) over the A/S/T pairs (k, l), k in ``rows``.
 
-    nu is the q x q grid of ``_pair_card``; chi(k) is a column and chi(l) a
-    row.  nu reads ``tables().chi`` at codes of l - k (or k + l) computed
-    digit by digit in base p, never the shifted grid the scans count with.
+    nu is the block of ``_pair_card`` over the codes k in the slice ``rows`` and
+    all l, read from ``tables().chi`` at codes of l - k (or k + l) computed digit
+    by digit in base p, never from the shifted vectors the scans count with.
     """
     import numpy as np
 
@@ -287,25 +287,22 @@ def pair_chars(ctx: FieldCtx, kind: str):
     chi = np.array(ctx.tables().chi, dtype=np.int8)
     sign = 1 if kind == "T" else -1
     a = np.arange(q, dtype=np.int32)
-    code = np.zeros((q, q), dtype=np.int32)
+    ks = a[rows]
+    code = np.zeros((len(ks), q), dtype=np.int32)
     for i in range(ctx.n):
-        d = a // p ** i % p
-        code += (d[None, :] + sign * d[:, None]) % p * p ** i
-    return chi[code], chi[:, None], chi[None, :]
+        code += (a // p ** i % p + sign * (ks // p ** i % p)[:, None]) % p * p ** i
+    return chi[code], chi[ks][:, None], chi[None, :]
 
 
-def card_grid(ctx: FieldCtx, kind: str, signs, chars=None):
-    """Closed cardinalities of every (k, l) family of one kind, as a q x q array.
+def card_grid(ctx: FieldCtx, kind: str, signs, chars):
+    """Closed cardinalities of a block of (k, l) families of one kind.
 
-    Entry [k, l] equals ``card_closed`` of the family with parameters (k, l);
-    entries where that family is undefined (k == l for A and S, k + l == 0
-    for T) are meaningless.  ``chars`` is ``pair_chars(ctx, kind)``, built
-    here when not given.
+    ``chars`` is ``pair_chars(ctx, kind, rows)``; entry [i, l] is ``card_closed``
+    of the family (rows[i], l), and meaningless where that family is undefined
+    (k == l for A and S, k + l == 0 for T).
     """
     if kind not in ("A", "S", "T"):
         raise ValueError(f"card_grid takes an A, S or T kind, got {kind!r}")
-    if chars is None:
-        chars = pair_chars(ctx, kind)
     return _pair_card(ctx, kind, signs, *chars)
 
 

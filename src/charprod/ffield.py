@@ -234,7 +234,7 @@ class FieldTables:
     two periods followed by a run of zeros that ``log[0]`` points into, so
     the product of any two elements is ``exp[log[a] + log[b]]``.  ``chi``
     (the parity of ``log``) and ``neg`` are plain lists for scalar lookups;
-    ``shifted(k)`` serves the vectorized scans.
+    ``shifted(k)``, a ``translate`` of chi, serves the vectorized scans.
     """
 
     __slots__ = ("exp", "log", "chi", "neg", "_p", "_n", "_wrap")
@@ -257,19 +257,26 @@ class FieldTables:
         half = u // 2  # gen^half = -1
         self.neg = [self.exp[i + half] for i in log]
         self._p, self._n = ctx.p, ctx.n
-        # chi over the coefficient grid (c_{n-1}, ..., c_0), repeated twice
-        # along every axis so that each shift by a constant is a slice
-        grid = np.array(chi, dtype=np.int8).reshape((ctx.p,) * ctx.n)
-        self._wrap = np.tile(grid, (2,) * ctx.n)
+        self._wrap = self.tile(np.array(chi, dtype=np.int8))
         self._wrap.flags.writeable = False
+
+    def tile(self, vec):
+        """vec (last axis: all a) on the coefficient grid, doubled so shifts are slices."""
+        import numpy as np
+
+        return np.tile(vec.reshape(vec.shape[:-1] + (self._p,) * self._n), (2,) * self._n)
+
+    def translate(self, wrap, k: int, sign: int = 1):
+        """``tile``-d vec at a + sign * k over all a, added coefficient by coefficient."""
+        p, idx = self._p, []
+        for _ in range(self._n):
+            k, c = divmod(k, p)
+            idx.append(slice(c * sign % p, c * sign % p + p))
+        return wrap[(Ellipsis, *reversed(idx))].reshape(wrap.shape[:-self._n] + (-1,))
 
     def shifted(self, k: int):
         """Read-only int8 vector of chi(a + k) over all a, indexed by a."""
-        idx = []
-        for _ in range(self._n):
-            k, c = divmod(k, self._p)
-            idx.append(slice(c, c + self._p))
-        return self._wrap[tuple(reversed(idx))].reshape(-1)
+        return self.translate(self._wrap, k)
 
 
 class FieldCtx:

@@ -27,7 +27,7 @@ ALL_SUITES = ("tables", "dickson", "cardinality", "correspondence",
               "reciprocity", "rescaling", "intro")
 
 _SEED = 0x5EED
-CARD_GRID_MAX = 4096
+_CARD_ROWS = 32  # rows k per block of the cardinality grids: memory O(_CARD_ROWS * q)
 _PAIR_FAMILIES = {"A": charsets.a_family, "S": charsets.s_family,
                   "T": charsets.t_family}
 
@@ -217,67 +217,63 @@ def suite_dickson(ctx: FieldCtx) -> Iterator[dict]:
                    "identical-coefficients", detail)
 
 
-def _card_grid_row(ctx: FieldCtx, kind: str, sp, counts, valid, chars) -> dict:
-    """One all-pairs row: closed cardinalities against enumerated counts."""
-    bad = charsets.card_grid(ctx, kind, sp, chars) != counts
-    bad &= valid
-    n_bad = int(bad.sum())
-    first = ""
-    if n_bad:
-        k, l = divmod(int(bad.argmax()), ctx.q)  # first hit in row-major order
-        first = f" first=({ctx.elem_str(k)},{ctx.elem_str(l)})"
-    return _row(f"card[{kind}]{sign_str(sp)}", "0 mismatches", f"{n_bad} mismatches{first}")
+def card_counts(ctx: FieldCtx) -> Iterator[tuple[slice, dict]]:
+    """Enumerated |A_{k,l}|, |S_{k,l}|, |T_{k,l}| of all pairs, by blocks of rows k.
 
-
-def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
-    """Closed cardinalities against matrix-counted enumerations, all pairs.
-
-    The enumerated counts are matrix products of the shifted character
-    vectors.  The closed values of all pairs come at once from
-    ``charsets.card_grid``, which shares its formula ``_pair_card`` with the
-    scalar ``card_closed`` and reads the characters from ``tables().chi``,
-    not from the shifted grid.  Counts and closed values are q x q arrays,
-    so fields above CARD_GRID_MAX get only the linear-cost checks (the four
-    A_{0,1} families and the single-condition counts).
+    Yields (rows, counts), counts[kind][s, i, l] for (rows[i], l) and SIGN_PAIRS[s].
+    b = a + k is a bijection, so |A_{k,l}| = c(l - k), c(d) = #{b : chi(b) = e1,
+    chi(b + d) = e2}, and |T_{j,l}| = c'(l + j), c' with signs (eps e1, e2), less
+    a = 0 for S and T.  l -+ k is a ``FieldTables.translate`` of c, the scans' shift.
     """
     import numpy as np
 
-    if ctx.q > CARD_GRID_MAX:
-        for sp in SIGN_PAIRS:
-            fam = charsets.a_family(0, 1, sp)
-            want = len(charsets.enumerate_family(ctx, fam))
-            yield _row(f"card[A01]{sign_str(sp)}", str(want),
-                       str(charsets.card_closed(ctx, fam)))
-        for e in (1, -1):
-            fam = charsets.s1_family(ctx.one, e)
-            want = len(charsets.enumerate_family(ctx, fam))
-            yield _row(f"card[S1]{sign_str(e)}", str(want),
-                       str(charsets.card_closed(ctx, fam)))
-        return
+    tb, q = ctx.tables(), ctx.q
+    chi = tb.shifted(0)  # chi(a), as the scans read it
+    e1s, e2s = (np.array(e)[:, None] for e in zip(*SIGN_PAIRS))
+    first, second = chi == e1s, chi == e2s  # [s, a]
+    c = np.array([np.count_nonzero(first & (tb.shifted(d) == e2s), axis=1)
+                  for d in range(q)], dtype=np.int32).T
+    t_signs = [SIGN_PAIRS.index((ctx.eps * e1, e2)) for e1, e2 in SIGN_PAIRS]
+    diff_wrap, sum_wrap, neg = tb.tile(c), tb.tile(c[t_signs]), np.array(tb.neg)
+    for k0 in range(0, q, _CARD_ROWS):
+        rows = slice(k0, min(q, k0 + _CARD_ROWS))
+        a = np.stack([tb.translate(diff_wrap, k, -1) for k in range(q)[rows]], axis=1)
+        t = np.stack([tb.translate(sum_wrap, j) for j in range(q)[rows]], axis=1)
+        s_zero = first[:, rows, None] & second[:, None]  # a = 0 in S: chi(k) = e1
+        t -= (chi[neg[rows]] == ctx.eps * e1s)[:, :, None] & second[:, None]  # a = 0 in T
+        yield rows, {"A": a, "S": a - s_zero, "T": t}
 
-    tb = ctx.tables()
+
+def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
+    """Closed cardinalities against enumerated counts, all pairs, at every q.
+
+    ``card_counts`` and ``charsets.card_grid`` give one block of rows at a time,
+    so memory stays linear in q.  ``card_grid`` shares ``_pair_card`` with the
+    scalar ``card_closed`` and reads ``tables().chi``, not the shifted vectors.
+    """
+    import numpy as np
+
     q = ctx.q
-    shifted = np.stack([tb.shifted(k) for k in range(q)])  # [k, a] = chi(k + a)
-    neg = np.array(tb.neg)
-    reflect = shifted[neg] * np.int8(ctx.eps)  # [j, a] = chi(j - a)
-    offdiag = ~np.eye(q, dtype=bool)
-    tmask = np.ones((q, q), dtype=bool)     # j + l != 0
-    tmask[np.arange(q), neg] = False
-    diff_chars = charsets.pair_chars(ctx, "A")  # A and S: nu = chi(l - k)
-    sum_chars = charsets.pair_chars(ctx, "T")   # T: nu = chi(j + l)
-    for sp in SIGN_PAIRS:
-        # float32 products are exact: every count is at most q <= CARD_GRID_MAX < 2^24
-        x1 = (shifted == sp.e1).astype(np.float32)
-        x2 = (shifted == sp.e2).astype(np.float32)
-        y1 = (reflect == sp.e1).astype(np.float32)
-        yield _card_grid_row(ctx, "A", sp, x1 @ x2.T, offdiag, diff_chars)
-        x1[:, 0] = x2[:, 0] = y1[:, 0] = 0  # S and T range over F_q^*
-        yield _card_grid_row(ctx, "S", sp, x1 @ x2.T, offdiag, diff_chars)
-        yield _card_grid_row(ctx, "T", sp, y1 @ x2.T, tmask, sum_chars)
+    codes, neg = np.arange(q), np.array(ctx.tables().neg)
+    tally = {(kind, s): [0, ""] for s in range(4) for kind in "AST"}  # mismatches, first
+    for rows, counts in card_counts(ctx):
+        chars = {kind: charsets.pair_chars(ctx, kind, rows) for kind in "AST"}
+        valid = {kind: codes != (neg if kind == "T" else codes)[rows, None]
+                 for kind in "AST"}  # k != l for A and S, j + l != 0 for T
+        for (kind, s), entry in tally.items():
+            bad = charsets.card_grid(ctx, kind, SIGN_PAIRS[s], chars[kind]) != counts[kind][s]
+            bad &= valid[kind]
+            if bad.any() and not entry[0]:
+                i, l = divmod(int(bad.argmax()), q)  # first hit in row-major order
+                entry[1] = f" first=({ctx.elem_str(rows.start + i)},{ctx.elem_str(l)})"
+            entry[0] += int(bad.sum())
+    for (kind, s), (n_bad, first) in tally.items():
+        yield _row(f"card[{kind}]{sign_str(SIGN_PAIRS[s])}", "0 mismatches",
+                   f"{n_bad} mismatches{first}")
+    chi = ctx.tables().shifted(0)
     for e in (1, -1):
-        counts = (shifted == e)
-        counts[:, 0] = False
-        sums = counts.sum(axis=1)
+        # |S_k^e| = #{b : chi(b) = e} less the a = 0 term chi(k) = e
+        sums = np.count_nonzero(chi == e) - (chi == e)
         bad = sum(1 for k in range(q)
                   if charsets.card_closed(ctx, charsets.s1_family(k, e)) != sums[k])
         yield _row(f"card[S1]{sign_str(e)}", "0 mismatches", f"{bad} mismatches")

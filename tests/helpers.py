@@ -69,6 +69,28 @@ def all_families(ctx):
                     yield t_family(k, l, sp)
 
 
+def card_counts_reference(ctx):
+    """|A_{k,l}|, |S_{k,l}| and |T_{k,l}| of every pair as (4, q, q) arrays,
+    [s, k, l] for SIGN_PAIRS[s]: matrix products of the stacked shifted
+    character vectors, the reference ``sweeps.card_counts`` must equal."""
+    import numpy as np
+
+    tb = ctx.tables()
+    shifted = np.stack([tb.shifted(k) for k in range(ctx.q)])  # [k, a] = chi(k + a)
+    reflect = shifted[np.array(tb.neg)] * np.int8(ctx.eps)  # [j, a] = chi(j - a)
+    out = {"A": [], "S": [], "T": []}
+    for sp in SIGN_PAIRS:
+        # float32 products are exact: every count is at most q < 2^24
+        x1 = (shifted == sp.e1).astype(np.float32)
+        x2 = (shifted == sp.e2).astype(np.float32)
+        y1 = (reflect == sp.e1).astype(np.float32)
+        out["A"].append(x1 @ x2.T)
+        x1[:, 0] = x2[:, 0] = y1[:, 0] = 0  # S and T range over F_q^*
+        out["S"].append(x1 @ x2.T)
+        out["T"].append(y1 @ x2.T)
+    return {kind: np.stack(grids).astype(np.int64) for kind, grids in out.items()}
+
+
 # ---------------------------------------------------------------------------
 # F_{q^2} reference for the det roots, which the library computes in F_q
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,8 @@ from charprod.charsets import (SIGN_PAIRS, SetFamily, SignPair, a_family,
                                square_table, t_family, vanishing_poly)
 from charprod.dickson import dickson_first, dickson_second
 from charprod.ffield import mk_field
-from helpers import (SMALL_FIELDS, all_families, field, product_reference,
-                     small_ctxs)
+from helpers import (SMALL_FIELDS, all_families, card_counts_reference, field,
+                     product_reference, small_ctxs)
 
 
 def test_enumerate_examples():
@@ -86,23 +87,59 @@ def test_card_closed_matches_enumeration_exhaustive():
 
 def test_card_grid_matches_card_closed():
     # the array form of the closed cardinality equals the scalar form at
-    # every pair where the family is defined
+    # every pair where the family is defined, block of rows by block
     makers = {"A": a_family, "S": s_family, "T": t_family}
     for ctx in small_ctxs():
         for kind, mk in makers.items():
-            chars = pair_chars(ctx, kind)
-            for sp in SIGN_PAIRS:
-                grid = card_grid(ctx, kind, sp, chars)
-                assert grid.shape == (ctx.q, ctx.q)
-                assert (grid == card_grid(ctx, kind, sp)).all()
-                for k in range(ctx.q):
-                    for l in range(ctx.q):
-                        undefined = ctx.add(k, l) == 0 if kind == "T" else k == l
-                        if not undefined:
-                            assert grid[k, l] == card_closed(ctx, mk(k, l, sp)), \
-                                (ctx.q, kind, sp, k, l)
+            for k0 in range(0, ctx.q, 4):
+                rows = slice(k0, min(ctx.q, k0 + 4))
+                chars = pair_chars(ctx, kind, rows)
+                for sp in SIGN_PAIRS:
+                    grid = card_grid(ctx, kind, sp, chars)
+                    assert grid.shape == (len(range(ctx.q)[rows]), ctx.q)
+                    for i, k in enumerate(range(ctx.q)[rows]):
+                        for l in range(ctx.q):
+                            undefined = ctx.add(k, l) == 0 if kind == "T" else k == l
+                            if not undefined:
+                                assert grid[i, l] == card_closed(ctx, mk(k, l, sp)), \
+                                    (ctx.q, kind, sp, k, l)
+    ctx = field(5)
     with pytest.raises(ValueError):
-        card_grid(field(5), "S1", SIGN_PAIRS[0])
+        card_grid(ctx, "S1", SIGN_PAIRS[0], pair_chars(ctx, "A", slice(0, 5)))
+
+
+def _card_counts_grid(ctx):
+    """sweeps.card_counts with its row blocks joined: (4, q, q) per kind."""
+    blocks = [counts for _, counts in sweeps.card_counts(ctx)]
+    return {kind: np.concatenate([counts[kind] for counts in blocks], axis=1)
+            for kind in "AST"}
+
+
+@pytest.mark.parametrize("block", [sweeps._CARD_ROWS, 1, 5])
+def test_card_counts_match_the_matmul_reference(monkeypatch, block):
+    # counting once per difference and translating the index gives the
+    # stacked-grid matrix products entry for entry, for every row block size
+    monkeypatch.setattr(sweeps, "_CARD_ROWS", block)
+    for ctx in small_ctxs():
+        got, want = _card_counts_grid(ctx), card_counts_reference(ctx)
+        for kind in "AST":
+            assert got[kind].shape == (4, ctx.q, ctx.q), (ctx.q, kind)
+            assert (got[kind] == want[kind]).all(), (ctx.q, kind)
+
+
+def test_card_counts_are_a_reindexing_of_any_vector(monkeypatch):
+    # with the shifted vectors read from a seeded random {-1, 0, 1} vector,
+    # which is no character, the counts still equal the reference: the
+    # translation is pure re-indexing of the additive group
+    monkeypatch.setattr(sweeps, "_CARD_ROWS", 5)
+    rng = np.random.default_rng(0x5EED)
+    for p, n in SMALL_FIELDS:
+        ctx = mk_field(p, n)
+        tb = ctx.tables()
+        tb._wrap = tb.tile(rng.integers(-1, 2, ctx.q).astype(np.int8))
+        got, want = _card_counts_grid(ctx), card_counts_reference(ctx)
+        for kind in "AST":
+            assert (got[kind] == want[kind]).all(), (ctx.q, kind)
 
 
 @pytest.mark.parametrize("p, n, flip, want", [

@@ -209,16 +209,20 @@ def test_verify_refuses_a_range_above_the_scan_bound(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
-def test_cardinality_above_the_grid_bound_runs_linear_checks(monkeypatch, p, n):
-    # above CARD_GRID_MAX the suite skips the q x q grids and checks only
-    # the four A_{0,1} families and the two single-condition counts
-    monkeypatch.setattr(sweeps, "CARD_GRID_MAX", 12)
+def test_cardinality_suite_checks_every_pair_at_every_block_size(monkeypatch, p, n):
+    # one path for every q: one row per block, as at the largest q, still
+    # gives the 12 all-pairs rows and the 2 single-condition rows
+    grid = [f"card[{kind}]{s}" for s in ("++", "+-", "-+", "--") for kind in "AST"]
+    cases = grid + ["card[S1]+", "card[S1]-"]
+    default = sweeps.run_field(p, n, ("cardinality",))
+    monkeypatch.setattr(sweeps, "_CARD_ROWS", 1)
     rows = sweeps.run_field(p, n, ("cardinality",))
-    a01 = [f"card[A01]{s}" for s in ("++", "+-", "-+", "--")]
-    assert [r["case"] for r in rows] == a01 + ["card[S1]+", "card[S1]-"]
+    assert [r["case"] for r in rows[:14]] == cases
     assert all(r["ok"] for r in rows)
+    assert rows == default
 
-    # m = (q - eps)/4 off by one: the closed A_{0,1} counts read m and fail
+    # m = (q - eps)/4 off by one: every closed count of a pair reads m and
+    # fails, first at (0, 1) in row-major order; |S_k^e| reads no m
     def shift_m(p, n=1):
         ctx = real(p, n)
         ctx.tables()
@@ -228,7 +232,11 @@ def test_cardinality_above_the_grid_bound_runs_linear_checks(monkeypatch, p, n):
     real = sweeps.mk_field
     monkeypatch.setattr(sweeps, "mk_field", shift_m)
     rows = sweeps.run_field(p, n, ("cardinality",))
-    assert [r["case"] for r in rows if not r["ok"]] == a01
+    assert [r["case"] for r in rows[:14] if not r["ok"]] == grid
+    ctx, q = real(p, n), p ** n
+    first = f"first=({ctx.elem_str(0)},{ctx.elem_str(1)})"
+    assert {r["actual"] for r in rows[:12] if r["case"].startswith("card[A]")} == \
+        {f"{q * (q - 1)} mismatches {first}"}
 
 
 def test_verify_workers(tmp_path):
@@ -291,7 +299,8 @@ def test_table_refuses_a_field_above_the_scan_bound(monkeypatch, capsys):
     assert main(["table", "1", "--p", "13"]) == 0
     assert "table 1 at q=13" in capsys.readouterr().out
     assert main(["table", "1", "--p", "17"]) == 2
-    assert "q=17 is above the scan bound 13" in capsys.readouterr().err
+    assert ("q=17 is above the scan bound 13: a full scan first builds tables "
+            "of q entries") in capsys.readouterr().err
 
 
 def test_usage_errors_exit_two():
