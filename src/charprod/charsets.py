@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ffield import FieldCtx, poly_trim
+from .ffield import FieldCtx
 
 
 class SignPair(NamedTuple):
@@ -278,19 +278,16 @@ def pair_chars(ctx: FieldCtx, kind: str, rows: slice):
     """int8 arrays (nu, chi(k), chi(l)) over the A/S/T pairs (k, l), k in ``rows``.
 
     nu is the block of ``_pair_card`` over the codes k in the slice ``rows`` and
-    all l, read from ``tables().chi`` at codes of l - k (or k + l) computed digit
-    by digit in base p, never from the shifted vectors the scans count with.
+    all l, read from ``tables().chi`` at the codes of l - k (or k + l) that
+    ``ctx.sub`` (or ``ctx.add``) computes on arrays, never from the shifted
+    vectors the scans count with.
     """
     import numpy as np
 
-    p, q = ctx.p, ctx.q
     chi = np.array(ctx.tables().chi, dtype=np.int8)
-    sign = 1 if kind == "T" else -1
-    a = np.arange(q, dtype=np.int32)
+    a = np.arange(ctx.q, dtype=np.int64)
     ks = a[rows]
-    code = np.zeros((len(ks), q), dtype=np.int32)
-    for i in range(ctx.n):
-        code += (a // p ** i % p + sign * (ks // p ** i % p)[:, None]) % p * p ** i
+    code = ctx.add(ks[:, None], a) if kind == "T" else ctx.sub(a, ks[:, None])
     return chi[code], chi[ks][:, None], chi[None, :]
 
 
@@ -308,16 +305,16 @@ def card_grid(ctx: FieldCtx, kind: str, signs, chars):
 
 def vanishing_poly(ctx: FieldCtx, e1: int, e2: int) -> list[int]:
     """Monic polynomial whose root set is A_{-2,2}^{e1,e2}."""
+    import numpy as np
+
     two = ctx.from_int(2)
     roots = enumerate_family(ctx, a_family(ctx.neg(two), two, (e1, e2)))
-    coeffs = [ctx.one]
-    for b in roots:
-        nb = ctx.neg(b)
-        nxt = [0] + coeffs
-        for i in range(len(coeffs)):
-            nxt[i] = ctx.add(nxt[i], ctx.mul(coeffs[i], nb))
+    coeffs = np.array([ctx.one], dtype=np.int64)
+    for b in roots:  # times (x - b)
+        nxt = np.concatenate(([0], coeffs))
+        nxt[:-1] = ctx.add(nxt[:-1], ctx.mul_poly(coeffs, ctx.neg(b)))
         coeffs = nxt
-    return poly_trim(coeffs)
+    return coeffs.tolist()
 
 
 def report_row(ctx: FieldCtx, fam: SetFamily, rep: ProductReport) -> dict:

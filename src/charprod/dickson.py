@@ -3,7 +3,8 @@
 Polynomials are lists of field elements (ints), little-endian, with no
 trailing zeros; the zero polynomial is the empty list.  Both kinds obey
 the three-term recursion f_{k+2} = x*f_{k+1} - f_k, with seeds (2, x)
-for the first kind and (1, x) for the second.  The defining functional
+for the first kind and (1, x) for the second; it runs on int64 arrays of
+coefficients, one ``ctx.sub`` per degree.  The defining functional
 equations are D_k(u + 1/u) = u^k + u^(-k) and
 E_{k-1}(u + 1/u) = (u^k - u^(-k)) / (u - 1/u).
 ``dickson_values`` evaluates D_k at a point of any commutative ring (F_q
@@ -19,14 +20,15 @@ from .ffield import FieldCtx
 def _dickson(ctx: FieldCtx, k: int, seed0: int) -> list[int]:
     if k == 0:
         return [seed0]
-    prev = [seed0]
-    cur = [0, ctx.one]
+    import numpy as np
+
+    prev = np.array([seed0], dtype=np.int64)
+    cur = np.array([0, ctx.one], dtype=np.int64)
     for _ in range(k - 1):
-        nxt = [0] + cur  # multiply by x
-        for i, c in enumerate(prev):
-            nxt[i] = ctx.sub(nxt[i], c)
+        nxt = np.concatenate(([0], cur))  # multiply by x
+        nxt[:len(prev)] = ctx.sub(nxt[:len(prev)], prev)
         prev, cur = cur, nxt
-    return cur
+    return cur.tolist()
 
 
 def dickson_first(ctx: FieldCtx, k: int) -> list[int]:

@@ -3,7 +3,10 @@
 Field elements are plain ints in range(q): the element with coefficient
 vector (c0, c1, ..., c_{n-1}), little-endian in the root of the modulus,
 is encoded as c0 + c1*p + ... + c_{n-1}*p^(n-1).  For n == 1 this is the
-usual residue.  Tie-breaking (smallest square root, smallest nonsquare,
+usual residue.  ``add``, ``sub`` and ``mul_poly`` read the digits off the
+code, ``a // p**i % p``, with no cache of decoded tuples, so one body
+serves Python ints and int64 numpy arrays of codes alike; no other module
+computes digits.  Tie-breaking (smallest square root, smallest nonsquare,
 sorted member lists) uses the *canonical order*: coefficient vectors
 compared lexicographically, low degree first.  ``FieldCtx.elem_key`` is
 the corresponding sort key; it agrees with integer order only for n == 1.
@@ -317,10 +320,10 @@ class FieldCtx:
                         row[i] = (row[i] + carry * rem[i]) % p
                 red.append(tuple(row))
         self._red = tuple(red)
+        self._pw = tuple(p ** i for i in range(n))  # place values of the digits
         self.one = 1
         self.minus_one = p - 1
         self._tables: FieldTables | None = None
-        self._digits: list[tuple[int, ...]] | None = None
         self._delta: int | None = None
 
     def __repr__(self):
@@ -330,15 +333,10 @@ class FieldCtx:
 
     def decode(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of element a, little-endian, length n."""
-        if self._digits is not None:
-            return self._digits[a]
         if self.n == 1:
             return (a,)
-        out = []
-        for _ in range(self.n):
-            a, r = divmod(a, self.p)
-            out.append(r)
-        return tuple(out)
+        p = self.p
+        return tuple(a // w % p for w in self._pw)
 
     # canonical sort key: low-degree-first lexicographic coefficient order
     elem_key = decode
@@ -382,29 +380,26 @@ class FieldCtx:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
+    def add(self, a, b):
         if self.n == 1:
             return (a + b) % self.q
-        da, db = self.decode(a), self.decode(b)
-        acc, pw = 0, 1
-        for x, y in zip(da, db):
-            acc += ((x + y) % self.p) * pw
-            pw *= self.p
+        p, acc = self.p, 0
+        for w in self._pw:
+            acc += (a // w + b // w) % p * w
         return acc
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def sub(self, a, b):
+        if self.n == 1:
+            return (a - b) % self.q
+        p, acc = self.p, 0
+        for w in self._pw:
+            acc += (a // w - b // w) % p * w
+        return acc
 
     def neg(self, a: int) -> int:
-        if self.n == 1:
-            return (self.q - a) % self.q
-        if self._tables is not None:
+        if self.n > 1 and self._tables is not None:
             return self._tables.neg[a]
-        acc, pw = 0, 1
-        for x in self.decode(a):
-            acc += ((self.p - x) % self.p) * pw
-            pw *= self.p
-        return acc
+        return self.sub(0, a)
 
     def mul(self, a: int, b: int) -> int:
         if self.n == 1:
@@ -412,26 +407,30 @@ class FieldCtx:
         tb = self._tables
         if tb is not None:
             return tb.exp[tb.log[a] + tb.log[b]]
-        return self._mul_poly(a, b)
+        return self.mul_poly(a, b)
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        p, n = self.p, self.n
-        da, db = self.decode(a), self.decode(b)
+    def mul_poly(self, a, b):
+        """a*b by polynomial multiplication modulo the modulus; reads no table.
+
+        Before the last ``% p`` a coefficient is below p^2 < 2^62 for n = 1
+        and below n^2 p^3 < 2^50 for n > 1 (as p^n < 2^31), so int64 arrays
+        give the same codes as Python ints.
+        """
+        p, n, pw = self.p, self.n, self._pw
+        da = [a // w % p for w in pw]
+        db = [b // w % p for w in pw]
         c = [0] * (2 * n - 1)
         for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    c[i + j] += ai * bj
-        for t in range(n - 2, -1, -1):
+            for j, bj in enumerate(db):
+                c[i + j] += ai * bj
+        # x^(n+t) reduces to the row _red[t], of degree below n
+        for t, row in enumerate(self._red):
             v = c[n + t]
-            if v:
-                row = self._red[t]
-                for i in range(n):
-                    c[i] += v * row[i]
-        acc, pw = 0, 1
-        for i in range(n):
-            acc += (c[i] % p) * pw
-            pw *= p
+            for i in range(n):
+                c[i] += v * row[i]
+        acc = 0
+        for ci, w in zip(c, pw):
+            acc += ci % p * w
         return acc
 
     def inv(self, a: int) -> int:
@@ -501,9 +500,6 @@ class FieldCtx:
     def tables(self) -> FieldTables:
         """Build (once) and return the O(q) lookup tables."""
         if self._tables is None:
-            if self.n > 1 and self._digits is None:
-                self._digits = [t[::-1] for t in
-                                itertools.product(range(self.p), repeat=self.n)]
             self._tables = FieldTables(self, self.primitive_element())
         return self._tables
 

@@ -257,7 +257,8 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
     codes, neg = np.arange(q), np.array(ctx.tables().neg)
     tally = {(kind, s): [0, ""] for s in range(4) for kind in "AST"}  # mismatches, first
     for rows, counts in card_counts(ctx):
-        chars = {kind: charsets.pair_chars(ctx, kind, rows) for kind in "AST"}
+        a_chars = charsets.pair_chars(ctx, "A", rows)  # S reads the same l - k
+        chars = {"A": a_chars, "S": a_chars, "T": charsets.pair_chars(ctx, "T", rows)}
         valid = {kind: codes != (neg if kind == "T" else codes)[rows, None]
                  for kind in "AST"}  # k != l for A and S, j + l != 0 for T
         for (kind, s), entry in tally.items():

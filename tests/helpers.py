@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -46,11 +47,11 @@ def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
 
 def product_reference(ctx, fam):
     """brute_product by the sorted members of enumerate_family, one at a
-    time with ctx._mul_poly, so the multiplication reads no table."""
+    time with ctx.mul_poly, so the multiplication reads no table."""
     members = enumerate_family(ctx, fam)
     value = ctx.one
     for a in members:
-        value = ctx._mul_poly(value, a)
+        value = ctx.mul_poly(value, a)
     return ProductReport(value=value, cardinality=len(members))
 
 
@@ -188,8 +189,28 @@ def stepped_roots_of_unity_union(ctx):
 
 
 # ---------------------------------------------------------------------------
-# Horner evaluation: the reference for the ladder dickson.dickson_values
+# the explicit sums, the reference for the recursion of dickson_first and
+# dickson_second; Horner evaluation, the reference for dickson.dickson_values
 # ---------------------------------------------------------------------------
+
+def dickson_explicit(ctx, k, first):
+    """D_k (first) or E_k from the explicit sums, not the recursion.
+
+    D_k = sum k/(k-i) C(k-i, i) (-1)^i x^(k-2i) and E_k = sum C(k-i, i)
+    (-1)^i x^(k-2i) over 0 <= i <= k/2, with D_0 = 2 (Lidl, Mullen and
+    Turnwald, *Dickson Polynomials*, 1993).  The integer coefficients embed
+    in F_q by from_int.
+    """
+    if first and k == 0:
+        return [ctx.from_int(2)]
+    f = [0] * (k + 1)
+    for i in range(k // 2 + 1):
+        c = math.comb(k - i, i)
+        if first:
+            c = k * c // (k - i)  # k/(k-i) C(k-i, i) = C(k-i, i) + C(k-i-1, i-1)
+        f[k - 2 * i] = ctx.from_int((-1) ** i * c)
+    return f
+
 
 def poly_eval(ctx, f, x):
     """Horner evaluation of f at x in F_q."""

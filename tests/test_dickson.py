@@ -5,8 +5,8 @@ import pytest
 from charprod.dickson import (dickson_first, dickson_second, dickson_values,
                               poly_str)
 from charprod.ffield import Ext2Elem
-from helpers import (e2_div, e2_pow, field, poly_eval, poly_eval_ext2,
-                     small_ctxs, unit_of_order)
+from helpers import (dickson_explicit, e2_div, e2_pow, field, poly_eval,
+                     poly_eval_ext2, small_ctxs, unit_of_order)
 
 
 def test_dickson_first_examples():
@@ -29,6 +29,13 @@ def test_degree_and_monic():
             for f in (dickson_first(ctx, k), dickson_second(ctx, k)):
                 assert len(f) == k + 1
                 assert f[-1] == ctx.one
+
+
+def test_recursion_matches_explicit_sums():
+    for ctx in small_ctxs():
+        for k in range(41):
+            assert dickson_first(ctx, k) == dickson_explicit(ctx, k, True), (ctx, k)
+            assert dickson_second(ctx, k) == dickson_explicit(ctx, k, False), (ctx, k)
 
 
 def test_rejects_negative_degree():

@@ -331,6 +331,37 @@ def test_unit_order_examples():
     assert unit_order_test(c7, u, (c7.q + c7.eps) // 2, -1)
 
 
+def _assert_arrays_match_ints(ctx, a, b):
+    # int64 arrays of codes against Python ints, which never overflow, so an
+    # overflow in the array path shows up as a mismatch
+    import numpy as np
+
+    xs, ys = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    for op in (ctx.add, ctx.sub, ctx.mul_poly):
+        want = [op(x, y) for x, y in zip(a, b)]
+        assert op(xs, ys).tolist() == want, (ctx, op.__name__)
+        assert op(xs, b[0]).tolist() == [op(x, b[0]) for x in a], (ctx, op.__name__)
+
+
+def test_array_arithmetic_matches_ints_on_every_pair():
+    for ctx in small_ctxs():
+        a, b = zip(*itertools.product(range(ctx.q), repeat=2))
+        _assert_arrays_match_ints(ctx, a, b)
+        assert [ctx.mul_poly(x, y) for x, y in zip(a, b)] == \
+            [ctx.mul(x, y) for x, y in zip(a, b)]
+
+
+@pytest.mark.parametrize("p, n", [(46337, 2), (1289, 3)])
+def test_array_arithmetic_matches_ints_at_the_largest_p(p, n):
+    # the largest p of each degree with q = p^n < 2^31, where the digit
+    # products are largest; q - 1 has every digit p - 1
+    ctx = mk_field(p, n)
+    rng = random.Random(p * 10 + n)
+    a = [ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(2000)]
+    b = [ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(2000)]
+    _assert_arrays_match_ints(ctx, a, b)
+
+
 def _to_gf(ctx, a):
     """Element as a sympy dense polynomial (high degree first, stripped)."""
     coeffs = list(reversed(ctx.decode(a)))
