@@ -17,16 +17,22 @@ and the last ``_FOLD_TAIL`` go through ``ctx.mul``; an extension field's
 members go through ``ctx.mul`` unsorted.  ``enumerate_family`` lists
 members in canonical order, and both read one mask builder.  On a field
 without tables the scan reads chi from ``square_table``, built by
-squaring every unit, so it shares no chi arithmetic with
+squaring one unit of each pair +-x, so it shares no chi arithmetic with
 ``FieldCtx.legendre`` (Euler's criterion, which the closed side uses).
-The table takes q bytes, so fields above ``SCAN_LIMIT`` = 2^26 elements
-are refused.  ``card_closed`` is the closed-form cardinality (never
-enumerates); it and ``card_grid``, its array form over a block of rows of
-(k, l) pairs, share one formula, ``_pair_card``.
+Each condition chi(a + s) = e is that table translated by s
+(``FieldCtx.translate_bytes``) as one byte vector, and the conditions
+meet as ints under ``&``: no Python loop runs over the elements, and the
+product folds ``ctx.mul`` over the marked positions without listing
+them.  The table takes q bytes, so fields above ``SCAN_LIMIT`` = 2^26
+elements are refused.  ``card_closed`` is the closed-form cardinality
+(never enumerates); it and ``card_grid``, its array form over a block of
+rows of (k, l) pairs, share one formula, ``_pair_card``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -131,41 +137,55 @@ def check_scan_bound(q: int) -> None:
 
 
 def square_table(ctx: FieldCtx) -> bytearray:
-    """Byte x is 1 exactly when x is a nonzero square, from squaring every unit.
+    """Byte x is 1 exactly when x is a nonzero square, from squaring half the units.
 
-    Only ``ctx.mul`` is used, never ``legendre`` or ``pow``: the oracle's
-    character comes from the definition of a square, not Euler's criterion.
+    x and -x have one square, so only one of each pair is squared: the
+    (q - 1)/2 codes of ``ctx.half_units``, whose top nonzero digit is below
+    p/2.  Only ``ctx.mul`` is used, never ``legendre`` or ``pow``: the
+    oracle's character comes from the definition of a square, not Euler's
+    criterion.
     """
     check_scan_bound(ctx.q)
     sq = bytearray(ctx.q)
     mul = ctx.mul
-    for x in range(1, ctx.q):
+    for x in ctx.half_units():
         sq[mul(x, x)] = 1
     return sq
 
 
-def _scan_scalar(ctx: FieldCtx, fam: SetFamily) -> list[int]:
+# swaps the bytes 0 and 1 (bytes.translate)
+_NOT = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _condition(ctx: FieldCtx, sq: bytearray, s: int, e: int) -> int:
+    """chi(a + s) = e over all a: an int whose byte a is 1 exactly where it holds."""
+    v = ctx.translate_bytes(sq, s)
+    if e == -1:
+        v = bytearray(v.translate(_NOT))
+        v[ctx.neg(s)] = 0  # chi(0) = 0 matches no sign
+    return int.from_bytes(v, "little")
+
+
+def _byte_mask(ctx: FieldCtx, fam: SetFamily) -> bytes:
+    """q bytes over all a, 1 exactly at the members of fam; no numpy.
+
+    Each condition is ``square_table`` translated by its shift, as a whole
+    byte vector, and the conditions are combined as ints with ``&``.
+    """
     sq = square_table(ctx)
-    add, sub = ctx.add, ctx.sub
-    # chi(y) = e  <=>  y != 0 and sq[y] == byte[e]
-    byte = {1: 1, -1: 0}
-    out = []
     if fam.kind == "S1":
-        (k,), e = fam.params, byte[fam.signs]
-        for a in range(1, ctx.q):
-            y = add(a, k)
-            if y and sq[y] == e:
-                out.append(a)
-        return out
-    (x, l), (e1, e2) = fam.params, (byte[s] for s in fam.signs)
-    start, is_t = (0 if fam.kind == "A" else 1), fam.kind == "T"
-    for a in range(start, ctx.q):
-        y = sub(x, a) if is_t else add(a, x)  # j - a for T, a + k for A and S
-        if y and sq[y] == e1:
-            z = add(a, l)
-            if z and sq[z] == e2:
-                out.append(a)
-    return out
+        (k,), e = fam.params, fam.signs
+        bits = _condition(ctx, sq, k, e)
+    elif fam.kind in ("A", "S"):
+        (k, l), (e1, e2) = fam.params, fam.signs
+        bits = _condition(ctx, sq, k, e1) & _condition(ctx, sq, l, e2)
+    else:
+        # chi(j - a) = chi(-1) * chi(a - j)
+        (j, l), (e1, e2) = fam.params, fam.signs
+        bits = _condition(ctx, sq, ctx.neg(j), ctx.eps * e1) & _condition(ctx, sq, l, e2)
+    if fam.kind != "A":
+        bits &= ~0xFF  # a = 0, byte 0, is a member of A only
+    return bits.to_bytes(ctx.q, "little")
 
 
 def _mask(ctx: FieldCtx, fam: SetFamily):
@@ -197,13 +217,16 @@ def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
 
     Compares whole shifted character vectors (``FieldTables.shifted``) when
     the context has built its tables; ``brute_product`` reads the same mask
-    but skips the list and the sort.  Otherwise it tests one element at a
-    time against ``square_table`` and raises ValueError above
-    ``SCAN_LIMIT``.  Both visit every element.
+    but skips the list and the sort.  Otherwise it lists the positions of
+    ``_byte_mask``, built from ``square_table`` by whole-vector byte
+    operations, and raises ValueError above ``SCAN_LIMIT``.  Both decide
+    every element.
     """
     fam.validate(ctx)
-    vector = ctx._tables is not None
-    members = (_scan_vector if vector else _scan_scalar)(ctx, fam)
+    if ctx._tables is not None:
+        members = _scan_vector(ctx, fam)
+    else:
+        members = list(itertools.compress(range(ctx.q), _byte_mask(ctx, fam)))
     if ctx.n > 1:
         members.sort(key=ctx.elem_key)
     return members
@@ -220,13 +243,15 @@ def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
     the member codes stay a numpy index array, unsorted.  For n = 1 they are
     folded by halving, x[:h] * x[h:2h] % p in int64 (exact, as p < 2^31),
     until ``_FOLD_TAIL`` remain; ``ctx.mul`` multiplies what is left, and
-    every member for n > 1.  Without tables the members of ``_scan_scalar``
-    go through the same ``ctx.mul`` loop, unsorted as well.
+    every member for n > 1.  Without tables the same fold reads the
+    positions of ``_byte_mask`` as they come, so no member list is built,
+    and ``bytes.count`` gives the cardinality.
     """
     fam.validate(ctx)
     if ctx._tables is None:
-        members = _scan_scalar(ctx, fam)
-        count = len(members)
+        mask = _byte_mask(ctx, fam)
+        members = itertools.compress(range(ctx.q), mask)
+        count = mask.count(1)
     else:
         import numpy as np
 
@@ -237,9 +262,7 @@ def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
                 h = len(x) // 2
                 x = np.concatenate((x[:h] * x[h:2 * h] % ctx.p, x[2 * h:]))
         members = x.tolist()
-    value = ctx.one
-    for a in members:
-        value = ctx.mul(value, a)
+    value = functools.reduce(ctx.mul, members, ctx.one)
     return ProductReport(value=value, cardinality=count)
 
 

@@ -6,10 +6,12 @@ is encoded as c0 + c1*p + ... + c_{n-1}*p^(n-1).  For n == 1 this is the
 usual residue.  ``add``, ``sub`` and ``mul_poly`` read the digits off the
 code, ``a // p**i % p``, with no cache of decoded tuples, so one body
 serves Python ints and int64 numpy arrays of codes alike; no other module
-computes digits.  Tie-breaking (smallest square root, smallest nonsquare,
-sorted member lists) uses the *canonical order*: coefficient vectors
-compared lexicographically, low degree first.  ``FieldCtx.elem_key`` is
-the corresponding sort key; it agrees with integer order only for n == 1.
+computes digits.  ``translate_bytes`` moves a q-byte vector by a field
+translation, digit by digit, without numpy.  Tie-breaking (smallest
+square root, smallest nonsquare, sorted member lists) uses the
+*canonical order*: coefficient vectors compared lexicographically, low
+degree first.  ``FieldCtx.elem_key`` is the corresponding sort key; it
+agrees with integer order only for n == 1.
 
 The quadratic extension F_{q^2} is represented as pairs lo + hi*theta
 with theta^2 = delta, delta the canonically smallest nonsquare of F_q.
@@ -360,6 +362,11 @@ class FieldCtx:
         for coeffs in itertools.product(range(self.p), repeat=self.n):
             yield self.encode(coeffs)
 
+    def half_units(self) -> Iterator[int]:
+        """One unit of each pair +-x: the codes whose top nonzero digit is below p/2."""
+        half = (self.p + 1) // 2
+        return itertools.chain.from_iterable(range(w, half * w) for w in self._pw)
+
     def elem_str(self, a: int) -> str:
         """Textual form: decimal residue, or comma-separated coefficients."""
         if self.n == 1:
@@ -395,6 +402,28 @@ class FieldCtx:
         for w in self._pw:
             acc += (a // w - b // w) % p * w
         return acc
+
+    def translate_bytes(self, vec, k: int) -> bytes:
+        """Bytes t of length q with t[a] == vec[a + k] over all a; no numpy.
+
+        Adding k's digit c at place value w rotates each aligned block of
+        p*w bytes left by c*w.  For n = 1 that is one pair of slices; for
+        n > 1 every block moves at once, as two shifts of one big int
+        (byte a is its a-th least significant byte) split by a block mask.
+        """
+        if self.n == 1:
+            return bytes(vec[k:] + vec[:k])
+        q, p = self.q, self.p
+        x = int.from_bytes(vec, "little")
+        for w in self._pw:
+            s = k // w % p * w
+            if s:
+                size = p * w
+                blocks = q // size
+                low = int.from_bytes((b"\xff" * (size - s) + bytes(s)) * blocks, "little")
+                high = int.from_bytes((bytes(size - s) + b"\xff" * s) * blocks, "little")
+                x = (x >> 8 * s) & low | (x << 8 * (size - s)) & high
+        return x.to_bytes(q, "little")
 
     def neg(self, a: int) -> int:
         if self.n > 1 and self._tables is not None:

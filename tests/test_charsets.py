@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -258,7 +259,7 @@ def test_report_row_json():
 
 
 def test_scalar_and_vector_scans_agree():
-    # the numpy path and the plain scan must produce identical members
+    # the numpy mask and the byte mask must mark identical members
     from charprod import charsets
 
     rng = random.Random(11)
@@ -273,9 +274,9 @@ def test_scalar_and_vector_scans_agree():
             if ctx.add(k, l) != 0:
                 fams.append(t_family(k, l, sp))
             for fam in fams:
-                vec = charsets._scan_vector(ctx, fam)
-                sca = charsets._scan_scalar(ctx, fam)
-                assert vec == sca
+                vec = np.flatnonzero(charsets._mask(ctx, fam)).tolist()
+                byt = list(itertools.compress(range(ctx.q), charsets._byte_mask(ctx, fam)))
+                assert vec == byt, (ctx.q, fam)
 
 
 @pytest.mark.parametrize("p, n", SMALL_FIELDS)
@@ -283,6 +284,16 @@ def test_brute_product_matches_reference_on_every_small_family(p, n):
     ctx = field(p, n)
     for fam in all_families(ctx):
         assert brute_product(ctx, fam) == product_reference(ctx, fam), (ctx.q, fam)
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS)
+def test_table_free_brute_product_matches_reference_on_every_small_family(p, n):
+    # the byte-vector scan against the table-backed numpy scan: a = 0 in A,
+    # the zero of each shifted condition and the T reflection
+    ctx, ref = mk_field(p, n), field(p, n)
+    for fam in all_families(ref):
+        assert brute_product(ctx, fam) == product_reference(ref, fam), (ctx.q, fam)
+    assert ctx._tables is None
 
 
 def test_brute_product_matches_reference_on_sampled_families():

@@ -362,6 +362,38 @@ def test_array_arithmetic_matches_ints_at_the_largest_p(p, n):
     _assert_arrays_match_ints(ctx, a, b)
 
 
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(17, 3)])
+def test_half_units_hold_one_of_each_pair(p, n):
+    ctx = mk_field(p, n)
+    half = list(ctx.half_units())
+    assert len(half) == (ctx.q - 1) // 2
+    assert sorted(half + [ctx.neg(x) for x in half]) == list(range(1, ctx.q))
+
+
+def _assert_translation_matches_add(ctx, ks):
+    # two byte planes of the codes, so q > 256 is checked exactly
+    planes = [bytes(a % 256 for a in range(ctx.q)),
+              bytes(a // 256 % 256 for a in range(ctx.q))]
+    for k in ks:
+        shifted = [ctx.add(a, k) for a in range(ctx.q)]
+        for vec in planes:
+            got = ctx.translate_bytes(vec, k)
+            assert len(got) == ctx.q
+            assert list(got) == [vec[b] for b in shifted], (ctx.q, k)
+
+
+def test_translate_bytes_matches_add_on_every_shift():
+    for ctx in small_ctxs():
+        _assert_translation_matches_add(ctx, range(ctx.q))
+
+
+@pytest.mark.parametrize("p, n", [(4099, 1), (17, 3)])
+def test_translate_bytes_matches_add_at_large_q(p, n):
+    ctx = mk_field(p, n)
+    rng = random.Random(p * 10 + n)
+    _assert_translation_matches_add(ctx, [rng.randrange(ctx.q) for _ in range(200)])
+
+
 def _to_gf(ctx, a):
     """Element as a sympy dense polynomial (high degree first, stripped)."""
     coeffs = list(reversed(ctx.decode(a)))
