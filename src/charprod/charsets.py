@@ -11,27 +11,28 @@ chi is the quadratic character; a chi value of 0 never matches a sign.
 ``brute_product`` multiplies the members found by a full scan of the
 field.  It is the oracle every closed formula in this package is tested
 against, so it deliberately takes no shortcuts: every member is
-multiplied in.  Only the order is free, as a product does not depend on
-it.  With tables, a prime field's members are folded by halving in int64
-and the last ``_FOLD_TAIL`` go through ``ctx.mul``; an extension field's
-members go through ``ctx.mul`` unsorted.  ``enumerate_family`` lists
-members in canonical order, and both read one mask builder.  On a field
-without tables the scan reads chi from ``square_table``, built by
-squaring one unit of each pair +-x, so it shares no chi arithmetic with
-``FieldCtx.legendre`` (Euler's criterion, which the closed side uses).
-Each condition chi(a + s) = e is that table translated by s
+multiplied in, by ``FieldCtx.prod``.  Only the order is free, as a
+product does not depend on it.  With tables, a prime field's members are
+folded by halving in int64 and the last ``_FOLD_TAIL`` go to
+``ctx.prod``; an extension field's members go to it unsorted.
+``enumerate_family`` lists members in canonical order, and both read one
+mask builder.  On a field without tables the scan reads chi from
+``square_table``, which scatters ``FieldCtx.half_unit_squares``: the
+squares of one unit of each pair +-x, by running sums along lines of the
+field with one ``mul_poly`` per line, so it shares no chi arithmetic
+with ``FieldCtx.legendre`` (Euler's criterion, which the closed side
+uses).  Each condition chi(a + s) = e is that table translated by s
 (``FieldCtx.translate_bytes``) as one byte vector, and the conditions
-meet as ints under ``&``: no Python loop runs over the elements, and the
-product folds ``ctx.mul`` over the marked positions without listing
-them.  The table takes q bytes, so fields above ``SCAN_LIMIT`` = 2^26
-elements are refused.  ``card_closed`` is the closed-form cardinality
+meet as ints under ``&``: no field operation runs per element, and
+``ctx.prod`` multiplies the marked positions without listing them.  The
+table takes q bytes, so fields above ``SCAN_LIMIT`` = 2^26 elements are
+refused.  ``card_closed`` is the closed-form cardinality
 (never enumerates); it and ``card_grid``, its array form over a block of
 rows of (k, l) pairs, share one formula, ``_pair_card``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -140,16 +141,15 @@ def square_table(ctx: FieldCtx) -> bytearray:
     """Byte x is 1 exactly when x is a nonzero square, from squaring half the units.
 
     x and -x have one square, so only one of each pair is squared: the
-    (q - 1)/2 codes of ``ctx.half_units``, whose top nonzero digit is below
-    p/2.  Only ``ctx.mul`` is used, never ``legendre`` or ``pow``: the
-    oracle's character comes from the definition of a square, not Euler's
-    criterion.
+    (q - 1)/2 squares of ``ctx.half_unit_squares``, found by running sums
+    along lines of the field with one ``mul_poly`` per line, never by
+    ``legendre`` or ``pow``: the oracle's character comes from the
+    definition of a square, not Euler's criterion.
     """
     check_scan_bound(ctx.q)
     sq = bytearray(ctx.q)
-    mul = ctx.mul
-    for x in ctx.half_units():
-        sq[mul(x, x)] = 1
+    for x in ctx.half_unit_squares():
+        sq[x] = 1
     return sq
 
 
@@ -232,7 +232,7 @@ def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
     return members
 
 
-# members left to the scalar ctx.mul loop once int64 halving has folded the rest
+# members left to ctx.prod once int64 halving has folded the rest
 _FOLD_TAIL = 64
 
 
@@ -242,10 +242,11 @@ def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
     The product does not depend on the order of the members, so with tables
     the member codes stay a numpy index array, unsorted.  For n = 1 they are
     folded by halving, x[:h] * x[h:2h] % p in int64 (exact, as p < 2^31),
-    until ``_FOLD_TAIL`` remain; ``ctx.mul`` multiplies what is left, and
-    every member for n > 1.  Without tables the same fold reads the
+    until ``_FOLD_TAIL`` remain.  Without tables the members are the
     positions of ``_byte_mask`` as they come, so no member list is built,
-    and ``bytes.count`` gives the cardinality.
+    and ``bytes.count`` gives the cardinality.  Both branches end in
+    ``ctx.prod``: integer chunks reduced mod q for n = 1, a fold of
+    ``ctx.mul`` for n > 1.
     """
     fam.validate(ctx)
     if ctx._tables is None:
@@ -262,8 +263,7 @@ def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
                 h = len(x) // 2
                 x = np.concatenate((x[:h] * x[h:2 * h] % ctx.p, x[2 * h:]))
         members = x.tolist()
-    value = functools.reduce(ctx.mul, members, ctx.one)
-    return ProductReport(value=value, cardinality=count)
+    return ProductReport(value=ctx.prod(members), cardinality=count)
 
 
 def _pair_card(ctx: FieldCtx, kind: str, signs, nu, ck, cl):
@@ -297,17 +297,17 @@ def card_closed(ctx: FieldCtx, fam: SetFamily) -> int:
     return _pair_card(ctx, fam.kind, fam.signs, nu, ctx.legendre(k), ctx.legendre(l))
 
 
-def pair_chars(ctx: FieldCtx, kind: str, rows: slice):
+def pair_chars(ctx: FieldCtx, chi, kind: str, rows: slice):
     """int8 arrays (nu, chi(k), chi(l)) over the A/S/T pairs (k, l), k in ``rows``.
 
-    nu is the block of ``_pair_card`` over the codes k in the slice ``rows`` and
-    all l, read from ``tables().chi`` at the codes of l - k (or k + l) that
-    ``ctx.sub`` (or ``ctx.add``) computes on arrays, never from the shifted
-    vectors the scans count with.
+    ``chi`` is ``tables().chi`` as an int8 array, converted once per field
+    by the caller.  nu is the block of ``_pair_card`` over the codes k in
+    the slice ``rows`` and all l, read from ``chi`` at the codes of l - k
+    (or k + l) that ``ctx.sub`` (or ``ctx.add``) computes on arrays, never
+    from the shifted vectors the scans count with.
     """
     import numpy as np
 
-    chi = np.array(ctx.tables().chi, dtype=np.int8)
     a = np.arange(ctx.q, dtype=np.int64)
     ks = a[rows]
     code = ctx.add(ks[:, None], a) if kind == "T" else ctx.sub(a, ks[:, None])
@@ -317,9 +317,9 @@ def pair_chars(ctx: FieldCtx, kind: str, rows: slice):
 def card_grid(ctx: FieldCtx, kind: str, signs, chars):
     """Closed cardinalities of a block of (k, l) families of one kind.
 
-    ``chars`` is ``pair_chars(ctx, kind, rows)``; entry [i, l] is ``card_closed``
-    of the family (rows[i], l), and meaningless where that family is undefined
-    (k == l for A and S, k + l == 0 for T).
+    ``chars`` is ``pair_chars(ctx, chi, kind, rows)``; entry [i, l] is
+    ``card_closed`` of the family (rows[i], l), and meaningless where that
+    family is undefined (k == l for A and S, k + l == 0 for T).
     """
     if kind not in ("A", "S", "T"):
         raise ValueError(f"card_grid takes an A, S or T kind, got {kind!r}")

@@ -6,12 +6,17 @@ is encoded as c0 + c1*p + ... + c_{n-1}*p^(n-1).  For n == 1 this is the
 usual residue.  ``add``, ``sub`` and ``mul_poly`` read the digits off the
 code, ``a // p**i % p``, with no cache of decoded tuples, so one body
 serves Python ints and int64 numpy arrays of codes alike; no other module
-computes digits.  ``translate_bytes`` moves a q-byte vector by a field
-translation, digit by digit, without numpy.  Tie-breaking (smallest
-square root, smallest nonsquare, sorted member lists) uses the
-*canonical order*: coefficient vectors compared lexicographically, low
-degree first.  ``FieldCtx.elem_key`` is the corresponding sort key; it
-agrees with integer order only for n == 1.
+computes digits.  Three helpers serve the table-free scan without numpy
+and without a field call per element: ``translate_bytes`` moves a q-byte
+vector by a field translation, digit by digit; ``half_unit_squares``
+lists the squares of one unit of each pair +-x by running sums along
+lines {y + c : c in F_p}, one ``mul_poly`` per line; and ``prod``
+multiplies an iterable of codes, by ``math.prod`` on integer chunks
+reduced mod q for n = 1.  Tie-breaking (smallest square root, smallest
+nonsquare, sorted member lists) uses the *canonical order*: coefficient
+vectors compared lexicographically, low degree first.
+``FieldCtx.elem_key`` is the corresponding sort key; it agrees with
+integer order only for n == 1.
 
 The quadratic extension F_{q^2} is represented as pairs lo + hi*theta
 with theta^2 = delta, delta the canonically smallest nonsquare of F_q.
@@ -25,10 +30,18 @@ symbols with lookups and serve the vectorized set scans.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from typing import Iterator, NamedTuple, Optional
 
 MACHINE_BOUND = 1 << 31
+
+# codes per math.prod call in FieldCtx.prod: enough to make the per-chunk
+# Python step rare, few enough that a chunk's product (below 2^(64*31)) stays
+# cheap to grow and to reduce mod q
+PROD_CHUNK = 64
 
 
 class FieldError(ValueError):
@@ -362,10 +375,52 @@ class FieldCtx:
         for coeffs in itertools.product(range(self.p), repeat=self.n):
             yield self.encode(coeffs)
 
-    def half_units(self) -> Iterator[int]:
-        """One unit of each pair +-x: the codes whose top nonzero digit is below p/2."""
-        half = (self.p + 1) // 2
-        return itertools.chain.from_iterable(range(w, half * w) for w in self._pw)
+    def half_unit_squares(self) -> Iterator[int]:
+        """Codes of x^2 over one unit x of each pair +-x; no field call per x.
+
+        The x are the (q - 1)/2 codes whose top nonzero digit is below p/2,
+        taken one line {y + c : c in F_p} at a time, y with constant digit
+        0: the line y = 0 with 1 <= c <= (p - 1)/2, and for each place value
+        w >= p the whole lines at y in ``range(w, (p + 1)//2 * w, p)``.  On a
+        line (y + c)^2 = y^2 + c*2y + c^2, so the constant digit is y^2's
+        plus the running sum of the odd numbers, and every other digit is an
+        arithmetic progression mod p: one ``mul_poly(y, y)`` per line and
+        no other multiplication.  For n = 1 the line y = 0 is all.
+        """
+        return itertools.chain.from_iterable(self._square_lines())
+
+    def _square_lines(self) -> Iterator[Iterator[int]]:
+        p, half, odd = self.p, (self.p + 1) // 2, range(1, 2 * self.p - 1, 2)
+        mod, ps = operator.mod, itertools.repeat(p)
+        yield map(mod, itertools.accumulate(odd[1:half - 1], initial=1), ps)  # c^2, c >= 1
+        for w in self._pw[1:]:
+            for y in range(w, half * w, p):
+                yy = self.mul_poly(y, y)
+                digits = [map(mod, itertools.accumulate(odd, initial=yy % p), ps)]
+                for v in self._pw[1:]:
+                    # digit d at place v is d*v, and (k*v) % (p*v) == (k % p)*v
+                    a, step = yy // v % p * v, 2 * (y // v) % p * v
+                    digit = range(a, a + step * p, step) if step else itertools.repeat(a, p)
+                    digits.append(map(mod, digit, itertools.repeat(p * v)))
+                yield functools.reduce(functools.partial(map, operator.add), digits)
+
+    def prod(self, codes) -> int:
+        """Product of the codes of an iterable, consumed once; the empty product is one.
+
+        For n = 1, ``math.prod`` multiplies chunks of ``PROD_CHUNK`` codes,
+        each reduced mod q, and the reduced values are multiplied the same
+        way until one is left; no list of the codes is built.  For n > 1
+        it folds ``mul``.
+        """
+        if self.n > 1:
+            return functools.reduce(self.mul, codes, self.one)
+        q, it = self.q, iter(codes)
+        while True:
+            chunks = iter(lambda: list(itertools.islice(it, PROD_CHUNK)), [])
+            parts = [math.prod(chunk) % q for chunk in chunks]
+            if len(parts) <= 1:
+                return parts[0] if parts else self.one
+            it = iter(parts)
 
     def elem_str(self, a: int) -> str:
         """Textual form: decimal residue, or comma-separated coefficients."""

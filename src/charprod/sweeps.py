@@ -255,10 +255,12 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
 
     q = ctx.q
     codes, neg = np.arange(q), np.array(ctx.tables().neg)
+    closed_chi = np.array(ctx.tables().chi, dtype=np.int8)  # once per field
     tally = {(kind, s): [0, ""] for s in range(4) for kind in "AST"}  # mismatches, first
     for rows, counts in card_counts(ctx):
-        a_chars = charsets.pair_chars(ctx, "A", rows)  # S reads the same l - k
-        chars = {"A": a_chars, "S": a_chars, "T": charsets.pair_chars(ctx, "T", rows)}
+        a_chars = charsets.pair_chars(ctx, closed_chi, "A", rows)
+        t_chars = charsets.pair_chars(ctx, closed_chi, "T", rows)
+        chars = {"A": a_chars, "S": a_chars, "T": t_chars}  # S reads the same l - k
         valid = {kind: codes != (neg if kind == "T" else codes)[rows, None]
                  for kind in "AST"}  # k != l for A and S, j + l != 0 for T
         for (kind, s), entry in tally.items():

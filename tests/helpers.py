@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import functools
+import itertools
 import math
 import os
 import subprocess
@@ -25,6 +26,14 @@ def field(p, n=1):
 
 def small_ctxs():
     return [field(p, n) for p, n in SMALL_FIELDS]
+
+
+def half_units(ctx):
+    """One unit of each pair +-x: the codes whose top nonzero digit is below
+    p/2, the reference for ``FieldCtx.half_unit_squares``."""
+    half = (ctx.p + 1) // 2
+    return itertools.chain.from_iterable(range(ctx.p ** i, half * ctx.p ** i)
+                                         for i in range(ctx.n))
 
 
 def prime_power(q):

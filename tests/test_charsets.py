@@ -91,10 +91,11 @@ def test_card_grid_matches_card_closed():
     # every pair where the family is defined, block of rows by block
     makers = {"A": a_family, "S": s_family, "T": t_family}
     for ctx in small_ctxs():
+        chi = np.array(ctx.tables().chi, dtype=np.int8)
         for kind, mk in makers.items():
             for k0 in range(0, ctx.q, 4):
                 rows = slice(k0, min(ctx.q, k0 + 4))
-                chars = pair_chars(ctx, kind, rows)
+                chars = pair_chars(ctx, chi, kind, rows)
                 for sp in SIGN_PAIRS:
                     grid = card_grid(ctx, kind, sp, chars)
                     assert grid.shape == (len(range(ctx.q)[rows]), ctx.q)
@@ -105,8 +106,9 @@ def test_card_grid_matches_card_closed():
                                 assert grid[i, l] == card_closed(ctx, mk(k, l, sp)), \
                                     (ctx.q, kind, sp, k, l)
     ctx = field(5)
+    chi = np.array(ctx.tables().chi, dtype=np.int8)
     with pytest.raises(ValueError):
-        card_grid(ctx, "S1", SIGN_PAIRS[0], pair_chars(ctx, "A", slice(0, 5)))
+        card_grid(ctx, "S1", SIGN_PAIRS[0], pair_chars(ctx, chi, "A", slice(0, 5)))
 
 
 def _card_counts_grid(ctx):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from charprod.ffield import (EvenCharacteristicError, Ext2Elem, FieldError,
                              FieldTables, FieldTooLargeError, IdentityFailure,
-                             NotPrimeError, is_prime, mk_field, power,
+                             NotPrimeError, PROD_CHUNK, is_prime, mk_field, power,
                              tonelli_shanks)
-from helpers import (SMALL_FIELDS, e2_pow, ext2_solve_unit, field, prime_power,
-                     small_ctxs, unit_order_test)
+from helpers import (SMALL_FIELDS, e2_pow, ext2_solve_unit, field, half_units,
+                     prime_power, small_ctxs, unit_order_test)
 
 
 def test_mk_field_examples():
@@ -365,9 +366,33 @@ def test_array_arithmetic_matches_ints_at_the_largest_p(p, n):
 @pytest.mark.parametrize("p, n", SMALL_FIELDS + [(17, 3)])
 def test_half_units_hold_one_of_each_pair(p, n):
     ctx = mk_field(p, n)
-    half = list(ctx.half_units())
+    half = list(half_units(ctx))
     assert len(half) == (ctx.q - 1) // 2
     assert sorted(half + [ctx.neg(x) for x in half]) == list(range(1, ctx.q))
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(17, 3), (127, 2), (3, 5), (4099, 1)])
+def test_half_unit_squares_match_mul_over_half_units(p, n):
+    # running sums along lines against one multiplication per half unit
+    ctx = mk_field(p, n)
+    want = sorted(ctx.mul(x, x) for x in half_units(ctx))
+    assert sorted(ctx.half_unit_squares()) == want
+    assert ctx._tables is None
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (4099, 1), (2147483647, 1), (5, 2), (17, 3)])
+def test_prod_matches_a_fold_of_mul(p, n):
+    # chunk boundaries on both sides; q - 1 repeated gives the largest
+    # chunk products and the sign (-1)^len
+    ctx = mk_field(p, n)
+    rng = random.Random(p * 10 + n)
+    sizes = [0, 1, PROD_CHUNK - 1, PROD_CHUNK, PROD_CHUNK + 1, 10 ** 4]
+    inputs = [[rng.randrange(1, ctx.q) for _ in range(size)] for size in sizes]
+    inputs += [[ctx.q - 1] * size for size in sizes]
+    inputs.append([ctx.q - 1] * PROD_CHUNK + [0])  # a zero in the second chunk
+    for codes in inputs:
+        want = functools.reduce(ctx.mul, codes, ctx.one)
+        assert ctx.prod(iter(codes)) == want, (ctx.q, len(codes))
 
 
 def _assert_translation_matches_add(ctx, ks):
