@@ -12,16 +12,18 @@ chi is the quadratic character; a chi value of 0 never matches a sign.
 field.  It is the oracle every closed formula in this package is tested
 against, so it deliberately takes no shortcuts: every member is
 multiplied in, by ``FieldCtx.prod``.  Only the order is free, as a
-product does not depend on it.  With tables, a prime field's members are
-folded by halving in int64 and the last ``_FOLD_TAIL`` go to
-``ctx.prod``; an extension field's members go to it unsorted.
-``enumerate_family`` lists members in canonical order, and both read one
-mask builder.  On a field without tables the scan reads chi from
+product does not depend on it.  ``_conditions`` decodes a family into
+its conditions chi(a + s) = e once, for both masks.  With tables,
+``brute_product`` compares shifted character vectors
+(``FieldTables.shifted``); a prime field's members are folded by halving
+in int64 and the last ``_FOLD_TAIL`` go to ``ctx.prod``, an extension
+field's members go to it unsorted.  On a field without tables, and in
+``enumerate_family`` on every field, the scan reads chi from
 ``square_table``, which scatters ``FieldCtx.half_unit_squares``: the
 squares of one unit of each pair +-x, by running sums along lines of the
 field with one ``mul_poly`` per line, so it shares no chi arithmetic
-with ``FieldCtx.legendre`` (Euler's criterion, which the closed side
-uses).  Each condition chi(a + s) = e is that table translated by s
+with ``FieldCtx.legendre`` (Euler's criterion or the log parity, which
+the closed side uses).  Each condition is that table translated by s
 (``FieldCtx.translate_bytes``) as one byte vector, and the conditions
 meet as ints under ``&``: no field operation runs per element, and
 ``ctx.prod`` multiplies the marked positions without listing them.  The
@@ -166,6 +168,21 @@ def _condition(ctx: FieldCtx, sq: bytearray, s: int, e: int) -> int:
     return int.from_bytes(v, "little")
 
 
+def _conditions(ctx: FieldCtx, fam: SetFamily) -> list[tuple[int, int]]:
+    """The pairs (s, e) whose conditions chi(a + s) = e all hold on fam's members.
+
+    Members of S, S1 and T also need a != 0, which no pair states.
+    """
+    if fam.kind == "S1":
+        (k,), e = fam.params, fam.signs
+        return [(k, e)]
+    (x, l), (e1, e2) = fam.params, fam.signs
+    if fam.kind == "T":
+        # chi(j - a) = chi(-1) * chi(a - j)
+        return [(ctx.neg(x), ctx.eps * e1), (l, e2)]
+    return [(x, e1), (l, e2)]
+
+
 def _byte_mask(ctx: FieldCtx, fam: SetFamily) -> bytes:
     """q bytes over all a, 1 exactly at the members of fam; no numpy.
 
@@ -173,60 +190,34 @@ def _byte_mask(ctx: FieldCtx, fam: SetFamily) -> bytes:
     byte vector, and the conditions are combined as ints with ``&``.
     """
     sq = square_table(ctx)
-    if fam.kind == "S1":
-        (k,), e = fam.params, fam.signs
-        bits = _condition(ctx, sq, k, e)
-    elif fam.kind in ("A", "S"):
-        (k, l), (e1, e2) = fam.params, fam.signs
-        bits = _condition(ctx, sq, k, e1) & _condition(ctx, sq, l, e2)
-    else:
-        # chi(j - a) = chi(-1) * chi(a - j)
-        (j, l), (e1, e2) = fam.params, fam.signs
-        bits = _condition(ctx, sq, ctx.neg(j), ctx.eps * e1) & _condition(ctx, sq, l, e2)
-    if fam.kind != "A":
-        bits &= ~0xFF  # a = 0, byte 0, is a member of A only
+    bits = -1 if fam.kind == "A" else ~0xFF  # a = 0, byte 0, is a member of A only
+    for s, e in _conditions(ctx, fam):
+        bits &= _condition(ctx, sq, s, e)
     return bits.to_bytes(ctx.q, "little")
 
 
 def _mask(ctx: FieldCtx, fam: SetFamily):
     """Boolean numpy vector over all a, true exactly at the members of fam."""
     shifted = ctx.tables().shifted
-    if fam.kind == "S1":
-        (k,), e = fam.params, fam.signs
-        mask = shifted(k) == e
-    elif fam.kind in ("A", "S"):
-        (k, l), (e1, e2) = fam.params, fam.signs
-        mask = (shifted(k) == e1) & (shifted(l) == e2)
-    else:
-        # chi(j - a) = chi(-1) * chi(a - j)
-        (j, l), (e1, e2) = fam.params, fam.signs
-        mask = (shifted(ctx.neg(j)) == ctx.eps * e1) & (shifted(l) == e2)
+    (s, e), *rest = _conditions(ctx, fam)
+    mask = shifted(s) == e
+    for s, e in rest:
+        mask &= shifted(s) == e
     if fam.kind != "A":
         mask[0] = False
     return mask
 
 
-def _scan_vector(ctx: FieldCtx, fam: SetFamily) -> list[int]:
-    import numpy as np
-
-    return np.flatnonzero(_mask(ctx, fam)).tolist()
-
-
 def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
     """Exact member list by scanning the whole field, canonically sorted.
 
-    Compares whole shifted character vectors (``FieldTables.shifted``) when
-    the context has built its tables; ``brute_product`` reads the same mask
-    but skips the list and the sort.  Otherwise it lists the positions of
-    ``_byte_mask``, built from ``square_table`` by whole-vector byte
-    operations, and raises ValueError above ``SCAN_LIMIT``.  Both decide
-    every element.
+    Lists the positions of ``_byte_mask``, built from ``square_table`` by
+    whole-vector byte operations, on every context, with or without
+    tables; it raises ValueError above ``SCAN_LIMIT``.  It decides every
+    element and never reads ``FieldTables`` or ``legendre``.
     """
     fam.validate(ctx)
-    if ctx._tables is not None:
-        members = _scan_vector(ctx, fam)
-    else:
-        members = list(itertools.compress(range(ctx.q), _byte_mask(ctx, fam)))
+    members = list(itertools.compress(range(ctx.q), _byte_mask(ctx, fam)))
     if ctx.n > 1:
         members.sort(key=ctx.elem_key)
     return members

@@ -23,9 +23,10 @@ with theta^2 = delta, delta the canonically smallest nonsquare of F_q.
 
 Every operation works without precomputation.  ``FieldCtx.tables()``
 adds lookup tables of size O(q) -- discrete logarithms to the canonically
-smallest generator of F_q^*, the quadratic character and negation.  Once
-built, they replace polynomial arithmetic and power-based Legendre
-symbols with lookups and serve the vectorized set scans.
+smallest generator of F_q^* and the quadratic character.  Once built,
+they replace polynomial multiplication and power-based Legendre symbols
+with lookups and serve the vectorized product scan and cardinality
+counts; ``add``, ``sub`` and ``neg`` stay digit arithmetic either way.
 """
 
 from __future__ import annotations
@@ -251,11 +252,11 @@ class FieldTables:
     ``exp[i]`` is gen^i and ``log`` its inverse on the units.  ``exp`` holds
     two periods followed by a run of zeros that ``log[0]`` points into, so
     the product of any two elements is ``exp[log[a] + log[b]]``.  ``chi``
-    (the parity of ``log``) and ``neg`` are plain lists for scalar lookups;
-    ``shifted(k)``, a ``translate`` of chi, serves the vectorized scans.
+    (the parity of ``log``) is a plain list for scalar lookups; ``shifted(k)``,
+    a ``translate`` of chi, serves ``brute_product``'s vectorized scan.
     """
 
-    __slots__ = ("exp", "log", "chi", "neg", "_p", "_n", "_wrap")
+    __slots__ = ("exp", "log", "chi", "_p", "_n", "_wrap")
 
     def __init__(self, ctx: "FieldCtx", gen: int):
         import numpy as np
@@ -272,8 +273,6 @@ class FieldTables:
         for i, x in enumerate(cycle):
             log[x] = i
             chi[x] = -1 if i & 1 else 1
-        half = u // 2  # gen^half = -1
-        self.neg = [self.exp[i + half] for i in log]
         self._p, self._n = ctx.p, ctx.n
         self._wrap = self.tile(np.array(chi, dtype=np.int8))
         self._wrap.flags.writeable = False
@@ -480,9 +479,7 @@ class FieldCtx:
                 x = (x >> 8 * s) & low | (x << 8 * (size - s)) & high
         return x.to_bytes(q, "little")
 
-    def neg(self, a: int) -> int:
-        if self.n > 1 and self._tables is not None:
-            return self._tables.neg[a]
+    def neg(self, a):
         return self.sub(0, a)
 
     def mul(self, a: int, b: int) -> int:

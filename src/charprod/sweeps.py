@@ -234,7 +234,7 @@ def card_counts(ctx: FieldCtx) -> Iterator[tuple[slice, dict]]:
     c = np.array([np.count_nonzero(first & (tb.shifted(d) == e2s), axis=1)
                   for d in range(q)], dtype=np.int32).T
     t_signs = [SIGN_PAIRS.index((ctx.eps * e1, e2)) for e1, e2 in SIGN_PAIRS]
-    diff_wrap, sum_wrap, neg = tb.tile(c), tb.tile(c[t_signs]), np.array(tb.neg)
+    diff_wrap, sum_wrap, neg = tb.tile(c), tb.tile(c[t_signs]), ctx.neg(np.arange(q))
     for k0 in range(0, q, _CARD_ROWS):
         rows = slice(k0, min(q, k0 + _CARD_ROWS))
         a = np.stack([tb.translate(diff_wrap, k, -1) for k in range(q)[rows]], axis=1)
@@ -254,7 +254,8 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
     import numpy as np
 
     q = ctx.q
-    codes, neg = np.arange(q), np.array(ctx.tables().neg)
+    codes = np.arange(q)
+    neg = ctx.neg(codes)
     closed_chi = np.array(ctx.tables().chi, dtype=np.int8)  # once per field
     tally = {(kind, s): [0, ""] for s in range(4) for kind in "AST"}  # mismatches, first
     for rows, counts in card_counts(ctx):

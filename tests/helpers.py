@@ -87,7 +87,9 @@ def card_counts_reference(ctx):
 
     tb = ctx.tables()
     shifted = np.stack([tb.shifted(k) for k in range(ctx.q)])  # [k, a] = chi(k + a)
-    reflect = shifted[np.array(tb.neg)] * np.int8(ctx.eps)  # [j, a] = chi(j - a)
+    # -a = gen^(log a + (q - 1)/2); log[0] points into exp's run of zeros
+    neg = np.array(tb.exp)[np.array(tb.log) + (ctx.q - 1) // 2]
+    reflect = shifted[neg] * np.int8(ctx.eps)  # [j, a] = chi(j - a)
     out = {"A": [], "S": [], "T": []}
     for sp in SIGN_PAIRS:
         # float32 products are exact: every count is at most q < 2^24

@@ -300,7 +300,7 @@ def test_table_free_brute_product_matches_reference_on_every_small_family(p, n):
 
 def test_brute_product_matches_reference_on_sampled_families():
     # member counts around q/4 (A, S, T) and q/2 (S1) fall on both sides of
-    # the 64 members that int64 halving leaves to the ctx.mul loop at n = 1
+    # the 64 members that int64 halving leaves to ctx.prod at n = 1
     rng = random.Random(41)
     counts = []
     for ctx in [field(131), field(257), field(4093), field(13, 3)]:
@@ -354,3 +354,32 @@ def test_scan_never_reads_the_field_character(monkeypatch):
                 fams.append(t_family(k, l, sp))
             for fam in fams:
                 assert brute_product(ctx, fam) == brute_product(want, fam), (p, n, fam)
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3)])
+def test_enumerate_family_never_reads_the_log_parity(monkeypatch, p, n):
+    # with tables built, member lists still come from the table of squares,
+    # never from the log parity that legendre reads for the closed side
+    from charprod import charsets, ffield
+
+    def broken(*args):
+        raise RuntimeError("enumerate_family must not call this")
+
+    ctx = mk_field(p, n)
+    ctx.tables()
+    rng = random.Random(13 * p + n)
+    fams = []
+    for _ in range(30):
+        k, l = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        sp = SIGN_PAIRS[rng.randrange(4)]
+        fams.append(s1_family(k, sp.e1))
+        if k != l:
+            fams += [a_family(k, l, sp), s_family(k, l, sp)]
+        if ctx.add(k, l) != 0:
+            fams.append(t_family(k, l, sp))
+    want = [sorted(np.flatnonzero(charsets._mask(ctx, fam)).tolist(), key=ctx.elem_key)
+            for fam in fams]
+    monkeypatch.setattr(ffield.FieldTables, "shifted", broken)
+    monkeypatch.setattr(ctx, "legendre", broken)
+    monkeypatch.setattr(ctx, "pow", broken)
+    assert [enumerate_family(ctx, fam) for fam in fams] == want
