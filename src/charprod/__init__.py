@@ -7,7 +7,7 @@ oracle plus sweep harness that re-verifies every formula exhaustively.
 """
 
 from .charsets import (SIGN_PAIRS, ProductReport, SetFamily, SignPair,
-                       a_family, brute_product, card_closed, card_grid,
+                       a_family, brute_product, card_closed,
                        enumerate_family, s1_family, s_family, t_family,
                        vanishing_poly)
 from .closedform import (INF, NormalizedFrame, closed_product, det_sqrt,
@@ -27,7 +27,7 @@ __all__ = [
     "ALL_SUITES", "Ext2Elem", "FieldCtx", "FieldError", "INF",
     "IdentityFailure", "NormalizedFrame", "ProductReport",
     "SIGN_PAIRS", "SetFamily", "SignPair", "SweepConfig", "TowerSpec",
-    "a_family", "brute_product", "card_closed", "card_grid", "classify_tau",
+    "a_family", "brute_product", "card_closed", "classify_tau",
     "closed_product", "det_sqrt", "dickson_first", "dickson_second",
     "enumerate_family", "mk_field", "normalized_frame",
     "orbit_count_card", "orbit_of_tau", "prod_S_single",

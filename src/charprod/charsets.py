@@ -13,24 +13,25 @@ field.  It is the oracle every closed formula in this package is tested
 against, so it deliberately takes no shortcuts: every member is
 multiplied in, by ``FieldCtx.prod``.  Only the order is free, as a
 product does not depend on it.  ``_conditions`` decodes a family into
-its conditions chi(a + s) = e once, for both masks.  With tables,
-``brute_product`` compares shifted character vectors
-(``FieldTables.shifted``); a prime field's members are folded by halving
-in int64 and the last ``_FOLD_TAIL`` go to ``ctx.prod``, an extension
-field's members go to it unsorted.  On a field without tables, and in
-``enumerate_family`` on every field, the scan reads chi from
-``square_table``, which scatters ``FieldCtx.half_unit_squares``: the
-squares of one unit of each pair +-x, by running sums along lines of the
-field with one ``mul_poly`` per line, so it shares no chi arithmetic
-with ``FieldCtx.legendre`` (Euler's criterion or the log parity, which
-the closed side uses).  Each condition is that table translated by s
+its conditions chi(a + s) = e once, for both masks.  Every scan reads
+chi from ``FieldCtx.half_unit_squares``: the squares of one unit of each
+pair +-x, by running sums along lines of the field with one ``mul_poly``
+per line, so it shares no chi arithmetic with ``FieldCtx.legendre``
+(Euler's criterion or the log parity, which the closed side uses).  With
+tables, ``brute_product`` compares shifted character vectors
+(``FieldTables.shifted``, built from those squares); a prime field's
+members are folded by halving in int64 and the last ``_FOLD_TAIL`` go to
+``ctx.prod``, an extension field's members go to it unsorted.  On a
+field without tables, and in ``enumerate_family`` on every field, the
+scan reads ``square_table``, which scatters the squares into q bytes.
+Each condition is that table translated by s
 (``FieldCtx.translate_bytes``) as one byte vector, and the conditions
 meet as ints under ``&``: no field operation runs per element, and
 ``ctx.prod`` multiplies the marked positions without listing them.  The
 table takes q bytes, so fields above ``SCAN_LIMIT`` = 2^26 elements are
 refused.  ``card_closed`` is the closed-form cardinality
-(never enumerates); it and ``card_grid``, its array form over a block of
-rows of (k, l) pairs, share one formula, ``_pair_card``.
+(never enumerates); it and the ``cardinality`` suite of ``sweeps``, which
+evaluates it on arrays of characters, share one formula, ``_pair_card``.
 """
 
 from __future__ import annotations
@@ -286,35 +287,6 @@ def card_closed(ctx: FieldCtx, fam: SetFamily) -> int:
     k, l = fam.params
     nu = ctx.legendre(ctx.add(l, k) if fam.kind == "T" else ctx.sub(l, k))
     return _pair_card(ctx, fam.kind, fam.signs, nu, ctx.legendre(k), ctx.legendre(l))
-
-
-def pair_chars(ctx: FieldCtx, chi, kind: str, rows: slice):
-    """int8 arrays (nu, chi(k), chi(l)) over the A/S/T pairs (k, l), k in ``rows``.
-
-    ``chi`` is ``tables().chi`` as an int8 array, converted once per field
-    by the caller.  nu is the block of ``_pair_card`` over the codes k in
-    the slice ``rows`` and all l, read from ``chi`` at the codes of l - k
-    (or k + l) that ``ctx.sub`` (or ``ctx.add``) computes on arrays, never
-    from the shifted vectors the scans count with.
-    """
-    import numpy as np
-
-    a = np.arange(ctx.q, dtype=np.int64)
-    ks = a[rows]
-    code = ctx.add(ks[:, None], a) if kind == "T" else ctx.sub(a, ks[:, None])
-    return chi[code], chi[ks][:, None], chi[None, :]
-
-
-def card_grid(ctx: FieldCtx, kind: str, signs, chars):
-    """Closed cardinalities of a block of (k, l) families of one kind.
-
-    ``chars`` is ``pair_chars(ctx, chi, kind, rows)``; entry [i, l] is
-    ``card_closed`` of the family (rows[i], l), and meaningless where that
-    family is undefined (k == l for A and S, k + l == 0 for T).
-    """
-    if kind not in ("A", "S", "T"):
-        raise ValueError(f"card_grid takes an A, S or T kind, got {kind!r}")
-    return _pair_card(ctx, kind, signs, *chars)
 
 
 def vanishing_poly(ctx: FieldCtx, e1: int, e2: int) -> list[int]:

@@ -23,10 +23,12 @@ with theta^2 = delta, delta the canonically smallest nonsquare of F_q.
 
 Every operation works without precomputation.  ``FieldCtx.tables()``
 adds lookup tables of size O(q) -- discrete logarithms to the canonically
-smallest generator of F_q^* and the quadratic character.  Once built,
-they replace polynomial multiplication and power-based Legendre symbols
-with lookups and serve the vectorized product scan and cardinality
-counts; ``add``, ``sub`` and ``neg`` stay digit arithmetic either way.
+smallest generator of F_q^* and the quadratic character as their parity.
+Once built, they replace polynomial multiplication and power-based
+Legendre symbols with lookups.  They also hold the oracle's character,
+read off ``half_unit_squares``, as the shifted vectors that the product
+scan and the cardinality counts read; ``add``, ``sub`` and ``neg`` stay
+digit arithmetic either way.
 """
 
 from __future__ import annotations
@@ -252,8 +254,10 @@ class FieldTables:
     ``exp[i]`` is gen^i and ``log`` its inverse on the units.  ``exp`` holds
     two periods followed by a run of zeros that ``log[0]`` points into, so
     the product of any two elements is ``exp[log[a] + log[b]]``.  ``chi``
-    (the parity of ``log``) is a plain list for scalar lookups; ``shifted(k)``,
-    a ``translate`` of chi, serves ``brute_product``'s vectorized scan.
+    (the parity of ``log``) is a plain list for the closed side's scalar
+    lookups.  ``shifted(k)``, the oracle's character moved by k, is a
+    ``translate`` of the squares of ``ctx.half_unit_squares``: 1 at the
+    nonzero squares, -1 at the other units, 0 at 0, never the log parity.
     """
 
     __slots__ = ("exp", "log", "chi", "_p", "_n", "_wrap")
@@ -274,7 +278,10 @@ class FieldTables:
             log[x] = i
             chi[x] = -1 if i & 1 else 1
         self._p, self._n = ctx.p, ctx.n
-        self._wrap = self.tile(np.array(chi, dtype=np.int8))
+        squares = np.fromiter(ctx.half_unit_squares(), dtype=np.int64, count=u // 2)
+        sq = np.full(q, -1, dtype=np.int8)
+        sq[0], sq[squares] = 0, 1
+        self._wrap = self.tile(sq)
         self._wrap.flags.writeable = False
 
     def tile(self, vec):

@@ -27,7 +27,6 @@ ALL_SUITES = ("tables", "dickson", "cardinality", "correspondence",
               "reciprocity", "rescaling", "intro")
 
 _SEED = 0x5EED
-_CARD_ROWS = 32  # rows k per block of the cardinality grids: memory O(_CARD_ROWS * q)
 _PAIR_FAMILIES = {"A": charsets.a_family, "S": charsets.s_family,
                   "T": charsets.t_family}
 
@@ -217,63 +216,75 @@ def suite_dickson(ctx: FieldCtx) -> Iterator[dict]:
                    "identical-coefficients", detail)
 
 
-def card_counts(ctx: FieldCtx) -> Iterator[tuple[slice, dict]]:
-    """Enumerated |A_{k,l}|, |S_{k,l}|, |T_{k,l}| of all pairs, by blocks of rows k.
+def card_tally(ctx: FieldCtx):
+    """H[d, ok, ck, cn, ol, cl] = #{k : class(k) = (ok, ck, cn), class(k + d) = (ol, cl)}.
 
-    Yields (rows, counts), counts[kind][s, i, l] for (rows[i], l) and SIGN_PAIRS[s].
-    b = a + k is a bijection, so |A_{k,l}| = c(l - k), c(d) = #{b : chi(b) = e1,
-    chi(b + d) = e2}, and |T_{j,l}| = c'(l + j), c' with signs (eps e1, e2), less
-    a = 0 for S and T.  l -+ k is a ``FieldTables.translate`` of c, the scans' shift.
+    Each index is a character plus one: ok and ol the oracle's chi
+    (``FieldTables.shifted``), ck and cl the closed ``tables().chi``, and cn
+    the closed chi(-k), which T reads at j = -k.  Each d is one
+    ``np.bincount`` over a ``FieldTables.translate`` of the class vector of
+    l.  Returns H and the class vectors of k (``(ok*3 + ck)*3 + cn``) and of l.
     """
     import numpy as np
 
     tb, q = ctx.tables(), ctx.q
-    chi = tb.shifted(0)  # chi(a), as the scans read it
-    e1s, e2s = (np.array(e)[:, None] for e in zip(*SIGN_PAIRS))
-    first, second = chi == e1s, chi == e2s  # [s, a]
-    c = np.array([np.count_nonzero(first & (tb.shifted(d) == e2s), axis=1)
-                  for d in range(q)], dtype=np.int32).T
-    t_signs = [SIGN_PAIRS.index((ctx.eps * e1, e2)) for e1, e2 in SIGN_PAIRS]
-    diff_wrap, sum_wrap, neg = tb.tile(c), tb.tile(c[t_signs]), ctx.neg(np.arange(q))
-    for k0 in range(0, q, _CARD_ROWS):
-        rows = slice(k0, min(q, k0 + _CARD_ROWS))
-        a = np.stack([tb.translate(diff_wrap, k, -1) for k in range(q)[rows]], axis=1)
-        t = np.stack([tb.translate(sum_wrap, j) for j in range(q)[rows]], axis=1)
-        s_zero = first[:, rows, None] & second[:, None]  # a = 0 in S: chi(k) = e1
-        t -= (chi[neg[rows]] == ctx.eps * e1s)[:, :, None] & second[:, None]  # a = 0 in T
-        yield rows, {"A": a, "S": a - s_zero, "T": t}
+    closed = np.array(tb.chi, dtype=np.int64) + 1
+    l_class = (tb.shifted(0) + 1) * 3 + closed
+    k_class = l_class * 3 + closed[ctx.neg(np.arange(q))]
+    wrap, k9 = tb.tile(l_class), k_class * 9
+    tally = np.empty((q, 243), dtype=np.int32)  # counts are below q < 2^31
+    for d in range(q):
+        tally[d] = np.bincount(k9 + tb.translate(wrap, d), minlength=243)
+    return tally.reshape((q,) + (3,) * 5), k_class, l_class
+
+
+def _first_pair(ctx: FieldCtx, kind: str, bad, k_class, l_class) -> str:
+    """" first=(k,l)": the first pair in row-major order with ``bad[l - k,
+    class(k), class(l)]`` and l != k; the rows of T are j = -k."""
+    import numpy as np
+
+    codes = np.arange(ctx.q)
+    for r in range(ctx.q):
+        k = ctx.neg(r) if kind == "T" else r
+        d = ctx.sub(codes, k)
+        hit = bad[d, k_class[k], l_class] & (d != 0)
+        if hit.any():
+            return f" first=({ctx.elem_str(r)},{ctx.elem_str(int(hit.argmax()))})"
+    return ""
 
 
 def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
     """Closed cardinalities against enumerated counts, all pairs, at every q.
 
-    ``card_counts`` and ``charsets.card_grid`` give one block of rows at a time,
-    so memory stays linear in q.  ``card_grid`` shares ``_pair_card`` with the
-    scalar ``card_closed`` and reads ``tables().chi``, not the shifted vectors.
+    b = a + k is a bijection, so |A_{k,l}| = c(l - k) with c(d) = #{b :
+    chi(b) = e1, chi(b + d) = e2}, and |T_{j,l}| = c'(l + j), c' with signs
+    (eps e1, e2); S and T lose the a = 0 term.  The closed count
+    (``charsets._pair_card``, as in ``card_closed``) reads the closed chi at
+    d and at the ends.  So both counts of the pair (k, k + d), or of (j, l)
+    = (-k, k + d), are functions of d and the classes of the ends, and
+    ``card_tally`` weighs each function value by its number of pairs.
     """
     import numpy as np
 
     q = ctx.q
-    codes = np.arange(q)
-    neg = ctx.neg(codes)
-    closed_chi = np.array(ctx.tables().chi, dtype=np.int8)  # once per field
-    tally = {(kind, s): [0, ""] for s in range(4) for kind in "AST"}  # mismatches, first
-    for rows, counts in card_counts(ctx):
-        a_chars = charsets.pair_chars(ctx, closed_chi, "A", rows)
-        t_chars = charsets.pair_chars(ctx, closed_chi, "T", rows)
-        chars = {"A": a_chars, "S": a_chars, "T": t_chars}  # S reads the same l - k
-        valid = {kind: codes != (neg if kind == "T" else codes)[rows, None]
-                 for kind in "AST"}  # k != l for A and S, j + l != 0 for T
-        for (kind, s), entry in tally.items():
-            bad = charsets.card_grid(ctx, kind, SIGN_PAIRS[s], chars[kind]) != counts[kind][s]
-            bad &= valid[kind]
-            if bad.any() and not entry[0]:
-                i, l = divmod(int(bad.argmax()), q)  # first hit in row-major order
-                entry[1] = f" first=({ctx.elem_str(rows.start + i)},{ctx.elem_str(l)})"
-            entry[0] += int(bad.sum())
-    for (kind, s), (n_bad, first) in tally.items():
-        yield _row(f"card[{kind}]{sign_str(SIGN_PAIRS[s])}", "0 mismatches",
-                   f"{n_bad} mismatches{first}")
+    tally, k_class, l_class = card_tally(ctx)
+    tally[0] = 0  # d = 0: k = l (A, S) or j + l = 0 (T), no family
+    count = tally.sum(axis=(2, 3, 5))  # the oracle's c(d) at [d, e1 + 1, e2 + 1]
+    ok, ck, cn, ol, cl = np.ix_(*[np.arange(-1, 2)] * 5)  # chi on the axes after d
+    nu = np.array(ctx.tables().chi).reshape(-1, 1, 1, 1, 1, 1)  # closed chi(d)
+    for e1, e2 in SIGN_PAIRS:
+        for kind in "AST":
+            f1 = ctx.eps * e1 if kind == "T" else e1  # chi(j - a) = eps chi(a - j)
+            want = count[:, f1 + 1, e2 + 1].reshape(nu.shape)
+            if kind != "A":
+                want = want - (ok == f1) * (ol == e2)  # a = 0, at k = -j for T
+            got = charsets._pair_card(ctx, kind, (e1, e2), nu, cn if kind == "T" else ck, cl)
+            bad = np.broadcast_to(got != want, tally.shape)
+            n_bad = int(tally[bad].sum())
+            first = _first_pair(ctx, kind, bad.reshape(q, 27, 9), k_class, l_class) \
+                if n_bad else ""
+            yield _row(f"card[{kind}]{sign_str((e1, e2))}", "0 mismatches",
+                       f"{n_bad} mismatches{first}")
     chi = ctx.tables().shifted(0)
     for e in (1, -1):
         # |S_k^e| = #{b : chi(b) = e} less the a = 0 term chi(k) = e

@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from charprod import charsets
 from charprod.charsets import (SIGN_PAIRS, ProductReport, SignPair, a_family,
-                               enumerate_family, s1_family, s_family, t_family)
+                               enumerate_family, s1_family, s_family, sign_str,
+                               t_family)
 from charprod.ffield import Ext2Elem, factorize, first_of_order, mk_field, power
 
 # small fields exercised by most unit tests; mixes residue classes mod 4/8/12
@@ -82,7 +84,7 @@ def all_families(ctx):
 def card_counts_reference(ctx):
     """|A_{k,l}|, |S_{k,l}| and |T_{k,l}| of every pair as (4, q, q) arrays,
     [s, k, l] for SIGN_PAIRS[s]: matrix products of the stacked shifted
-    character vectors, the reference ``sweeps.card_counts`` must equal."""
+    character vectors, the reference for the counts of ``sweeps.card_tally``."""
     import numpy as np
 
     tb = ctx.tables()
@@ -101,6 +103,85 @@ def card_counts_reference(ctx):
         out["S"].append(x1 @ x2.T)
         out["T"].append(y1 @ x2.T)
     return {kind: np.stack(grids).astype(np.int64) for kind, grids in out.items()}
+
+
+def pair_chars(ctx, chi, kind, rows):
+    """int8 arrays (nu, chi(k), chi(l)) over the A/S/T pairs (k, l), k in ``rows``.
+
+    ``chi`` is ``tables().chi`` as an int8 array.  nu is chi(l - k), or
+    chi(k + l) for T, at the codes that ``ctx.sub`` (or ``ctx.add``)
+    computes on arrays.
+    """
+    import numpy as np
+
+    a = np.arange(ctx.q, dtype=np.int64)
+    ks = a[rows]
+    code = ctx.add(ks[:, None], a) if kind == "T" else ctx.sub(a, ks[:, None])
+    return chi[code], chi[ks][:, None], chi[None, :]
+
+
+def card_grid(ctx, kind, signs, chars):
+    """Closed cardinalities of a block of (k, l) families of one kind.
+
+    ``chars`` is ``pair_chars(ctx, chi, kind, rows)``; entry [i, l] is
+    ``card_closed`` of the family (rows[i], l), and meaningless where that
+    family is undefined (k == l for A and S, k + l == 0 for T).
+    """
+    return charsets._pair_card(ctx, kind, signs, *chars)
+
+
+def card_count_blocks(ctx):
+    """Enumerated |A_{k,l}|, |S_{k,l}|, |T_{k,l}| of all pairs, by blocks of 32 rows k.
+
+    Yields (rows, counts), counts[kind][s, i, l] for (rows[i], l) and
+    SIGN_PAIRS[s]: the counts c(d) once per difference, each moved onto the
+    grid by ``FieldTables.translate``, less a = 0 for S and T.
+    """
+    import numpy as np
+
+    tb, q = ctx.tables(), ctx.q
+    chi = tb.shifted(0)  # chi(a), as the scans read it
+    e1s, e2s = (np.array(e)[:, None] for e in zip(*SIGN_PAIRS))
+    first, second = chi == e1s, chi == e2s  # [s, a]
+    c = np.array([np.count_nonzero(first & (tb.shifted(d) == e2s), axis=1)
+                  for d in range(q)], dtype=np.int32).T
+    t_signs = [SIGN_PAIRS.index((ctx.eps * e1, e2)) for e1, e2 in SIGN_PAIRS]
+    diff_wrap, sum_wrap, neg = tb.tile(c), tb.tile(c[t_signs]), ctx.neg(np.arange(q))
+    for k0 in range(0, q, 32):
+        rows = slice(k0, min(q, k0 + 32))
+        a = np.stack([tb.translate(diff_wrap, k, -1) for k in range(q)[rows]], axis=1)
+        t = np.stack([tb.translate(sum_wrap, j) for j in range(q)[rows]], axis=1)
+        s_zero = first[:, rows, None] & second[:, None]  # a = 0 in S: chi(k) = e1
+        t -= (chi[neg[rows]] == ctx.eps * e1s)[:, :, None] & second[:, None]  # a = 0 in T
+        yield rows, {"A": a, "S": a - s_zero, "T": t}
+
+
+def card_rows_reference(ctx):
+    """The 12 all-pairs rows of the ``cardinality`` suite, as (case, actual),
+    from the closed and the enumerated count of every (k, l) pair, compared
+    one block of rows at a time: the reference ``sweeps.suite_cardinality``
+    must equal."""
+    import numpy as np
+
+    q = ctx.q
+    codes = np.arange(q)
+    neg = ctx.neg(codes)
+    closed_chi = np.array(ctx.tables().chi, dtype=np.int8)
+    tally = {(kind, s): [0, ""] for s in range(4) for kind in "AST"}  # mismatches, first
+    for rows, counts in card_count_blocks(ctx):
+        a_chars = pair_chars(ctx, closed_chi, "A", rows)
+        chars = {"A": a_chars, "S": a_chars, "T": pair_chars(ctx, closed_chi, "T", rows)}
+        valid = {kind: codes != (neg if kind == "T" else codes)[rows, None]
+                 for kind in "AST"}  # k != l for A and S, j + l != 0 for T
+        for (kind, s), entry in tally.items():
+            bad = card_grid(ctx, kind, SIGN_PAIRS[s], chars[kind]) != counts[kind][s]
+            bad &= valid[kind]
+            if bad.any() and not entry[0]:
+                i, l = divmod(int(bad.argmax()), q)  # first hit in row-major order
+                entry[1] = f" first=({ctx.elem_str(rows.start + i)},{ctx.elem_str(l)})"
+            entry[0] += int(bad.sum())
+    return [(f"card[{kind}]{sign_str(SIGN_PAIRS[s])}", f"{n_bad} mismatches{first}")
+            for (kind, s), (n_bad, first) in tally.items()]
 
 
 # ---------------------------------------------------------------------------

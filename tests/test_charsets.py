@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from charprod import sweeps
 from charprod.charsets import (SIGN_PAIRS, SetFamily, SignPair, a_family,
-                               brute_product, card_closed, card_grid,
-                               enumerate_family, pair_chars, parse_signs,
-                               report_row, s1_family, s_family, sign_str,
-                               square_table, t_family, vanishing_poly)
+                               brute_product, card_closed, enumerate_family,
+                               parse_signs, report_row, s1_family, s_family,
+                               sign_str, square_table, t_family, vanishing_poly)
 from charprod.dickson import dickson_first, dickson_second
 from charprod.ffield import mk_field
-from helpers import (SMALL_FIELDS, all_families, card_counts_reference, field,
-                     product_reference, small_ctxs)
+from helpers import (SMALL_FIELDS, all_families, card_counts_reference, card_grid,
+                     card_rows_reference, field, pair_chars, product_reference,
+                     small_ctxs)
 
 
 def test_enumerate_examples():
@@ -87,8 +87,8 @@ def test_card_closed_matches_enumeration_exhaustive():
 
 
 def test_card_grid_matches_card_closed():
-    # the array form of the closed cardinality equals the scalar form at
-    # every pair where the family is defined, block of rows by block
+    # the array form of the closed cardinality in the grid reference equals
+    # the scalar form at every pair where the family is defined
     makers = {"A": a_family, "S": s_family, "T": t_family}
     for ctx in small_ctxs():
         chi = np.array(ctx.tables().chi, dtype=np.int8)
@@ -105,44 +105,114 @@ def test_card_grid_matches_card_closed():
                             if not undefined:
                                 assert grid[i, l] == card_closed(ctx, mk(k, l, sp)), \
                                     (ctx.q, kind, sp, k, l)
-    ctx = field(5)
-    chi = np.array(ctx.tables().chi, dtype=np.int8)
-    with pytest.raises(ValueError):
-        card_grid(ctx, "S1", SIGN_PAIRS[0], pair_chars(ctx, chi, "A", slice(0, 5)))
 
 
-def _card_counts_grid(ctx):
-    """sweeps.card_counts with its row blocks joined: (4, q, q) per kind."""
-    blocks = [counts for _, counts in sweeps.card_counts(ctx)]
-    return {kind: np.concatenate([counts[kind] for counts in blocks], axis=1)
-            for kind in "AST"}
+def _tally_counts_grid(ctx):
+    """The oracle's counts c(d) of ``sweeps.card_tally`` moved onto every
+    (k, l) pair, less the a = 0 terms: (4, q, q) per kind."""
+    c = sweeps.card_tally(ctx)[0].sum(axis=(2, 3, 5))  # [d, e1 + 1, e2 + 1]
+    chi = ctx.tables().shifted(0)
+    codes = np.arange(ctx.q)
+    diff = ctx.sub(codes, codes[:, None])  # [k, l] = l - k
+    total = ctx.add(codes[:, None], codes)  # [j, l] = j + l
+    out = {"A": [], "S": [], "T": []}
+    for e1, e2 in SIGN_PAIRS:
+        f1 = ctx.eps * e1
+        out["A"].append(c[diff, e1 + 1, e2 + 1])
+        out["S"].append(out["A"][-1] - ((chi[:, None] == e1) & (chi == e2)))
+        out["T"].append(c[total, f1 + 1, e2 + 1]
+                        - ((chi[ctx.neg(codes)][:, None] == f1) & (chi == e2)))
+    return {kind: np.stack(grids) for kind, grids in out.items()}
 
 
-@pytest.mark.parametrize("block", [sweeps._CARD_ROWS, 1, 5])
-def test_card_counts_match_the_matmul_reference(monkeypatch, block):
-    # counting once per difference and translating the index gives the
-    # stacked-grid matrix products entry for entry, for every row block size
-    monkeypatch.setattr(sweeps, "_CARD_ROWS", block)
+def test_card_counts_match_the_matmul_reference():
+    # the tally's per-difference counts, moved onto the pairs, give the
+    # stacked-grid matrix products entry for entry
     for ctx in small_ctxs():
-        got, want = _card_counts_grid(ctx), card_counts_reference(ctx)
+        got, want = _tally_counts_grid(ctx), card_counts_reference(ctx)
         for kind in "AST":
             assert got[kind].shape == (4, ctx.q, ctx.q), (ctx.q, kind)
             assert (got[kind] == want[kind]).all(), (ctx.q, kind)
 
 
-def test_card_counts_are_a_reindexing_of_any_vector(monkeypatch):
+def test_card_counts_are_a_reindexing_of_any_vector():
     # with the shifted vectors read from a seeded random {-1, 0, 1} vector,
-    # which is no character, the counts still equal the reference: the
-    # translation is pure re-indexing of the additive group
-    monkeypatch.setattr(sweeps, "_CARD_ROWS", 5)
+    # which is no character, the tally's counts still equal the reference:
+    # the translation is pure re-indexing of the additive group
     rng = np.random.default_rng(0x5EED)
     for p, n in SMALL_FIELDS:
         ctx = mk_field(p, n)
         tb = ctx.tables()
         tb._wrap = tb.tile(rng.integers(-1, 2, ctx.q).astype(np.int8))
-        got, want = _card_counts_grid(ctx), card_counts_reference(ctx)
+        got, want = _tally_counts_grid(ctx), card_counts_reference(ctx)
         for kind in "AST":
             assert (got[kind] == want[kind]).all(), (ctx.q, kind)
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (4099, 1)])
+def test_tally_counts_are_jacobi_sums(p, n):
+    # sum_b chi(b) chi(b + d) = -1 for every d != 0, from the oracle's
+    # counts alone: c++(d) + c--(d) - c+-(d) - c-+(d) = -1
+    c = sweeps.card_tally(field(p, n))[0].sum(axis=(2, 3, 5))[1:]
+    assert (c[:, 2, 2] + c[:, 0, 0] - c[:, 2, 0] - c[:, 0, 2] == -1).all()
+
+
+def _faults(q):
+    """(name, fault) for each fault of ``tests/test_faults.py`` on a field of q
+    elements, plus chi set at 0 and flipped at 1 and -1 at once."""
+    def flip(k):
+        def fault(ctx):
+            ctx.delta
+            ctx.tables().chi[k] *= -1
+        return fault
+
+    def square_delta(ctx):
+        chi = ctx.tables().chi
+        ctx._delta = next(x for x in ctx.elements_canonical()
+                          if x not in (0, 1) and chi[x] == 1)
+
+    def swap_exp(i, k):
+        def fault(ctx):
+            tb = ctx.tables()
+            tb.exp[i], tb.exp[k] = tb.exp[k], tb.exp[i]
+            tb.log[tb.exp[i]], tb.log[tb.exp[k]] = i, k
+        return fault
+
+    def shift_m(ctx):
+        ctx.tables()
+        ctx.m += 1
+
+    def zero_one_minus_one(ctx):
+        chi = ctx.tables().chi
+        chi[0] = 1
+        chi[1] *= -1
+        chi[ctx.minus_one] *= -1
+
+    yield "sound", lambda ctx: ctx.tables()
+    for k in range(1, q):
+        yield f"flip {k}", flip(k)
+    if q > 3:  # F_3 has no square but 0 and 1
+        yield "square delta", square_delta
+    for i, k in ((1, 2), (1, 3), (2, 5), (3, 4)):
+        yield f"swap exp {i} {k}", swap_exp(i, k)
+    yield "m + 1", shift_m
+    yield "chi 0, 1, -1", zero_one_minus_one
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS)
+def test_cardinality_rows_match_the_grid_reference(p, n):
+    # the tally gives the all-pairs rows of the pair-by-pair grid, byte for
+    # byte, on a sound field and under every fault: mismatch counts and the
+    # first mismatching pair in row-major order
+    failed = 0
+    for name, fault in _faults(p ** n):
+        ctx = mk_field(p, n)
+        fault(ctx)
+        rows = itertools.islice(sweeps.suite_cardinality(ctx), 12)
+        got = [(r["case"], r["actual"]) for r in rows]
+        assert got == card_rows_reference(ctx), (ctx.q, name)
+        failed += got != [(case, "0 mismatches") for case, _ in got]
+    assert failed, (p, n)
 
 
 @pytest.mark.parametrize("p, n, flip, want", [
@@ -340,7 +410,7 @@ def test_scan_never_reads_the_field_character(monkeypatch):
 
     rng = random.Random(9)
     for p, n in [(13, 1), (3, 3), (5, 2), (31, 1)]:
-        want = field(p, n)  # tables built: vector scan, chi from the logs
+        want = field(p, n)  # tables built: vector scan, chi from the squares
         ctx = mk_field(p, n)
         monkeypatch.setattr(ctx, "legendre", broken)
         monkeypatch.setattr(ctx, "pow", broken)
@@ -383,3 +453,44 @@ def test_enumerate_family_never_reads_the_log_parity(monkeypatch, p, n):
     monkeypatch.setattr(ctx, "legendre", broken)
     monkeypatch.setattr(ctx, "pow", broken)
     assert [enumerate_family(ctx, fam) for fam in fams] == want
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3)])
+def test_verify_oracle_never_reads_the_log_parity(monkeypatch, p, n):
+    # the tables are built while multiplication walks the units in code
+    # order, so their log parity is no character; then the true exp and log
+    # come back, chi is overwritten and legendre and pow raise.  The
+    # oracle's products and per-difference counts stay right: its chi is
+    # the table of squares
+    def broken(*args):
+        raise RuntimeError("the oracle must not call this")
+
+    ref = field(p, n)
+    rng = random.Random(7 * p + n)
+    fams = []
+    for _ in range(20):
+        k, l = rng.randrange(ref.q), rng.randrange(ref.q)
+        sp = SIGN_PAIRS[rng.randrange(4)]
+        fams.append(s1_family(k, sp.e1))
+        if k != l:
+            fams += [a_family(k, l, sp), s_family(k, l, sp)]
+        if ref.add(k, l) != 0:
+            fams.append(t_family(k, l, sp))
+    want = [product_reference(ref, fam) for fam in fams]
+    # c(d) = |A_{0,d}|, d != 0, from the closed form on the sound field
+    want_counts = [[card_closed(ref, a_family(0, d, sp)) for sp in SIGN_PAIRS]
+                   for d in range(1, ref.q)]
+    ctx = mk_field(p, n)
+    gen = ctx.primitive_element()
+    with monkeypatch.context() as m:
+        m.setattr(ctx, "primitive_element", lambda: gen)
+        m.setattr(ctx, "mul", lambda a, b: a % (ctx.q - 1) + 1)  # 1, 2, ..., q - 1
+        tb = ctx.tables()
+    tb.exp, tb.log = ref.tables().exp, ref.tables().log
+    tb.chi[:] = [-c for c in ref.tables().chi]
+    monkeypatch.setattr(ctx, "legendre", broken)
+    monkeypatch.setattr(ctx, "pow", broken)
+    assert [brute_product(ctx, fam) for fam in fams] == want
+    c = sweeps.card_tally(ctx)[0].sum(axis=(2, 3, 5))[1:]
+    assert c[:, [e1 + 1 for e1, _ in SIGN_PAIRS], [e2 + 1 for _, e2 in SIGN_PAIRS]].tolist() \
+        == want_counts
