@@ -130,8 +130,8 @@ def card_grid(ctx, kind, signs, chars):
     return charsets._pair_card(ctx, kind, signs, *chars)
 
 
-def card_count_blocks(ctx):
-    """Enumerated |A_{k,l}|, |S_{k,l}|, |T_{k,l}| of all pairs, by blocks of 32 rows k.
+def card_count_blocks(ctx, block=32):
+    """Enumerated |A_{k,l}|, |S_{k,l}|, |T_{k,l}| of all pairs, by blocks of ``block`` rows k.
 
     Yields (rows, counts), counts[kind][s, i, l] for (rows[i], l) and
     SIGN_PAIRS[s]: the counts c(d) once per difference, each moved onto the
@@ -147,8 +147,8 @@ def card_count_blocks(ctx):
                   for d in range(q)], dtype=np.int32).T
     t_signs = [SIGN_PAIRS.index((ctx.eps * e1, e2)) for e1, e2 in SIGN_PAIRS]
     diff_wrap, sum_wrap, neg = tb.tile(c), tb.tile(c[t_signs]), ctx.neg(np.arange(q))
-    for k0 in range(0, q, 32):
-        rows = slice(k0, min(q, k0 + 32))
+    for k0 in range(0, q, block):
+        rows = slice(k0, min(q, k0 + block))
         a = np.stack([tb.translate(diff_wrap, k, -1) for k in range(q)[rows]], axis=1)
         t = np.stack([tb.translate(sum_wrap, j) for j in range(q)[rows]], axis=1)
         s_zero = first[:, rows, None] & second[:, None]  # a = 0 in S: chi(k) = e1

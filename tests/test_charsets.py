@@ -14,7 +14,8 @@ from charprod.charsets import (SIGN_PAIRS, SetFamily, SignPair, a_family,
                                sign_str, square_table, t_family, vanishing_poly)
 from charprod.dickson import dickson_first, dickson_second
 from charprod.ffield import mk_field
-from helpers import (SMALL_FIELDS, all_families, card_counts_reference, card_grid,
+from helpers import (SMALL_FIELDS, all_families, card_count_blocks,
+                     card_counts_reference, card_grid,
                      card_rows_reference, field, pair_chars, product_reference,
                      small_ctxs)
 
@@ -125,14 +126,19 @@ def _tally_counts_grid(ctx):
     return {kind: np.stack(grids) for kind, grids in out.items()}
 
 
-def test_card_counts_match_the_matmul_reference():
+@pytest.mark.parametrize("block", [32, 1, 5])
+def test_card_counts_match_the_matmul_reference(block):
     # the tally's per-difference counts, moved onto the pairs, give the
-    # stacked-grid matrix products entry for entry
+    # stacked-grid matrix products entry for entry; so do the row blocks of
+    # card_count_blocks, joined, at every block size
     for ctx in small_ctxs():
-        got, want = _tally_counts_grid(ctx), card_counts_reference(ctx)
-        for kind in "AST":
-            assert got[kind].shape == (4, ctx.q, ctx.q), (ctx.q, kind)
-            assert (got[kind] == want[kind]).all(), (ctx.q, kind)
+        want = card_counts_reference(ctx)
+        blocks = [counts for _, counts in card_count_blocks(ctx, block)]
+        joined = {kind: np.concatenate([c[kind] for c in blocks], axis=1) for kind in "AST"}
+        for got in (_tally_counts_grid(ctx), joined):
+            for kind in "AST":
+                assert got[kind].shape == (4, ctx.q, ctx.q), (ctx.q, kind)
+                assert (got[kind] == want[kind]).all(), (ctx.q, kind)
 
 
 def test_card_counts_are_a_reindexing_of_any_vector():
