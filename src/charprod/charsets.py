@@ -29,9 +29,9 @@ Each condition is that table translated by s
 meet as ints under ``&``: no field operation runs per element, and
 ``ctx.prod`` multiplies the marked positions without listing them.  The
 table takes q bytes, so fields above ``SCAN_LIMIT`` = 2^26 elements are
-refused.  ``card_closed`` is the closed-form cardinality
-(never enumerates); it and the ``cardinality`` suite of ``sweeps``, which
-evaluates it on arrays of characters, share one formula, ``_pair_card``.
+refused.  The closed cardinality ``card_closed`` (never enumerates) and
+the ``cardinality`` suite of ``sweeps``, on arrays of characters, share
+one formula per kind: ``_single_card`` (S1) and ``_pair_card``.
 """
 
 from __future__ import annotations
@@ -276,14 +276,16 @@ def _pair_card(ctx: FieldCtx, kind: str, signs, nu, ck, cl):
     return card - (ck == e1) * (cl == e2)  # 0 is a member of the A family
 
 
+def _single_card(ctx: FieldCtx, e: int, ck):
+    """|S_k^e| = (q - 1)/2 - [chi(k) = e] for ck = chi(k), an int or an array."""
+    return (ctx.q - 1) // 2 - (ck == e)
+
+
 def card_closed(ctx: FieldCtx, fam: SetFamily) -> int:
     """Closed-form cardinality; never enumerates."""
     fam.validate(ctx)
     if fam.kind == "S1":
-        (k,), e = fam.params, fam.signs
-        if k == 0:
-            return (ctx.q - 1) // 2
-        return (ctx.q - 3) // 2 if ctx.legendre(k) == e else (ctx.q - 1) // 2
+        return _single_card(ctx, fam.signs, ctx.legendre(fam.params[0]))
     k, l = fam.params
     nu = ctx.legendre(ctx.add(l, k) if fam.kind == "T" else ctx.sub(l, k))
     return _pair_card(ctx, fam.kind, fam.signs, nu, ctx.legendre(k), ctx.legendre(l))

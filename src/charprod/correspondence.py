@@ -1,12 +1,12 @@
 """Bijection between unit orbits {v, 1/v, -v, -1/v} and elements of F_q.
 
-The orbits live in the union of the 2(q-1)-st and 2(q+1)-st roots of
-unity inside F_{q^2}, each one held as its member of minimal key; the
-orbit of v maps to tau = (v - 1/v)^2 / 4 and tau maps back to the orbit
-of sqrt(tau+1) + sqrt(tau).  The multiplicative order of v encodes the
-square classes of tau and tau+1, which yields a second, independent
-closed form for the cardinalities of the A_{0,1} families (orbit
-counting instead of the rescaled formula).
+The orbits partition the union of the 2(q-1)-st and 2(q+1)-st roots of
+unity in F_{q^2}.  ``all_orbits`` walks the union in key order: the first
+member met of an orbit is its least, its representative, and the orbit is
+built once from it; the seen members must be exactly the union.  The orbit
+of v maps to tau = (v - 1/v)^2 / 4, tau back to sqrt(tau+1) + sqrt(tau).
+The order of v encodes the square classes of tau and tau+1: a second,
+independent closed form for |A_{0,1}| (orbit counting, not rescaling).
 No power of v is computed: v^q = conj(v) (Frobenius), so v^(q+1) is the
 norm N(v) and v^(q-1) = conj(v)/v is +1 iff hi = 0 and -1 iff lo = 0.
 """
@@ -22,10 +22,6 @@ from .ffield import Ext2Elem, FieldCtx, IdentityFailure
 def orbit_members(ctx: FieldCtx, v: Ext2Elem) -> tuple[Ext2Elem, ...]:
     vi = ctx.e2_inv(v)
     return tuple({v, vi, ctx.e2_neg(v), ctx.e2_neg(vi)})
-
-
-def orbit_of(ctx: FieldCtx, v: Ext2Elem) -> Ext2Elem:
-    return min(orbit_members(ctx, v), key=ctx.e2_key)
 
 
 def unit_power_is(ctx: FieldCtx, v: Ext2Elem, e: int, b: int) -> bool:
@@ -56,7 +52,7 @@ def tau_of_orbit(ctx: FieldCtx, v: Ext2Elem) -> int:
 def orbit_of_tau(ctx: FieldCtx, tau: int) -> Ext2Elem:
     """The orbit of sqrt(tau+1) + sqrt(tau), roots taken in F_{q^2}."""
     v = ctx.e2_add(ctx.e2_sqrt(ctx.add(tau, ctx.one)), ctx.e2_sqrt(tau))
-    rep = orbit_of(ctx, v)
+    rep = min(orbit_members(ctx, v), key=ctx.e2_key)
     if tau_of_orbit(ctx, rep) != tau:
         raise IdentityFailure(f"orbit round-trip failed at q={ctx.q}")
     return rep
@@ -112,8 +108,12 @@ def roots_of_unity_union(ctx: FieldCtx) -> list[Ext2Elem]:
 
 
 def all_orbits(ctx: FieldCtx) -> list[Ext2Elem]:
-    """Representatives of the orbits partitioning the two root-of-unity groups."""
-    reps = {orbit_of(ctx, v) for v in roots_of_unity_union(ctx)}
-    if not all(in_unit_groups(ctx, r) for r in reps):
+    """Orbit representatives: the first member of each orbit in the key-ordered union."""
+    union, reps, seen = roots_of_unity_union(ctx), [], set()
+    for v in union:
+        if v not in seen:
+            reps.append(v)
+            seen.update(orbit_members(ctx, v))
+    if seen != set(union):
         raise IdentityFailure(f"an orbit leaves the groups of roots of unity at q={ctx.q}")
-    return sorted(reps, key=ctx.e2_key)
+    return reps

@@ -157,10 +157,11 @@ def card_count_blocks(ctx, block=32):
 
 
 def card_rows_reference(ctx):
-    """The 12 all-pairs rows of the ``cardinality`` suite, as (case, actual),
-    from the closed and the enumerated count of every (k, l) pair, compared
-    one block of rows at a time: the reference ``sweeps.suite_cardinality``
-    must equal."""
+    """The 12 all-pairs rows and the 2 ``card[S1]`` rows of the
+    ``cardinality`` suite, as (case, actual): the reference
+    ``sweeps.suite_cardinality`` must equal.  The pair rows compare the
+    closed and the enumerated count of every (k, l) pair, one block of rows
+    at a time; the S1 rows call the scalar ``card_closed`` once per k."""
     import numpy as np
 
     q = ctx.q
@@ -180,8 +181,14 @@ def card_rows_reference(ctx):
                 i, l = divmod(int(bad.argmax()), q)  # first hit in row-major order
                 entry[1] = f" first=({ctx.elem_str(rows.start + i)},{ctx.elem_str(l)})"
             entry[0] += int(bad.sum())
-    return [(f"card[{kind}]{sign_str(SIGN_PAIRS[s])}", f"{n_bad} mismatches{first}")
+    rows = [(f"card[{kind}]{sign_str(SIGN_PAIRS[s])}", f"{n_bad} mismatches{first}")
             for (kind, s), (n_bad, first) in tally.items()]
+    chi = ctx.tables().shifted(0)
+    for e in (1, -1):
+        sums = np.count_nonzero(chi == e) - (chi == e)
+        n_bad = sum(charsets.card_closed(ctx, s1_family(k, e)) != sums[k] for k in range(q))
+        rows.append((f"card[S1]{sign_str(e)}", f"{n_bad} mismatches"))
+    return rows
 
 
 # ---------------------------------------------------------------------------

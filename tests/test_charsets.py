@@ -209,16 +209,30 @@ def _faults(q):
 def test_cardinality_rows_match_the_grid_reference(p, n):
     # the tally gives the all-pairs rows of the pair-by-pair grid, byte for
     # byte, on a sound field and under every fault: mismatch counts and the
-    # first mismatching pair in row-major order
+    # first mismatching pair in row-major order; the card[S1] rows, one array
+    # expression of the closed chi, equal a per-k loop of scalar card_closed
     failed = 0
     for name, fault in _faults(p ** n):
         ctx = mk_field(p, n)
         fault(ctx)
-        rows = itertools.islice(sweeps.suite_cardinality(ctx), 12)
+        rows = itertools.islice(sweeps.suite_cardinality(ctx), 14)
         got = [(r["case"], r["actual"]) for r in rows]
         assert got == card_rows_reference(ctx), (ctx.q, name)
         failed += got != [(case, "0 mismatches") for case, _ in got]
     assert failed, (p, n)
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
+def test_single_condition_rows_read_chi_at_zero(p, n):
+    # chi(0) = 0 matches no sign, so |S_0^e| needs no branch; chi(0) set to
+    # a sign e after delta is cached fails exactly the k = 0 count of e
+    for e in (1, -1):
+        ctx = mk_field(p, n)
+        ctx.delta
+        ctx.tables().chi[0] = e
+        rows = itertools.islice(sweeps.suite_cardinality(ctx), 12, 14)
+        assert [r["actual"] for r in rows] == \
+            [f"{int(s == e)} mismatches" for s in (1, -1)], (ctx.q, e)
 
 
 @pytest.mark.parametrize("p, n, flip, want", [

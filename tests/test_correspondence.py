@@ -6,7 +6,7 @@ from charprod.correspondence import (all_orbits, classify_tau, in_unit_groups,
                                      orbit_count_card, orbit_members,
                                      orbit_of_tau, roots_of_unity_union,
                                      tau_of_orbit, unit_power_is)
-from charprod.ffield import Ext2Elem
+from charprod.ffield import Ext2Elem, IdentityFailure, mk_field
 from helpers import (e2_div, e2_pow, ext2_generator, ext2_solve_unit, field,
                      small_ctxs, stepped_roots_of_unity_union, unit_of_order,
                      unit_order_test)
@@ -109,6 +109,40 @@ def test_correspondence_suite_builds_each_orbit_from_tau_once(monkeypatch, p, n)
     rows = list(sweeps.suite_correspondence(ctx))
     assert all(r["ok"] for r in rows), rows
     assert sorted(calls) == list(range(ctx.q))
+
+
+def test_all_orbits_builds_each_orbit_once(monkeypatch):
+    # the walk builds the orbit of each representative and of nothing else:
+    # q orbit_members calls, one per orbit, on the representatives in order
+    calls = []
+
+    def counted(ctx, v):
+        calls.append(v)
+        return orbit_members(ctx, v)
+
+    monkeypatch.setattr(correspondence, "orbit_members", counted)
+    for ctx in small_ctxs():
+        calls.clear()
+        orbits = all_orbits(ctx)
+        assert len(calls) == len(orbits) == ctx.q, ctx.q
+        assert calls == orbits, ctx.q
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
+def test_orbit_leaving_the_union_fails_rows_never_raises(monkeypatch, p, n):
+    # e2_inv of one context returns 0, which lies in no group of roots of
+    # unity and has the least key: every orbit then leaves the union
+    def corrupted(p, n=1):
+        ctx = mk_field(p, n)
+        monkeypatch.setattr(ctx, "e2_inv", lambda v: Ext2Elem(0, 0))
+        return ctx
+
+    with pytest.raises(IdentityFailure, match="an orbit leaves the groups"):
+        all_orbits(corrupted(p, n))
+    monkeypatch.setattr(sweeps, "mk_field", corrupted)
+    rows = sweeps.run_field(p, n, ("correspondence",))
+    assert rows[0]["case"] == "orbit-count" and not rows[0]["ok"], rows[0]
+    assert "an orbit leaves the groups" in rows[0]["actual"], rows[0]
 
 
 def test_roots_of_unity_union_matches_generator_steps():
