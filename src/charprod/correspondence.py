@@ -40,13 +40,11 @@ def in_unit_groups(ctx: FieldCtx, v: Ext2Elem) -> bool:
 
 
 def tau_of_orbit(ctx: FieldCtx, v: Ext2Elem) -> int:
-    """tau = (v - 1/v)^2 / 4; v must lie in mu_{2q-2} or mu_{2q+2}."""
+    """tau = (v - 1/v)^2 / 4, divided in F_q; v must lie in mu_{2q-2} or mu_{2q+2}."""
     if not in_unit_groups(ctx, v):
         raise ValueError("v is not a 2(q-1)-st or 2(q+1)-st root of unity")
     d = ctx.e2_sub(v, ctx.e2_inv(v))
-    sq = ctx.e2_mul(d, d)
-    quarter = ctx.e2_embed(ctx.inv(ctx.from_int(4)))
-    return ctx.e2_project(ctx.e2_mul(sq, quarter))
+    return ctx.div(ctx.e2_project(ctx.e2_mul(d, d)), ctx.from_int(4))
 
 
 def orbit_of_tau(ctx: FieldCtx, tau: int) -> Ext2Elem:
@@ -58,13 +56,13 @@ def orbit_of_tau(ctx: FieldCtx, tau: int) -> Ext2Elem:
     return rep
 
 
-def classify_tau(ctx: FieldCtx, v: Ext2Elem) -> Optional[SignPair]:
-    """Square classes (chi(tau), chi(tau+1)) of the orbit v's tau, checked on v.
+def classify_tau(ctx: FieldCtx, tau: int, v: Ext2Elem) -> Optional[SignPair]:
+    """Square classes (chi(tau), chi(tau+1)) of tau, checked on v of its orbit.
 
-    Returns None for the degenerate tau in {0, -1} (fourth roots of
-    unity); otherwise checks the order relation v^(q - ab) = b.
+    tau must be tau_of_orbit(ctx, v), which the caller already holds.
+    Returns None for the degenerate tau in {0, -1} (fourth roots of unity);
+    otherwise checks the order relation v^(q - ab) = b.
     """
-    tau = tau_of_orbit(ctx, v)
     if tau == 0 or tau == ctx.minus_one:
         return None
     a = ctx.legendre(tau)

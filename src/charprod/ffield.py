@@ -525,7 +525,7 @@ class FieldCtx:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.n == 1:
-            return pow(a, self.q - 2, self.q)
+            return pow(a, -1, self.q)
         tb = self._tables
         if tb is not None:
             return tb.exp[self.q - 1 - tb.log[a]]

@@ -91,24 +91,32 @@ def test_classify_every_enumerated_orbit():
             tau = tau_of_orbit(ctx, v)
             want = None if tau in (0, ctx.minus_one) else \
                 (ctx.legendre(tau), ctx.legendre(ctx.add(tau, ctx.one)))
-            assert classify_tau(ctx, v) == want, (ctx.q, v)
+            assert classify_tau(ctx, tau, v) == want, (ctx.q, v)
 
 
 @pytest.mark.parametrize("p, n", [(13, 1), (3, 2)])
 def test_correspondence_suite_builds_each_orbit_from_tau_once(monkeypatch, p, n):
     # the round trip builds each tau's orbit; the classification reads the
-    # enumerated orbits and builds none
-    calls = []
+    # enumerated orbits and builds none.  tau is computed 2q times: once
+    # per orbit in the image, once per tau in the round trip's own check,
+    # and never again by the classification
+    calls, tau_calls = [], []
 
     def counted(ctx, tau):
         calls.append(tau)
         return orbit_of_tau(ctx, tau)
 
+    def counted_tau(ctx, v):
+        tau_calls.append(v)
+        return tau_of_orbit(ctx, v)
+
     monkeypatch.setattr(correspondence, "orbit_of_tau", counted)
+    monkeypatch.setattr(correspondence, "tau_of_orbit", counted_tau)
     ctx = field(p, n)
     rows = list(sweeps.suite_correspondence(ctx))
     assert all(r["ok"] for r in rows), rows
     assert sorted(calls) == list(range(ctx.q))
+    assert len(tau_calls) == 2 * ctx.q
 
 
 def test_all_orbits_builds_each_orbit_once(monkeypatch):
@@ -202,11 +210,11 @@ def test_classification_examples():
             if tau == ctx.minus_one:
                 continue
             v = orbit_of_tau(ctx, tau)
-            cls = classify_tau(ctx, v)
+            cls = classify_tau(ctx, tau, v)
             if cls == (1, 1):
                 assert unit_order_test(ctx, v, ctx.q - 1, 1)
-        assert classify_tau(ctx, orbit_of_tau(ctx, 0)) is None
-        assert classify_tau(ctx, orbit_of_tau(ctx, ctx.minus_one)) is None
+        for tau in (0, ctx.minus_one):
+            assert classify_tau(ctx, tau, orbit_of_tau(ctx, tau)) is None
 
 
 def test_classify_minus_half():
@@ -215,7 +223,7 @@ def test_classify_minus_half():
     for q in (11, 19, 17, 23):
         ctx = field(q)
         tau = ctx.neg(ctx.inv(ctx.from_int(2)))
-        cls = classify_tau(ctx, orbit_of_tau(ctx, tau))
+        cls = classify_tau(ctx, tau, orbit_of_tau(ctx, tau))
         assert cls == (ctx.legendre(ctx.from_int(-2)),
                        ctx.legendre(ctx.from_int(2)))
 

@@ -102,6 +102,16 @@ def test_field_axioms_random():
                 assert ctx.pow(a, -1) == ctx.inv(a)
 
 
+def test_prime_field_inverse_of_every_unit():
+    # every unit of the small prime fields, and three at q = 2^31 - 1
+    for p in [p for p, n in SMALL_FIELDS if n == 1]:
+        ctx = field(p)
+        assert all(ctx.mul(a, ctx.inv(a)) == ctx.one for a in range(1, p)), p
+    ctx = mk_field(2147483647)
+    for a in (2, 3, ctx.q - 1):
+        assert ctx.mul(a, ctx.inv(a)) == ctx.one, a
+
+
 def test_large_prime_scalar_path():
     # near the machine bound everything must still work without tables
     ctx = mk_field(2147483629)
