@@ -1,75 +1,185 @@
 """Bijection between unit orbits {v, 1/v, -v, -1/v} and elements of F_q.
 
 The orbits partition the union of the 2(q-1)-st and 2(q+1)-st roots of
-unity in F_{q^2}.  ``all_orbits`` walks the union in key order: the first
-member met of an orbit is its least, its representative, and the orbit is
-built once from it; the seen members must be exactly the union.  The orbit
-of v maps to tau = (v - 1/v)^2 / 4, tau back to sqrt(tau+1) + sqrt(tau).
-The order of v encodes the square classes of tau and tau+1: a second,
-independent closed form for |A_{0,1}| (orbit counting, not rescaling).
-No power of v is computed: v^q = conj(v) (Frobenius), so v^(q+1) is the
-norm N(v) and v^(q-1) = conj(v)/v is +1 iff hi = 0 and -1 iff lo = 0.
+unity in F_{q^2}.  The orbit of v maps to tau = (v - 1/v)^2 / 4, tau back
+to sqrt(tau+1) + sqrt(tau).  The order of v encodes the square classes of
+tau and tau+1: a second, independent closed form for |A_{0,1}| (orbit
+counting, not rescaling).
+
+Each function takes a whole set of elements at once and makes no field
+call per element: an element set of F_{q^2} is an ``Ext2Elem`` of two
+int64 code arrays (lo, hi), multiplied by ``ctx.mul_poly``.  Elements
+are ordered by ``e2_key`` as the integer rank(lo)*q + rank(hi) < 2^62,
+with ``ctx.elem_rank``.  No power of v is computed: v^q = conj(v)
+(Frobenius), so v^(q+1) is the norm N(v) = lo^2 - delta*hi^2, v^(q-1) =
+conj(v)/v is +1 iff hi = 0 and -1 iff lo = 0, and a v of norm +-1
+inverts by conjugation, 1/v = N(v)*conj(v).  Only the rest of the union,
+F_q^* u theta*F_q^*, needs inverses in F_q, taken as ``FieldCtx.inv``
+takes them.  ``all_orbits`` keeps the least member of each orbit and
+checks that the members stay in the union; ``tau_of_orbit``,
+``orbit_of_tau`` and ``classify_tau`` map, invert and classify all the
+orbits in one pass each.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .charsets import SignPair
-from .ffield import Ext2Elem, FieldCtx, IdentityFailure
+from .ffield import Ext2Elem, FieldCtx, IdentityFailure, power
 
 
-def orbit_members(ctx: FieldCtx, v: Ext2Elem) -> tuple[Ext2Elem, ...]:
-    vi = ctx.e2_inv(v)
-    return tuple({v, vi, ctx.e2_neg(v), ctx.e2_neg(vi)})
+def _keys(ctx: FieldCtx, v: Ext2Elem):
+    """``e2_key`` order as integers: rank(lo)*q + rank(hi)."""
+    return ctx.elem_rank(v.lo) * ctx.q + ctx.elem_rank(v.hi)
 
 
-def unit_power_is(ctx: FieldCtx, v: Ext2Elem, e: int, b: int) -> bool:
-    """v^e == b for a unit v of F_{q^2}, e = q +- 1 and b = +-1, in O(1)."""
+def _norm(ctx: FieldCtx, v: Ext2Elem):
+    return ctx.sub(ctx.mul_poly(v.lo, v.lo),
+                   ctx.mul_poly(ctx.mul_poly(v.hi, v.hi), ctx.delta))
+
+
+def _inverse(ctx: FieldCtx, v: Ext2Elem) -> Ext2Elem:
+    """1/v for each v of mu_{2(q-1)} u mu_{2(q+1)}; raises ValueError for any other v.
+
+    v lies there iff N(v) = v^(q+1) is +-1, or exactly one of lo, hi is 0
+    (v^(q-1) = +-1).  1/v = N(v)*conj(v) where N(v) = +-1.  The rest lies
+    in F_q^* u theta*F_q^*, where 1/x = (1/x)*1 and 1/(x*theta) =
+    theta/(delta*x), with the inverse in F_q that ``FieldCtx.inv`` takes:
+    Fermat's x^(q-2) for n = 1, exp[q - 1 - log x] for n > 1.  Raises
+    IdentityFailure when x*(1/x) != 1 by ``mul_poly``: a wrong but
+    self-inverse table keeps every orbit in the union, so the partition
+    check alone would not see it.
+    """
+    import numpy as np
+
+    nrm = _norm(ctx, v)
+    line = (nrm != ctx.one) & (nrm != ctx.minus_one)
+    if np.any(line & ((v.lo == 0) == (v.hi == 0))):
+        raise ValueError("v is not a 2(q-1)-st or 2(q+1)-st root of unity")
+    lo, hi = ctx.mul_poly(v.lo, nrm), ctx.mul_poly(ctx.neg(v.hi), nrm)
+    base = v.hi[line] == 0
+    x = np.where(base, v.lo[line], ctx.mul_poly(v.hi[line], ctx.delta))  # never 0
+    if ctx.n == 1:
+        xi = power(x, ctx.q - 2, ctx.mul, ctx.one)
+    else:
+        tb = ctx.tables()
+        xi = np.asarray(tb.exp[:ctx.q])[ctx.q - 1 - np.asarray(tb.log)[x]]
+    wrong = ctx.mul_poly(x, xi) != ctx.one
+    if wrong.any():
+        bad = ctx.elem_str(int(x[np.argmax(wrong)]))
+        raise IdentityFailure(f"exp/log give a wrong inverse of {bad} at q={ctx.q}")
+    lo[line], hi[line] = np.where(base, xi, 0), np.where(base, 0, xi)
+    return Ext2Elem(lo, hi)
+
+
+def _members(ctx: FieldCtx, v: Ext2Elem) -> tuple[Ext2Elem, ...]:
+    """v, 1/v, -v and -1/v, each for every v."""
+    w = _inverse(ctx, v)
+    return v, w, ctx.e2_neg(v), ctx.e2_neg(w)
+
+
+def square_roots(ctx: FieldCtx):
+    """int64 array: ``sqrt_canonical`` of each square of F_q, -1 at the rest.
+
+    x^2 by ``mul_poly``, which reads no table, for every x, stored at the
+    one of +-x with the smaller key.
+    """
+    import numpy as np
+
+    x = np.arange(ctx.q, dtype=np.int64)
+    canon = x[ctx.elem_rank(x) <= ctx.elem_rank(ctx.neg(x))]
+    roots = np.full(ctx.q, -1, dtype=np.int64)
+    roots[ctx.mul_poly(canon, canon)] = canon
+    return roots
+
+
+def e2_sqrts(ctx: FieldCtx, a, roots) -> Ext2Elem:
+    """``ctx.e2_sqrt`` over an int64 array a, with ``roots = square_roots(ctx)``.
+
+    Where chi(a) != -1 (or a = 0) the root lies in F_q, else it is theta
+    times the root of a/delta.  Raises IdentityFailure, as e2_sqrt does,
+    when the branch that chi picks has no root.
+    """
+    import numpy as np
+
+    chi = np.asarray(ctx.tables().chi)
+    base = (a == 0) | (chi[a] != -1)
+    b = ctx.mul_poly(a, ctx.inv(ctx.delta))
+    r = np.where(base, roots[a], roots[b])
+    neither = ~base & (chi[b] == -1)
+    lost = neither | (r < 0)
+    if lost.any():
+        i = int(np.argmax(lost))
+        x = ctx.elem_str(int(a[i]))
+        if neither[i]:
+            raise IdentityFailure(f"neither {x} nor {x}/delta is a square at q={ctx.q}")
+        y = x if base[i] else ctx.elem_str(int(b[i]))
+        raise IdentityFailure(f"no square root of {y} found in F_{ctx.q}")
+    return Ext2Elem(np.where(base, r, 0), np.where(base, 0, r))
+
+
+def unit_power_is(ctx: FieldCtx, v: Ext2Elem, e: int, b):
+    """v^e == b for units v of F_{q^2}, e = q +- 1 and b = +-1, elementwise."""
+    import numpy as np
+
     if e == ctx.q + 1:
-        return ctx.e2_norm(v) == ctx.from_int(b)
+        return _norm(ctx, v) == ctx.from_int(b)
     if e == ctx.q - 1:
-        return (v.hi if b == 1 else v.lo) == 0
+        return np.where(np.equal(b, 1), v.hi, v.lo) == 0
     raise ValueError(f"exponent {e} is neither q-1 nor q+1")
 
 
-def in_unit_groups(ctx: FieldCtx, v: Ext2Elem) -> bool:
-    """v lies in mu_{2(q-1)} or mu_{2(q+1)}: v^(q-1) or v^(q+1) is +-1."""
-    return v != (0, 0) and (v.lo == 0 or v.hi == 0
-                            or ctx.e2_norm(v) in (ctx.one, ctx.minus_one))
+def tau_of_orbit(ctx: FieldCtx, v: Ext2Elem):
+    """tau = (v - 1/v)^2 / 4 of each v, divided in F_q.
+
+    Raises ValueError unless every v lies in mu_{2q-2} or mu_{2q+2} and
+    every square lies in F_q.
+    """
+    import numpy as np
+
+    d = ctx.e2_sub(v, _inverse(ctx, v))
+    lo = ctx.add(ctx.mul_poly(d.lo, d.lo), ctx.mul_poly(ctx.mul_poly(d.hi, d.hi), ctx.delta))
+    hi = ctx.mul_poly(ctx.from_int(2), ctx.mul_poly(d.lo, d.hi))
+    if np.any(hi):
+        i = int(np.argmax(hi != 0))
+        raise ValueError(f"{Ext2Elem(int(lo[i]), int(hi[i]))} does not lie in the base field")
+    return ctx.mul_poly(lo, ctx.inv(ctx.from_int(4)))
 
 
-def tau_of_orbit(ctx: FieldCtx, v: Ext2Elem) -> int:
-    """tau = (v - 1/v)^2 / 4, divided in F_q; v must lie in mu_{2q-2} or mu_{2q+2}."""
-    if not in_unit_groups(ctx, v):
-        raise ValueError("v is not a 2(q-1)-st or 2(q+1)-st root of unity")
-    d = ctx.e2_sub(v, ctx.e2_inv(v))
-    return ctx.div(ctx.e2_project(ctx.e2_mul(d, d)), ctx.from_int(4))
+def orbit_of_tau(ctx: FieldCtx, tau) -> Ext2Elem:
+    """The least member of the orbit of sqrt(tau+1) + sqrt(tau) for each tau
+    of an int64 array, roots taken in F_{q^2}.
 
+    Raises IdentityFailure unless every orbit maps back to its tau.
+    """
+    import numpy as np
 
-def orbit_of_tau(ctx: FieldCtx, tau: int) -> Ext2Elem:
-    """The orbit of sqrt(tau+1) + sqrt(tau), roots taken in F_{q^2}."""
-    v = ctx.e2_add(ctx.e2_sqrt(ctx.add(tau, ctx.one)), ctx.e2_sqrt(tau))
-    rep = min(orbit_members(ctx, v), key=ctx.e2_key)
-    if tau_of_orbit(ctx, rep) != tau:
+    roots = square_roots(ctx)
+    v = ctx.e2_add(e2_sqrts(ctx, ctx.add(tau, ctx.one), roots), e2_sqrts(ctx, tau, roots))
+    members = _members(ctx, v)
+    least = np.argmin([_keys(ctx, m) for m in members], axis=0)
+    rep = Ext2Elem(*(np.choose(least, part) for part in zip(*members)))
+    if np.any(tau_of_orbit(ctx, rep) != tau):
         raise IdentityFailure(f"orbit round-trip failed at q={ctx.q}")
     return rep
 
 
-def classify_tau(ctx: FieldCtx, tau: int, v: Ext2Elem) -> Optional[SignPair]:
-    """Square classes (chi(tau), chi(tau+1)) of tau, checked on v of its orbit.
+def classify_tau(ctx: FieldCtx, tau, v: Ext2Elem):
+    """Square classes chi(tau), chi(tau+1) of each tau, checked on v of its orbit.
 
     tau must be tau_of_orbit(ctx, v), which the caller already holds.
-    Returns None for the degenerate tau in {0, -1} (fourth roots of unity);
-    otherwise checks the order relation v^(q - ab) = b.
+    Returns (a, b, agrees): int arrays of the two classes, 0 at the
+    degenerate tau in {0, -1} (fourth roots of unity), and a bool array,
+    True where v^(q - ab) = b, the order relation, holds (and at the
+    degenerate tau).
     """
-    if tau == 0 or tau == ctx.minus_one:
-        return None
-    a = ctx.legendre(tau)
-    b = ctx.legendre(ctx.add(tau, ctx.one))
-    if not unit_power_is(ctx, v, ctx.q - a * b, b):
-        raise IdentityFailure(f"square classes disagree with the unit order at q={ctx.q}")
-    return SignPair(a, b)
+    import numpy as np
+
+    chi = np.asarray(ctx.tables().chi)
+    live = (tau != 0) & (tau != ctx.minus_one)
+    a = np.where(live, chi[tau], 0)
+    b = np.where(live, chi[ctx.add(tau, ctx.one)], 0)
+    order = np.where(a * b == 1, unit_power_is(ctx, v, ctx.q - 1, b),
+                     unit_power_is(ctx, v, ctx.q + 1, b))
+    return a, b, ~live | order
 
 
 def orbit_count_card(ctx: FieldCtx, e1: int, e2: int) -> int:
@@ -92,26 +202,42 @@ def orbit_count_card(ctx: FieldCtx, e1: int, e2: int) -> int:
     return (q + a - mu4) // 4
 
 
-def roots_of_unity_union(ctx: FieldCtx) -> list[Ext2Elem]:
-    """mu_{2(q-1)} = F_q^* u theta*F_q^* united with mu_{2(q+1)} = {v : N(v) = +-1}."""
-    seen = {u for x in range(1, ctx.q) for u in (Ext2Elem(x, 0), Ext2Elem(0, x))}
-    root = {ctx.mul(x, x): x for x in range(ctx.q)}
-    for hi in range(ctx.q):
-        dh = ctx.mul(ctx.mul(hi, hi), ctx.delta)  # N(lo + hi*theta) = lo^2 - dh
-        for s in (ctx.one, ctx.minus_one):
-            lo = root.get(ctx.add(s, dh))
-            if lo is not None:
-                seen.update((Ext2Elem(lo, hi), Ext2Elem(ctx.neg(lo), hi)))
-    return sorted(seen, key=ctx.e2_key)
+def roots_of_unity_union(ctx: FieldCtx) -> Ext2Elem:
+    """mu_{2(q-1)} = F_q^* u theta*F_q^* united with mu_{2(q+1)} = {v : N(v) = +-1},
+    in key order, each element once."""
+    import numpy as np
+
+    x = np.arange(ctx.q, dtype=np.int64)
+    units, zero = x[1:], np.zeros(ctx.q - 1, dtype=np.int64)
+    roots = square_roots(ctx)
+    dh = ctx.mul_poly(ctx.mul_poly(x, x), ctx.delta)  # N(lo + hi*theta) = lo^2 - dh
+    lo, hi = [units, zero], [zero, units]
+    for s in (ctx.one, ctx.minus_one):
+        r = roots[ctx.add(s, dh)]
+        has = r >= 0
+        lo += [r[has], ctx.neg(r[has])]
+        hi += [x[has], x[has]]
+    v = Ext2Elem(np.concatenate(lo), np.concatenate(hi))
+    _, first = np.unique(_keys(ctx, v), return_index=True)
+    return Ext2Elem(v.lo[first], v.hi[first])
 
 
-def all_orbits(ctx: FieldCtx) -> list[Ext2Elem]:
-    """Orbit representatives: the first member of each orbit in the key-ordered union."""
-    union, reps, seen = roots_of_unity_union(ctx), [], set()
-    for v in union:
-        if v not in seen:
-            reps.append(v)
-            seen.update(orbit_members(ctx, v))
-    if seen != set(union):
-        raise IdentityFailure(f"an orbit leaves the groups of roots of unity at q={ctx.q}")
-    return reps
+def all_orbits(ctx: FieldCtx) -> Ext2Elem:
+    """Orbit representatives in key order: the least member of each orbit of the union.
+
+    Raises IdentityFailure unless every member of every orbit lies in the union.
+    """
+    import numpy as np
+
+    union = roots_of_unity_union(ctx)
+    keys = _keys(ctx, union)
+    at = np.arange(len(keys))
+    least = at  # position in the union of the least member met so far
+    for member in _members(ctx, union)[1:]:
+        member_keys = _keys(ctx, member)
+        found = np.searchsorted(keys, member_keys)
+        if not np.array_equal(keys[np.minimum(found, len(keys) - 1)], member_keys):
+            raise IdentityFailure(f"an orbit leaves the groups of roots of unity at q={ctx.q}")
+        least = np.minimum(least, found)
+    reps = least == at
+    return Ext2Elem(union.lo[reps], union.hi[reps])

@@ -16,7 +16,8 @@ reduced mod q for n = 1.  Tie-breaking (smallest square root, smallest
 nonsquare, sorted member lists) uses the *canonical order*: coefficient
 vectors compared lexicographically, low degree first.
 ``FieldCtx.elem_key`` is the corresponding sort key; it agrees with
-integer order only for n == 1.
+integer order only for n == 1.  ``FieldCtx.elem_rank`` is the position in
+that order, the digits read as one base-p numeral, on ints and arrays.
 
 The quadratic extension F_{q^2} is represented as pairs lo + hi*theta
 with theta^2 = delta, delta the canonically smallest nonsquare of F_q.
@@ -361,6 +362,16 @@ class FieldCtx:
 
     # canonical sort key: low-degree-first lexicographic coefficient order
     elem_key = decode
+
+    def elem_rank(self, a):
+        """Position of a in canonical order: its digits as one base-p numeral,
+        the constant digit most significant; one body for ints and int64 arrays."""
+        if self.n == 1:
+            return a
+        p, acc = self.p, 0
+        for w in self._pw:
+            acc = acc * p + a // w % p
+        return acc
 
     def encode(self, coeffs) -> int:
         acc, pw = 0, 1

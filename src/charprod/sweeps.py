@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 from . import charsets, closedform, correspondence, dickson, reciprocity
 from .charsets import SIGN_PAIRS, sign_str
 from .closedform import INF, tau_str
-from .ffield import FieldCtx, IdentityFailure, mk_field
+from .ffield import Ext2Elem, FieldCtx, IdentityFailure, mk_field
 
 ALL_SUITES = ("tables", "dickson", "cardinality", "correspondence",
               "reciprocity", "rescaling", "intro")
@@ -304,28 +304,38 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
 
 
 def suite_correspondence(ctx: FieldCtx) -> Iterator[dict]:
-    """Orbit bijection, order classification, and orbit counting."""
-    orbits, by_tau = [], {}  # filled by the first two checks
+    """Orbit bijection, order classification, and orbit counting: one array
+    pass over the field for each of the first four checks."""
+    import numpy as np
+
+    q, none = ctx.q, np.zeros(0, dtype=np.int64)
+    found = {"orbits": Ext2Elem(none, none), "taus": none}  # set by the first two checks
 
     def count() -> str:
-        orbits.extend(correspondence.all_orbits(ctx))
-        return str(len(orbits))
+        found["orbits"] = correspondence.all_orbits(ctx)
+        return str(len(found["orbits"].lo))
 
     def image() -> str:
-        taus = [correspondence.tau_of_orbit(ctx, v) for v in orbits]
-        by_tau.update(zip(taus, orbits))
-        return "all-of-F_q" if sorted(taus) == list(range(ctx.q)) else "not-injective"
+        found["taus"] = taus = correspondence.tau_of_orbit(ctx, found["orbits"])
+        return "all-of-F_q" if np.array_equal(np.sort(taus), np.arange(q)) else "not-injective"
 
-    yield _check("orbit-count", str(ctx.q), count)
+    yield _check("orbit-count", str(q), count)
     yield _check("orbit-image", "all-of-F_q", image)
-    yield _check("orbit-roundtrip", "0 mismatches", lambda: "{} mismatches".format(
-        sum(correspondence.orbit_of_tau(ctx, t) != by_tau.get(t) for t in range(ctx.q))))
-    bad = ctx.q - len(by_tau)  # a tau no orbit maps to
-    for tau, v in by_tau.items():
-        try:
-            correspondence.classify_tau(ctx, tau, v)
-        except _CHECK_FAILURES:
-            bad += 1
+    # each tau that an orbit maps to, and its orbit: the last one in key
+    # order when several map to one tau, as a dict filled in order keeps it
+    taus = found["taus"]
+    mapped, last = np.unique(taus[::-1], return_index=True)
+    orbit = Ext2Elem(*(x[len(taus) - 1 - last] for x in found["orbits"]))
+
+    def roundtrip() -> str:
+        back = correspondence.orbit_of_tau(ctx, np.arange(q))
+        same = np.zeros(q, dtype=bool)
+        same[mapped] = (back.lo[mapped] == orbit.lo) & (back.hi[mapped] == orbit.hi)
+        return f"{q - np.count_nonzero(same)} mismatches"
+
+    yield _check("orbit-roundtrip", "0 mismatches", roundtrip)
+    agrees = correspondence.classify_tau(ctx, mapped, orbit)[2]
+    bad = q - len(mapped) + np.count_nonzero(~agrees)  # a tau no orbit maps to fails
     yield _row("v-correspondence", "0 mismatches", f"{bad} mismatches")
     for sp in SIGN_PAIRS:
         want = charsets.card_closed(ctx, charsets.a_family(0, 1, sp))

@@ -12,7 +12,8 @@ from charprod import charsets
 from charprod.charsets import (SIGN_PAIRS, ProductReport, SignPair, a_family,
                                enumerate_family, s1_family, s_family, sign_str,
                                t_family)
-from charprod.ffield import Ext2Elem, factorize, first_of_order, mk_field, power
+from charprod.ffield import (Ext2Elem, IdentityFailure, factorize, first_of_order,
+                            mk_field, power)
 
 # small fields exercised by most unit tests; mixes residue classes mod 4/8/12
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1),
@@ -367,3 +368,176 @@ def named_ratio_row(ctx, tau):
             return row(ctx.div(ce, el(6)), ce, ctx.one, el(2))
         return row(ce, ctx.div(ce, el(6)), ctx.neg(el(2)), ctx.minus_one)
     raise ValueError("tau must be 1, 3 or 1/3")
+
+
+# ---------------------------------------------------------------------------
+# the scalar orbit walk, one Ext2Elem and one field call at a time: the
+# reference for the array forms of correspondence and for its suite's rows
+# ---------------------------------------------------------------------------
+
+def orbit_members(ctx, v):
+    vi = ctx.e2_inv(v)
+    return tuple({v, vi, ctx.e2_neg(v), ctx.e2_neg(vi)})
+
+
+def unit_power_is_reference(ctx, v, e, b):
+    """v^e == b for a unit v of F_{q^2}, e = q +- 1 and b = +-1, in O(1)."""
+    if e == ctx.q + 1:
+        return ctx.e2_norm(v) == ctx.from_int(b)
+    if e == ctx.q - 1:
+        return (v.hi if b == 1 else v.lo) == 0
+    raise ValueError(f"exponent {e} is neither q-1 nor q+1")
+
+
+def in_unit_groups_reference(ctx, v):
+    """v lies in mu_{2(q-1)} or mu_{2(q+1)}: v^(q-1) or v^(q+1) is +-1."""
+    return v != (0, 0) and (v.lo == 0 or v.hi == 0
+                            or ctx.e2_norm(v) in (ctx.one, ctx.minus_one))
+
+
+def tau_of_orbit_reference(ctx, v):
+    """tau = (v - 1/v)^2 / 4, divided in F_q; v must lie in mu_{2q-2} or mu_{2q+2}."""
+    if not in_unit_groups_reference(ctx, v):
+        raise ValueError("v is not a 2(q-1)-st or 2(q+1)-st root of unity")
+    d = ctx.e2_sub(v, ctx.e2_inv(v))
+    return ctx.div(ctx.e2_project(ctx.e2_mul(d, d)), ctx.from_int(4))
+
+
+def orbit_of_tau_reference(ctx, tau):
+    """The orbit of sqrt(tau+1) + sqrt(tau), roots taken in F_{q^2}."""
+    v = ctx.e2_add(ctx.e2_sqrt(ctx.add(tau, ctx.one)), ctx.e2_sqrt(tau))
+    rep = min(orbit_members(ctx, v), key=ctx.e2_key)
+    if tau_of_orbit_reference(ctx, rep) != tau:
+        raise IdentityFailure(f"orbit round-trip failed at q={ctx.q}")
+    return rep
+
+
+def classify_tau_reference(ctx, tau, v):
+    """Square classes (chi(tau), chi(tau+1)) of tau = tau_of_orbit(v), checked
+    on v; None for the degenerate tau in {0, -1}."""
+    if tau == 0 or tau == ctx.minus_one:
+        return None
+    a = ctx.legendre(tau)
+    b = ctx.legendre(ctx.add(tau, ctx.one))
+    if not unit_power_is_reference(ctx, v, ctx.q - a * b, b):
+        raise IdentityFailure(f"square classes disagree with the unit order at q={ctx.q}")
+    return SignPair(a, b)
+
+
+def roots_of_unity_union_reference(ctx):
+    """mu_{2(q-1)} = F_q^* u theta*F_q^* united with mu_{2(q+1)} = {v : N(v) = +-1}."""
+    seen = {u for x in range(1, ctx.q) for u in (Ext2Elem(x, 0), Ext2Elem(0, x))}
+    root = {ctx.mul(x, x): x for x in range(ctx.q)}
+    for hi in range(ctx.q):
+        dh = ctx.mul(ctx.mul(hi, hi), ctx.delta)  # N(lo + hi*theta) = lo^2 - dh
+        for s in (ctx.one, ctx.minus_one):
+            lo = root.get(ctx.add(s, dh))
+            if lo is not None:
+                seen.update((Ext2Elem(lo, hi), Ext2Elem(ctx.neg(lo), hi)))
+    return sorted(seen, key=ctx.e2_key)
+
+
+def all_orbits_reference(ctx):
+    """Orbit representatives: the first member of each orbit in the key-ordered union."""
+    union, reps, seen = roots_of_unity_union_reference(ctx), [], set()
+    for v in union:
+        if v not in seen:
+            reps.append(v)
+            seen.update(orbit_members(ctx, v))
+    if seen != set(union):
+        raise IdentityFailure(f"an orbit leaves the groups of roots of unity at q={ctx.q}")
+    return reps
+
+
+def correspondence_rows_reference(ctx):
+    """The rows of ``sweeps.suite_correspondence`` from the scalar walk above."""
+    from charprod import correspondence
+    from charprod.sweeps import _CHECK_FAILURES, _check, _row
+
+    orbits, by_tau, rows = [], {}, []
+
+    def count():
+        orbits.extend(all_orbits_reference(ctx))
+        return str(len(orbits))
+
+    def image():
+        taus = [tau_of_orbit_reference(ctx, v) for v in orbits]
+        by_tau.update(zip(taus, orbits))
+        return "all-of-F_q" if sorted(taus) == list(range(ctx.q)) else "not-injective"
+
+    rows.append(_check("orbit-count", str(ctx.q), count))
+    rows.append(_check("orbit-image", "all-of-F_q", image))
+    rows.append(_check("orbit-roundtrip", "0 mismatches", lambda: "{} mismatches".format(
+        sum(orbit_of_tau_reference(ctx, t) != by_tau.get(t) for t in range(ctx.q)))))
+    bad = ctx.q - len(by_tau)
+    for tau, v in by_tau.items():
+        try:
+            classify_tau_reference(ctx, tau, v)
+        except _CHECK_FAILURES:
+            bad += 1
+    rows.append(_row("v-correspondence", "0 mismatches", f"{bad} mismatches"))
+    for sp in SIGN_PAIRS:
+        want = charsets.card_closed(ctx, a_family(0, 1, sp))
+        got = correspondence.orbit_count_card(ctx, sp.e1, sp.e2)
+        rows.append(_row(f"orbit-card{sign_str(sp)}", str(want), str(got)))
+    return rows
+
+
+def e2_pairs(v):
+    """The elements of an Ext2Elem of code arrays, as a list of scalar Ext2Elem."""
+    return list(map(Ext2Elem, v.lo.tolist(), v.hi.tolist()))
+
+
+def e2_array(elems):
+    """Scalar Ext2Elem as one Ext2Elem of int64 code arrays."""
+    import numpy as np
+
+    elems = list(elems)
+    return Ext2Elem(np.array([v.lo for v in elems], dtype=np.int64),
+                    np.array([v.hi for v in elems], dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# faults of the field arithmetic, each applied to a fresh context
+# ---------------------------------------------------------------------------
+
+def field_faults(q):
+    """(name, fault) for each fault of ``tests/test_faults.py`` on a field of q
+    elements, plus chi set at 0 and flipped at 1 and -1 at once."""
+    def flip(k):
+        def fault(ctx):
+            ctx.delta
+            ctx.tables().chi[k] *= -1
+        return fault
+
+    def square_delta(ctx):
+        chi = ctx.tables().chi
+        ctx._delta = next(x for x in ctx.elements_canonical()
+                          if x not in (0, 1) and chi[x] == 1)
+
+    def swap_exp(i, k):
+        def fault(ctx):
+            tb = ctx.tables()
+            tb.exp[i], tb.exp[k] = tb.exp[k], tb.exp[i]
+            tb.log[tb.exp[i]], tb.log[tb.exp[k]] = i, k
+        return fault
+
+    def shift_m(ctx):
+        ctx.tables()
+        ctx.m += 1
+
+    def zero_one_minus_one(ctx):
+        chi = ctx.tables().chi
+        chi[0] = 1
+        chi[1] *= -1
+        chi[ctx.minus_one] *= -1
+
+    yield "sound", lambda ctx: ctx.tables()
+    for k in range(1, q):
+        yield f"flip {k}", flip(k)
+    if q > 3:  # F_3 has no square but 0 and 1
+        yield "square delta", square_delta
+    for i, k in ((1, 2), (1, 3), (2, 5), (3, 4)):
+        yield f"swap exp {i} {k}", swap_exp(i, k)
+    yield "m + 1", shift_m
+    yield "chi 0, 1, -1", zero_one_minus_one

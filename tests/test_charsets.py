@@ -16,8 +16,8 @@ from charprod.dickson import dickson_first, dickson_second
 from charprod.ffield import mk_field
 from helpers import (SMALL_FIELDS, all_families, card_count_blocks,
                      card_counts_reference, card_grid,
-                     card_rows_reference, field, pair_chars, product_reference,
-                     small_ctxs)
+                     card_rows_reference, field, field_faults, pair_chars,
+                     product_reference, small_ctxs)
 
 
 def test_enumerate_examples():
@@ -163,48 +163,6 @@ def test_tally_counts_are_jacobi_sums(p, n):
     assert (c[:, 2, 2] + c[:, 0, 0] - c[:, 2, 0] - c[:, 0, 2] == -1).all()
 
 
-def _faults(q):
-    """(name, fault) for each fault of ``tests/test_faults.py`` on a field of q
-    elements, plus chi set at 0 and flipped at 1 and -1 at once."""
-    def flip(k):
-        def fault(ctx):
-            ctx.delta
-            ctx.tables().chi[k] *= -1
-        return fault
-
-    def square_delta(ctx):
-        chi = ctx.tables().chi
-        ctx._delta = next(x for x in ctx.elements_canonical()
-                          if x not in (0, 1) and chi[x] == 1)
-
-    def swap_exp(i, k):
-        def fault(ctx):
-            tb = ctx.tables()
-            tb.exp[i], tb.exp[k] = tb.exp[k], tb.exp[i]
-            tb.log[tb.exp[i]], tb.log[tb.exp[k]] = i, k
-        return fault
-
-    def shift_m(ctx):
-        ctx.tables()
-        ctx.m += 1
-
-    def zero_one_minus_one(ctx):
-        chi = ctx.tables().chi
-        chi[0] = 1
-        chi[1] *= -1
-        chi[ctx.minus_one] *= -1
-
-    yield "sound", lambda ctx: ctx.tables()
-    for k in range(1, q):
-        yield f"flip {k}", flip(k)
-    if q > 3:  # F_3 has no square but 0 and 1
-        yield "square delta", square_delta
-    for i, k in ((1, 2), (1, 3), (2, 5), (3, 4)):
-        yield f"swap exp {i} {k}", swap_exp(i, k)
-    yield "m + 1", shift_m
-    yield "chi 0, 1, -1", zero_one_minus_one
-
-
 @pytest.mark.parametrize("p, n", SMALL_FIELDS)
 def test_cardinality_rows_match_the_grid_reference(p, n):
     # the tally gives the all-pairs rows of the pair-by-pair grid, byte for
@@ -212,7 +170,7 @@ def test_cardinality_rows_match_the_grid_reference(p, n):
     # first mismatching pair in row-major order; the card[S1] rows, one array
     # expression of the closed chi, equal a per-k loop of scalar card_closed
     failed = 0
-    for name, fault in _faults(p ** n):
+    for name, fault in field_faults(p ** n):
         ctx = mk_field(p, n)
         fault(ctx)
         rows = itertools.islice(sweeps.suite_cardinality(ctx), 14)

@@ -1,45 +1,52 @@
+import json
+
+import numpy as np
 import pytest
 
 from charprod import correspondence, sweeps
 from charprod.charsets import SIGN_PAIRS, a_family, card_closed, enumerate_family
-from charprod.correspondence import (all_orbits, classify_tau, in_unit_groups,
-                                     orbit_count_card, orbit_members,
-                                     orbit_of_tau, roots_of_unity_union,
+from charprod.correspondence import (all_orbits, classify_tau, e2_sqrts,
+                                     orbit_count_card, orbit_of_tau,
+                                     roots_of_unity_union, square_roots,
                                      tau_of_orbit, unit_power_is)
-from charprod.ffield import Ext2Elem, IdentityFailure, mk_field
-from helpers import (e2_div, e2_pow, ext2_generator, ext2_solve_unit, field,
-                     small_ctxs, stepped_roots_of_unity_union, unit_of_order,
-                     unit_order_test)
+from charprod.ffield import Ext2Elem, FieldCtx, IdentityFailure, mk_field
+from helpers import (SMALL_FIELDS, all_orbits_reference, correspondence_rows_reference,
+                     e2_array, e2_div, e2_pairs, e2_pow, ext2_generator,
+                     ext2_solve_unit, field, field_faults,
+                     in_unit_groups_reference, orbit_members,
+                     roots_of_unity_union_reference, small_ctxs,
+                     stepped_roots_of_unity_union, unit_of_order, unit_order_test)
 
 
 def test_tau_examples():
     for ctx in [field(7), field(13), field(3, 2)]:
         one = ctx.e2_embed(ctx.one)
-        assert tau_of_orbit(ctx, one) == 0
-        # primitive eighth root -> tau = -1/2
-        zeta = unit_of_order(ctx, 8)
-        want = ctx.neg(ctx.inv(ctx.from_int(2)))
-        assert tau_of_orbit(ctx, zeta) == want
-        # primitive cube root -> tau = -3/4
+        # primitive eighth root -> tau = -1/2, primitive cube root -> tau = -3/4
+        units = [one, unit_of_order(ctx, 8)]
+        want = [0, ctx.neg(ctx.inv(ctx.from_int(2)))]
         if ctx.p != 3:
-            omega = unit_of_order(ctx, 3)
-            want = ctx.neg(ctx.div(ctx.from_int(3), ctx.from_int(4)))
-            assert tau_of_orbit(ctx, omega) == want
+            units.append(unit_of_order(ctx, 3))
+            want.append(ctx.neg(ctx.div(ctx.from_int(3), ctx.from_int(4))))
+        assert tau_of_orbit(ctx, e2_array(units)).tolist() == want
 
 
 def test_tau_of_orbit_rejects_foreign_units():
     # an element of order q^2 - 1 is in neither mu_{2q-2} nor mu_{2q+2}
     ctx = field(7)
     with pytest.raises(ValueError):
-        tau_of_orbit(ctx, ext2_generator(ctx))
+        tau_of_orbit(ctx, e2_array([ext2_generator(ctx)]))
+
+
+def _rep_of_tau(ctx, tau):
+    return e2_pairs(orbit_of_tau(ctx, np.array([tau])))[0]
 
 
 def test_orbit_of_tau_examples():
     c13 = field(13)
-    rep = orbit_of_tau(c13, 0)
+    rep = _rep_of_tau(c13, 0)
     assert set(orbit_members(c13, rep)) == \
         {c13.e2_embed(c13.one), c13.e2_embed(c13.minus_one)}
-    rep = orbit_of_tau(c13, c13.minus_one)
+    rep = _rep_of_tau(c13, c13.minus_one)
     members = orbit_members(c13, rep)
     assert len(members) == 2
     for v in members:
@@ -48,7 +55,7 @@ def test_orbit_of_tau_examples():
     c7 = field(7)
     tau = c7.neg(c7.div(c7.from_int(3), c7.from_int(4)))
     assert tau == 1
-    rep = orbit_of_tau(c7, tau)
+    rep = _rep_of_tau(c7, tau)
     orders = sorted(_order(c7, v) for v in orbit_members(c7, rep))
     assert orders == [3, 3, 6, 6]
 
@@ -64,8 +71,8 @@ def _order(ctx, v):
 
 def test_orbit_size_four_unless_fourth_root():
     for ctx in small_ctxs()[:8]:
-        for tau in range(ctx.q):
-            rep = orbit_of_tau(ctx, tau)
+        reps = e2_pairs(orbit_of_tau(ctx, np.arange(ctx.q)))
+        for tau, rep in enumerate(reps):
             size = len(orbit_members(ctx, rep))
             if tau in (0, ctx.minus_one):
                 assert size == 2
@@ -74,80 +81,100 @@ def test_orbit_size_four_unless_fourth_root():
 
 
 def test_bijection_small():
+    # the array forms list the scalar walk's representatives, in key order,
+    # and the round trip from every tau gives back the orbit that maps to it
     for ctx in small_ctxs():
         orbits = all_orbits(ctx)
-        assert len(orbits) == ctx.q
-        taus = sorted(tau_of_orbit(ctx, o) for o in orbits)
-        assert taus == list(range(ctx.q))
-        by_tau = {tau_of_orbit(ctx, o): o for o in orbits}
-        for tau in range(ctx.q):
-            assert orbit_of_tau(ctx, tau) == by_tau[tau]
+        assert e2_pairs(orbits) == all_orbits_reference(ctx), ctx.q
+        taus = tau_of_orbit(ctx, orbits)
+        assert sorted(taus.tolist()) == list(range(ctx.q))
+        by_tau = dict(zip(taus.tolist(), e2_pairs(orbits)))
+        back = e2_pairs(orbit_of_tau(ctx, np.arange(ctx.q)))
+        assert back == [by_tau[tau] for tau in range(ctx.q)], ctx.q
 
 
 def test_classify_every_enumerated_orbit():
-    # the square classes of tau, None exactly at tau in {0, -1}
+    # the square classes of tau, (0, 0) exactly at tau in {0, -1}, and the
+    # order of v agrees with them on every orbit
     for ctx in small_ctxs():
-        for v in all_orbits(ctx):
-            tau = tau_of_orbit(ctx, v)
-            want = None if tau in (0, ctx.minus_one) else \
-                (ctx.legendre(tau), ctx.legendre(ctx.add(tau, ctx.one)))
-            assert classify_tau(ctx, tau, v) == want, (ctx.q, v)
-
-
-@pytest.mark.parametrize("p, n", [(13, 1), (3, 2)])
-def test_correspondence_suite_builds_each_orbit_from_tau_once(monkeypatch, p, n):
-    # the round trip builds each tau's orbit; the classification reads the
-    # enumerated orbits and builds none.  tau is computed 2q times: once
-    # per orbit in the image, once per tau in the round trip's own check,
-    # and never again by the classification
-    calls, tau_calls = [], []
-
-    def counted(ctx, tau):
-        calls.append(tau)
-        return orbit_of_tau(ctx, tau)
-
-    def counted_tau(ctx, v):
-        tau_calls.append(v)
-        return tau_of_orbit(ctx, v)
-
-    monkeypatch.setattr(correspondence, "orbit_of_tau", counted)
-    monkeypatch.setattr(correspondence, "tau_of_orbit", counted_tau)
-    ctx = field(p, n)
-    rows = list(sweeps.suite_correspondence(ctx))
-    assert all(r["ok"] for r in rows), rows
-    assert sorted(calls) == list(range(ctx.q))
-    assert len(tau_calls) == 2 * ctx.q
-
-
-def test_all_orbits_builds_each_orbit_once(monkeypatch):
-    # the walk builds the orbit of each representative and of nothing else:
-    # q orbit_members calls, one per orbit, on the representatives in order
-    calls = []
-
-    def counted(ctx, v):
-        calls.append(v)
-        return orbit_members(ctx, v)
-
-    monkeypatch.setattr(correspondence, "orbit_members", counted)
-    for ctx in small_ctxs():
-        calls.clear()
         orbits = all_orbits(ctx)
-        assert len(calls) == len(orbits) == ctx.q, ctx.q
-        assert calls == orbits, ctx.q
+        taus = tau_of_orbit(ctx, orbits)
+        a, b, agrees = classify_tau(ctx, taus, orbits)
+        assert agrees.all(), ctx.q
+        for tau, got in zip(taus.tolist(), zip(a.tolist(), b.tolist())):
+            want = (0, 0) if tau in (0, ctx.minus_one) else \
+                (ctx.legendre(tau), ctx.legendre(ctx.add(tau, ctx.one)))
+            assert got == want, (ctx.q, tau)
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3)])
+def test_suite_rows_equal_the_scalar_reference(p, n):
+    # the array pass gives the rows of the scalar walk byte for byte
+    got = list(sweeps.suite_correspondence(field(p, n)))
+    want = correspondence_rows_reference(field(p, n))
+    assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(3, 4), (5, 3)])
+def test_suite_keeps_every_ok_flag_under_faults(p, n):
+    # under every fault each row passes or fails as in the scalar walk; the
+    # texts of failed rows may differ, as the array pass reports the first
+    # failure of the first step that fails, not of the first tau
+    for name, fault in field_faults(p ** n):
+        flags = []
+        for rows in (lambda c: list(sweeps.suite_correspondence(c)),
+                     correspondence_rows_reference):
+            ctx = mk_field(p, n)
+            fault(ctx)
+            flags.append([(r["case"], r["ok"]) for r in rows(ctx)])
+        assert flags[0] == flags[1], (p ** n, name)
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3)])
+def test_square_roots_are_the_canonical_roots(p, n):
+    # the root array is sqrt_canonical at every element (-1 where it gives
+    # None), and the theta branch of e2_sqrts is e2_sqrt
+    ctx = field(p, n)
+    roots = square_roots(ctx)
+    assert roots.tolist() == [-1 if r is None else r
+                              for r in map(ctx.sqrt_canonical, range(ctx.q))]
+    got = e2_pairs(e2_sqrts(ctx, np.arange(ctx.q), roots))
+    assert got == [ctx.e2_sqrt(a) for a in range(ctx.q)]
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 2), (3, 3)])
+def test_correspondence_suite_is_one_array_pass(monkeypatch, p, n):
+    # one call per field of each span target, and no scalar inverse or
+    # square root in F_{q^2} or in F_q
+    calls = {name: 0 for name in ("all_orbits", "orbit_of_tau", "classify_tau",
+                                  "e2_inv", "e2_sqrt", "sqrt_canonical")}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("all_orbits", "orbit_of_tau", "classify_tau"):
+        counted(correspondence, name)
+    for name in ("e2_inv", "e2_sqrt", "sqrt_canonical"):
+        counted(FieldCtx, name)
+    rows = list(sweeps.suite_correspondence(field(p, n)))
+    assert all(r["ok"] for r in rows), rows
+    assert calls == {"all_orbits": 1, "orbit_of_tau": 1, "classify_tau": 1,
+                     "e2_inv": 0, "e2_sqrt": 0, "sqrt_canonical": 0}
 
 
 @pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
 def test_orbit_leaving_the_union_fails_rows_never_raises(monkeypatch, p, n):
-    # e2_inv of one context returns 0, which lies in no group of roots of
-    # unity and has the least key: every orbit then leaves the union
-    def corrupted(p, n=1):
-        ctx = mk_field(p, n)
-        monkeypatch.setattr(ctx, "e2_inv", lambda v: Ext2Elem(0, 0))
-        return ctx
-
+    # the inverse of the array path returns 0, which lies in no group of
+    # roots of unity and has the least key: every orbit then leaves the union
+    monkeypatch.setattr(correspondence, "_inverse", lambda ctx, v: Ext2Elem(
+        np.zeros_like(v.lo), np.zeros_like(v.hi)))
     with pytest.raises(IdentityFailure, match="an orbit leaves the groups"):
-        all_orbits(corrupted(p, n))
-    monkeypatch.setattr(sweeps, "mk_field", corrupted)
+        all_orbits(mk_field(p, n))
     rows = sweeps.run_field(p, n, ("correspondence",))
     assert rows[0]["case"] == "orbit-count" and not rows[0]["ok"], rows[0]
     assert "an orbit leaves the groups" in rows[0]["actual"], rows[0]
@@ -155,7 +182,9 @@ def test_orbit_leaving_the_union_fails_rows_never_raises(monkeypatch, p, n):
 
 def test_roots_of_unity_union_matches_generator_steps():
     for ctx in small_ctxs():
-        assert roots_of_unity_union(ctx) == stepped_roots_of_unity_union(ctx), ctx.q
+        union = e2_pairs(roots_of_unity_union(ctx))
+        assert union == stepped_roots_of_unity_union(ctx), ctx.q
+        assert union == roots_of_unity_union_reference(ctx), ctx.q
 
 
 def test_norm_and_conjugate_give_the_unit_powers():
@@ -164,13 +193,17 @@ def test_norm_and_conjugate_give_the_unit_powers():
     # square-and-multiply, on every v of the union
     for ctx in small_ctxs():
         q = ctx.q
-        for v in roots_of_unity_union(ctx):
+        union = roots_of_unity_union(ctx)
+        for e in (q + 1, q - 1):
+            for b in (1, -1):
+                got = unit_power_is(ctx, union, e, np.full(len(union.lo), b)).tolist()
+                assert got == [unit_order_test(ctx, v, e, b) for v in e2_pairs(union)]
+        for v in e2_pairs(union):
             conj_ratio = e2_div(ctx, Ext2Elem(v.lo, ctx.neg(v.hi)), v)
             powers = {q + 1: ctx.e2_embed(ctx.e2_norm(v)), q - 1: conj_ratio}
             for e, w in powers.items():
                 for b in (1, -1):
                     want = unit_order_test(ctx, v, e, b)
-                    assert unit_power_is(ctx, v, e, b) == want, (q, v, e, b)
                     assert (w == ctx.e2_embed(ctx.from_int(b))) == want
                     assert (ctx.e2_mul(w, w) == ctx.e2_embed(ctx.from_int(b))) == \
                         unit_order_test(ctx, v, 2 * e, b), (q, v, 2 * e, b)
@@ -179,21 +212,22 @@ def test_norm_and_conjugate_give_the_unit_powers():
 def test_unit_power_is_rejects_other_exponents():
     ctx = field(7)
     with pytest.raises(ValueError):
-        unit_power_is(ctx, ctx.e2_embed(ctx.one), 2 * (ctx.q + 1), 1)
+        unit_power_is(ctx, e2_array([ctx.e2_embed(ctx.one)]), 2 * (ctx.q + 1), 1)
 
 
 def test_membership_is_the_generator_union():
-    # over all of F_{q^2}: in_unit_groups holds exactly on the stepped
-    # union, and tau_of_orbit rejects everything else with ValueError
+    # over all of F_{q^2}: tau_of_orbit takes the stepped union at once and
+    # rejects each other element with ValueError, as does the scalar test
     for ctx in small_ctxs()[:8] + [field(3, 2)]:
-        union = set(stepped_roots_of_unity_union(ctx))
+        union = stepped_roots_of_unity_union(ctx)
+        tau_of_orbit(ctx, e2_array(union))
         for lo in range(ctx.q):
             for hi in range(ctx.q):
                 v = Ext2Elem(lo, hi)
-                assert in_unit_groups(ctx, v) == (v in union), (ctx.q, v)
+                assert in_unit_groups_reference(ctx, v) == (v in union), (ctx.q, v)
                 if v not in union:
                     with pytest.raises(ValueError):
-                        tau_of_orbit(ctx, v)
+                        tau_of_orbit(ctx, e2_array([v]))
 
 
 def test_ext2_generator_pinned():
@@ -204,17 +238,17 @@ def test_ext2_generator_pinned():
 
 
 def test_classification_examples():
-    # both squares -> v in F_q (v^(q-1) = 1)
+    # both squares -> v in F_q (v^(q-1) = 1); (0, 0) at tau in {0, -1}
     for ctx in small_ctxs()[:8]:
-        for tau in range(1, ctx.q):
-            if tau == ctx.minus_one:
-                continue
-            v = orbit_of_tau(ctx, tau)
-            cls = classify_tau(ctx, tau, v)
-            if cls == (1, 1):
+        taus = np.arange(ctx.q)
+        reps = orbit_of_tau(ctx, taus)
+        a, b, agrees = classify_tau(ctx, taus, reps)
+        assert agrees.all(), ctx.q
+        for tau, v in enumerate(e2_pairs(reps)):
+            if tau in (0, ctx.minus_one):
+                assert (a[tau], b[tau]) == (0, 0)
+            elif (a[tau], b[tau]) == (1, 1):
                 assert unit_order_test(ctx, v, ctx.q - 1, 1)
-        for tau in (0, ctx.minus_one):
-            assert classify_tau(ctx, tau, orbit_of_tau(ctx, tau)) is None
 
 
 def test_classify_minus_half():
@@ -222,16 +256,17 @@ def test_classify_minus_half():
     # chi(-2), chi(2)
     for q in (11, 19, 17, 23):
         ctx = field(q)
-        tau = ctx.neg(ctx.inv(ctx.from_int(2)))
-        cls = classify_tau(ctx, tau, orbit_of_tau(ctx, tau))
-        assert cls == (ctx.legendre(ctx.from_int(-2)),
-                       ctx.legendre(ctx.from_int(2)))
+        tau = np.array([ctx.neg(ctx.inv(ctx.from_int(2)))])
+        a, b, agrees = classify_tau(ctx, tau, orbit_of_tau(ctx, tau))
+        assert agrees.all()
+        assert (a[0], b[0]) == (ctx.legendre(ctx.from_int(-2)),
+                                ctx.legendre(ctx.from_int(2)))
 
 
 def test_set_descriptions_via_units():
     # A_{0,1} and A_{-2,2} as images of the unit circle conditions
     for ctx in [field(5), field(7), field(13), field(3, 2)]:
-        union = roots_of_unity_union(ctx)
+        union = e2_pairs(roots_of_unity_union(ctx))
         one2 = ctx.e2_embed(ctx.one)
         quarter = ctx.e2_embed(ctx.inv(ctx.from_int(4)))
         for sp in SIGN_PAIRS:
@@ -276,7 +311,7 @@ def test_vw_relation_exists():
                 continue
             frame = normalized_frame(ctx, tau)
             u_orbit = orbit_members(ctx, ext2_solve_unit(ctx, frame.r))
-            v = orbit_of_tau(ctx, tau)
+            v = _rep_of_tau(ctx, tau)
             i2 = ctx.e2_sqrt(ctx.minus_one)
             witnesses = []
             for vv in orbit_members(ctx, v):

@@ -229,6 +229,22 @@ def test_canonical_order_vs_index_order():
         c9.encode(v) for v in ((0, 0), (0, 1), (0, 2), (1, 0))]
 
 
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (1289, 3)])
+def test_elem_rank_is_the_position_in_canonical_order(p, n):
+    # on ints and on an int64 array of every code; at 1289^3 the e2_key
+    # integer rank(lo)*q + rank(hi) of the last pair stays below 2^62
+    import numpy as np
+
+    ctx = mk_field(p, n)
+    if ctx.q < 10 ** 4:
+        order = list(ctx.elements_canonical())
+        assert [ctx.elem_rank(a) for a in order] == list(range(ctx.q))
+        ranks = ctx.elem_rank(np.arange(ctx.q, dtype=np.int64))
+        assert sorted(range(ctx.q), key=ranks.__getitem__) == order
+    top = ctx.elem_rank(np.array([ctx.q - 1], dtype=np.int64))
+    assert top.tolist() == [ctx.q - 1] and top[0] * ctx.q + top[0] < 2 ** 62
+
+
 def test_ext2_conjugation_is_frobenius():
     rng = random.Random(7)
     for ctx in small_ctxs():
