@@ -8,9 +8,9 @@ counting, not rescaling).
 
 Each function takes a whole set of elements at once and makes no field
 call per element: an element set of F_{q^2} is an ``Ext2Elem`` of two
-int64 code arrays (lo, hi), multiplied by ``ctx.mul_poly``.  Elements
-are ordered by ``e2_key`` as the integer rank(lo)*q + rank(hi) < 2^62,
-with ``ctx.elem_rank``.  No power of v is computed: v^q = conj(v)
+int64 code arrays (lo, hi), on which the ``FieldCtx.e2_*`` operations
+and ``ctx.mul_poly`` run as on ints, and elements are ordered by
+``ctx.e2_key``.  No power of v is computed: v^q = conj(v)
 (Frobenius), so v^(q+1) is the norm N(v) = lo^2 - delta*hi^2, v^(q-1) =
 conj(v)/v is +1 iff hi = 0 and -1 iff lo = 0, and a v of norm +-1
 inverts by conjugation, 1/v = N(v)*conj(v).  Only the rest of the union,
@@ -24,16 +24,6 @@ orbits in one pass each.
 from __future__ import annotations
 
 from .ffield import Ext2Elem, FieldCtx, IdentityFailure, power
-
-
-def _keys(ctx: FieldCtx, v: Ext2Elem):
-    """``e2_key`` order as integers: rank(lo)*q + rank(hi)."""
-    return ctx.elem_rank(v.lo) * ctx.q + ctx.elem_rank(v.hi)
-
-
-def _norm(ctx: FieldCtx, v: Ext2Elem):
-    return ctx.sub(ctx.mul_poly(v.lo, v.lo),
-                   ctx.mul_poly(ctx.mul_poly(v.hi, v.hi), ctx.delta))
 
 
 def _inverse(ctx: FieldCtx, v: Ext2Elem) -> Ext2Elem:
@@ -50,7 +40,7 @@ def _inverse(ctx: FieldCtx, v: Ext2Elem) -> Ext2Elem:
     """
     import numpy as np
 
-    nrm = _norm(ctx, v)
+    nrm = ctx.e2_norm(v)
     line = (nrm != ctx.one) & (nrm != ctx.minus_one)
     if np.any(line & ((v.lo == 0) == (v.hi == 0))):
         raise ValueError("v is not a 2(q-1)-st or 2(q+1)-st root of unity")
@@ -85,7 +75,7 @@ def square_roots(ctx: FieldCtx):
     import numpy as np
 
     x = np.arange(ctx.q, dtype=np.int64)
-    canon = x[ctx.elem_rank(x) <= ctx.elem_rank(ctx.neg(x))]
+    canon = x[ctx.elem_key(x) <= ctx.elem_key(ctx.neg(x))]
     roots = np.full(ctx.q, -1, dtype=np.int64)
     roots[ctx.mul_poly(canon, canon)] = canon
     return roots
@@ -121,7 +111,7 @@ def unit_power_is(ctx: FieldCtx, v: Ext2Elem, e: int, b):
     import numpy as np
 
     if e == ctx.q + 1:
-        return _norm(ctx, v) == ctx.from_int(b)
+        return ctx.e2_norm(v) == ctx.from_int(b)
     if e == ctx.q - 1:
         return np.where(np.equal(b, 1), v.hi, v.lo) == 0
     raise ValueError(f"exponent {e} is neither q-1 nor q+1")
@@ -136,8 +126,7 @@ def tau_of_orbit(ctx: FieldCtx, v: Ext2Elem):
     import numpy as np
 
     d = ctx.e2_sub(v, _inverse(ctx, v))
-    lo = ctx.add(ctx.mul_poly(d.lo, d.lo), ctx.mul_poly(ctx.mul_poly(d.hi, d.hi), ctx.delta))
-    hi = ctx.mul_poly(ctx.from_int(2), ctx.mul_poly(d.lo, d.hi))
+    lo, hi = ctx.e2_mul(d, d)
     if np.any(hi):
         i = int(np.argmax(hi != 0))
         raise ValueError(f"{Ext2Elem(int(lo[i]), int(hi[i]))} does not lie in the base field")
@@ -155,7 +144,7 @@ def orbit_of_tau(ctx: FieldCtx, tau) -> Ext2Elem:
     roots = square_roots(ctx)
     v = ctx.e2_add(e2_sqrts(ctx, ctx.add(tau, ctx.one), roots), e2_sqrts(ctx, tau, roots))
     members = _members(ctx, v)
-    least = np.argmin([_keys(ctx, m) for m in members], axis=0)
+    least = np.argmin([ctx.e2_key(m) for m in members], axis=0)
     rep = Ext2Elem(*(np.choose(least, part) for part in zip(*members)))
     if np.any(tau_of_orbit(ctx, rep) != tau):
         raise IdentityFailure(f"orbit round-trip failed at q={ctx.q}")
@@ -218,7 +207,7 @@ def roots_of_unity_union(ctx: FieldCtx) -> Ext2Elem:
         lo += [r[has], ctx.neg(r[has])]
         hi += [x[has], x[has]]
     v = Ext2Elem(np.concatenate(lo), np.concatenate(hi))
-    _, first = np.unique(_keys(ctx, v), return_index=True)
+    _, first = np.unique(ctx.e2_key(v), return_index=True)
     return Ext2Elem(v.lo[first], v.hi[first])
 
 
@@ -230,11 +219,11 @@ def all_orbits(ctx: FieldCtx) -> Ext2Elem:
     import numpy as np
 
     union = roots_of_unity_union(ctx)
-    keys = _keys(ctx, union)
+    keys = ctx.e2_key(union)
     at = np.arange(len(keys))
     least = at  # position in the union of the least member met so far
     for member in _members(ctx, union)[1:]:
-        member_keys = _keys(ctx, member)
+        member_keys = ctx.e2_key(member)
         found = np.searchsorted(keys, member_keys)
         if not np.array_equal(keys[np.minimum(found, len(keys) - 1)], member_keys):
             raise IdentityFailure(f"an orbit leaves the groups of roots of unity at q={ctx.q}")

@@ -15,12 +15,13 @@ multiplies an iterable of codes, by ``math.prod`` on integer chunks
 reduced mod q for n = 1.  Tie-breaking (smallest square root, smallest
 nonsquare, sorted member lists) uses the *canonical order*: coefficient
 vectors compared lexicographically, low degree first.
-``FieldCtx.elem_key`` is the corresponding sort key; it agrees with
-integer order only for n == 1.  ``FieldCtx.elem_rank`` is the position in
-that order, the digits read as one base-p numeral, on ints and arrays.
+``FieldCtx.elem_key`` is the position in that order, the digits read as
+one base-p numeral, on ints and arrays; it equals the code only for n == 1.
 
 The quadratic extension F_{q^2} is represented as pairs lo + hi*theta
 with theta^2 = delta, delta the canonically smallest nonsquare of F_q.
+``e2_add``, ``e2_sub``, ``e2_neg``, ``e2_mul``, ``e2_norm`` and ``e2_key`` are
+built from the operations above, so they too serve ints and int64 arrays.
 
 Every operation works without precomputation.  ``FieldCtx.tables()``
 adds lookup tables of size O(q) -- discrete logarithms to the canonically
@@ -243,7 +244,8 @@ def find_modulus(p: int, n: int) -> tuple[int, ...]:
 
 
 class Ext2Elem(NamedTuple):
-    """Element lo + hi*theta of F_{q^2}, theta^2 = delta."""
+    """Element lo + hi*theta of F_{q^2}, theta^2 = delta; lo and hi are codes
+    of F_q, as ints or as int64 arrays of one shape (a set of elements)."""
 
     lo: int
     hi: int
@@ -360,12 +362,9 @@ class FieldCtx:
         p = self.p
         return tuple(a // w % p for w in self._pw)
 
-    # canonical sort key: low-degree-first lexicographic coefficient order
-    elem_key = decode
-
-    def elem_rank(self, a):
-        """Position of a in canonical order: its digits as one base-p numeral,
-        the constant digit most significant; one body for ints and int64 arrays."""
+    def elem_key(self, a):
+        """Canonical sort key: the position of a in canonical order, its digits as
+        one base-p numeral, constant digit first; one body for ints and int64 arrays."""
         if self.n == 1:
             return a
         p, acc = self.p, 0
@@ -515,6 +514,8 @@ class FieldCtx:
         and below n^2 p^3 < 2^50 for n > 1 (as p^n < 2^31), so int64 arrays
         give the same codes as Python ints.
         """
+        if self.n == 1:
+            return a * b % self.q
         p, n, pw = self.p, self.n, self._pw
         da = [a // w % p for w in pw]
         db = [b // w % p for w in pw]
@@ -616,7 +617,8 @@ class FieldCtx:
         return x.lo
 
     def e2_key(self, x: Ext2Elem):
-        return self.elem_key(x.lo) + self.elem_key(x.hi)
+        """Position in the canonical order of (lo, hi), lo first: below q^2 < 2^62."""
+        return self.elem_key(x.lo) * self.q + self.elem_key(x.hi)
 
     def e2_add(self, x: Ext2Elem, y: Ext2Elem) -> Ext2Elem:
         return Ext2Elem(self.add(x.lo, y.lo), self.add(x.hi, y.hi))
@@ -628,13 +630,15 @@ class FieldCtx:
         return Ext2Elem(self.neg(x.lo), self.neg(x.hi))
 
     def e2_mul(self, x: Ext2Elem, y: Ext2Elem) -> Ext2Elem:
-        lo = self.add(self.mul(x.lo, y.lo), self.mul(self.mul(x.hi, y.hi), self.delta))
-        hi = self.add(self.mul(x.lo, y.hi), self.mul(x.hi, y.lo))
+        mul = self.mul_poly
+        lo = self.add(mul(x.lo, y.lo), mul(mul(x.hi, y.hi), self.delta))
+        hi = self.add(mul(x.lo, y.hi), mul(x.hi, y.lo))
         return Ext2Elem(lo, hi)
 
-    def e2_norm(self, x: Ext2Elem) -> int:
+    def e2_norm(self, x: Ext2Elem):
         """N(x) = x*conj(x) = lo^2 - delta*hi^2, which is x^(q+1)."""
-        return self.sub(self.mul(x.lo, x.lo), self.mul(self.mul(x.hi, x.hi), self.delta))
+        mul = self.mul_poly
+        return self.sub(mul(x.lo, x.lo), mul(mul(x.hi, x.hi), self.delta))
 
     def e2_inv(self, x: Ext2Elem) -> Ext2Elem:
         nrm = self.e2_norm(x)

@@ -133,16 +133,20 @@ def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
     """Normalized T-products: closed form vs oracle, all tau, all signs.
 
     A failure on the oracle's side is a failed row too, so every tau gives
-    its four rows.
+    its four rows; the oracle's pair (j, l) is worked out once per tau.
     """
     taus = [INF] + [t for t in range(ctx.q) if t != ctx.minus_one]
     for tau in taus:
-        for sp in SIGN_PAIRS:
-            case = f"T[{tau_str(tau, ctx)}]{sign_str(sp)}"
-            try:  # the oracle's pair, apart from the closed side's checked frame
-                l = 0 if tau is INF else ctx.div(ctx.from_int(4), ctx.add(tau, ctx.one))
-                j = ctx.from_int(4) if tau is INF else ctx.mul(tau, l)
-                fam = charsets.t_family(j, l, sp)
+        cases = [f"T[{tau_str(tau, ctx)}]{sign_str(sp)}" for sp in SIGN_PAIRS]
+        try:  # the oracle's pair, apart from the closed side's checked frame
+            l = 0 if tau is INF else ctx.div(ctx.from_int(4), ctx.add(tau, ctx.one))
+            j = ctx.from_int(4) if tau is INF else ctx.mul(tau, l)
+        except _CHECK_FAILURES as exc:
+            yield from (_row(case, f"failed: {exc}", "unchecked") for case in cases)
+            continue
+        for case, sp in zip(cases, SIGN_PAIRS):
+            fam = charsets.t_family(j, l, sp)
+            try:
                 brute = ctx.elem_str(charsets.brute_product(ctx, fam).value)
             except _CHECK_FAILURES as exc:
                 yield _row(case, f"failed: {exc}", "unchecked")

@@ -5,6 +5,7 @@ import pytest
 from charprod import charsets, sweeps
 from charprod.cli import main, parse_family, render_table
 from charprod.charsets import SignPair
+from charprod.ffield import IdentityFailure, mk_field
 from helpers import field, prime_power, run_python
 
 
@@ -181,6 +182,36 @@ def test_verify_exit_one_on_mismatch(monkeypatch, capsys):
 
     monkeypatch.setattr(sweeps.closedform, "prod_T_values", poisoned)
     assert main(["verify", "--qmax", "5", "--suites", "tables"]) == 1
+
+
+def test_tables_oracle_failures_are_failed_rows(monkeypatch):
+    # the oracle's pair (j, l) is worked out once per tau: a pair that fails
+    # once fails all four rows of its tau; a failed scan fails its own row
+    ctx = mk_field(13)
+    ctx.tables()
+    real_div, real_brute, poisoned = ctx.div, charsets.brute_product, []
+    l9 = ctx.div(4, 10)
+    scan = (ctx.mul(9, l9), l9)  # the pair of tau = 9
+
+    def div(a, b):
+        if (a, b) == (4, 3) and not poisoned:  # the pair of tau = 2, l = 4/3
+            poisoned.append(b)
+            raise ZeroDivisionError("poisoned pair")
+        return real_div(a, b)
+
+    def brute(ctx, fam):
+        if fam.params == scan and fam.signs == (1, -1):
+            raise IdentityFailure("poisoned scan")
+        return real_brute(ctx, fam)
+
+    ctx.div = div
+    monkeypatch.setattr(charsets, "brute_product", brute)
+    rows = list(sweeps.suite_tables(ctx))
+    assert len(rows) == 4 * 13
+    failed = [(r["case"], r["expected"], r["actual"]) for r in rows if not r["ok"]]
+    assert failed == [(f"T[2]{s}", "failed: poisoned pair", "unchecked")
+                      for s in ("++", "+-", "-+", "--")] + \
+        [("T[9]+-", "failed: poisoned scan", "unchecked")]
 
 
 def test_verify_rejects_bad_suite(capsys):

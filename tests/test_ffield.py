@@ -231,18 +231,50 @@ def test_canonical_order_vs_index_order():
 
 @pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (1289, 3)])
 def test_elem_rank_is_the_position_in_canonical_order(p, n):
-    # on ints and on an int64 array of every code; at 1289^3 the e2_key
-    # integer rank(lo)*q + rank(hi) of the last pair stays below 2^62
+    # elem_key is the rank, on ints and on an int64 array of every code; at
+    # 1289^3 the e2_key of the last pair, q^2 - 1, stays below 2^62
     import numpy as np
 
     ctx = mk_field(p, n)
     if ctx.q < 10 ** 4:
         order = list(ctx.elements_canonical())
-        assert [ctx.elem_rank(a) for a in order] == list(range(ctx.q))
-        ranks = ctx.elem_rank(np.arange(ctx.q, dtype=np.int64))
+        assert [ctx.elem_key(a) for a in order] == list(range(ctx.q))
+        ranks = ctx.elem_key(np.arange(ctx.q, dtype=np.int64))
         assert sorted(range(ctx.q), key=ranks.__getitem__) == order
-    top = ctx.elem_rank(np.array([ctx.q - 1], dtype=np.int64))
-    assert top.tolist() == [ctx.q - 1] and top[0] * ctx.q + top[0] < 2 ** 62
+    top = np.array([ctx.q - 1], dtype=np.int64)
+    assert ctx.elem_key(top).tolist() == [ctx.q - 1]
+    assert ctx.e2_key(Ext2Elem(top, top)).tolist() == [ctx.q ** 2 - 1] < [2 ** 62]
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3)])
+def test_ext2_operations_serve_code_arrays(p, n):
+    # each e2_* operation on int64 (lo, hi) arrays equals its scalar result
+    # element by element, and e2_key sorts as the concatenated coefficient
+    # vectors do; all of F_{q^2} where q^2 <= 2401, else 2000 random pairs
+    import numpy as np
+
+    ctx = field(p, n)
+    q = ctx.q
+    if q * q <= 2401:
+        lo, hi = np.divmod(np.arange(q * q, dtype=np.int64), q)
+    else:
+        rng = np.random.default_rng(q)
+        lo, hi = rng.integers(0, q, size=(2, 2000), dtype=np.int64)
+    x = Ext2Elem(lo, hi)
+    y = Ext2Elem(np.roll(lo, 1), np.flip(hi))
+
+    def elements(z):
+        return [Ext2Elem(*a) for a in zip(z.lo.tolist(), z.hi.tolist())]
+
+    xs, ys = elements(x), elements(y)
+    for op in (ctx.e2_add, ctx.e2_sub, ctx.e2_mul):
+        assert elements(op(x, y)) == [op(a, b) for a, b in zip(xs, ys)]
+    assert elements(ctx.e2_neg(x)) == [ctx.e2_neg(a) for a in xs]
+    for op in (ctx.e2_norm, ctx.e2_key):
+        assert op(x).tolist() == [op(a) for a in xs]
+    order = np.argsort(ctx.e2_key(x), kind="stable").tolist()
+    assert [xs[i] for i in order] == \
+        sorted(xs, key=lambda a: ctx.decode(a.lo) + ctx.decode(a.hi))
 
 
 def test_ext2_conjugation_is_frobenius():
