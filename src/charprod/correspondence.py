@@ -14,16 +14,18 @@ and ``ctx.mul_poly`` run as on ints, and elements are ordered by
 (Frobenius), so v^(q+1) is the norm N(v) = lo^2 - delta*hi^2, v^(q-1) =
 conj(v)/v is +1 iff hi = 0 and -1 iff lo = 0, and a v of norm +-1
 inverts by conjugation, 1/v = N(v)*conj(v).  Only the rest of the union,
-F_q^* u theta*F_q^*, needs inverses in F_q, taken as ``FieldCtx.inv``
-takes them.  ``all_orbits`` keeps the least member of each orbit and
-checks that the members stay in the union; ``tau_of_orbit``,
-``orbit_of_tau`` and ``classify_tau`` map, invert and classify all the
-orbits in one pass each.
+F_q^* u theta*F_q^*, needs inverses in F_q.  Those inverses, the square
+roots and the quadratic characters are ``FieldCtx.inv``,
+``sqrt_canonical``, ``e2_sqrt`` and ``legendre`` on arrays: this module
+keeps no arithmetic of F_q and reads no field table.  ``all_orbits``
+keeps the least member of each orbit and checks that the members stay in
+the union; ``tau_of_orbit``, ``orbit_of_tau`` and ``classify_tau`` map,
+invert and classify all the orbits in one pass each.
 """
 
 from __future__ import annotations
 
-from .ffield import Ext2Elem, FieldCtx, IdentityFailure, power
+from .ffield import Ext2Elem, FieldCtx, IdentityFailure
 
 
 def _inverse(ctx: FieldCtx, v: Ext2Elem) -> Ext2Elem:
@@ -32,11 +34,9 @@ def _inverse(ctx: FieldCtx, v: Ext2Elem) -> Ext2Elem:
     v lies there iff N(v) = v^(q+1) is +-1, or exactly one of lo, hi is 0
     (v^(q-1) = +-1).  1/v = N(v)*conj(v) where N(v) = +-1.  The rest lies
     in F_q^* u theta*F_q^*, where 1/x = (1/x)*1 and 1/(x*theta) =
-    theta/(delta*x), with the inverse in F_q that ``FieldCtx.inv`` takes:
-    Fermat's x^(q-2) for n = 1, exp[q - 1 - log x] for n > 1.  Raises
-    IdentityFailure when x*(1/x) != 1 by ``mul_poly``: a wrong but
-    self-inverse table keeps every orbit in the union, so the partition
-    check alone would not see it.
+    theta/(delta*x).  ``FieldCtx.inv`` raises IdentityFailure when x*(1/x)
+    != 1 by ``mul_poly``: a wrong but self-inverse table keeps every orbit
+    in the union, so the partition check alone would not see it.
     """
     import numpy as np
 
@@ -46,16 +46,7 @@ def _inverse(ctx: FieldCtx, v: Ext2Elem) -> Ext2Elem:
         raise ValueError("v is not a 2(q-1)-st or 2(q+1)-st root of unity")
     lo, hi = ctx.mul_poly(v.lo, nrm), ctx.mul_poly(ctx.neg(v.hi), nrm)
     base = v.hi[line] == 0
-    x = np.where(base, v.lo[line], ctx.mul_poly(v.hi[line], ctx.delta))  # never 0
-    if ctx.n == 1:
-        xi = power(x, ctx.q - 2, ctx.mul, ctx.one)
-    else:
-        tb = ctx.tables()
-        xi = np.asarray(tb.exp[:ctx.q])[ctx.q - 1 - np.asarray(tb.log)[x]]
-    wrong = ctx.mul_poly(x, xi) != ctx.one
-    if wrong.any():
-        bad = ctx.elem_str(int(x[np.argmax(wrong)]))
-        raise IdentityFailure(f"exp/log give a wrong inverse of {bad} at q={ctx.q}")
+    xi = ctx.inv(np.where(base, v.lo[line], ctx.mul_poly(v.hi[line], ctx.delta)))
     lo[line], hi[line] = np.where(base, xi, 0), np.where(base, 0, xi)
     return Ext2Elem(lo, hi)
 
@@ -64,46 +55,6 @@ def _members(ctx: FieldCtx, v: Ext2Elem) -> tuple[Ext2Elem, ...]:
     """v, 1/v, -v and -1/v, each for every v."""
     w = _inverse(ctx, v)
     return v, w, ctx.e2_neg(v), ctx.e2_neg(w)
-
-
-def square_roots(ctx: FieldCtx):
-    """int64 array: ``sqrt_canonical`` of each square of F_q, -1 at the rest.
-
-    x^2 by ``mul_poly``, which reads no table, for every x, stored at the
-    one of +-x with the smaller key.
-    """
-    import numpy as np
-
-    x = np.arange(ctx.q, dtype=np.int64)
-    canon = x[ctx.elem_key(x) <= ctx.elem_key(ctx.neg(x))]
-    roots = np.full(ctx.q, -1, dtype=np.int64)
-    roots[ctx.mul_poly(canon, canon)] = canon
-    return roots
-
-
-def e2_sqrts(ctx: FieldCtx, a, roots) -> Ext2Elem:
-    """``ctx.e2_sqrt`` over an int64 array a, with ``roots = square_roots(ctx)``.
-
-    Where chi(a) != -1 (or a = 0) the root lies in F_q, else it is theta
-    times the root of a/delta.  Raises IdentityFailure, as e2_sqrt does,
-    when the branch that chi picks has no root.
-    """
-    import numpy as np
-
-    chi = np.asarray(ctx.tables().chi)
-    base = (a == 0) | (chi[a] != -1)
-    b = ctx.mul_poly(a, ctx.inv(ctx.delta))
-    r = np.where(base, roots[a], roots[b])
-    neither = ~base & (chi[b] == -1)
-    lost = neither | (r < 0)
-    if lost.any():
-        i = int(np.argmax(lost))
-        x = ctx.elem_str(int(a[i]))
-        if neither[i]:
-            raise IdentityFailure(f"neither {x} nor {x}/delta is a square at q={ctx.q}")
-        y = x if base[i] else ctx.elem_str(int(b[i]))
-        raise IdentityFailure(f"no square root of {y} found in F_{ctx.q}")
-    return Ext2Elem(np.where(base, r, 0), np.where(base, 0, r))
 
 
 def unit_power_is(ctx: FieldCtx, v: Ext2Elem, e: int, b):
@@ -141,8 +92,7 @@ def orbit_of_tau(ctx: FieldCtx, tau) -> Ext2Elem:
     """
     import numpy as np
 
-    roots = square_roots(ctx)
-    v = ctx.e2_add(e2_sqrts(ctx, ctx.add(tau, ctx.one), roots), e2_sqrts(ctx, tau, roots))
+    v = ctx.e2_add(ctx.e2_sqrt(ctx.add(tau, ctx.one)), ctx.e2_sqrt(tau))
     members = _members(ctx, v)
     least = np.argmin([ctx.e2_key(m) for m in members], axis=0)
     rep = Ext2Elem(*(np.choose(least, part) for part in zip(*members)))
@@ -162,10 +112,9 @@ def classify_tau(ctx: FieldCtx, tau, v: Ext2Elem):
     """
     import numpy as np
 
-    chi = np.asarray(ctx.tables().chi)
     live = (tau != 0) & (tau != ctx.minus_one)
-    a = np.where(live, chi[tau], 0)
-    b = np.where(live, chi[ctx.add(tau, ctx.one)], 0)
+    a = np.where(live, ctx.legendre(tau), 0)
+    b = np.where(live, ctx.legendre(ctx.add(tau, ctx.one)), 0)
     order = np.where(a * b == 1, unit_power_is(ctx, v, ctx.q - 1, b),
                      unit_power_is(ctx, v, ctx.q + 1, b))
     return a, b, ~live | order
@@ -198,11 +147,10 @@ def roots_of_unity_union(ctx: FieldCtx) -> Ext2Elem:
 
     x = np.arange(ctx.q, dtype=np.int64)
     units, zero = x[1:], np.zeros(ctx.q - 1, dtype=np.int64)
-    roots = square_roots(ctx)
     dh = ctx.mul_poly(ctx.mul_poly(x, x), ctx.delta)  # N(lo + hi*theta) = lo^2 - dh
     lo, hi = [units, zero], [zero, units]
     for s in (ctx.one, ctx.minus_one):
-        r = roots[ctx.add(s, dh)]
+        r = ctx.sqrt_canonical(ctx.add(s, dh))
         has = r >= 0
         lo += [r[has], ctx.neg(r[has])]
         hi += [x[has], x[has]]

@@ -18,19 +18,26 @@ vectors compared lexicographically, low degree first.
 ``FieldCtx.elem_key`` is the position in that order, the digits read as
 one base-p numeral, on ints and arrays; it equals the code only for n == 1.
 
+``mul``, ``inv``, ``div``, ``pow`` (a fixed exponent), ``legendre`` and
+``sqrt_canonical`` serve int64 code arrays too, with the scalar result at
+each element (-1 where ``sqrt_canonical`` gives None).  Scalar calls keep
+their fast paths; arrays leave them on a branch scalars never take.
+
 The quadratic extension F_{q^2} is represented as pairs lo + hi*theta
 with theta^2 = delta, delta the canonically smallest nonsquare of F_q.
-``e2_add``, ``e2_sub``, ``e2_neg``, ``e2_mul``, ``e2_norm`` and ``e2_key`` are
-built from the operations above, so they too serve ints and int64 arrays.
+``e2_add``, ``e2_sub``, ``e2_neg``, ``e2_mul``, ``e2_norm``, ``e2_key`` and
+``e2_sqrt`` are built from the operations above, so they too serve ints
+and int64 arrays.
 
 Every operation works without precomputation.  ``FieldCtx.tables()``
 adds lookup tables of size O(q) -- discrete logarithms to the canonically
 smallest generator of F_q^* and the quadratic character as their parity.
 Once built, they replace polynomial multiplication and power-based
-Legendre symbols with lookups.  They also hold the oracle's character,
-read off ``half_unit_squares``, as the shifted vectors that the product
-scan and the cardinality counts read; ``add``, ``sub`` and ``neg`` stay
-digit arithmetic either way.
+Legendre symbols with lookups, for ints and arrays alike; no other
+library module reads ``exp``, ``log`` or ``chi``.  They also hold the
+oracle's character, read off ``half_unit_squares``, as the shifted vectors
+that the product scan and the cardinality counts read; ``add``, ``sub``
+and ``neg`` stay digit arithmetic either way.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 MACHINE_BOUND = 1 << 31
 
@@ -256,11 +263,11 @@ class FieldTables:
 
     ``exp[i]`` is gen^i and ``log`` its inverse on the units.  ``exp`` holds
     two periods followed by a run of zeros that ``log[0]`` points into, so
-    the product of any two elements is ``exp[log[a] + log[b]]``.  ``chi``
-    (the parity of ``log``) is a plain list for the closed side's scalar
-    lookups.  ``shifted(k)``, the oracle's character moved by k, is a
-    ``translate`` of the squares of ``ctx.half_unit_squares``: 1 at the
-    nonzero squares, -1 at the other units, 0 at 0, never the log parity.
+    the product of any two elements is ``exp[log[a] + log[b]]``, and ``chi``
+    is the parity of ``log``: plain lists, read for ints and arrays alike.
+    ``shifted(k)``, the oracle's character moved by k, is a ``translate`` of
+    the squares of ``ctx.half_unit_squares``: 1 at the nonzero squares, -1
+    at the other units, 0 at 0, never the log parity.
     """
 
     __slots__ = ("exp", "log", "chi", "_p", "_n", "_wrap")
@@ -499,12 +506,17 @@ class FieldCtx:
     def neg(self, a):
         return self.sub(0, a)
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a, b):
         if self.n == 1:
             return a * b % self.q
         tb = self._tables
         if tb is not None:
-            return tb.exp[tb.log[a] + tb.log[b]]
+            try:
+                return tb.exp[tb.log[a] + tb.log[b]]
+            except TypeError:  # code arrays read the lists as they stand, by np.take
+                import numpy as np
+
+                return np.take(tb.exp, np.take(tb.log, a) + np.take(tb.log, b))
         return self.mul_poly(a, b)
 
     def mul_poly(self, a, b):
@@ -533,24 +545,45 @@ class FieldCtx:
             acc += ci % p * w
         return acc
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.n == 1:
-            return pow(a, -1, self.q)
-        tb = self._tables
-        if tb is not None:
-            return tb.exp[self.q - 1 - tb.log[a]]
-        return self.pow(a, self.q - 2)
+    def inv(self, a):
+        """1/a; an int64 code array takes exp[q - 1 - log a] (n > 1, tables) or
+        a^(q-2), and raises IdentityFailure unless a*(1/a) = 1 by ``mul_poly``,
+        as two swapped exp entries give a wrong map that is its own inverse."""
+        if isinstance(a, int):
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero")
+            if self.n == 1:
+                return pow(a, -1, self.q)
+            tb = self._tables
+            if tb is not None:
+                return tb.exp[self.q - 1 - tb.log[a]]
+            return self.pow(a, self.q - 2)
+        import numpy as np
 
-    def div(self, a: int, b: int) -> int:
+        if np.any(a == 0):
+            raise ZeroDivisionError("inverse of zero")
+        tb = self._tables
+        if self.n > 1 and tb is not None:
+            ai = np.take(tb.exp, self.q - 1 - np.take(tb.log, a))
+        else:
+            ai = power(a, self.q - 2, self.mul, self.one)
+        wrong = self.mul_poly(a, ai) != self.one
+        if np.any(wrong):
+            bad = self.elem_str(int(np.extract(wrong, a)[0]))
+            raise IdentityFailure(f"exp/log give a wrong inverse of {bad} at q={self.q}")
+        return ai
+
+    def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        """a^e for any integer e (negative exponents invert first)."""
+    def pow(self, a, e: int):
+        """a^e for any integer e (negative exponents invert first); on an int64
+        code array, square-and-multiply over ``mul``."""
         if e < 0:
             a = self.inv(a)
             e = -e
+        if not isinstance(a, int):
+            return power(a, e, self.mul, 0 * a + self.one)
         if self.n == 1:
             return pow(a, e, self.q)
         if a == 0:
@@ -559,13 +592,18 @@ class FieldCtx:
 
     # -- quadratic character and square roots --------------------------------
 
-    def legendre(self, a: int) -> int:
+    def legendre(self, a):
         """The quadratic character of a: +1 square, -1 nonsquare, 0 zero."""
-        if self._tables is not None:
-            return self._tables.chi[a]
-        if a == 0:
-            return 0
-        return 1 if self.pow(a, (self.q - 1) // 2) == self.one else -1
+        tb = self._tables
+        if tb is not None:
+            try:
+                return tb.chi[a]
+            except TypeError:  # a code array reads the list as it stands
+                import numpy as np
+
+                return np.take(tb.chi, a)
+        # Euler's criterion: a^((q-1)/2) is 1 at the squares and 0 at 0
+        return (self.pow(a, (self.q - 1) // 2) == self.one) * 2 - (a != 0)
 
     @property
     def delta(self) -> int:
@@ -577,11 +615,21 @@ class FieldCtx:
                     break
         return self._delta
 
-    def sqrt_canonical(self, a: int) -> Optional[int]:
+    def sqrt_canonical(self, a):
         """Square root with canonically smaller coefficient vector.
 
-        Returns None exactly when a is a nonsquare.
+        Returns None exactly when a is a nonsquare.  On an int64 code array,
+        -1 marks the nonsquares and no character or table is read: every x
+        is squared by ``mul_poly``, and the root of smaller key is kept.
         """
+        if not isinstance(a, int):
+            import numpy as np
+
+            x = np.arange(self.q, dtype=np.int64)
+            canon = x[self.elem_key(x) <= self.elem_key(self.neg(x))]
+            roots = np.full(self.q, -1, dtype=np.int64)
+            roots[self.mul_poly(canon, canon)] = canon
+            return roots[a]
         if a == 0:
             return 0
         if self.legendre(a) == -1:
@@ -611,11 +659,6 @@ class FieldCtx:
     def e2_is_base(self, x: Ext2Elem) -> bool:
         return x.hi == 0
 
-    def e2_project(self, x: Ext2Elem) -> int:
-        if x.hi != 0:
-            raise ValueError(f"{x} does not lie in the base field")
-        return x.lo
-
     def e2_key(self, x: Ext2Elem):
         """Position in the canonical order of (lo, hi), lo first: below q^2 < 2^62."""
         return self.elem_key(x.lo) * self.q + self.elem_key(x.hi)
@@ -640,27 +683,34 @@ class FieldCtx:
         mul = self.mul_poly
         return self.sub(mul(x.lo, x.lo), mul(mul(x.hi, x.hi), self.delta))
 
-    def e2_inv(self, x: Ext2Elem) -> Ext2Elem:
-        nrm = self.e2_norm(x)
-        if nrm == 0:
-            raise ZeroDivisionError("inverse of zero in F_{q^2}")
-        ninv = self.inv(nrm)
-        return Ext2Elem(self.mul(x.lo, ninv), self.mul(self.neg(x.hi), ninv))
+    def e2_sqrt(self, a) -> Ext2Elem:
+        """Canonical square root in F_{q^2} of the base element a: the root of
+        a where chi(a) != -1, else theta times the root of b = a/delta.
 
-    def e2_sqrt(self, a: int) -> Ext2Elem:
-        """Canonical square root in F_{q^2} of the base element a.
-
-        Raises IdentityFailure when neither a nor a/delta is a square, which
-        only an inconsistent quadratic character can cause.
+        Raises IdentityFailure, on an array at the first such element, where
+        neither a nor b is a square or the one chi picks has no root: only an
+        inconsistent quadratic character can cause either.
         """
-        r = self.sqrt_canonical(a)
-        if r is not None:
-            return Ext2Elem(r, 0)
-        hi = self.sqrt_canonical(self.div(a, self.delta))
-        if hi is None:
-            x = self.elem_str(a)
-            raise IdentityFailure(f"neither {x} nor {x}/delta is a square at q={self.q}")
-        return Ext2Elem(0, hi)
+        base = (a == 0) | (self.legendre(a) != -1)
+        b = self.mul_poly(a, self.inv(self.delta))  # a/delta
+        neither = "neither {0} nor {0}/delta is a square at q={1}"
+        if isinstance(a, int):
+            r = self.sqrt_canonical(a if base else b)  # tonelli_shanks raises where chi errs
+            if r is None:
+                raise IdentityFailure(neither.format(self.elem_str(a), self.q))
+            return Ext2Elem(r, 0) if base else Ext2Elem(0, r)
+        import numpy as np
+
+        r = self.sqrt_canonical(np.where(base, a, b))
+        none = ~base & (self.legendre(b) == -1)
+        lost = none | (r < 0)
+        if lost.any():
+            i = int(np.argmax(lost))
+            if none[i]:
+                raise IdentityFailure(neither.format(self.elem_str(int(a[i])), self.q))
+            y = self.elem_str(int(a[i] if base[i] else b[i]))
+            raise IdentityFailure(f"no square root of {y} found in F_{self.q}")
+        return Ext2Elem(np.where(base, r, 0), np.where(base, 0, r))
 
 
 def mk_field(p: int, n: int = 1) -> FieldCtx:

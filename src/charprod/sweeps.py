@@ -222,15 +222,15 @@ def card_tally(ctx: FieldCtx):
     """H[d, ok, ck, cn, ol, cl] = #{k : class(k) = (ok, ck, cn), class(k + d) = (ol, cl)}.
 
     Each index is a character plus one: ok and ol the oracle's chi
-    (``FieldTables.shifted``), ck and cl the closed ``tables().chi``, and cn
-    the closed chi(-k), which T reads at j = -k.  Each d is one
+    (``FieldTables.shifted``), ck and cl the closed ``ctx.legendre``, and
+    cn the closed chi(-k), which T reads at j = -k.  Each d is one
     ``np.bincount`` over a ``FieldTables.translate`` of the class vector of
     l.  Returns H and the class vectors of k (``(ok*3 + ck)*3 + cn``) and of l.
     """
     import numpy as np
 
     tb, q = ctx.tables(), ctx.q
-    closed = np.array(tb.chi, dtype=np.int64) + 1
+    closed = ctx.legendre(np.arange(q)) + 1
     l_class = (tb.shifted(0) + 1) * 3 + closed
     k_class = l_class * 3 + closed[ctx.neg(np.arange(q))]
     wrap, k9 = tb.tile(l_class), k_class * 9
@@ -273,7 +273,7 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
     tally[0] = 0  # d = 0: k = l (A, S) or j + l = 0 (T), no family
     count = tally.sum(axis=(2, 3, 5))  # the oracle's c(d) at [d, e1 + 1, e2 + 1]
     ok, ck, cn, ol, cl = np.ix_(*[np.arange(-1, 2)] * 5)  # chi on the axes after d
-    nu = np.array(ctx.tables().chi).reshape(-1, 1, 1, 1, 1, 1)  # closed chi(d)
+    nu = ctx.legendre(np.arange(q)).reshape(-1, 1, 1, 1, 1, 1)  # closed chi(d)
     for e1, e2 in SIGN_PAIRS:
         for kind in "AST":
             f1 = ctx.eps * e1 if kind == "T" else e1  # chi(j - a) = eps chi(a - j)

@@ -196,8 +196,24 @@ def card_rows_reference(ctx):
 # F_{q^2} reference for the det roots, which the library computes in F_q
 # ---------------------------------------------------------------------------
 
+def e2_inv(ctx, x):
+    """1/x = conj(x)/N(x) in F_{q^2}."""
+    nrm = ctx.e2_norm(x)
+    if nrm == 0:
+        raise ZeroDivisionError("inverse of zero in F_{q^2}")
+    ninv = ctx.inv(nrm)
+    return Ext2Elem(ctx.mul(x.lo, ninv), ctx.mul(ctx.neg(x.hi), ninv))
+
+
+def e2_project(ctx, x):
+    """x as an element of F_q; ValueError unless x lies there."""
+    if x.hi != 0:
+        raise ValueError(f"{x} does not lie in the base field")
+    return x.lo
+
+
 def e2_div(ctx, x, y):
-    return ctx.e2_mul(x, ctx.e2_inv(y))
+    return ctx.e2_mul(x, e2_inv(ctx, y))
 
 
 def ext2_solve_unit(ctx, r):
@@ -228,11 +244,11 @@ def det_root_ext2(ctx, case, u):
     The value must lie in F_q; it is returned as a base-field element.
     """
     um = e2_pow(ctx, u, ctx.m)
-    umi = ctx.e2_inv(um)
+    umi = e2_inv(ctx, um)
     if case == "a1":
-        return ctx.e2_project(e2_div(ctx, ctx.e2_sub(um, umi),
-                                     ctx.e2_sub(u, ctx.e2_inv(u))))
-    bracket = ctx.e2_project(ctx.e2_add(um, umi))
+        return e2_project(ctx, e2_div(ctx, ctx.e2_sub(um, umi),
+                                      ctx.e2_sub(u, e2_inv(ctx, u))))
+    bracket = e2_project(ctx, ctx.e2_add(um, umi))
     if case == "a3" and ctx.m % 2:
         return ctx.neg(bracket)
     return bracket
@@ -246,7 +262,7 @@ def det_root_ext2(ctx, case, u):
 def e2_pow(ctx, x, e):
     """x^e in F_{q^2} for any integer e, by square-and-multiply."""
     if e < 0:
-        x = ctx.e2_inv(x)
+        x = e2_inv(ctx, x)
         e = -e
     one = Ext2Elem(ctx.one, 0)
     if x == (0, 0):
@@ -376,7 +392,7 @@ def named_ratio_row(ctx, tau):
 # ---------------------------------------------------------------------------
 
 def orbit_members(ctx, v):
-    vi = ctx.e2_inv(v)
+    vi = e2_inv(ctx, v)
     return tuple({v, vi, ctx.e2_neg(v), ctx.e2_neg(vi)})
 
 
@@ -399,8 +415,8 @@ def tau_of_orbit_reference(ctx, v):
     """tau = (v - 1/v)^2 / 4, divided in F_q; v must lie in mu_{2q-2} or mu_{2q+2}."""
     if not in_unit_groups_reference(ctx, v):
         raise ValueError("v is not a 2(q-1)-st or 2(q+1)-st root of unity")
-    d = ctx.e2_sub(v, ctx.e2_inv(v))
-    return ctx.div(ctx.e2_project(ctx.e2_mul(d, d)), ctx.from_int(4))
+    d = ctx.e2_sub(v, e2_inv(ctx, v))
+    return ctx.div(e2_project(ctx, ctx.e2_mul(d, d)), ctx.from_int(4))
 
 
 def orbit_of_tau_reference(ctx, tau):

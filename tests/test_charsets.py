@@ -439,7 +439,8 @@ def test_verify_oracle_never_reads_the_log_parity(monkeypatch, p, n):
     # order, so their log parity is no character; then the true exp and log
     # come back, chi is overwritten and legendre and pow raise.  The
     # oracle's products and per-difference counts stay right: its chi is
-    # the table of squares
+    # the table of squares.  card_tally's closed classes come from legendre,
+    # which then reads the overwritten chi; the oracle's counts sum them out
     def broken(*args):
         raise RuntimeError("the oracle must not call this")
 
@@ -469,6 +470,7 @@ def test_verify_oracle_never_reads_the_log_parity(monkeypatch, p, n):
     monkeypatch.setattr(ctx, "legendre", broken)
     monkeypatch.setattr(ctx, "pow", broken)
     assert [brute_product(ctx, fam) for fam in fams] == want
+    monkeypatch.delattr(ctx, "legendre")
     c = sweeps.card_tally(ctx)[0].sum(axis=(2, 3, 5))[1:]
     assert c[:, [e1 + 1 for e1, _ in SIGN_PAIRS], [e2 + 1 for _, e2 in SIGN_PAIRS]].tolist() \
         == want_counts

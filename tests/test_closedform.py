@@ -9,8 +9,8 @@ from charprod.closedform import (INF, all_square_class, closed_product,
                                  prod_S_single, prod_T_values,
                                  quadruple_from_one, rescale_T, swap_T)
 from charprod.ffield import IdentityFailure, mk_field
-from helpers import (det_root_ext2, e2_div, e2_pow, ext2_solve_unit, field,
-                     named_ratio_row, small_ctxs)
+from helpers import (det_root_ext2, e2_div, e2_inv, e2_pow, ext2_solve_unit,
+                     field, named_ratio_row, small_ctxs)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_det_sqrt_reciprocal_invariance():
             u = ext2_solve_unit(ctx, frame.r)
             got = det_sqrt(ctx, frame)
             assert got == det_root_ext2(ctx, case, u), (ctx.q, tau)
-            assert got == det_root_ext2(ctx, case, ctx.e2_inv(u)), (ctx.q, tau)
+            assert got == det_root_ext2(ctx, case, e2_inv(ctx, u)), (ctx.q, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +429,7 @@ def test_sklu_products_via_unit_powers():
             u = ext2_solve_unit(ctx, r)
             k, l = ctx.sub(r, two), ctx.add(r, two)
             mu = e2_pow(ctx, ctx.e2_neg(u), m)
-            mui = ctx.e2_inv(mu)
+            mui = e2_inv(ctx, mu)
             want1 = brute_product(ctx, s_family(k, l, (-ctx.eps, -1))).value
             val1 = ctx.e2_add(mu, mui)
             if ctx.legendre(ctx.add(r, ctx.from_int(-2))) != -ctx.eps \
@@ -437,7 +437,7 @@ def test_sklu_products_via_unit_powers():
                 # r outside A_{-2,2}^{-eps,-}: identity must hold
                 assert val1 == ctx.e2_embed(want1), (ctx.q, r)
             if r not in (two, ctx.neg(two)):
-                den = ctx.e2_sub(u, ctx.e2_inv(u))
+                den = ctx.e2_sub(u, e2_inv(ctx, u))
                 val2 = ctx.e2_neg(e2_div(ctx, ctx.e2_sub(mu, mui), den))
                 want2 = brute_product(ctx, s_family(k, l, (ctx.eps, 1))).value
                 if ctx.legendre(ctx.sub(r, two)) != ctx.eps \

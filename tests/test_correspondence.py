@@ -5,13 +5,13 @@ import pytest
 
 from charprod import correspondence, sweeps
 from charprod.charsets import SIGN_PAIRS, a_family, card_closed, enumerate_family
-from charprod.correspondence import (all_orbits, classify_tau, e2_sqrts,
-                                     orbit_count_card, orbit_of_tau,
-                                     roots_of_unity_union, square_roots,
+from charprod.correspondence import (all_orbits, classify_tau, orbit_count_card,
+                                     orbit_of_tau, roots_of_unity_union,
                                      tau_of_orbit, unit_power_is)
 from charprod.ffield import Ext2Elem, FieldCtx, IdentityFailure, mk_field
 from helpers import (SMALL_FIELDS, all_orbits_reference, correspondence_rows_reference,
-                     e2_array, e2_div, e2_pairs, e2_pow, ext2_generator,
+                     e2_array, e2_div, e2_inv, e2_pairs, e2_pow, e2_project,
+                     ext2_generator,
                      ext2_solve_unit, field, field_faults,
                      in_unit_groups_reference, orbit_members,
                      roots_of_unity_union_reference, small_ctxs,
@@ -132,39 +132,41 @@ def test_suite_keeps_every_ok_flag_under_faults(p, n):
 
 @pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3)])
 def test_square_roots_are_the_canonical_roots(p, n):
-    # the root array is sqrt_canonical at every element (-1 where it gives
-    # None), and the theta branch of e2_sqrts is e2_sqrt
-    ctx = field(p, n)
-    roots = square_roots(ctx)
-    assert roots.tolist() == [-1 if r is None else r
-                              for r in map(ctx.sqrt_canonical, range(ctx.q))]
-    got = e2_pairs(e2_sqrts(ctx, np.arange(ctx.q), roots))
-    assert got == [ctx.e2_sqrt(a) for a in range(ctx.q)]
+    # the roots that roots_of_unity_union takes, sqrt_canonical on an array,
+    # read no character: with chi negated at every element they are still
+    # the sound field's canonical roots (-1 where the scalar call gives None)
+    want = [-1 if r is None else r for r in map(field(p, n).sqrt_canonical, range(p ** n))]
+    ctx = mk_field(p, n)
+    chi = ctx.tables().chi
+    chi[:] = [-c for c in chi]
+    assert ctx.sqrt_canonical(np.arange(ctx.q)).tolist() == want
 
 
 @pytest.mark.parametrize("p, n", [(13, 1), (3, 2), (3, 3)])
 def test_correspondence_suite_is_one_array_pass(monkeypatch, p, n):
-    # one call per field of each span target, and no scalar inverse or
-    # square root in F_{q^2} or in F_q
+    # one call per field of each span target, and no scalar square root in
+    # F_{q^2} or in F_q: those run on arrays only
     calls = {name: 0 for name in ("all_orbits", "orbit_of_tau", "classify_tau",
-                                  "e2_inv", "e2_sqrt", "sqrt_canonical")}
+                                  "e2_sqrt", "sqrt_canonical")}
 
     def counted(owner, name):
         inner = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            arg = args[1] if owner is FieldCtx else None
+            if not isinstance(getattr(arg, "lo", arg), np.ndarray):
+                calls[name] += 1
             return inner(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
     for name in ("all_orbits", "orbit_of_tau", "classify_tau"):
         counted(correspondence, name)
-    for name in ("e2_inv", "e2_sqrt", "sqrt_canonical"):
+    for name in ("e2_sqrt", "sqrt_canonical"):
         counted(FieldCtx, name)
     rows = list(sweeps.suite_correspondence(field(p, n)))
     assert all(r["ok"] for r in rows), rows
     assert calls == {"all_orbits": 1, "orbit_of_tau": 1, "classify_tau": 1,
-                     "e2_inv": 0, "e2_sqrt": 0, "sqrt_canonical": 0}
+                     "e2_sqrt": 0, "sqrt_canonical": 0}
 
 
 @pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
@@ -276,10 +278,10 @@ def test_set_descriptions_via_units():
                     continue
                 if not unit_order_test(ctx, v, ctx.q - sp.e1 * sp.e2, sp.e2):
                     continue
-                d = ctx.e2_sub(v, ctx.e2_inv(v))
-                a01.add(ctx.e2_project(ctx.e2_mul(ctx.e2_mul(d, d), quarter)))
+                d = ctx.e2_sub(v, e2_inv(ctx, v))
+                a01.add(e2_project(ctx, ctx.e2_mul(ctx.e2_mul(d, d), quarter)))
                 v2 = ctx.e2_mul(v, v)
-                a22.add(ctx.e2_project(ctx.e2_add(v2, ctx.e2_inv(v2))))
+                a22.add(e2_project(ctx, ctx.e2_add(v2, e2_inv(ctx, v2))))
             assert a01 == set(enumerate_family(ctx, a_family(0, 1, sp)))
             two = ctx.from_int(2)
             assert a22 == set(enumerate_family(ctx, a_family(ctx.neg(two), two, sp)))
@@ -315,8 +317,8 @@ def test_vw_relation_exists():
             i2 = ctx.e2_sqrt(ctx.minus_one)
             witnesses = []
             for vv in orbit_members(ctx, v):
-                dv = ctx.e2_sub(vv, ctx.e2_inv(vv))
-                sv = ctx.e2_add(vv, ctx.e2_inv(vv))
+                dv = ctx.e2_sub(vv, e2_inv(ctx, vv))
+                sv = ctx.e2_add(vv, e2_inv(ctx, vv))
                 for ii in (i2, ctx.e2_neg(i2)):
                     num = ctx.e2_add(ctx.e2_embed(ctx.from_int(2)),
                                      ctx.e2_mul(ii, dv))

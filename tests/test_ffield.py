@@ -10,8 +10,8 @@ from charprod.ffield import (EvenCharacteristicError, Ext2Elem, FieldError,
                              FieldTables, FieldTooLargeError, IdentityFailure,
                              NotPrimeError, PROD_CHUNK, is_prime, mk_field, power,
                              tonelli_shanks)
-from helpers import (SMALL_FIELDS, e2_pow, ext2_solve_unit, field, half_units,
-                     prime_power, small_ctxs, unit_order_test)
+from helpers import (SMALL_FIELDS, e2_inv, e2_pow, e2_project, ext2_solve_unit,
+                     field, half_units, prime_power, small_ctxs, unit_order_test)
 
 
 def test_mk_field_examples():
@@ -277,6 +277,63 @@ def test_ext2_operations_serve_code_arrays(p, n):
         sorted(xs, key=lambda a: ctx.decode(a.lo) + ctx.decode(a.hi))
 
 
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3)])
+def test_base_operations_serve_code_arrays(p, n):
+    # mul, inv, div, legendre, pow, sqrt_canonical and e2_sqrt on int64
+    # arrays equal their scalar results element by element (-1 where
+    # sqrt_canonical gives None), with and without tables; all of F_q where
+    # q <= 343, else 0, g, g^2, their inverses and 500 random elements.
+    # After a swap of exp[1] and exp[2] (g and g^2), the operations that read
+    # exp and log still agree, so the array path reads the live lists, and
+    # for n > 1 the array inverse fails its mul_poly check where the scalar
+    # one is silently wrong
+    import numpy as np
+
+    q = p ** n
+    x = np.arange(q, dtype=np.int64)
+    if q > 343:
+        exp = field(p, n).tables().exp
+        rand = np.random.default_rng(q).integers(1, q, size=500).tolist()
+        x = np.array([0] + exp[1:3] + exp[q - 3:q - 1] + rand, dtype=np.int64)
+    y, u = np.roll(x, 1), x[x != 0]
+    v = np.resize(u[::-1], len(x))  # a unit at every element of x
+    xs, ys, us, vs = x.tolist(), y.tolist(), u.tolist(), v.tolist()
+
+    def check(ctx, sound=True):
+        assert ctx.mul(x, y).tolist() == [ctx.mul(a, b) for a, b in zip(xs, ys)]
+        assert ctx.div(x, ctx.delta).tolist() == [ctx.div(a, ctx.delta) for a in xs]
+        assert ctx.legendre(x).tolist() == [ctx.legendre(a) for a in xs]
+        for e in (0, 1, (q - 1) // 2, q - 2):
+            assert ctx.pow(x, e).tolist() == [ctx.pow(a, e) for a in xs], e
+        if not sound:
+            return
+        assert ctx.inv(u).tolist() == [ctx.inv(a) for a in us]
+        assert ctx.pow(u, -1).tolist() == [ctx.pow(a, -1) for a in us]
+        assert ctx.div(x, v).tolist() == [ctx.div(a, b) for a, b in zip(xs, vs)]
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(x)
+        assert ctx.sqrt_canonical(x).tolist() == \
+            [-1 if r is None else r for r in map(ctx.sqrt_canonical, xs)]
+        roots = ctx.e2_sqrt(x)
+        assert list(map(Ext2Elem, roots.lo.tolist(), roots.hi.tolist())) == \
+            [ctx.e2_sqrt(a) for a in xs]
+
+    bare = mk_field(p, n)
+    check(bare)
+    assert bare._tables is None  # the array paths build no tables either
+    check(field(p, n))
+    ctx = mk_field(p, n)
+    tb = ctx.tables()
+    tb.exp[1], tb.exp[2] = tb.exp[2], tb.exp[1]
+    tb.log[tb.exp[1]], tb.log[tb.exp[2]] = 1, 2
+    check(ctx, sound=False)
+    if n == 1:  # exp and log serve no operation of a prime field
+        assert ctx.inv(u).tolist() == [ctx.inv(a) for a in us]
+    else:
+        with pytest.raises(IdentityFailure, match="wrong inverse"):
+            ctx.inv(u)
+
+
 def test_ext2_conjugation_is_frobenius():
     rng = random.Random(7)
     for ctx in small_ctxs():
@@ -307,7 +364,7 @@ def test_ext2_field_behaviour():
             x = Ext2Elem(rng.randrange(ctx.q), rng.randrange(ctx.q))
             if x == (0, 0):
                 continue
-            assert ctx.e2_mul(x, ctx.e2_inv(x)) == one
+            assert ctx.e2_mul(x, e2_inv(ctx, x)) == one
             assert e2_pow(ctx, x, ctx.q * ctx.q - 1) == one
 
 
@@ -330,8 +387,8 @@ def test_ext2_solve_unit_examples():
 
 
 def ctx_bracket(ctx, u):
-    b = ctx.e2_add(u, ctx.e2_inv(u))
-    return ctx.e2_project(b)
+    b = ctx.e2_add(u, e2_inv(ctx, u))
+    return e2_project(ctx, b)
 
 
 def test_ext2_solve_unit_bracket_all():
@@ -339,7 +396,7 @@ def test_ext2_solve_unit_bracket_all():
         for r in range(ctx.q):
             u = ext2_solve_unit(ctx, r)
             assert ctx_bracket(ctx, u) == r
-            assert ctx_bracket(ctx, ctx.e2_inv(u)) == r
+            assert ctx_bracket(ctx, e2_inv(ctx, u)) == r
 
 
 def test_ext2_solve_unit_inconsistent_character():
