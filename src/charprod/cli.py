@@ -1,6 +1,7 @@
 """Command-line interface: verification sweeps, one-off evaluations, tables.
 
-Exit codes: 0 all checks passed, 1 at least one mismatch, 2 usage error.
+Exit codes: 0 all checks passed, 1 at least one mismatch, 2 no verdict:
+usage or I/O error.
 ``verify`` emits one JSON line per check; ``eval`` prints a closed-form
 product side by side with its brute-force value; ``table`` renders the
 four summary tables of normalized products for one field.
@@ -16,7 +17,7 @@ from . import charsets, closedform, sweeps
 from .charsets import SIGN_PAIRS, SetFamily, parse_signs, sign_str
 from .closedform import closed_product
 from .dickson import poly_str
-from .ffield import FieldCtx, mk_field
+from .ffield import FieldCtx, field_order, mk_field
 
 
 def parse_family(ctx: FieldCtx, text: str) -> SetFamily:
@@ -53,6 +54,7 @@ def parse_family(ctx: FieldCtx, text: str) -> SetFamily:
 
 
 def _cmd_eval(args) -> int:
+    charsets.check_scan_bound(field_order(args.p, args.n))  # before the modulus search
     ctx = mk_field(args.p, args.n)
     fam = parse_family(ctx, args.family)
     closed = closed_product(ctx, fam)
@@ -166,8 +168,8 @@ def render_table(ctx: FieldCtx, table_id: int) -> tuple[list[str], int]:
 
 
 def _cmd_table(args) -> int:
+    charsets.check_scan_bound(field_order(args.p, args.n))  # before the modulus search
     ctx = mk_field(args.p, args.n)
-    charsets.check_scan_bound(ctx.q)  # before the O(q) tables
     ctx.tables()
     lines, mismatches = render_table(ctx, args.table_id)
     for line in lines:
@@ -228,7 +230,7 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -30,11 +30,12 @@ with theta^2 = delta, delta the canonically smallest nonsquare of F_q.
 and int64 arrays.
 
 Every operation works without precomputation.  ``FieldCtx.tables()``
-adds lookup tables of size O(q) -- discrete logarithms to the canonically
-smallest generator of F_q^* and the quadratic character as their parity.
-Once built, they replace polynomial multiplication and power-based
-Legendre symbols with lookups, for ints and arrays alike; no other
-library module reads ``exp``, ``log`` or ``chi``.  They also hold the
+adds lookup tables of size O(q): the quadratic character, Euler's
+criterion tabulated, and for n > 1 discrete logarithms to the canonically
+smallest generator of F_q^*.  Once built, they replace power-based
+Legendre symbols and, for n > 1, polynomial multiplication with lookups,
+for ints and arrays alike; no other library module reads ``exp``, ``log``
+or ``chi``.  They also hold the
 oracle's character, read off ``half_unit_squares``, as the shifted vectors
 that the product scan and the cardinality counts read; ``add``, ``sub``
 and ``neg`` stay digit arithmetic either way.
@@ -233,6 +234,25 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+def field_order(p: int, n: int) -> int:
+    """q = p^n, after the argument checks that come before the modulus search."""
+    if p % 2 == 0:
+        raise EvenCharacteristicError(f"characteristic must be odd, got p={p}")
+    if n < 1:
+        raise FieldError(f"extension degree must be >= 1, got n={n}")
+    # bound p, then q, before the trial division of p; q stops growing
+    # at the bound, so even an absurd n takes at most 20 multiplications
+    q, i = p, 1
+    while q < MACHINE_BOUND and i < n:
+        q, i = q * p, i + 1
+    if q >= MACHINE_BOUND:
+        shown = q if i == n else f"{p}^{n}"
+        raise FieldTooLargeError(f"q={shown} exceeds the machine bound 2^31")
+    if not is_prime(p):
+        raise NotPrimeError(f"p={p} is not prime")
+    return q
+
+
 def find_modulus(p: int, n: int) -> tuple[int, ...]:
     """Canonically smallest monic irreducible of degree n over F_p.
 
@@ -261,32 +281,36 @@ class Ext2Elem(NamedTuple):
 class FieldTables:
     """Linear-size lookup tables for one field; built once per context.
 
-    ``exp[i]`` is gen^i and ``log`` its inverse on the units.  ``exp`` holds
-    two periods followed by a run of zeros that ``log[0]`` points into, so
-    the product of any two elements is ``exp[log[a] + log[b]]``, and ``chi``
-    is the parity of ``log``: plain lists, read for ints and arrays alike.
-    ``shifted(k)``, the oracle's character moved by k, is a ``translate`` of
-    the squares of ``ctx.half_unit_squares``: 1 at the nonzero squares, -1
-    at the other units, 0 at 0, never the log parity.
+    ``chi`` is table-free ``legendre`` (Euler's criterion) over all codes.
+    For n > 1, where ``mul`` and ``inv`` read them, ``exp[i]`` is gen^i and
+    ``log`` its inverse on the units; ``exp`` holds two periods followed by
+    a run of zeros that ``log[0]`` points into, so the product of any two
+    elements is ``exp[log[a] + log[b]]``.  A prime field searches no
+    generator and keeps None for both.  The lists are plain, read for ints
+    and arrays alike.  ``shifted(k)``, the oracle's character moved by k, is
+    a ``translate`` of the squares of ``ctx.half_unit_squares``: 1 at the
+    nonzero squares, -1 at the other units, 0 at 0, never ``chi``.
     """
 
     __slots__ = ("exp", "log", "chi", "_p", "_n", "_wrap")
 
-    def __init__(self, ctx: "FieldCtx", gen: int):
+    def __init__(self, ctx: "FieldCtx"):
         import numpy as np
 
         q, u = ctx.q, ctx.q - 1
-        cycle = [ctx.one] * u
-        for i in range(1, u):
-            cycle[i] = ctx.mul(cycle[i - 1], gen)
-        if set(cycle) != set(range(1, q)):
-            raise FieldError(f"{ctx.elem_str(gen)} does not generate F_{q}^*")
-        self.exp = cycle + cycle + [0] * (2 * q - 1)
-        self.log = log = [2 * u] * q
-        self.chi = chi = [0] * q
-        for i, x in enumerate(cycle):
-            log[x] = i
-            chi[x] = -1 if i & 1 else 1
+        self.chi = ctx.legendre(np.arange(q, dtype=np.int64)).tolist()
+        self.exp = self.log = None
+        if ctx.n > 1:
+            gen = ctx.primitive_element()
+            cycle = [ctx.one] * u
+            for i in range(1, u):
+                cycle[i] = ctx.mul(cycle[i - 1], gen)
+            if set(cycle) != set(range(1, q)):
+                raise FieldError(f"{ctx.elem_str(gen)} does not generate F_{q}^*")
+            self.exp = cycle + cycle + [0] * (2 * q - 1)
+            self.log = log = [2 * u] * q
+            for i, x in enumerate(cycle):
+                log[x] = i
         self._p, self._n = ctx.p, ctx.n
         squares = np.fromiter(ctx.half_unit_squares(), dtype=np.int64, count=u // 2)
         sq = np.full(q, -1, dtype=np.int8)
@@ -317,20 +341,7 @@ class FieldCtx:
     """Immutable context for F_{p^n}; all element operations live here."""
 
     def __init__(self, p: int, n: int = 1):
-        if p % 2 == 0:
-            raise EvenCharacteristicError(f"characteristic must be odd, got p={p}")
-        if n < 1:
-            raise FieldError(f"extension degree must be >= 1, got n={n}")
-        # bound p, then q, before the trial division of p; q stops growing
-        # at the bound, so even an absurd n takes at most 20 multiplications
-        q, i = p, 1
-        while q < MACHINE_BOUND and i < n:
-            q, i = q * p, i + 1
-        if q >= MACHINE_BOUND:
-            shown = q if i == n else f"{p}^{n}"
-            raise FieldTooLargeError(f"q={shown} exceeds the machine bound 2^31")
-        if not is_prime(p):
-            raise NotPrimeError(f"p={p} is not prime")
+        q = field_order(p, n)
         self.p = p
         self.n = n
         self.q = q
@@ -648,7 +659,7 @@ class FieldCtx:
     def tables(self) -> FieldTables:
         """Build (once) and return the O(q) lookup tables."""
         if self._tables is None:
-            self._tables = FieldTables(self, self.primitive_element())
+            self._tables = FieldTables(self)
         return self._tables
 
     # -- quadratic extension F_{q^2} --------------------------------------------

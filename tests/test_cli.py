@@ -72,6 +72,29 @@ def test_eval_refuses_a_scan_above_the_bound(monkeypatch, capsys):
     assert "q=17 is above the scan bound 13" in capsys.readouterr().err
 
 
+def test_eval_and_table_refuse_before_the_modulus_search(monkeypatch, capsys):
+    # q = 3^19 is below the machine bound but above the scan bound: both
+    # commands exit 2 before the degree-19 modulus search would start
+    from charprod import ffield
+
+    def no_search(p, n):
+        raise AssertionError(f"searched a modulus of degree {n} over F_{p}")
+
+    monkeypatch.setattr(ffield, "find_modulus", no_search)
+    for argv in (["eval", "S1 0 +"], ["table", "1"]):
+        assert main([*argv, "--p", "3", "--n", "19"]) == 2
+        err = capsys.readouterr().err
+        assert f"q={3 ** 19} is above the scan bound {charsets.SCAN_LIMIT}" in err
+
+
+def test_verify_unwritable_out_is_no_verdict(tmp_path, capsys):
+    # an --out that cannot be opened checks nothing, so exit 2, not the
+    # mismatch code 1
+    out = tmp_path / "missing" / "report.jsonl"
+    assert main(["verify", "--qmax", "5", "--suites", "intro", "--out", str(out)]) == 2
+    assert "i/o error" in capsys.readouterr().err
+
+
 def test_parse_family_shapes():
     ctx = field(13)
     fam = parse_family(ctx, "s1 3 -")

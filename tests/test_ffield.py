@@ -283,10 +283,10 @@ def test_base_operations_serve_code_arrays(p, n):
     # arrays equal their scalar results element by element (-1 where
     # sqrt_canonical gives None), with and without tables; all of F_q where
     # q <= 343, else 0, g, g^2, their inverses and 500 random elements.
-    # After a swap of exp[1] and exp[2] (g and g^2), the operations that read
-    # exp and log still agree, so the array path reads the live lists, and
-    # for n > 1 the array inverse fails its mul_poly check where the scalar
-    # one is silently wrong
+    # For n > 1, after a swap of exp[1] and exp[2] (g and g^2), the
+    # operations that read exp and log still agree, so the array path reads
+    # the live lists, and the array inverse fails its mul_poly check where
+    # the scalar one is silently wrong; a prime field keeps no exp or log
     import numpy as np
 
     q = p ** n
@@ -324,14 +324,14 @@ def test_base_operations_serve_code_arrays(p, n):
     check(field(p, n))
     ctx = mk_field(p, n)
     tb = ctx.tables()
+    if n == 1:
+        assert tb.exp is None and tb.log is None
+        return
     tb.exp[1], tb.exp[2] = tb.exp[2], tb.exp[1]
     tb.log[tb.exp[1]], tb.log[tb.exp[2]] = 1, 2
     check(ctx, sound=False)
-    if n == 1:  # exp and log serve no operation of a prime field
-        assert ctx.inv(u).tolist() == [ctx.inv(a) for a in us]
-    else:
-        with pytest.raises(IdentityFailure, match="wrong inverse"):
-            ctx.inv(u)
+    with pytest.raises(IdentityFailure, match="wrong inverse"):
+        ctx.inv(u)
 
 
 def test_ext2_conjugation_is_frobenius():
@@ -575,9 +575,37 @@ def test_extension_arithmetic_matches_sympy(p, n):
         assert gf_pow_mod(gen, (ctx.q - 1) // r, modulus, p, ZZ) != [1]
 
 
-def test_tables_reject_non_generator():
-    # 3 has order 3 in F_13, 2 = -1 has order 2 in F_9, and 0 is no unit
-    # (in F_3 its powers 1, 0 are still distinct)
-    for ctx, g in ((mk_field(13), 3), (mk_field(3, 2), 2), (mk_field(3), 0)):
-        with pytest.raises(FieldError, match="does not generate"):
-            FieldTables(ctx, g)
+def test_tables_reject_non_generator(monkeypatch):
+    # 2 = -1 has order 2 in F_9
+    ctx = mk_field(3, 2)
+    monkeypatch.setattr(ctx, "primitive_element", lambda: 2)
+    with pytest.raises(FieldError, match="does not generate"):
+        FieldTables(ctx)
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (4093, 1)])
+def test_tables_chi_is_table_free_legendre(monkeypatch, p, n):
+    # chi equals Euler's criterion on a fresh context, element by element.
+    # A prime field searches no generator and keeps no exp or log: its only
+    # products are the Euler ladder's, on the whole array of codes, never
+    # the scalar steps of a generator's cycle
+    fresh = mk_field(p, n)
+    want = [fresh.legendre(a) for a in range(fresh.q)]
+    assert fresh._tables is None
+    ctx = mk_field(p, n)
+    if n == 1:
+        mul = ctx.mul
+
+        def array_mul(a, b):
+            if isinstance(a, int) or isinstance(b, int):
+                raise AssertionError("tables() multiplied scalar codes")
+            return mul(a, b)
+
+        def no_generator():
+            raise AssertionError("tables() searched a generator")
+
+        monkeypatch.setattr(ctx, "mul", array_mul)
+        monkeypatch.setattr(ctx, "primitive_element", no_generator)
+    tb = ctx.tables()
+    assert tb.chi == want
+    assert (tb.exp is None and tb.log is None) == (n == 1)
