@@ -17,21 +17,23 @@ its conditions chi(a + s) = e once, for both masks.  Every scan reads
 chi from ``FieldCtx.half_unit_squares``: the squares of one unit of each
 pair +-x, by running sums along lines of the field with one ``mul_poly``
 per line, so it shares no chi arithmetic with ``FieldCtx.legendre``
-(Euler's criterion or the log parity, which the closed side uses).  With
-tables, ``brute_product`` compares shifted character vectors
-(``FieldTables.shifted``, built from those squares); a prime field's
-members are folded by halving in int64 and the last ``_FOLD_TAIL`` go to
-``ctx.prod``, an extension field's members go to it unsorted.  On a
-field without tables, and in ``enumerate_family`` on every field, the
-scan reads ``square_table``, which scatters the squares into q bytes.
+(Euler's criterion, tabulated with the tables, which the closed side
+uses).  With tables, ``brute_product`` compares shifted character
+vectors (``FieldTables.shifted``, built from those squares); a prime
+field's members are folded by halving in int64 and the last
+``_FOLD_TAIL`` go to ``ctx.prod``, an extension field's members go to
+it unsorted, and it walks ``exp``/``log`` inline.  On a field without
+tables, and in ``enumerate_family`` on every field, the scan reads
+``square_table``, which scatters the squares into q bytes.
 Each condition is that table translated by s
 (``FieldCtx.translate_bytes``) as one byte vector, and the conditions
 meet as ints under ``&``: no field operation runs per element, and
-``ctx.prod`` multiplies the marked positions without listing them.  The
-table takes q bytes, so fields above ``SCAN_LIMIT`` = 2^26 elements are
-refused.  The closed cardinality ``card_closed`` (never enumerates) and
-the ``cardinality`` suite of ``sweeps``, on arrays of characters, share
-one formula per kind: ``_single_card`` (S1) and ``_pair_card``.
+``ctx.prod`` multiplies the marked positions without listing them, for
+n > 1 by Kronecker substitution.  The table takes q bytes, so fields
+above ``SCAN_LIMIT`` = 2^26 elements are refused.  The closed
+cardinality ``card_closed`` (never enumerates) and the ``cardinality``
+suite of ``sweeps``, on arrays of characters, share one formula per
+kind: ``_single_card`` (S1) and ``_pair_card``.
 """
 
 from __future__ import annotations
@@ -237,8 +239,9 @@ def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
     until ``_FOLD_TAIL`` remain.  Without tables the members are the
     positions of ``_byte_mask`` as they come, so no member list is built,
     and ``bytes.count`` gives the cardinality.  Both branches end in
-    ``ctx.prod``: integer chunks reduced mod q for n = 1, a fold of
-    ``ctx.mul`` for n > 1.
+    ``ctx.prod``: integer chunks reduced mod q for n = 1; for n > 1 an
+    inline ``exp``/``log`` walk with tables, a Kronecker substitution
+    without, neither a field call per member.
     """
     fam.validate(ctx)
     if ctx._tables is None:

@@ -12,9 +12,12 @@ vector by a field translation, digit by digit; ``half_unit_squares``
 lists the squares of one unit of each pair +-x by running sums along
 lines {y + c : c in F_p}, one ``mul_poly`` per line; and ``prod``
 multiplies an iterable of codes, by ``math.prod`` on integer chunks
-reduced mod q for n = 1.  Tie-breaking (smallest square root, smallest
-nonsquare, sorted member lists) uses the *canonical order*: coefficient
-vectors compared lexicographically, low degree first.
+reduced mod q for n = 1 and, for n > 1, by Kronecker substitution: the
+digits of each code packed into 64-bit slots of one integer, k integers
+multiplied by ``math.prod`` at a time and reduced per chunk.
+Tie-breaking (smallest square root, smallest nonsquare, sorted member
+lists) uses the *canonical order*: coefficient vectors compared
+lexicographically, low degree first.
 ``FieldCtx.elem_key`` is the position in that order, the digits read as
 one base-p numeral, on ints and arrays; it equals the code only for n == 1.
 
@@ -34,11 +37,11 @@ adds lookup tables of size O(q): the quadratic character, Euler's
 criterion tabulated, and for n > 1 discrete logarithms to the canonically
 smallest generator of F_q^*.  Once built, they replace power-based
 Legendre symbols and, for n > 1, polynomial multiplication with lookups,
-for ints and arrays alike; no other library module reads ``exp``, ``log``
-or ``chi``.  They also hold the
-oracle's character, read off ``half_unit_squares``, as the shifted vectors
-that the product scan and the cardinality counts read; ``add``, ``sub``
-and ``neg`` stay digit arithmetic either way.
+for ints and arrays alike, and in ``prod``, which walks ``exp``/``log``
+inline; no other library module reads ``exp``, ``log`` or ``chi``.  They
+also hold the oracle's character, read off ``half_unit_squares``, as the
+shifted vectors that the product scan and the cardinality counts read;
+``add``, ``sub`` and ``neg`` stay digit arithmetic either way.
 """
 
 from __future__ import annotations
@@ -47,13 +50,14 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from typing import Iterator, NamedTuple
 
 MACHINE_BOUND = 1 << 31
 
-# codes per math.prod call in FieldCtx.prod: enough to make the per-chunk
-# Python step rare, few enough that a chunk's product (below 2^(64*31)) stays
-# cheap to grow and to reduce mod q
+# codes per math.prod call in FieldCtx.prod for n = 1: enough to make the
+# per-chunk Python step rare, few enough that a chunk's product (below
+# 2^(64*31)) stays cheap to grow and to reduce mod q
 PROD_CHUNK = 64
 
 
@@ -441,20 +445,69 @@ class FieldCtx:
     def prod(self, codes) -> int:
         """Product of the codes of an iterable, consumed once; the empty product is one.
 
-        For n = 1, ``math.prod`` multiplies chunks of ``PROD_CHUNK`` codes,
-        each reduced mod q, and the reduced values are multiplied the same
-        way until one is left; no list of the codes is built.  For n > 1
-        it folds ``mul``.
+        No list of the codes is built, and for n > 1 no field method is
+        called per code.  For n = 1, ``math.prod`` multiplies chunks of
+        ``PROD_CHUNK`` codes, each reduced mod q, and the reduced values are
+        multiplied the same way until one is left.  For n > 1 with tables,
+        the product walks ``exp[log[acc] + log[a]]``: the lookups of a fold
+        of ``mul``, in its order.  Without tables it is a Kronecker
+        substitution (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+        8.4): each code becomes an integer whose 64-bit slots hold its
+        digits, so ``math.prod`` multiplies the polynomials over Z at once.
+        k factors, the running product and k - 1 codes, are multiplied at a
+        time, k the largest with n^(k-1) (p-1)^k < 2^64, so no slot
+        overflows; the slots are read back and reduced by the rows x^j mod
+        the modulus and mod p, and the result, repacked, is the next
+        running product.
         """
-        if self.n > 1:
-            return functools.reduce(self.mul, codes, self.one)
-        q, it = self.q, iter(codes)
-        while True:
-            chunks = iter(lambda: list(itertools.islice(it, PROD_CHUNK)), [])
-            parts = [math.prod(chunk) % q for chunk in chunks]
-            if len(parts) <= 1:
-                return parts[0] if parts else self.one
-            it = iter(parts)
+        if self.n == 1:
+            q, it = self.q, iter(codes)
+            while True:
+                chunks = iter(lambda: list(itertools.islice(it, PROD_CHUNK)), [])
+                parts = [math.prod(chunk) % q for chunk in chunks]
+                if len(parts) <= 1:
+                    return parts[0] if parts else self.one
+                it = iter(parts)
+        tb = self._tables
+        if tb is not None:
+            exp, log, acc = tb.exp, tb.log, self.one
+            for a in codes:
+                acc = exp[log[acc] + log[a]]
+            return acc
+        p, (k, cols), shifts = self.p, self._kronecker, range(0, 64 * self.n, 64)
+        # each code's digits, shifted into their slots; the n copies of the
+        # iterable are read in lockstep, so tee holds one code at a time
+        mod, ps = operator.mod, itertools.repeat(p)
+        first, *rest = itertools.tee(codes, self.n)
+        packed = map(mod, first, ps)
+        for it, w, s in zip(rest, self._pw[1:], shifts[1:]):
+            digit = map(mod, map(operator.floordiv, it, itertools.repeat(w)), ps)
+            packed = map(operator.add, packed, map(operator.lshift, digit, itertools.repeat(s)))
+        # k - 1 codes per chunk, the last one padded with ones
+        acc, mul = 1, operator.mul
+        for chunk in itertools.zip_longest(*[packed] * (k - 1), fillvalue=1):
+            x = math.prod(chunk, start=acc)
+            slots = memoryview(x.to_bytes((x.bit_length() + 63) // 64 * 8, sys.byteorder)).cast("Q")
+            acc = 0
+            for col, s in zip(cols, shifts):
+                acc |= sum(map(mul, slots, col)) % p << s
+        return sum((acc >> s) % (1 << 64) * w for s, w in zip(shifts, self._pw))
+
+    @functools.cached_property
+    def _kronecker(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(k, cols) of the table-free ``prod`` for n > 1: k factors at a time,
+        k the largest with n^(k-1) (p-1)^k < 2^64, and cols[i][j] digit i of
+        x^j mod the modulus for j = 0 .. k(n - 1), the slots of k factors."""
+        p, n = self.p, self.n
+        k = 1
+        while n ** k * (p - 1) ** (k + 1) < 1 << 64:
+            k += 1
+        rows = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        rem = [(-c) % p for c in self.modulus[:n]]
+        while len(rows) <= k * (n - 1):
+            top = rows[-1][-1]
+            rows.append(tuple((lo + top * r) % p for lo, r in zip((0,) + rows[-1], rem)))
+        return k, tuple(zip(*rows))
 
     def elem_str(self, a: int) -> str:
         """Textual form: decimal residue, or comma-separated coefficients."""

@@ -336,7 +336,7 @@ def test_table_refuses_a_field_above_the_scan_bound(monkeypatch, capsys):
     # tables are built
     from charprod import ffield
 
-    def no_tables(ctx, gen):
+    def no_tables(ctx):
         raise AssertionError(f"built the tables of q={ctx.q}")
 
     monkeypatch.setattr(ffield, "FieldTables", no_tables)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from charprod.ffield import (EvenCharacteristicError, Ext2Elem, FieldError,
                              NotPrimeError, PROD_CHUNK, is_prime, mk_field, power,
                              tonelli_shanks)
 from helpers import (SMALL_FIELDS, e2_inv, e2_pow, e2_project, ext2_solve_unit,
-                     field, half_units, prime_power, small_ctxs, unit_order_test)
+                     field, field_faults, half_units, prime_power, small_ctxs, unit_order_test)
 
 
 def test_mk_field_examples():
@@ -508,6 +509,81 @@ def test_prod_matches_a_fold_of_mul(p, n):
     for codes in inputs:
         want = functools.reduce(ctx.mul, codes, ctx.one)
         assert ctx.prod(iter(codes)) == want, (ctx.q, len(codes))
+
+
+@pytest.mark.parametrize("tabled", [False, True])
+@pytest.mark.parametrize("p, n", [(3, 2), (7, 2), (3, 3), (17, 3), (3, 5)])
+def test_extension_prod_calls_no_field_multiplication(monkeypatch, p, n, tabled):
+    # with tables the product walks exp and log inline, without them it is a
+    # Kronecker substitution: neither calls mul or mul_poly for any member
+    ctx = mk_field(p, n)
+    if tabled:
+        ctx.tables()
+    rng = random.Random(p * 10 + n)
+    codes = [rng.randrange(1, ctx.q) for _ in range(500)]
+    want = functools.reduce(ctx.mul, codes, ctx.one)
+    calls = []
+    for name in ("mul", "mul_poly"):
+        def counted(a, b, op=getattr(ctx, name), name=name):
+            calls.append(name)
+            return op(a, b)
+
+        monkeypatch.setattr(ctx, name, counted)
+    assert ctx.prod(iter(codes)) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (5, 3)])
+def test_tabled_prod_equals_a_fold_of_mul_under_faults(p, n):
+    # the inline walk makes mul's lookups in mul's order, so it equals the
+    # fold on a sound field and wherever a fault has broken exp or log
+    rng = random.Random(p * 10 + n)
+    inputs = [[rng.randrange(1, p ** n) for _ in range(size)] for size in (0, 1, 2, 50, 400)]
+    inputs += [codes + [0] + codes[:5] for codes in inputs[2:]]
+    for name, fault in field_faults(p ** n):
+        ctx = mk_field(p, n)
+        fault(ctx)
+        for codes in inputs:
+            want = functools.reduce(ctx.mul, codes, ctx.one)
+            assert ctx.prod(iter(codes)) == want, (ctx.q, name, len(codes))
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (7, 2), (3, 4), (3, 5), (5, 3), (17, 3), (4093, 2)])
+def test_table_free_prod_equals_a_mul_poly_fold(p, n):
+    # k factors go into each math.prod, k the largest with
+    # n^(k-1) (p-1)^k < 2^64 (4093^2 is within 1% of the bound); lengths
+    # around k, codes of all digits p - 1 (the largest slot sums) and zeros
+    k = max(k for k in range(1, 65) if n ** (k - 1) * (p - 1) ** k < 1 << 64)
+    ctx = mk_field(p, n)
+    assert ctx._kronecker[0] == k
+    rng = random.Random(p * 10 + n)
+    sizes = [0, 1, k - 1, k, k + 1, 3 * k + 2]
+    inputs = [[rng.randrange(1, ctx.q) for _ in range(size)] for size in sizes]
+    inputs += [[ctx.q - 1] * size for size in sizes]
+    inputs += [[0], [ctx.q - 1] * k + [0], [rng.randrange(ctx.q) for _ in range(3 * k)] + [0]]
+    for codes in inputs:
+        want = functools.reduce(ctx.mul_poly, codes, ctx.one)
+        assert ctx.prod(iter(codes)) == want, (ctx.q, codes)
+    assert ctx._tables is None
+
+
+def test_table_free_prod_streams_its_codes():
+    # 2 * 10^5 codes of 1009^2 as a generator: listing them would take
+    # several MB, the product holds one chunk of k codes at a time
+    ctx = mk_field(1009, 2)
+
+    def codes():
+        return (i * 7919 % (ctx.q - 1) + 1 for i in range(2 * 10 ** 5))
+
+    want = functools.reduce(ctx.mul_poly, codes(), ctx.one)
+    tracemalloc.start()
+    try:
+        got = ctx.prod(codes())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 1 << 20, peak
 
 
 def _assert_translation_matches_add(ctx, ks):
