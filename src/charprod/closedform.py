@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .charsets import SIGN_PAIRS, SetFamily, SignPair
+from .charsets import SIGN_PAIRS, SetFamily, SignPair, _pair_card
 from .dickson import dickson_values
 from .ffield import FieldCtx, IdentityFailure
 
@@ -287,8 +287,8 @@ def rescale_T(ctx: FieldCtx, j_prime: int, l_prime: int, signs) -> int:
     """T-product for arbitrary parameters, via the rescaling correction.
 
     Public entry point: divides out lambda = (j'+l')/4, twists the signs
-    by the character of lambda, and multiplies back lambda^(m-beta-gamma)
-    where the exponent counts the members of the normalized family.
+    by the character of lambda, and multiplies back lambda^|T_{j',l'}^{e1,e2}|,
+    the closed cardinality that ``charsets._pair_card`` counts.
     """
     e1, e2 = SignPair(*signs)
     s = ctx.add(j_prime, l_prime)
@@ -300,10 +300,9 @@ def rescale_T(ctx: FieldCtx, j_prime: int, l_prime: int, signs) -> int:
     l = ctx.div(l_prime, lam)
     if ctx.add(j, l) != ctx.from_int(4):
         raise IdentityFailure(f"(j' + l')/lambda != 4 at q={ctx.q}")
-    beta = 1 if (ctx.legendre(j_prime) == e1 and ctx.legendre(l_prime) == e2) else 0
-    gamma = 1 if (nu == ctx.eps * e1 == e2) or (ctx.eps == -1 and nu * e1 == 1) else 0
+    card = _pair_card(ctx, "T", (e1, e2), nu, ctx.legendre(j_prime), ctx.legendre(l_prime))
     base = prod_T_values(ctx, j, l)[SignPair(nu * e1, nu * e2)]
-    return ctx.mul(ctx.pow(lam, ctx.m - beta - gamma), base)
+    return ctx.mul(ctx.pow(lam, card), base)
 
 
 def closed_product(ctx: FieldCtx, fam: SetFamily) -> int:
@@ -324,11 +323,8 @@ def swap_T(ctx: FieldCtx, j: int, l: int, mu: int) -> int:
     """Product of T_{l,j}^{mu,mu} computed from the T_{j,l}^{mu,mu} one."""
     if mu not in (1, -1):
         raise ValueError("mu must be +1 or -1")
-    s = ctx.add(j, l)
-    if s == 0:
-        raise ValueError("j + l must be nonzero")
-    base = rescale_T(ctx, j, l, (mu, mu))
-    factor = mu * ctx.legendre(ctx.from_int(2)) * ctx.legendre(s)
+    base = rescale_T(ctx, j, l, (mu, mu))  # raises ValueError at j + l = 0
+    factor = mu * ctx.legendre(ctx.from_int(2)) * ctx.legendre(ctx.add(j, l))
     if not (ctx.legendre(j) == ctx.legendre(l) == mu):
         factor = -factor
     return base if factor == 1 else ctx.neg(base)

@@ -328,12 +328,12 @@ class FieldTables:
 
         return np.tile(vec.reshape(vec.shape[:-1] + (self._p,) * self._n), (2,) * self._n)
 
-    def translate(self, wrap, k: int, sign: int = 1):
-        """``tile``-d vec at a + sign * k over all a, added coefficient by coefficient."""
+    def translate(self, wrap, k: int):
+        """``tile``-d vec at a + k over all a, added coefficient by coefficient."""
         p, idx = self._p, []
         for _ in range(self._n):
             k, c = divmod(k, p)
-            idx.append(slice(c * sign % p, c * sign % p + p))
+            idx.append(slice(c, c + p))
         return wrap[(Ellipsis, *reversed(idx))].reshape(wrap.shape[:-self._n] + (-1,))
 
     def shifted(self, k: int):
@@ -352,20 +352,7 @@ class FieldCtx:
         self.eps = 1 if q % 4 == 1 else -1
         self.m = (q - self.eps) // 4
         self.modulus = find_modulus(p, n)
-        # reduction rows: x^(n+t) mod modulus, t = 0..n-2
-        red = []
-        if n > 1:
-            rem = [(-c) % p for c in self.modulus[:n]]
-            red.append(tuple(rem))
-            for _ in range(n - 2):
-                prev = red[-1]
-                carry = prev[n - 1]
-                row = [0] + list(prev[: n - 1])
-                if carry:
-                    for i in range(n):
-                        row[i] = (row[i] + carry * rem[i]) % p
-                red.append(tuple(row))
-        self._red = tuple(red)
+        self._red = tuple(self._x_powers(2 * n - 2)[n:])  # x^(n+t) mod modulus
         self._pw = tuple(p ** i for i in range(n))  # place values of the digits
         self.one = 1
         self.minus_one = p - 1
@@ -379,16 +366,12 @@ class FieldCtx:
 
     def decode(self, a: int) -> tuple[int, ...]:
         """Coefficient vector of element a, little-endian, length n."""
-        if self.n == 1:
-            return (a,)
         p = self.p
         return tuple(a // w % p for w in self._pw)
 
     def elem_key(self, a):
         """Canonical sort key: the position of a in canonical order, its digits as
         one base-p numeral, constant digit first; one body for ints and int64 arrays."""
-        if self.n == 1:
-            return a
         p, acc = self.p, 0
         for w in self._pw:
             acc = acc * p + a // w % p
@@ -457,8 +440,8 @@ class FieldCtx:
         k factors, the running product and k - 1 codes, are multiplied at a
         time, k the largest with n^(k-1) (p-1)^k < 2^64, so no slot
         overflows; the slots are read back and reduced by the rows x^j mod
-        the modulus and mod p, and the result, repacked, is the next
-        running product.
+        the modulus (``_x_powers``) and mod p, and the result, repacked, is
+        the next running product.
         """
         if self.n == 1:
             q, it = self.q, iter(codes)
@@ -496,18 +479,24 @@ class FieldCtx:
     @functools.cached_property
     def _kronecker(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(k, cols) of the table-free ``prod`` for n > 1: k factors at a time,
-        k the largest with n^(k-1) (p-1)^k < 2^64, and cols[i][j] digit i of
-        x^j mod the modulus for j = 0 .. k(n - 1), the slots of k factors."""
+        k the largest with n^(k-1) (p-1)^k < 2^64, and cols[i] digit i of the
+        rows of ``_x_powers(k(n - 1))``, one per slot of k factors."""
         p, n = self.p, self.n
         k = 1
         while n ** k * (p - 1) ** (k + 1) < 1 << 64:
             k += 1
-        rows = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        rem = [(-c) % p for c in self.modulus[:n]]
-        while len(rows) <= k * (n - 1):
-            top = rows[-1][-1]
-            rows.append(tuple((lo + top * r) % p for lo, r in zip((0,) + rows[-1], rem)))
-        return k, tuple(zip(*rows))
+        return k, tuple(zip(*self._x_powers(k * (n - 1))))
+
+    def _x_powers(self, top: int) -> list[tuple[int, ...]]:
+        """Digits of x^j mod the modulus for j = 0 .. top, each row x times the
+        last: the reduction rows of ``mul_poly`` and of the Kronecker ``prod``."""
+        p, n = self.p, self.n
+        rem = [(-c) % p for c in self.modulus[:n]]  # x^n = -(c0 + ... + c_{n-1} x^(n-1))
+        rows = [(1,) + (0,) * (n - 1)]
+        while len(rows) <= top:
+            carry = rows[-1][-1]
+            rows.append(tuple((lo + carry * r) % p for lo, r in zip((0,) + rows[-1], rem)))
+        return rows
 
     def elem_str(self, a: int) -> str:
         """Textual form: decimal residue, or comma-separated coefficients."""
@@ -599,7 +588,7 @@ class FieldCtx:
         for i, ai in enumerate(da):
             for j, bj in enumerate(db):
                 c[i + j] += ai * bj
-        # x^(n+t) reduces to the row _red[t], of degree below n
+        # x^(n+t) reduces to the row _red[t] of _x_powers, of degree below n
         for t, row in enumerate(self._red):
             v = c[n + t]
             for i in range(n):

@@ -152,7 +152,7 @@ def card_count_blocks(ctx, block=32):
     diff_wrap, sum_wrap, neg = tb.tile(c), tb.tile(c[t_signs]), ctx.neg(np.arange(q))
     for k0 in range(0, q, block):
         rows = slice(k0, min(q, k0 + block))
-        a = np.stack([tb.translate(diff_wrap, k, -1) for k in range(q)[rows]], axis=1)
+        a = np.stack([tb.translate(diff_wrap, ctx.neg(k)) for k in range(q)[rows]], axis=1)
         t = np.stack([tb.translate(sum_wrap, j) for j in range(q)[rows]], axis=1)
         s_zero = first[:, rows, None] & second[:, None]  # a = 0 in S: chi(k) = e1
         t -= (chi[neg[rows]] == ctx.eps * e1s)[:, :, None] & second[:, None]  # a = 0 in T

@@ -288,8 +288,9 @@ def test_rescale_rejects_degenerate():
 
 
 def test_rescale_q3_negative_exponent_edge():
-    # m = 1 at q = 3, so m - beta - gamma can vanish or go negative;
-    # field powers handle it, the oracle confirms it
+    # m = 1 at q = 3, so lambda's exponent, the closed cardinality
+    # |T_{j',l'}^{e1,e2}| of _pair_card, is 0 or 1; field powers handle
+    # it, the oracle confirms it
     c3 = field(3)
     for jp in range(3):
         for lp in range(3):

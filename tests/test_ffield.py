@@ -567,6 +567,24 @@ def test_table_free_prod_equals_a_mul_poly_fold(p, n):
     assert ctx._tables is None
 
 
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 3), (3, 5), (13, 3), (127, 2), (1009, 2)])
+def test_x_powers_are_powers_of_x(p, n):
+    # one table of x^j mod the modulus serves mul_poly's reduction rows and
+    # the Kronecker columns; each row is x^j by repeated mul_poly (1009^2
+    # has k = 5, the shortest Kronecker table)
+    ctx = mk_field(p, n)
+    k = ctx._kronecker[0]
+    rows = ctx._x_powers(k * (n - 1))
+    assert len(rows) == k * (n - 1) + 1
+    xj = ctx.one
+    for row in rows:
+        assert row == ctx.decode(xj)
+        xj = ctx.mul_poly(xj, p)  # the code p is x
+    assert ctx._red == tuple(rows[n:2 * n - 1])
+    assert ctx._kronecker[1] == tuple(zip(*rows))
+    assert mk_field(p)._x_powers(0) == [(1,)]
+
+
 def test_table_free_prod_streams_its_codes():
     # 2 * 10^5 codes of 1009^2 as a generator: listing them would take
     # several MB, the product holds one chunk of k codes at a time
