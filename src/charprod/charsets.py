@@ -22,7 +22,7 @@ uses).  With tables, ``brute_product`` compares shifted character
 vectors (``FieldTables.shifted``, built from those squares); a prime
 field's members are folded by halving in int64 and the last
 ``_FOLD_TAIL`` go to ``ctx.prod``, an extension field's members go to
-it unsorted, and it walks ``exp``/``log`` inline.  On a field without
+it as they come, and it walks ``exp``/``log`` inline.  On a field without
 tables, and in ``enumerate_family`` on every field, the scan reads
 ``square_table``, which scatters the squares into q bytes.
 Each condition is that table translated by s
@@ -212,7 +212,7 @@ def _mask(ctx: FieldCtx, fam: SetFamily):
 
 
 def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
-    """Exact member list by scanning the whole field, canonically sorted.
+    """Exact member list by scanning the whole field, in ascending code order.
 
     Lists the positions of ``_byte_mask``, built from ``square_table`` by
     whole-vector byte operations, on every context, with or without
@@ -220,10 +220,7 @@ def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
     element and never reads ``FieldTables`` or ``legendre``.
     """
     fam.validate(ctx)
-    members = list(itertools.compress(range(ctx.q), _byte_mask(ctx, fam)))
-    if ctx.n > 1:
-        members.sort(key=ctx.elem_key)
-    return members
+    return list(itertools.compress(range(ctx.q), _byte_mask(ctx, fam)))
 
 
 # members left to ctx.prod once int64 halving has folded the rest
@@ -234,7 +231,7 @@ def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
     """Oracle product over the members of fam (empty product is 1).
 
     The product does not depend on the order of the members, so with tables
-    the member codes stay a numpy index array, unsorted.  For n = 1 they are
+    the member codes stay a numpy index array.  For n = 1 they are
     folded by halving, x[:h] * x[h:2h] % p in int64 (exact, as p < 2^31),
     until ``_FOLD_TAIL`` remain.  Without tables the members are the
     positions of ``_byte_mask`` as they come, so no member list is built,

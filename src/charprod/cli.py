@@ -95,8 +95,8 @@ def _specific_rows(ctx: FieldCtx):
 
 
 def _witness_frame(ctx: FieldCtx, cls: tuple[int, int], mu: int | None = None):
-    """Frame of the first tau in canonical order with the given square
-    classes (and, if mu is given, with all-square class mu), or None."""
+    """Frame of the tau of smallest code with the given square classes
+    (and, if mu is given, with all-square class mu), or None."""
     for tau in ctx.elements_canonical():
         if tau == ctx.minus_one:
             continue

@@ -15,11 +15,9 @@ multiplies an iterable of codes, by ``math.prod`` on integer chunks
 reduced mod q for n = 1 and, for n > 1, by Kronecker substitution: the
 digits of each code packed into 64-bit slots of one integer, k integers
 multiplied by ``math.prod`` at a time and reduced per chunk.
-Tie-breaking (smallest square root, smallest nonsquare, sorted member
-lists) uses the *canonical order*: coefficient vectors compared
-lexicographically, low degree first.
-``FieldCtx.elem_key`` is the position in that order, the digits read as
-one base-p numeral, on ints and arrays; it equals the code only for n == 1.
+Every tie-break (the square root, the nonsquare delta, the generator,
+member lists) takes the smaller code: the *canonical order* is the order
+of the codes, the one in which every suite iterates, for every n.
 
 ``mul``, ``inv``, ``div``, ``pow`` (a fixed exponent), ``legendre`` and
 ``sqrt_canonical`` serve int64 code arrays too, with the scalar result at
@@ -27,15 +25,15 @@ each element (-1 where ``sqrt_canonical`` gives None).  Scalar calls keep
 their fast paths; arrays leave them on a branch scalars never take.
 
 The quadratic extension F_{q^2} is represented as pairs lo + hi*theta
-with theta^2 = delta, delta the canonically smallest nonsquare of F_q.
+with theta^2 = delta, delta the nonsquare of F_q with the smallest code.
 ``e2_add``, ``e2_sub``, ``e2_neg``, ``e2_mul``, ``e2_norm``, ``e2_key`` and
 ``e2_sqrt`` are built from the operations above, so they too serve ints
 and int64 arrays.
 
 Every operation works without precomputation.  ``FieldCtx.tables()``
 adds lookup tables of size O(q): the quadratic character, Euler's
-criterion tabulated, and for n > 1 discrete logarithms to the canonically
-smallest generator of F_q^*.  Once built, they replace power-based
+criterion tabulated, and for n > 1 discrete logarithms to the generator
+of F_q^* with the smallest code.  Once built, they replace power-based
 Legendre symbols and, for n > 1, polynomial multiplication with lookups,
 for ints and arrays alike, and in ``prod``, which walks ``exp``/``log``
 inline; no other library module reads ``exp``, ``log`` or ``chi``.  They
@@ -258,7 +256,7 @@ def field_order(p: int, n: int) -> int:
 
 
 def find_modulus(p: int, n: int) -> tuple[int, ...]:
-    """Canonically smallest monic irreducible of degree n over F_p.
+    """The first monic irreducible of degree n over F_p in the order below.
 
     Candidates are ordered by their coefficient vector (c0, ..., c_{n-1}),
     compared low degree first, which makes the choice reproducible.
@@ -369,14 +367,6 @@ class FieldCtx:
         p = self.p
         return tuple(a // w % p for w in self._pw)
 
-    def elem_key(self, a):
-        """Canonical sort key: the position of a in canonical order, its digits as
-        one base-p numeral, constant digit first; one body for ints and int64 arrays."""
-        p, acc = self.p, 0
-        for w in self._pw:
-            acc = acc * p + a // w % p
-        return acc
-
     def encode(self, coeffs) -> int:
         acc, pw = 0, 1
         for c in coeffs:
@@ -389,12 +379,8 @@ class FieldCtx:
         return c % self.p
 
     def elements_canonical(self) -> Iterator[int]:
-        """All elements in canonical order."""
-        if self.n == 1:
-            yield from range(self.q)
-            return
-        for coeffs in itertools.product(range(self.p), repeat=self.n):
-            yield self.encode(coeffs)
+        """All elements in canonical order, which is the order of the codes."""
+        return iter(range(self.q))
 
     def half_unit_squares(self) -> Iterator[int]:
         """Codes of x^2 over one unit x of each pair +-x; no field call per x.
@@ -660,26 +646,23 @@ class FieldCtx:
 
     @property
     def delta(self) -> int:
-        """Canonically smallest nonsquare; theta^2 = delta defines F_{q^2}."""
+        """The nonsquare with the smallest code; theta^2 = delta defines F_{q^2}."""
         if self._delta is None:
-            for x in self.elements_canonical():
-                if self.legendre(x) == -1:
-                    self._delta = x
-                    break
+            self._delta = next(x for x in self.elements_canonical() if self.legendre(x) == -1)
         return self._delta
 
     def sqrt_canonical(self, a):
-        """Square root with canonically smaller coefficient vector.
+        """The smaller code of the two square roots of a.
 
         Returns None exactly when a is a nonsquare.  On an int64 code array,
         -1 marks the nonsquares and no character or table is read: every x
-        is squared by ``mul_poly``, and the root of smaller key is kept.
+        is squared by ``mul_poly``, and the smaller code of each pair +-x kept.
         """
         if not isinstance(a, int):
             import numpy as np
 
             x = np.arange(self.q, dtype=np.int64)
-            canon = x[self.elem_key(x) <= self.elem_key(self.neg(x))]
+            canon = x[x <= self.neg(x)]
             roots = np.full(self.q, -1, dtype=np.int64)
             roots[self.mul_poly(canon, canon)] = canon
             return roots[a]
@@ -688,13 +671,12 @@ class FieldCtx:
         if self.legendre(a) == -1:
             return None
         r = tonelli_shanks(self, a)
-        rn = self.neg(r)
-        return r if self.elem_key(r) <= self.elem_key(rn) else rn
+        return min(r, self.neg(r))
 
     # -- tables ----------------------------------------------------------------
 
     def primitive_element(self) -> int:
-        """Canonically smallest generator of the cyclic group F_q^*."""
+        """The generator of the cyclic group F_q^* with the smallest code."""
         return first_of_order((g for g in self.elements_canonical() if g),
                               self.q - 1, self.pow, self.one)
 
@@ -713,8 +695,9 @@ class FieldCtx:
         return x.hi == 0
 
     def e2_key(self, x: Ext2Elem):
-        """Position in the canonical order of (lo, hi), lo first: below q^2 < 2^62."""
-        return self.elem_key(x.lo) * self.q + self.elem_key(x.hi)
+        """Sort key of lo + hi*theta, the codes (lo, hi) as one base-q numeral,
+        lo first: below q^2 < 2^62."""
+        return x.lo * self.q + x.hi
 
     def e2_add(self, x: Ext2Elem, y: Ext2Elem) -> Ext2Elem:
         return Ext2Elem(self.add(x.lo, y.lo), self.add(x.hi, y.hi))

@@ -111,7 +111,7 @@ def radical_tower_membership(ctx: FieldCtx, spec: TowerSpec) -> list[bool]:
             r = ctx.sqrt_canonical(ctx.add(ctx.from_int(2), x))
             nxt.add(r)
             nxt.add(ctx.neg(r))
-        cands = sorted(nxt, key=ctx.elem_key)
+        cands = sorted(nxt)
         member.append(True)
     if member != tower_congruences(ctx.q, spec):
         raise IdentityFailure(

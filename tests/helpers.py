@@ -221,8 +221,8 @@ def e2_div(ctx, x, y):
 def ext2_solve_unit(ctx, r):
     """The unit u in F_{q^2} with u + 1/u = r, canonical branch.
 
-    The two solutions are u and 1/u; the one with canonically smaller
-    representation is returned.  Raises IdentityFailure (from e2_sqrt)
+    The two solutions are u and 1/u; the one with the smaller codes is
+    returned.  Raises IdentityFailure (from e2_sqrt)
     when neither d = r^2 - 4 nor d/delta is a square, which only an
     inconsistent quadratic character can cause.
     """
@@ -232,11 +232,9 @@ def ext2_solve_unit(ctx, r):
     if root.hi == 0:
         u1 = ctx.mul(ctx.add(r, root.lo), half)
         u2 = ctx.mul(ctx.sub(r, root.lo), half)
-        u = u1 if ctx.elem_key(u1) <= ctx.elem_key(u2) else u2
-        return Ext2Elem(u, 0)
+        return Ext2Elem(min(u1, u2), 0)
     hi = ctx.mul(root.hi, half)
-    hin = ctx.neg(hi)
-    hi = hi if ctx.elem_key(hi) <= ctx.elem_key(hin) else hin
+    hi = min(hi, ctx.neg(hi))
     return Ext2Elem(ctx.mul(r, half), hi)
 
 
@@ -280,7 +278,7 @@ def unit_order_test(ctx, u, e, target):
 
 @functools.lru_cache(maxsize=None)
 def ext2_generator(ctx):
-    """A deterministic generator of F_{q^2}^* (first in canonical order)."""
+    """A deterministic generator of F_{q^2}^* (first in (lo, hi) code order)."""
     # base-field elements (hi = 0) never generate
     cands = (Ext2Elem(lo, hi) for lo in ctx.elements_canonical()
              for hi in ctx.elements_canonical() if hi)

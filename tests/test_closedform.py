@@ -3,7 +3,7 @@ import random
 import pytest
 
 from charprod.charsets import (SIGN_PAIRS, SignPair, a_family, brute_product,
-                               s1_family, s_family, t_family)
+                               card_closed, s1_family, s_family, t_family)
 from charprod.closedform import (INF, all_square_class, closed_product,
                                  det_sqrt, mixed_class_root, normalized_frame,
                                  prod_S_single, prod_T_values,
@@ -289,16 +289,19 @@ def test_rescale_rejects_degenerate():
 
 def test_rescale_q3_negative_exponent_edge():
     # m = 1 at q = 3, so lambda's exponent, the closed cardinality
-    # |T_{j',l'}^{e1,e2}| of _pair_card, is 0 or 1; field powers handle
-    # it, the oracle confirms it
+    # |T_{j',l'}^{e1,e2}| of _pair_card, is 0 or 1: the negative exponent
+    # cannot occur, as the closed count of every T family of F_3 shows;
+    # the oracle confirms each rescaled product
     c3 = field(3)
     for jp in range(3):
         for lp in range(3):
             if c3.add(jp, lp) == 0:
                 continue
             for sp in SIGN_PAIRS:
-                assert rescale_T(c3, jp, lp, sp) == \
-                    brute_product(c3, t_family(jp, lp, sp)).value
+                fam = t_family(jp, lp, sp)
+                want = brute_product(c3, fam)
+                assert 0 <= card_closed(c3, fam) == want.cardinality, fam
+                assert rescale_T(c3, jp, lp, sp) == want.value
 
 
 def test_closed_product_matches_brute_every_family():
