@@ -11,25 +11,24 @@ chi is the quadratic character; a chi value of 0 never matches a sign.
 ``brute_product`` multiplies the members found by a full scan of the
 field.  It is the oracle every closed formula in this package is tested
 against, so it deliberately takes no shortcuts: every member is
-multiplied in, by ``FieldCtx.prod``.  Only the order is free, as a
-product does not depend on it.  ``_conditions`` decodes a family into
+multiplied in.  Only the order is free, as a product does not depend
+on it.  ``_conditions`` decodes a family into
 its conditions chi(a + s) = e once, for both masks.  Every scan reads
 chi from ``FieldCtx.half_unit_squares``: the squares of one unit of each
 pair +-x, by running sums along lines of the field with one ``mul_poly``
 per line, so it shares no chi arithmetic with ``FieldCtx.legendre``
 (Euler's criterion, tabulated with the tables, which the closed side
 uses).  With tables, ``brute_product`` compares shifted character
-vectors (``FieldTables.shifted``, built from those squares); a prime
-field's members are folded by halving in int64 and the last
-``_FOLD_TAIL`` go to ``ctx.prod``, an extension field's members go to
-it as they come, and it walks ``exp``/``log`` inline.  On a field without
-tables, and in ``enumerate_family`` on every field, the scan reads
-``square_table``, which scatters the squares into q bytes.
-Each condition is that table translated by s
-(``FieldCtx.translate_bytes``) as one byte vector, and the conditions
-meet as ints under ``&``: no field operation runs per element, and
-``ctx.prod`` multiplies the marked positions without listing them, for
-n > 1 by Kronecker substitution.  The table takes q bytes, so fields
+vectors (``FieldTables.shifted``, built from those squares) and hands
+the member codes to ``FieldTables.product``, which adds their discrete
+logs over the oracle's own walk of the units, for every n, and reads no
+``exp`` or ``log``.  On a field without tables, and in
+``enumerate_family`` on every field, the scan reads ``square_table``,
+which scatters the squares into q bytes.  Each condition is that table
+translated by s (``FieldCtx.translate_bytes``) as one byte vector,
+and the conditions meet as ints under ``&``: no field operation runs
+per element, and ``ctx.prod`` multiplies the marked positions without
+listing them, for n > 1 by Kronecker substitution.  The table takes q bytes, so fields
 above ``SCAN_LIMIT`` = 2^26 elements are refused.  The closed
 cardinality ``card_closed`` (never enumerates) and the ``cardinality``
 suite of ``sweeps``, on arrays of characters, share one formula per
@@ -223,39 +222,25 @@ def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
     return list(itertools.compress(range(ctx.q), _byte_mask(ctx, fam)))
 
 
-# members left to ctx.prod once int64 halving has folded the rest
-_FOLD_TAIL = 64
-
-
 def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
     """Oracle product over the members of fam (empty product is 1).
 
-    The product does not depend on the order of the members, so with tables
-    the member codes stay a numpy index array.  For n = 1 they are
-    folded by halving, x[:h] * x[h:2h] % p in int64 (exact, as p < 2^31),
-    until ``_FOLD_TAIL`` remain.  Without tables the members are the
-    positions of ``_byte_mask`` as they come, so no member list is built,
-    and ``bytes.count`` gives the cardinality.  Both branches end in
-    ``ctx.prod``: integer chunks reduced mod q for n = 1; for n > 1 an
-    inline ``exp``/``log`` walk with tables, a Kronecker substitution
-    without, neither a field call per member.
+    The product does not depend on the order of the members.  With tables
+    the member codes stay a numpy index array, and ``FieldTables.product``
+    multiplies them in the exponent: gen to the sum of their discrete logs,
+    read off the oracle's own walk of the units, never ``exp`` or ``log``.
+    Without tables the members are the positions of ``_byte_mask`` as they
+    come, so no member list is built, ``bytes.count`` gives the cardinality,
+    and ``ctx.prod`` multiplies them: integer chunks reduced mod q for
+    n = 1, a Kronecker substitution for n > 1, no field call per member.
     """
     fam.validate(ctx)
     if ctx._tables is None:
         mask = _byte_mask(ctx, fam)
-        members = itertools.compress(range(ctx.q), mask)
-        count = mask.count(1)
-    else:
-        import numpy as np
-
-        x = np.flatnonzero(_mask(ctx, fam)).astype(np.int64, copy=False)
-        count = len(x)
-        if ctx.n == 1:
-            while len(x) > _FOLD_TAIL:
-                h = len(x) // 2
-                x = np.concatenate((x[:h] * x[h:2 * h] % ctx.p, x[2 * h:]))
-        members = x.tolist()
-    return ProductReport(value=ctx.prod(members), cardinality=count)
+        return ProductReport(value=ctx.prod(itertools.compress(range(ctx.q), mask)),
+                             cardinality=mask.count(1))
+    members = _mask(ctx, fam).nonzero()[0]
+    return ProductReport(value=ctx.tables().product(members), cardinality=len(members))
 
 
 def _pair_card(ctx: FieldCtx, kind: str, signs, nu, ck, cl):

@@ -35,11 +35,12 @@ adds lookup tables of size O(q): the quadratic character, Euler's
 criterion tabulated, and for n > 1 discrete logarithms to the generator
 of F_q^* with the smallest code.  Once built, they replace power-based
 Legendre symbols and, for n > 1, polynomial multiplication with lookups,
-for ints and arrays alike, and in ``prod``, which walks ``exp``/``log``
-inline; no other library module reads ``exp``, ``log`` or ``chi``.  They
-also hold the oracle's character, read off ``half_unit_squares``, as the
-shifted vectors that the product scan and the cardinality counts read;
-``add``, ``sub`` and ``neg`` stay digit arithmetic either way.
+for ints and arrays alike; ``prod`` reads no table, and no other library
+module reads ``exp``, ``log`` or ``chi``.  They also hold the oracle's
+character, read off ``half_unit_squares``, as the shifted vectors that
+the product scan and the cardinality counts read, and its product, a sum
+of discrete logs over its own copy of the units' walk; ``add``, ``sub``
+and ``neg`` stay digit arithmetic either way.
 """
 
 from __future__ import annotations
@@ -284,41 +285,58 @@ class FieldTables:
     """Linear-size lookup tables for one field; built once per context.
 
     ``chi`` is table-free ``legendre`` (Euler's criterion) over all codes.
-    For n > 1, where ``mul`` and ``inv`` read them, ``exp[i]`` is gen^i and
-    ``log`` its inverse on the units; ``exp`` holds two periods followed by
-    a run of zeros that ``log[0]`` points into, so the product of any two
-    elements is ``exp[log[a] + log[b]]``.  A prime field searches no
-    generator and keeps None for both.  The lists are plain, read for ints
-    and arrays alike.  ``shifted(k)``, the oracle's character moved by k, is
-    a ``translate`` of the squares of ``ctx.half_unit_squares``: 1 at the
-    nonzero squares, -1 at the other units, 0 at 0, never ``chi``.
+    One walk of the units, gen^0 .. gen^(q-2) for the generator with the
+    smallest code, is built by doubling in about log2 q array ``mul_poly``
+    calls, before the tables are attached, so it reads none.  For n > 1,
+    where ``mul`` and ``inv`` read them, ``exp[i]`` is gen^i and ``log``
+    its inverse on the units, list copies of the walk; ``exp`` holds two
+    periods followed by a run of zeros that ``log[0]`` points into, so the
+    product of any two elements is ``exp[log[a] + log[b]]``.  A prime field
+    keeps None for both.  The oracle's ``product`` reads the walk and its
+    inverse as read-only int64 arrays instead.  ``shifted(k)``, the
+    oracle's character moved by k, is a ``translate`` of the squares of
+    ``ctx.half_unit_squares``: 1 at the nonzero squares, -1 at the other
+    units, 0 at 0, never ``chi``.
     """
 
-    __slots__ = ("exp", "log", "chi", "_p", "_n", "_wrap")
+    __slots__ = ("exp", "log", "chi", "_p", "_n", "_wrap", "_cycle", "_index")
 
     def __init__(self, ctx: "FieldCtx"):
         import numpy as np
 
         q, u = ctx.q, ctx.q - 1
         self.chi = ctx.legendre(np.arange(q, dtype=np.int64)).tolist()
+        g = gen = ctx.primitive_element()
+        cycle = np.ones(1, dtype=np.int64)
+        while len(cycle) < u:  # gen^0 .. gen^(2^k - 1), then times g = gen^(2^k)
+            cycle = np.concatenate((cycle, ctx.mul_poly(cycle[:u - len(cycle)], g)))
+            g = ctx.mul_poly(g, g)
+        index = np.full(q, -1, dtype=np.int64)
+        index[cycle] = np.arange(u)
+        if index[1:].min() < 0:
+            raise FieldError(f"{ctx.elem_str(gen)} does not generate F_{q}^*")
         self.exp = self.log = None
         if ctx.n > 1:
-            gen = ctx.primitive_element()
-            cycle = [ctx.one] * u
-            for i in range(1, u):
-                cycle[i] = ctx.mul(cycle[i - 1], gen)
-            if set(cycle) != set(range(1, q)):
-                raise FieldError(f"{ctx.elem_str(gen)} does not generate F_{q}^*")
-            self.exp = cycle + cycle + [0] * (2 * q - 1)
-            self.log = log = [2 * u] * q
-            for i, x in enumerate(cycle):
-                log[x] = i
+            self.exp = cycle.tolist() * 2 + [0] * (2 * q - 1)
+            self.log = index.tolist()
+            self.log[0] = 2 * u
+        self._cycle, self._index = cycle, index
+        cycle.flags.writeable = index.flags.writeable = False
         self._p, self._n = ctx.p, ctx.n
         squares = np.fromiter(ctx.half_unit_squares(), dtype=np.int64, count=u // 2)
         sq = np.full(q, -1, dtype=np.int8)
         sq[0], sq[squares] = 0, 1
         self._wrap = self.tile(sq)
         self._wrap.flags.writeable = False
+
+    def product(self, members) -> int:
+        """Product of an int64 array of codes, as gen to the sum of their logs.
+
+        The sum is exact in int64, below q^2 < 2^62; a member 0 makes it 0.
+        """
+        if not members.all():
+            return 0
+        return int(self._cycle[self._index[members].sum() % len(self._cycle)])
 
     def tile(self, vec):
         """vec (last axis: all a) on the coefficient grid, doubled so shifts are slices."""
@@ -414,14 +432,12 @@ class FieldCtx:
     def prod(self, codes) -> int:
         """Product of the codes of an iterable, consumed once; the empty product is one.
 
-        No list of the codes is built, and for n > 1 no field method is
-        called per code.  For n = 1, ``math.prod`` multiplies chunks of
+        No list of the codes is built, no field method is called per code,
+        and no table is read.  For n = 1, ``math.prod`` multiplies chunks of
         ``PROD_CHUNK`` codes, each reduced mod q, and the reduced values are
-        multiplied the same way until one is left.  For n > 1 with tables,
-        the product walks ``exp[log[acc] + log[a]]``: the lookups of a fold
-        of ``mul``, in its order.  Without tables it is a Kronecker
-        substitution (von zur Gathen and Gerhard, *Modern Computer Algebra*,
-        8.4): each code becomes an integer whose 64-bit slots hold its
+        multiplied the same way until one is left.  For n > 1 it is a
+        Kronecker substitution (von zur Gathen and Gerhard, *Modern Computer
+        Algebra*, 8.4): each code becomes an integer whose 64-bit slots hold its
         digits, so ``math.prod`` multiplies the polynomials over Z at once.
         k factors, the running product and k - 1 codes, are multiplied at a
         time, k the largest with n^(k-1) (p-1)^k < 2^64, so no slot
@@ -437,12 +453,6 @@ class FieldCtx:
                 if len(parts) <= 1:
                     return parts[0] if parts else self.one
                 it = iter(parts)
-        tb = self._tables
-        if tb is not None:
-            exp, log, acc = tb.exp, tb.log, self.one
-            for a in codes:
-                acc = exp[log[acc] + log[a]]
-            return acc
         p, (k, cols), shifts = self.p, self._kronecker, range(0, 64 * self.n, 64)
         # each code's digits, shifted into their slots; the n copies of the
         # iterable are read in lockstep, so tee holds one code at a time

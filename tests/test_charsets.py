@@ -355,8 +355,8 @@ def test_table_free_brute_product_matches_reference_on_every_small_family(p, n):
 
 
 def test_brute_product_matches_reference_on_sampled_families():
-    # member counts around q/4 (A, S, T) and q/2 (S1) fall on both sides of
-    # the 64 members that int64 halving leaves to ctx.prod at n = 1
+    # member counts around q/4 (A, S, T) and q/2 (S1), from a few dozen to
+    # over a thousand members per product
     rng = random.Random(41)
     counts = []
     for ctx in [field(131), field(257), field(4093), field(13, 3)]:
@@ -442,11 +442,11 @@ def test_enumerate_family_never_reads_the_log_parity(monkeypatch, p, n):
 
 @pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3)])
 def test_verify_oracle_never_reads_the_log_parity(monkeypatch, p, n):
-    # the tables are built while multiplication walks the units in code
-    # order, so their log parity is no character; then the true exp and log
-    # come back, chi is overwritten and legendre and pow raise.  The
-    # oracle's products and per-difference counts stay right: its chi is
-    # the table of squares.  card_tally's closed classes come from legendre,
+    # after the tables are built, exp and log are overwritten by the units in
+    # code order, so their log parity is no character, chi is overwritten
+    # and legendre and pow raise.  The oracle's products and per-difference
+    # counts stay right: its chi is the table of squares, its logs its own
+    # walk of the units.  card_tally's closed classes come from legendre,
     # which then reads the overwritten chi; the oracle's counts sum them out
     def broken(*args):
         raise RuntimeError("the oracle must not call this")
@@ -467,12 +467,9 @@ def test_verify_oracle_never_reads_the_log_parity(monkeypatch, p, n):
     want_counts = [[card_closed(ref, a_family(0, d, sp)) for sp in SIGN_PAIRS]
                    for d in range(1, ref.q)]
     ctx = mk_field(p, n)
-    gen = ctx.primitive_element()
-    with monkeypatch.context() as m:
-        m.setattr(ctx, "primitive_element", lambda: gen)
-        m.setattr(ctx, "mul", lambda a, b: a % (ctx.q - 1) + 1)  # 1, 2, ..., q - 1
-        tb = ctx.tables()
-    tb.exp, tb.log = ref.tables().exp, ref.tables().log
+    tb, u = ctx.tables(), ctx.q - 1
+    tb.exp = list(range(1, ctx.q)) * 2 + [0] * (2 * u + 1)  # exp[i] = i + 1
+    tb.log = [2 * u] + list(range(u))
     tb.chi[:] = [-c for c in ref.tables().chi]
     monkeypatch.setattr(ctx, "legendre", broken)
     monkeypatch.setattr(ctx, "pow", broken)

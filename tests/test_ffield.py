@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charprod.charsets import (SIGN_PAIRS, a_family, enumerate_family, s1_family,
-                               s_family, t_family)
+from charprod.charsets import (SIGN_PAIRS, a_family, brute_product, enumerate_family,
+                               s1_family, s_family, t_family)
 from charprod.ffield import (EvenCharacteristicError, Ext2Elem, FieldError,
                              FieldTables, FieldTooLargeError, IdentityFailure,
                              NotPrimeError, PROD_CHUNK, is_prime, mk_field, power,
                              tonelli_shanks)
 from helpers import (SMALL_FIELDS, e2_inv, e2_pow, e2_project, ext2_solve_unit,
-                     field, field_faults, half_units, prime_power, small_ctxs, unit_order_test)
+                     field, field_faults, half_units, prime_power, product_reference,
+                     small_ctxs, unit_order_test)
 
 
 def test_mk_field_examples():
@@ -556,14 +557,17 @@ def test_prod_matches_a_fold_of_mul(p, n):
 @pytest.mark.parametrize("tabled", [False, True])
 @pytest.mark.parametrize("p, n", [(3, 2), (7, 2), (3, 3), (17, 3), (3, 5)])
 def test_extension_prod_calls_no_field_multiplication(monkeypatch, p, n, tabled):
-    # with tables the product walks exp and log inline, without them it is a
-    # Kronecker substitution: neither calls mul or mul_poly for any member
+    # with tables or without, the product is a Kronecker substitution: it
+    # calls neither mul nor mul_poly for any member and reads no table, so
+    # it stays right where the tables' exp and log swap g and g^2
     ctx = mk_field(p, n)
-    if tabled:
-        ctx.tables()
     rng = random.Random(p * 10 + n)
     codes = [rng.randrange(1, ctx.q) for _ in range(500)]
-    want = functools.reduce(ctx.mul, codes, ctx.one)
+    want = functools.reduce(ctx.mul_poly, codes, ctx.one)
+    if tabled:
+        tb = ctx.tables()
+        tb.exp[1], tb.exp[2] = tb.exp[2], tb.exp[1]
+        tb.log[tb.exp[1]], tb.log[tb.exp[2]] = 1, 2
     calls = []
     for name in ("mul", "mul_poly"):
         def counted(a, b, op=getattr(ctx, name), name=name):
@@ -575,19 +579,34 @@ def test_extension_prod_calls_no_field_multiplication(monkeypatch, p, n, tabled)
     assert calls == []
 
 
-@pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (5, 2), (7, 2), (3, 4), (5, 3)])
-def test_tabled_prod_equals_a_fold_of_mul_under_faults(p, n):
-    # the inline walk makes mul's lookups in mul's order, so it equals the
-    # fold on a sound field and wherever a fault has broken exp or log
-    rng = random.Random(p * 10 + n)
-    inputs = [[rng.randrange(1, p ** n) for _ in range(size)] for size in (0, 1, 2, 50, 400)]
-    inputs += [codes + [0] + codes[:5] for codes in inputs[2:]]
-    for name, fault in field_faults(p ** n):
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(3, 4), (5, 3), (13, 3)])
+def test_tabled_brute_product_equals_the_reference_under_faults(p, n):
+    # with tables the oracle multiplies in the exponent over its own walk of
+    # the units, so no fault of helpers.field_faults (chi, delta, m, exp and
+    # log) moves a product off a mul_poly fold of the scanned members; the A
+    # families of (1, 2) under all four signs hold 0 once.  Each fault costs
+    # a table build, so 13^3 takes 24 of its 2196 chi flips
+    q, ref = p ** n, mk_field(p, n)
+    rng = random.Random(q)
+    fams = [a_family(1, 2, sp) for sp in SIGN_PAIRS]
+    for _ in range(8):
+        k, l = rng.randrange(q), rng.randrange(q)
+        sp = SIGN_PAIRS[rng.randrange(4)]
+        fams.append(s1_family(k, sp.e1))
+        if k != l:
+            fams += [a_family(k, l, sp), s_family(k, l, sp)]
+        if ref.add(k, l) != 0:
+            fams.append(t_family(k, l, sp))
+    want = [product_reference(ref, fam) for fam in fams]
+    assert [w.value for w in want[:4]].count(0) == 1
+    faults = list(field_faults(q))
+    if q > 343:
+        flips = [f for f in faults if f[0].startswith("flip ")]
+        faults = [f for f in faults if f not in flips] + rng.sample(flips, 24)
+    for name, fault in faults:
         ctx = mk_field(p, n)
         fault(ctx)
-        for codes in inputs:
-            want = functools.reduce(ctx.mul, codes, ctx.one)
-            assert ctx.prod(iter(codes)) == want, (ctx.q, name, len(codes))
+        assert [brute_product(ctx, fam) for fam in fams] == want, (q, name)
 
 
 @pytest.mark.parametrize("p, n", [(3, 2), (7, 2), (3, 4), (3, 5), (5, 3), (17, 3), (4093, 2)])
@@ -628,20 +647,25 @@ def test_x_powers_are_powers_of_x(p, n):
 
 
 def test_table_free_prod_streams_its_codes():
-    # 2 * 10^5 codes of 1009^2 as a generator: listing them would take
-    # several MB, the product holds one chunk of k codes at a time
+    # 5 * 10^4 codes of 1009^2 as a generator: listing them peaks above
+    # 1 MiB, the product holds one chunk of k codes at a time
     ctx = mk_field(1009, 2)
 
     def codes():
-        return (i * 7919 % (ctx.q - 1) + 1 for i in range(2 * 10 ** 5))
+        return (i * 7919 % (ctx.q - 1) + 1 for i in range(5 * 10 ** 4))
 
+    def traced_peak(consume):
+        tracemalloc.start()
+        try:
+            out = consume(codes())
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    listed = traced_peak(list)[1]
+    assert listed > 1 << 20, listed
     want = functools.reduce(ctx.mul_poly, codes(), ctx.one)
-    tracemalloc.start()
-    try:
-        got = ctx.prod(codes())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(ctx.prod)
     assert got == want
     assert peak < 1 << 20, peak
 
@@ -722,26 +746,29 @@ def test_tables_reject_non_generator(monkeypatch):
 @pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (4093, 1)])
 def test_tables_chi_is_table_free_legendre(monkeypatch, p, n):
     # chi equals Euler's criterion on a fresh context, element by element.
-    # A prime field searches no generator and keeps no exp or log: its only
-    # products are the Euler ladder's, on the whole array of codes, never
-    # the scalar steps of a generator's cycle
+    # Given its generator, tables() walks the units by doubling: its array
+    # products, the walk's and the Euler ladder's, are O(log q) calls, and
+    # its scalar ones are the walk's squarings and one mul_poly per line of
+    # half_unit_squares, never a scalar mul per element
+    import numpy as np
+
     fresh = mk_field(p, n)
     want = [fresh.legendre(a) for a in range(fresh.q)]
     assert fresh._tables is None
     ctx = mk_field(p, n)
-    if n == 1:
-        mul = ctx.mul
+    gen = fresh.primitive_element()
+    calls = []
+    for name in ("mul", "mul_poly"):
+        def counted(a, b, op=getattr(ctx, name), name=name):
+            calls.append((name, isinstance(a, np.ndarray) or isinstance(b, np.ndarray)))
+            return op(a, b)
 
-        def array_mul(a, b):
-            if isinstance(a, int) or isinstance(b, int):
-                raise AssertionError("tables() multiplied scalar codes")
-            return mul(a, b)
-
-        def no_generator():
-            raise AssertionError("tables() searched a generator")
-
-        monkeypatch.setattr(ctx, "mul", array_mul)
-        monkeypatch.setattr(ctx, "primitive_element", no_generator)
+        monkeypatch.setattr(ctx, name, counted)
+    monkeypatch.setattr(ctx, "primitive_element", lambda: gen)
     tb = ctx.tables()
     assert tb.chi == want
     assert (tb.exp is None and tb.log is None) == (n == 1)
+    bits = ctx.q.bit_length()
+    assert sum(array for _, array in calls) <= 6 * bits, calls
+    assert ("mul", False) not in calls
+    assert calls.count(("mul_poly", False)) <= bits + ctx.q // p
