@@ -38,7 +38,6 @@ kind: ``_single_card`` (S1) and ``_pair_card``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ffield import FieldCtx
@@ -77,9 +76,8 @@ def parse_signs(text: str):
     raise ValueError(f"expected one or two signs, got {text!r}")
 
 
-@dataclass(frozen=True)
-class SetFamily:
-    """Symbolic description of one A/S/S1/T family."""
+class SetFamily(NamedTuple):
+    """Symbolic description of one A/S/S1/T family (a NamedTuple)."""
 
     kind: str  # "A", "S", "S1", "T"
     params: tuple[int, ...]
@@ -124,8 +122,9 @@ def t_family(j: int, l: int, signs) -> SetFamily:
     return SetFamily("T", (j, l), SignPair(*signs))
 
 
-@dataclass(frozen=True)
-class ProductReport:
+class ProductReport(NamedTuple):
+    """An oracle product and the number of members it multiplied."""
+
     value: int
     cardinality: int
 

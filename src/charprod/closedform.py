@@ -31,8 +31,7 @@ family, the closed-form counterpart of ``charsets.brute_product``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .charsets import SIGN_PAIRS, SetFamily, SignPair, _pair_card
 from .dickson import dickson_values
@@ -55,11 +54,11 @@ def tau_str(tau: ProjTau, ctx: FieldCtx) -> str:
     return "inf" if isinstance(tau, _Infinity) else ctx.elem_str(tau)
 
 
-@dataclass(frozen=True)
-class NormalizedFrame:
+class NormalizedFrame(NamedTuple):
     """tau together with the linked normalized parameters and its square class.
 
-    cls is (chi(tau), chi(tau+1)): None at tau = inf and (0, 1) at tau = 0.
+    A NamedTuple; cls is (chi(tau), chi(tau+1)): None at tau = inf and
+    (0, 1) at tau = 0.
     """
 
     tau: ProjTau

@@ -23,7 +23,6 @@ have closed forms that are verified against the brute-force scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .charsets import SignPair, brute_product, t_family
@@ -50,16 +49,29 @@ def _b0(base: str, root, sub, mul, one, half):
     return root
 
 
-@dataclass(frozen=True)
-class TowerSpec:
-    """A tower base plus the number of sqrt levels to take."""
-
+class _TowerSpecFields(NamedTuple):
     base: str                 # a key of TOWER_BASES
     depth: int = 5
 
-    def __post_init__(self):
-        if self.base not in TOWER_BASES:
-            raise ValueError(f"unknown tower base {self.base!r}")
+
+class TowerSpec(_TowerSpecFields):
+    """A tower base plus the number of sqrt levels to take (a NamedTuple).
+
+    An unknown base raises ValueError when the spec is built, also through
+    ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.base not in TOWER_BASES:
+            raise ValueError(f"unknown tower base {spec.base!r}")
+        return spec
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make
+        return cls(*iterable)
 
 
 def _level0_candidates(ctx: FieldCtx, base: str) -> Optional[list[int]]:
@@ -119,8 +131,9 @@ def radical_tower_membership(ctx: FieldCtx, spec: TowerSpec) -> list[bool]:
     return member
 
 
-@dataclass(frozen=True)
-class SpecialAngle:
+class SpecialAngle(NamedTuple):
+    """<zeta_d> in F_{q^2}, and its value in F_q when it lies there."""
+
     d: int
     bracket: Ext2Elem
     in_base: bool
@@ -175,8 +188,9 @@ def special_angle_bracket(ctx: FieldCtx, d: int) -> SpecialAngle:
                         base_value=b.lo if in_base else None)
 
 
-@dataclass(frozen=True)
-class QuadIrrProduct:
+class QuadIrrProduct(NamedTuple):
+    """A checked T_{2-b0, 2+b0} product at the base's sign pattern."""
+
     base: str
     j: int
     l: int

@@ -14,9 +14,7 @@ import json
 import math
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import charsets, closedform, correspondence, dickson, reciprocity
 from .charsets import SIGN_PAIRS, sign_str
@@ -31,8 +29,9 @@ _PAIR_FAMILIES = {"A": charsets.a_family, "S": charsets.s_family,
                   "T": charsets.t_family}
 
 
-@dataclass
-class SweepConfig:
+class SweepConfig(NamedTuple):
+    """What ``run_verify`` sweeps; ``_replace`` gives a changed copy."""
+
     q_min: int
     q_max: int
     max_degree: int | None = 3
@@ -422,7 +421,13 @@ def run_field(p: int, n: int, suites: Iterable[str]) -> list[dict]:
 
 
 def run_verify(config: SweepConfig, stream=None) -> int:
-    """Run the sweep, emit JSON lines, return the exit code (0 iff clean)."""
+    """Run the sweep, emit JSON lines, return the exit code (0 iff clean).
+
+    With ``workers > 1`` and more than one field, the fields run in a
+    ``concurrent.futures.ProcessPoolExecutor``, imported only then, so a
+    one-process sweep never loads ``multiprocessing``.  Rows come out in
+    field order either way.
+    """
     config.validate()
     fields = prime_powers(config.q_min, config.q_max, config.max_degree)
     if not fields:
@@ -437,6 +442,7 @@ def run_verify(config: SweepConfig, stream=None) -> int:
         # the pool forks all its workers at once, so ask for no idle ones
         workers = min(config.workers, len(fields))
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         ps, ns = [p for _, p, _ in fields], [n for _, _, n in fields]
         # chain drops each field's rows before the next field runs

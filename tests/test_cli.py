@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -169,7 +170,7 @@ def test_verify_pool_never_exceeds_the_field_count(monkeypatch, capsys):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     assert main(["verify", "--qmax", "13", "--workers", "64", "--suites", "intro"]) == 0
     assert sizes == [6]  # q = 3, 5, 7, 9, 11, 13
     assert main(["verify", "--qmin", "13", "--qmax", "13", "--workers", "64",
@@ -370,6 +371,20 @@ def test_eval_never_imports_numpy():
     proc = run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert "match: true" in proc.stdout
+
+
+def test_one_process_runs_load_no_pool_and_no_dataclasses():
+    # the pool loads only for --workers > 1 and the records are NamedTuples,
+    # so a one-process verify and an eval never import either
+    code = ("import sys, charprod; from charprod.cli import main; "
+            "rc = main(['verify', '--qmax', '13', '--suites', 'intro']) or "
+            "main(['eval', 'T 1 3 --', '--p', '13']); "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process', "
+            "'dataclasses') if m in sys.modules]); sys.exit(rc)")
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert "match: true" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("field_args", [["--p", "1000000000000000000000007"],

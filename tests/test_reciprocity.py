@@ -58,14 +58,13 @@ def test_reciprocity_checks_survive_python_O():
     # and a flipped chi(2) must fail the eighth-root bracket, asserts or not
     code = """
 import sys
-from dataclasses import replace
 from charprod import reciprocity, sweeps
 from charprod.ffield import IdentityFailure, mk_field
 ctx = mk_field(17)
 real_brute = reciprocity.brute_product
 def bad_brute(c, fam):
     rep = real_brute(c, fam)
-    return replace(rep, value=c.add(rep.value, c.one))
+    return rep._replace(value=c.add(rep.value, c.one))
 reciprocity.brute_product = bad_brute
 for row in sweeps.suite_reciprocity(ctx):
     if row["case"].startswith("quadirr[sqrt2]"):
@@ -150,6 +149,13 @@ def test_tower_characteristic_clash():
         radical_tower_membership(field(5), TowerSpec("golden", 2))
     with pytest.raises(ValueError, match="unknown tower base 'bracket'"):
         radical_tower_membership(field(7), TowerSpec("bracket", 4))
+
+
+def test_tower_spec_replace_checks_the_base():
+    spec = TowerSpec("sqrt2", 2)
+    assert spec._replace(depth=3) == TowerSpec("sqrt2", 3) == ("sqrt2", 3)
+    with pytest.raises(ValueError, match="unknown tower base 'bracket'"):
+        spec._replace(base="bracket")
 
 
 def test_tower_membership_sweep():
