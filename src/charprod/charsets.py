@@ -24,12 +24,12 @@ the member codes to ``FieldTables.product``, which adds their discrete
 logs over the oracle's own walk of the units, for every n, and reads no
 ``exp`` or ``log``.  On a field without tables, and in
 ``enumerate_family`` on every field, the scan reads ``square_table``,
-which scatters the squares into q bytes.  Each condition is that table
-translated by s (``FieldCtx.translate_bytes``) as one byte vector,
-and the conditions meet as ints under ``&``: no field operation runs
-per element, and ``ctx.prod`` multiplies the marked positions without
-listing them, for n > 1 by Kronecker substitution.  The table takes q bytes, so fields
-above ``SCAN_LIMIT`` = 2^26 elements are refused.  The closed
+which scatters the squares into q bytes.  Each condition chi(a + s) = e
+is the table of its sign translated by s (``FieldCtx.translate_bytes``),
+and the conditions meet as ints under ``&``: no field operation runs per
+element, and ``ctx.prod`` multiplies the marked positions without listing
+them, for n > 1 by Kronecker substitution.  The table takes q bytes, so
+fields above ``SCAN_LIMIT`` = 2^26 elements are refused.  The closed
 cardinality ``card_closed`` (never enumerates) and the ``cardinality``
 suite of ``sweeps``, on arrays of characters, share one formula per
 kind: ``_single_card`` (S1) and ``_pair_card``.
@@ -160,15 +160,6 @@ def square_table(ctx: FieldCtx) -> bytearray:
 _NOT = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-def _condition(ctx: FieldCtx, sq: bytearray, s: int, e: int) -> int:
-    """chi(a + s) = e over all a: an int whose byte a is 1 exactly where it holds."""
-    v = ctx.translate_bytes(sq, s)
-    if e == -1:
-        v = bytearray(v.translate(_NOT))
-        v[ctx.neg(s)] = 0  # chi(0) = 0 matches no sign
-    return int.from_bytes(v, "little")
-
-
 def _conditions(ctx: FieldCtx, fam: SetFamily) -> list[tuple[int, int]]:
     """The pairs (s, e) whose conditions chi(a + s) = e all hold on fam's members.
 
@@ -187,13 +178,17 @@ def _conditions(ctx: FieldCtx, fam: SetFamily) -> list[tuple[int, int]]:
 def _byte_mask(ctx: FieldCtx, fam: SetFamily) -> bytes:
     """q bytes over all a, 1 exactly at the members of fam; no numpy.
 
-    Each condition is ``square_table`` translated by its shift, as a whole
-    byte vector, and the conditions are combined as ints with ``&``.
+    Byte x of ``table[e]`` is 1 exactly where chi(x) = e: ``square_table``
+    and, built once, its complement less byte 0.  Each condition chi(a + s)
+    = e is its sign's table translated by s, as a whole byte vector, and
+    the conditions are combined as ints with ``&``.
     """
     sq = square_table(ctx)
+    table = {1: sq, -1: sq.translate(_NOT)}
+    table[-1][0] = 0  # chi(0) = 0 matches no sign
     bits = -1 if fam.kind == "A" else ~0xFF  # a = 0, byte 0, is a member of A only
     for s, e in _conditions(ctx, fam):
-        bits &= _condition(ctx, sq, s, e)
+        bits &= int.from_bytes(ctx.translate_bytes(table[e], s), "little")
     return bits.to_bytes(ctx.q, "little")
 
 

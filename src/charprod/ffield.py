@@ -626,18 +626,15 @@ class FieldCtx:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e: int):
-        """a^e for any integer e (negative exponents invert first); on an int64
-        code array, square-and-multiply over ``mul``."""
+        """a^e for any integer e (negative exponents invert first): Python's
+        ``pow`` on an int of a prime field, otherwise, for ints of F_{p^n} and
+        int64 code arrays alike, square-and-multiply over ``mul``."""
         if e < 0:
             a = self.inv(a)
             e = -e
-        if not isinstance(a, int):
-            return power(a, e, self.mul, 0 * a + self.one)
-        if self.n == 1:
+        if self.n == 1 and isinstance(a, int):
             return pow(a, e, self.q)
-        if a == 0:
-            return self.one if e == 0 else 0
-        return power(a, e % (self.q - 1), self.mul, self.one)
+        return power(a, e, self.mul, 0 * a + self.one)
 
     # -- quadratic character and square roots --------------------------------
 

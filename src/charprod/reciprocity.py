@@ -153,7 +153,8 @@ def special_angle_bracket(ctx: FieldCtx, d: int) -> SpecialAngle:
     """
     base = next((name for name, tb in TOWER_BASES.items() if 2 * tb.k == d), None)
     if base is None:
-        raise ValueError("d must be one of 8, 10, 12")
+        orders = sorted(2 * tb.k for tb in TOWER_BASES.values())
+        raise ValueError(f"d must be one of {', '.join(map(str, orders))}")
     if d % ctx.p == 0:
         raise ValueError(f"d={d} shares a factor with q")
     rad = ctx.from_int(TOWER_BASES[base].radicand)
@@ -177,7 +178,7 @@ def special_angle_bracket(ctx: FieldCtx, d: int) -> SpecialAngle:
         raise IdentityFailure(
             f"the radical does not square to {ctx.elem_str(rad)} at q={q}")
     in_base = ctx.e2_is_base(b)
-    rational = q % d in (1, d - 1)
+    rational = tower_congruences(q, TowerSpec(base, 0))[0]
     if in_base != rational:
         raise IdentityFailure(f"bracket rationality criterion is off at q={q}, d={d}")
     if in_base != ctx.e2_is_base(other):

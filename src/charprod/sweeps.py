@@ -224,13 +224,14 @@ def card_tally(ctx: FieldCtx):
     (``FieldTables.shifted``), ck and cl the closed ``ctx.legendre``, and
     cn the closed chi(-k), which T reads at j = -k.  Each d is one
     ``np.bincount`` over a ``FieldTables.translate`` of the class vector of
-    l.  Returns H and the class vectors of k (``(ok*3 + ck)*3 + cn``) and of l.
+    l, whose int8 classes 0..8 keep the tile at 2^n q bytes.  Returns H and
+    the class vectors of k (``(ok*3 + ck)*3 + cn``) and of l.
     """
     import numpy as np
 
     tb, q = ctx.tables(), ctx.q
     closed = ctx.legendre(np.arange(q)) + 1
-    l_class = (tb.shifted(0) + 1) * 3 + closed
+    l_class = ((tb.shifted(0) + 1) * 3 + closed).astype(np.int8)
     k_class = l_class * 3 + closed[ctx.neg(np.arange(q))]
     wrap, k9 = tb.tile(l_class), k_class * 9
     tally = np.empty((q, 243), dtype=np.int32)  # counts are below q < 2^31
@@ -367,7 +368,7 @@ def suite_reciprocity(ctx: FieldCtx) -> Iterator[dict]:
             yield _check(f"quadirr[{base}]root{'+' if rs > 0 else '-'}", "verified",
                          lambda: _returns("verified", reciprocity.prod_T_quadratic_irrational,
                                           ctx, base, root_sign=rs))
-    for d in (8, 10, 12):
+    for d in sorted(2 * tb.k for tb in reciprocity.TOWER_BASES.values()):
         if d % ctx.p == 0:
             continue
         yield _check(f"special-angle[{d}]", "verified",

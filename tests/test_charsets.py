@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,19 @@ def test_tally_counts_are_jacobi_sums(p, n):
     # counts alone: c++(d) + c--(d) - c+-(d) - c-+(d) = -1
     c = sweeps.card_tally(field(p, n))[0].sum(axis=(2, 3, 5))[1:]
     assert (c[:, 2, 2] + c[:, 0, 0] - c[:, 2, 0] - c[:, 0, 2] == -1).all()
+
+
+def test_card_tally_peak_stays_near_its_tally():
+    # at 3^7 the class tile has 2^7 q entries: as int64 it alone is near
+    # the q x 243 int32 tally, as int8 an eighth of that
+    ctx = field(3, 7)
+    tracemalloc.start()
+    try:
+        sweeps.card_tally(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ctx.q * 243 * 4, peak
 
 
 @pytest.mark.parametrize("p, n", SMALL_FIELDS)
@@ -351,6 +365,25 @@ def test_table_free_brute_product_matches_reference_on_every_small_family(p, n):
     ctx = mk_field(p, n)
     for fam, want in every_family_reference(p, n):
         assert brute_product(ctx, fam) == want, (ctx.q, fam)
+    assert ctx._tables is None
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
+def test_byte_scan_negates_only_the_t_reflection(monkeypatch, p, n):
+    # each condition translates the table of its sign, so a -1 condition
+    # calls no neg; a T family's one call is _conditions' shift -j
+    ctx = mk_field(p, n)
+    neg, calls = ctx.neg, []
+    monkeypatch.setattr(ctx, "neg", lambda a: calls.append(a) or neg(a))
+    k, l = 1, 4  # k != l and k + l != 0 in F_13 and F_27
+    fams = [s1_family(k, e) for e in (1, -1)]
+    for sp in SIGN_PAIRS:
+        fams += [a_family(k, l, sp), s_family(k, l, sp), t_family(k, l, sp)]
+    for fam in fams:
+        for scan in (enumerate_family, brute_product):
+            calls.clear()
+            scan(ctx, fam)
+            assert len(calls) == (fam.kind == "T"), (fam, scan.__name__, calls)
     assert ctx._tables is None
 
 
