@@ -225,8 +225,8 @@ def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
     read off the oracle's own walk of the units, never ``exp`` or ``log``.
     Without tables the members are the positions of ``_byte_mask`` as they
     come, so no member list is built, ``bytes.count`` gives the cardinality,
-    and ``ctx.prod`` multiplies them: integer chunks reduced mod q for
-    n = 1, a Kronecker substitution for n > 1, no field call per member.
+    and ``ctx.prod`` multiplies them into one running product, chunk by
+    chunk, with no field call per member.
     """
     fam.validate(ctx)
     if ctx._tables is None:

@@ -11,10 +11,9 @@ and without a field call per element: ``translate_bytes`` moves a q-byte
 vector by a field translation, digit by digit; ``half_unit_squares``
 lists the squares of one unit of each pair +-x by running sums along
 lines {y + c : c in F_p}, one ``mul_poly`` per line; and ``prod``
-multiplies an iterable of codes, by ``math.prod`` on integer chunks
-reduced mod q for n = 1 and, for n > 1, by Kronecker substitution: the
-digits of each code packed into 64-bit slots of one integer, k integers
-multiplied by ``math.prod`` at a time and reduced per chunk.
+multiplies an iterable of codes into one running product, a chunk per
+``math.prod``, reduced mod q for n = 1 and, for n > 1, by Kronecker
+substitution, each code's digits packed into 64-bit slots of one integer.
 Every tie-break (the square root, the nonsquare delta, the generator,
 member lists) takes the smaller code: the *canonical order* is the order
 of the codes, the one in which every suite iterates, for every n.
@@ -31,16 +30,16 @@ with theta^2 = delta, delta the nonsquare of F_q with the smallest code.
 and int64 arrays.
 
 Every operation works without precomputation.  ``FieldCtx.tables()``
-adds lookup tables of size O(q): the quadratic character, Euler's
-criterion tabulated, and for n > 1 discrete logarithms to the generator
-of F_q^* with the smallest code.  Once built, they replace power-based
-Legendre symbols and, for n > 1, polynomial multiplication with lookups,
-for ints and arrays alike; ``prod`` reads no table, and no other library
-module reads ``exp``, ``log`` or ``chi``.  They also hold the oracle's
-character, read off ``half_unit_squares``, as the shifted vectors that
-the product scan and the cardinality counts read, and its product, a sum
-of discrete logs over its own copy of the units' walk; ``add``, ``sub``
-and ``neg`` stay digit arithmetic either way.
+adds lookup tables of size O(q): the quadratic character and, for n > 1,
+discrete logarithms to the generator of F_q^* with the smallest code.
+Once built, they replace power-based Legendre symbols and, for n > 1,
+polynomial multiplication with lookups, for ints and arrays alike;
+``prod`` reads no table, and no other library module reads ``exp``,
+``log`` or ``chi``.  They also hold the oracle's character, read off
+``half_unit_squares``, as the shifted vectors that the product scan and
+the cardinality counts read, on a grid of 2^n q bytes, and its product,
+a sum of discrete logs over its own copy of the units' walk; ``add``,
+``sub`` and ``neg`` stay digit arithmetic either way.
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ from typing import Iterator, NamedTuple
 
 MACHINE_BOUND = 1 << 31
 
-# codes per math.prod call in FieldCtx.prod for n = 1: enough to make the
-# per-chunk Python step rare, few enough that a chunk's product (below
-# 2^(64*31)) stays cheap to grow and to reduce mod q
+# codes per chunk of FieldCtx.prod for n = 1: enough to make the per-chunk
+# Python step rare, few enough that the running product times a chunk
+# (below 2^(65*31)) stays cheap to grow and to reduce mod q
 PROD_CHUNK = 64
 
 
@@ -282,21 +281,23 @@ class Ext2Elem(NamedTuple):
 
 
 class FieldTables:
-    """Linear-size lookup tables for one field; built once per context.
+    """Lookup tables for one field; built once per context.
 
-    ``chi`` is table-free ``legendre`` (Euler's criterion) over all codes.
     One walk of the units, gen^0 .. gen^(q-2) for the generator with the
     smallest code, is built by doubling in about log2 q array ``mul_poly``
-    calls, before the tables are attached, so it reads none.  For n > 1,
-    where ``mul`` and ``inv`` read them, ``exp[i]`` is gen^i and ``log``
-    its inverse on the units, list copies of the walk; ``exp`` holds two
-    periods followed by a run of zeros that ``log[0]`` points into, so the
-    product of any two elements is ``exp[log[a] + log[b]]``.  A prime field
-    keeps None for both.  The oracle's ``product`` reads the walk and its
-    inverse as read-only int64 arrays instead.  ``shifted(k)``, the
-    oracle's character moved by k, is a ``translate`` of the squares of
-    ``ctx.half_unit_squares``: 1 at the nonzero squares, -1 at the other
-    units, 0 at 0, never ``chi``.
+    calls, before the tables are attached, so it reads none.  ``chi`` is the
+    parity of the walk's index (the squares are the even powers of gen), 0
+    at 0.  For n > 1, where ``mul`` and ``inv`` read them, ``exp[i]`` is
+    gen^i and ``log`` its inverse on the units, list copies of the walk;
+    ``exp`` holds two periods followed by a run of zeros that ``log[0]``
+    points into, so the product of any two elements is
+    ``exp[log[a] + log[b]]``.  A prime field keeps None for both.  The
+    oracle's ``product`` reads the walk and its inverse as read-only int64
+    arrays instead.  ``shifted(k)``, the oracle's character moved by k, is
+    a slice (``translate``) of the squares of ``ctx.half_unit_squares`` on
+    the coefficient grid, doubled along its n digit axes by ``tile``: 1 at
+    the nonzero squares, -1 at the other units, 0 at 0, never ``chi``.
+    That grid takes 2^n q bytes (1,024 per element at 3^10), the rest O(q).
     """
 
     __slots__ = ("exp", "log", "chi", "_p", "_n", "_wrap", "_cycle", "_index")
@@ -305,7 +306,6 @@ class FieldTables:
         import numpy as np
 
         q, u = ctx.q, ctx.q - 1
-        self.chi = ctx.legendre(np.arange(q, dtype=np.int64)).tolist()
         g = gen = ctx.primitive_element()
         cycle = np.ones(1, dtype=np.int64)
         while len(cycle) < u:  # gen^0 .. gen^(2^k - 1), then times g = gen^(2^k)
@@ -315,6 +315,7 @@ class FieldTables:
         index[cycle] = np.arange(u)
         if index[1:].min() < 0:
             raise FieldError(f"{ctx.elem_str(gen)} does not generate F_{q}^*")
+        self.chi = [0] + (1 - index[1:] % 2 * 2).tolist()  # squares: even powers of gen
         self.exp = self.log = None
         if ctx.n > 1:
             self.exp = cycle.tolist() * 2 + [0] * (2 * q - 1)
@@ -432,44 +433,42 @@ class FieldCtx:
     def prod(self, codes) -> int:
         """Product of the codes of an iterable, consumed once; the empty product is one.
 
-        No list of the codes is built, no field method is called per code,
-        and no table is read.  For n = 1, ``math.prod`` multiplies chunks of
-        ``PROD_CHUNK`` codes, each reduced mod q, and the reduced values are
-        multiplied the same way until one is left.  For n > 1 it is a
-        Kronecker substitution (von zur Gathen and Gerhard, *Modern Computer
-        Algebra*, 8.4): each code becomes an integer whose 64-bit slots hold its
-        digits, so ``math.prod`` multiplies the polynomials over Z at once.
-        k factors, the running product and k - 1 codes, are multiplied at a
-        time, k the largest with n^(k-1) (p-1)^k < 2^64, so no slot
-        overflows; the slots are read back and reduced by the rows x^j mod
-        the modulus (``_x_powers``) and mod p, and the result, repacked, is
-        the next running product.
+        No list of the codes is built, no field method is called per code, and
+        no table is read.  One loop serves every n: ``math.prod`` of the running
+        product and the next chunk of packed codes, reduced, is the next running
+        product.  For n = 1 a chunk is ``PROD_CHUNK`` codes as they come, reduced
+        mod q.  For n > 1 it is a Kronecker substitution (von zur Gathen and
+        Gerhard, *Modern Computer Algebra*, 8.4): each code's digits fill 64-bit
+        slots of one integer, so ``math.prod`` multiplies the polynomials over Z
+        at once; a chunk is k - 1 codes, k the largest with
+        n^(k-1) (p-1)^k < 2^64, so no slot overflows, and the slots are reduced
+        by the rows x^j mod the modulus (``_x_powers``) and mod p.  Unpacking
+        the slots leaves a prime field's residue as it is.
         """
-        if self.n == 1:
-            q, it = self.q, iter(codes)
-            while True:
-                chunks = iter(lambda: list(itertools.islice(it, PROD_CHUNK)), [])
-                parts = [math.prod(chunk) % q for chunk in chunks]
-                if len(parts) <= 1:
-                    return parts[0] if parts else self.one
-                it = iter(parts)
-        p, (k, cols), shifts = self.p, self._kronecker, range(0, 64 * self.n, 64)
-        # each code's digits, shifted into their slots; the n copies of the
-        # iterable are read in lockstep, so tee holds one code at a time
-        mod, ps = operator.mod, itertools.repeat(p)
-        first, *rest = itertools.tee(codes, self.n)
-        packed = map(mod, first, ps)
-        for it, w, s in zip(rest, self._pw[1:], shifts[1:]):
-            digit = map(mod, map(operator.floordiv, it, itertools.repeat(w)), ps)
-            packed = map(operator.add, packed, map(operator.lshift, digit, itertools.repeat(s)))
-        # k - 1 codes per chunk, the last one padded with ones
-        acc, mul = 1, operator.mul
-        for chunk in itertools.zip_longest(*[packed] * (k - 1), fillvalue=1):
-            x = math.prod(chunk, start=acc)
-            slots = memoryview(x.to_bytes((x.bit_length() + 63) // 64 * 8, sys.byteorder)).cast("Q")
-            acc = 0
-            for col, s in zip(cols, shifts):
-                acc |= sum(map(mul, slots, col)) % p << s
+        p, n, q, shifts = self.p, self.n, self.q, range(0, 64 * self.n, 64)
+        if n == 1:
+            packed, size, reduce = iter(codes), PROD_CHUNK, lambda x: x % q
+        else:
+            # each code's digits, shifted into their slots; the n copies of
+            # the iterable are read in lockstep, so tee holds one code at a time
+            mod, ps = operator.mod, itertools.repeat(p)
+            first, *rest = itertools.tee(codes, n)
+            packed = map(mod, first, ps)
+            for it, w, s in zip(rest, self._pw[1:], shifts[1:]):
+                digit = map(mod, map(operator.floordiv, it, itertools.repeat(w)), ps)
+                packed = map(operator.add, packed, map(operator.lshift, digit, itertools.repeat(s)))
+            k, cols = self._kronecker
+            size = k - 1
+
+            def reduce(x: int) -> int:
+                slots = memoryview(x.to_bytes((x.bit_length() + 63) // 64 * 8, sys.byteorder)).cast("Q")
+                acc = 0
+                for col, s in zip(cols, shifts):
+                    acc |= sum(map(operator.mul, slots, col)) % p << s
+                return acc
+        acc = 1
+        for chunk in itertools.zip_longest(*[packed] * size, fillvalue=1):
+            acc = reduce(math.prod(chunk, start=acc))
         return sum((acc >> s) % (1 << 64) * w for s, w in zip(shifts, self._pw))
 
     @functools.cached_property
@@ -688,7 +687,7 @@ class FieldCtx:
                               self.q - 1, self.pow, self.one)
 
     def tables(self) -> FieldTables:
-        """Build (once) and return the O(q) lookup tables."""
+        """Build (once) and return the lookup tables."""
         if self._tables is None:
             self._tables = FieldTables(self)
         return self._tables

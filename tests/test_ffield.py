@@ -541,14 +541,17 @@ def test_half_unit_squares_match_mul_over_half_units(p, n):
 
 @pytest.mark.parametrize("p, n", [(3, 1), (4099, 1), (2147483647, 1), (5, 2), (17, 3)])
 def test_prod_matches_a_fold_of_mul(p, n):
-    # chunk boundaries on both sides; q - 1 repeated gives the largest
-    # chunk products and the sign (-1)^len
+    # chunk boundaries on both sides of one and two chunks; q - 1 repeated
+    # gives the largest chunk products and the sign (-1)^len; a zero stays
+    # zero in the running product, whichever chunk holds it
     ctx = mk_field(p, n)
     rng = random.Random(p * 10 + n)
-    sizes = [0, 1, PROD_CHUNK - 1, PROD_CHUNK, PROD_CHUNK + 1, 10 ** 4]
+    sizes = [0, 1, PROD_CHUNK - 1, PROD_CHUNK, PROD_CHUNK + 1,
+             2 * PROD_CHUNK - 1, 2 * PROD_CHUNK + 1, 10 ** 4]
     inputs = [[rng.randrange(1, ctx.q) for _ in range(size)] for size in sizes]
     inputs += [[ctx.q - 1] * size for size in sizes]
     inputs.append([ctx.q - 1] * PROD_CHUNK + [0])  # a zero in the second chunk
+    inputs.append([ctx.q - 1] * 3 + [0] + [ctx.q - 1] * (3 * PROD_CHUNK))  # then more chunks
     for codes in inputs:
         want = functools.reduce(ctx.mul, codes, ctx.one)
         assert ctx.prod(iter(codes)) == want, (ctx.q, len(codes))
@@ -646,13 +649,18 @@ def test_x_powers_are_powers_of_x(p, n):
     assert mk_field(p)._x_powers(0) == [(1,)]
 
 
-def test_table_free_prod_streams_its_codes():
-    # 5 * 10^4 codes of 1009^2 as a generator: listing them peaks above
-    # 1 MiB, the product holds one chunk of k codes at a time
-    ctx = mk_field(1009, 2)
+@pytest.mark.parametrize("p, n, count, bound", [(1009, 2, 5 * 10 ** 4, 1 << 20),
+                                                (2 ** 31 - 1, 1, 2 * 10 ** 5, 64 << 10)],
+                         ids=["1009-2", "2147483647-1"])
+def test_table_free_prod_streams_its_codes(p, n, count, bound):
+    # count codes as a generator: listing them peaks above 1 MiB, the
+    # product holds one chunk (k - 1 codes of 1009^2, PROD_CHUNK of
+    # 2^31 - 1) and the running product at a time, and no list of partial
+    # products, which at 2^31 - 1 would be 3,125 ints
+    ctx = mk_field(p, n)
 
     def codes():
-        return (i * 7919 % (ctx.q - 1) + 1 for i in range(5 * 10 ** 4))
+        return (i * 7919 % (ctx.q - 1) + 1 for i in range(count))
 
     def traced_peak(consume):
         tracemalloc.start()
@@ -667,7 +675,7 @@ def test_table_free_prod_streams_its_codes():
     want = functools.reduce(ctx.mul_poly, codes(), ctx.one)
     got, peak = traced_peak(ctx.prod)
     assert got == want
-    assert peak < 1 << 20, peak
+    assert peak < bound, peak
 
 
 def _assert_translation_matches_add(ctx, ks):
@@ -746,10 +754,10 @@ def test_tables_reject_non_generator(monkeypatch):
 @pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (4093, 1)])
 def test_tables_chi_is_table_free_legendre(monkeypatch, p, n):
     # chi equals Euler's criterion on a fresh context, element by element.
-    # Given its generator, tables() walks the units by doubling: its array
-    # products, the walk's and the Euler ladder's, are O(log q) calls, and
-    # its scalar ones are the walk's squarings and one mul_poly per line of
-    # half_unit_squares, never a scalar mul per element
+    # Given its generator, tables() walks the units by doubling and reads
+    # chi off the walk's parity: its array products, the walk's, are
+    # O(log q) calls, and its scalar ones are the walk's squarings and one
+    # mul_poly per line of half_unit_squares, never a scalar mul per element
     import numpy as np
 
     fresh = mk_field(p, n)
