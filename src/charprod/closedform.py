@@ -22,6 +22,15 @@ choice of a unit u with u + 1/u = r, and no element of F_{q^2}, enters.
 The paper's named corollaries (tau = 1, 3, 1/3, by q mod 8 and mod 12)
 are rows of these classes, not separate cases.
 
+A row depends only on (ctx, j, l), so ``prod_T_values`` keeps the last
+row built on each context, weakly keyed, and a call on the same pair
+returns a copy of it: the ``tables`` suite asks for each tau's row eight
+times and builds it once.  This holds as long as a context is not changed
+between calls; faults are applied to a fresh context before any suite
+runs.  Before a row is kept it must pass the Wilson check: the four
+T-sets partition F_q^* minus {j, -l}, so their products multiply to
+1/(jl), to 1/l at tau = 0 and to -1/j at tau = inf.
+
 S-products are served exclusively through T-products: S_{k,l}^{s1,s2}
 equals T_{-k,l}^{eps*s1, s2} as a set, eps the character of -1, and
 ``rescale_T`` takes any T-pair to a normalized one.
@@ -31,6 +40,8 @@ family, the closed-form counterpart of ``charsets.brute_product``.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from typing import NamedTuple, Optional, Union
 
 from .charsets import SIGN_PAIRS, SetFamily, SignPair, _pair_card
@@ -270,16 +281,49 @@ def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, in
                      ctx.mul(two, c))
 
 
+# the last row built on each context, ctx -> ((j, l), row); weak keys, so a
+# context and its tables are freed once nothing else holds them
+_LAST_ROW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _wilson_check(ctx: FieldCtx, j: int, l: int, row: dict[SignPair, int]) -> None:
+    """IdentityFailure unless the row multiplies to Wilson's 1/(jl), to 1/l
+    at j = 0 and to -1/j at l = 0 (see the module docstring)."""
+    if j == 0:
+        removed = l
+    elif l == 0:
+        removed = ctx.neg(j)
+    else:
+        removed = ctx.mul(j, l)
+    if functools.reduce(ctx.mul, row.values()) != ctx.inv(removed):
+        raise IdentityFailure(
+            f"Wilson product of the four T-values fails at q={ctx.q}")
+
+
 def prod_T_values(ctx: FieldCtx, j: int, l: int) -> dict[SignPair, int]:
-    """All four T_{j,l} products for a normalized pair (j + l = 4)."""
+    """All four T_{j,l} products for a normalized pair (j + l = 4).
+
+    Returns a fresh dict.  The row depends only on (ctx, j, l), so the last
+    one built on each context is kept, and a call on the same pair reads it
+    instead of building it again; this holds as long as the context is not
+    changed between calls.  A row is kept only once it passes the Wilson
+    check; a call that raises keeps nothing, and the next one raises again.
+    """
     if ctx.add(j, l) != ctx.from_int(4):
         raise ValueError("pair is not normalized: j + l != 4")
+    last = _LAST_ROW.get(ctx)
+    if last is not None and last[0] == (j, l):
+        return dict(last[1])
     frame = normalized_frame(ctx, INF if l == 0 else ctx.div(j, l))
     if frame.cls == (1, 1):
-        return _all_square_row(ctx, frame)
-    if frame.cls in _MIXED_CLASSES:
-        return _mixed_class_row(ctx, frame)
-    return _specific_row(ctx, frame)
+        row = _all_square_row(ctx, frame)
+    elif frame.cls in _MIXED_CLASSES:
+        row = _mixed_class_row(ctx, frame)
+    else:
+        row = _specific_row(ctx, frame)
+    _wilson_check(ctx, j, l, row)
+    _LAST_ROW[ctx] = ((j, l), row)
+    return dict(row)
 
 
 def rescale_T(ctx: FieldCtx, j_prime: int, l_prime: int, signs) -> int:

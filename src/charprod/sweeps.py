@@ -120,7 +120,13 @@ def _rng(ctx: FieldCtx, salt: str) -> random.Random:
 # ---------------------------------------------------------------------------
 
 def _closed_vs_rescaled(ctx: FieldCtx, fam: charsets.SetFamily) -> str:
-    """Table value of a normalized T-family, cross-checked by closed_product."""
+    """Table value of a normalized T-family, cross-checked by closed_product.
+
+    Here lambda = 1, so ``rescale_T`` reads the row that ``prod_T_values``
+    keeps for the context, the row of the first call; what the cross-check
+    still guards is rescale_T's division of (j, l) by lambda, since a pair
+    it gets wrong misses the kept row and builds its own.
+    """
     closed = closedform.prod_T_values(ctx, *fam.params)[fam.signs]
     rescaled = closedform.closed_product(ctx, fam)
     if closed == rescaled:

@@ -1,7 +1,10 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+from charprod import closedform, sweeps
 from charprod.charsets import (SIGN_PAIRS, SignPair, a_family, brute_product,
                                card_closed, s1_family, s_family, t_family)
 from charprod.closedform import (INF, all_square_class, closed_product,
@@ -9,8 +12,9 @@ from charprod.closedform import (INF, all_square_class, closed_product,
                                  prod_S_single, prod_T_values,
                                  quadruple_from_one, rescale_T, swap_T)
 from charprod.ffield import IdentityFailure, mk_field
-from helpers import (det_root_ext2, e2_div, e2_inv, e2_pow, ext2_solve_unit,
-                     field, named_ratio_row, small_ctxs)
+from helpers import (SMALL_FIELDS, det_root_ext2, e2_div, e2_inv, e2_pow,
+                     ext2_solve_unit, field, field_faults, named_ratio_row,
+                     small_ctxs)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +264,57 @@ def test_mixed_class_products_square_to_targets():
             elif (cj, cl) == (-1, -1):
                 v = prod_T_values(ctx, frame.j, frame.l)[(1, -1)]
                 assert ctx.mul(v, v) == ctx.div(frame.j, frame.l)
+
+
+def test_wilson_check_rejects_a_corrupted_row(monkeypatch):
+    # one value of the tau = 0 row moved: the four products no longer
+    # multiply to 1/l, and the call raises, each time, as nothing is kept
+    real = closedform._specific_row
+
+    def corrupted(ctx, frame):
+        row = real(ctx, frame)
+        row[SignPair(1, 1)] = ctx.add(row[SignPair(1, 1)], ctx.one)
+        return row
+
+    monkeypatch.setattr(closedform, "_specific_row", corrupted)
+    ctx = mk_field(13)
+    for _ in range(2):
+        with pytest.raises(IdentityFailure, match="Wilson product of the four"):
+            prod_T_values(ctx, 0, 4)
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS)
+def test_kept_rows_give_the_rows_of_rebuilt_ones(monkeypatch, p, n):
+    # the tables and rescaling rows, sound and under every fault, are the
+    # same when every prod_T_values call builds its row afresh
+    real = closedform.prod_T_values
+
+    def rebuilt(ctx, j, l):
+        closedform._LAST_ROW.clear()
+        return real(ctx, j, l)
+
+    for name, fault in field_faults(p ** n):
+        runs = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(closedform, "prod_T_values", rebuilt)
+            ctx = mk_field(p, n)
+            fault(ctx)
+            runs.append([*sweeps.suite_tables(ctx), *sweeps.suite_rescaling(ctx)])
+        monkeypatch.undo()
+        assert runs[0] == runs[1], (p ** n, name)
+
+
+def test_kept_row_is_copied_and_holds_no_context():
+    ctx = mk_field(13)
+    first = prod_T_values(ctx, 1, 3)
+    want = dict(first)
+    first[SignPair(1, 1)] = 0
+    assert prod_T_values(ctx, 1, 3) == want
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None
 
 
 def test_rescale_examples():
