@@ -9,7 +9,7 @@ counting, not rescaling).
 Each function takes a whole set of elements at once and makes no field
 call per element: an element set of F_{q^2} is an ``Ext2Elem`` of two
 int64 code arrays (lo, hi), on which the ``FieldCtx.e2_*`` operations
-and ``ctx.mul_poly`` run as on ints, and elements are ordered by
+and ``ctx.mul`` run as on ints, and elements are ordered by
 ``ctx.e2_key``.  No power of v is computed: v^q = conj(v)
 (Frobenius), so v^(q+1) is the norm N(v) = lo^2 - delta*hi^2, v^(q-1) =
 conj(v)/v is +1 iff hi = 0 and -1 iff lo = 0, and a v of norm +-1
@@ -44,9 +44,9 @@ def _inverse(ctx: FieldCtx, v: Ext2Elem) -> Ext2Elem:
     line = (nrm != ctx.one) & (nrm != ctx.minus_one)
     if np.any(line & ((v.lo == 0) == (v.hi == 0))):
         raise ValueError("v is not a 2(q-1)-st or 2(q+1)-st root of unity")
-    lo, hi = ctx.mul_poly(v.lo, nrm), ctx.mul_poly(ctx.neg(v.hi), nrm)
+    lo, hi = ctx.mul(v.lo, nrm), ctx.mul(ctx.neg(v.hi), nrm)
     base = v.hi[line] == 0
-    xi = ctx.inv(np.where(base, v.lo[line], ctx.mul_poly(v.hi[line], ctx.delta)))
+    xi = ctx.inv(np.where(base, v.lo[line], ctx.mul(v.hi[line], ctx.delta)))
     lo[line], hi[line] = np.where(base, xi, 0), np.where(base, 0, xi)
     return Ext2Elem(lo, hi)
 
@@ -81,7 +81,7 @@ def tau_of_orbit(ctx: FieldCtx, v: Ext2Elem):
     if np.any(hi):
         i = int(np.argmax(hi != 0))
         raise ValueError(f"{Ext2Elem(int(lo[i]), int(hi[i]))} does not lie in the base field")
-    return ctx.mul_poly(lo, ctx.inv(ctx.from_int(4)))
+    return ctx.mul(lo, ctx.inv(ctx.from_int(4)))
 
 
 def orbit_of_tau(ctx: FieldCtx, tau) -> Ext2Elem:
@@ -147,10 +147,10 @@ def roots_of_unity_union(ctx: FieldCtx) -> Ext2Elem:
 
     x = np.arange(ctx.q, dtype=np.int64)
     units, zero = x[1:], np.zeros(ctx.q - 1, dtype=np.int64)
-    dh = ctx.mul_poly(ctx.mul_poly(x, x), ctx.delta)  # N(lo + hi*theta) = lo^2 - dh
+    dh = ctx.mul(ctx.mul(x, x), ctx.delta)  # N(lo + hi*theta) = lo^2 - dh
     lo, hi = [units, zero], [zero, units]
-    for s in (ctx.one, ctx.minus_one):
-        r = ctx.sqrt_canonical(ctx.add(s, dh))
+    signs = np.array([[ctx.one], [ctx.minus_one]], dtype=np.int64)
+    for r in ctx.sqrt_canonical(ctx.add(signs, dh)):  # one root table for both signs
         has = r >= 0
         lo += [r[has], ctx.neg(r[has])]
         hi += [x[has], x[has]]

@@ -33,7 +33,8 @@ Every operation works without precomputation.  ``FieldCtx.tables()``
 adds lookup tables of size O(q): the quadratic character and, for n > 1,
 discrete logarithms to the generator of F_q^* with the smallest code.
 Once built, they replace power-based Legendre symbols and, for n > 1,
-polynomial multiplication with lookups, for ints and arrays alike;
+the product of two ints and every inverse with lookups; an array ``mul``
+stays ``mul_poly``, O(len), where the lists would be converted whole.
 ``prod`` reads no table, and no other library module reads ``exp``,
 ``log`` or ``chi``.  They also hold the oracle's character, read off
 ``half_unit_squares``, as the shifted vectors that the product scan and
@@ -287,11 +288,11 @@ class FieldTables:
     smallest code, is built by doubling in about log2 q array ``mul_poly``
     calls, before the tables are attached, so it reads none.  ``chi`` is the
     parity of the walk's index (the squares are the even powers of gen), 0
-    at 0.  For n > 1, where ``mul`` and ``inv`` read them, ``exp[i]`` is
-    gen^i and ``log`` its inverse on the units, list copies of the walk;
-    ``exp`` holds two periods followed by a run of zeros that ``log[0]``
-    points into, so the product of any two elements is
-    ``exp[log[a] + log[b]]``.  A prime field keeps None for both.  The
+    at 0.  For n > 1, where ``mul`` reads them for ints and ``inv`` for ints
+    and arrays, ``exp[i]`` is gen^i and ``log`` its inverse on the units,
+    list copies of the walk; ``exp`` holds two periods followed by a run of
+    zeros that ``log[0]`` points into, so the product of any two elements
+    is ``exp[log[a] + log[b]]``.  A prime field keeps None for both.  The
     oracle's ``product`` reads the walk and its inverse as read-only int64
     arrays instead.  ``shifted(k)``, the oracle's character moved by k, is
     a slice (``translate``) of the squares of ``ctx.half_unit_squares`` on
@@ -561,10 +562,8 @@ class FieldCtx:
         if tb is not None:
             try:
                 return tb.exp[tb.log[a] + tb.log[b]]
-            except TypeError:  # code arrays read the lists as they stand, by np.take
-                import numpy as np
-
-                return np.take(tb.exp, np.take(tb.log, a) + np.take(tb.log, b))
+            except TypeError:  # a code array is not a list index: mul_poly
+                pass
         return self.mul_poly(a, b)
 
     def mul_poly(self, a, b):
@@ -715,14 +714,14 @@ class FieldCtx:
         return Ext2Elem(self.neg(x.lo), self.neg(x.hi))
 
     def e2_mul(self, x: Ext2Elem, y: Ext2Elem) -> Ext2Elem:
-        mul = self.mul_poly
+        mul = self.mul
         lo = self.add(mul(x.lo, y.lo), mul(mul(x.hi, y.hi), self.delta))
         hi = self.add(mul(x.lo, y.hi), mul(x.hi, y.lo))
         return Ext2Elem(lo, hi)
 
     def e2_norm(self, x: Ext2Elem):
         """N(x) = x*conj(x) = lo^2 - delta*hi^2, which is x^(q+1)."""
-        mul = self.mul_poly
+        mul = self.mul
         return self.sub(mul(x.lo, x.lo), mul(mul(x.hi, x.hi), self.delta))
 
     def e2_sqrt(self, a) -> Ext2Elem:
@@ -734,7 +733,7 @@ class FieldCtx:
         inconsistent quadratic character can cause either.
         """
         base = (a == 0) | (self.legendre(a) != -1)
-        b = self.mul_poly(a, self.inv(self.delta))  # a/delta
+        b = self.div(a, self.delta)
         neither = "neither {0} nor {0}/delta is a square at q={1}"
         if isinstance(a, int):
             r = self.sqrt_canonical(a if base else b)  # tonelli_shanks raises where chi errs

@@ -327,10 +327,11 @@ def test_base_operations_serve_code_arrays(p, n):
     # arrays equal their scalar results element by element (-1 where
     # sqrt_canonical gives None), with and without tables; all of F_q where
     # q <= 343, else 0, g, g^2, their inverses and 500 random elements.
-    # For n > 1, after a swap of exp[1] and exp[2] (g and g^2), the
-    # operations that read exp and log still agree, so the array path reads
-    # the live lists, and the array inverse fails its mul_poly check where
-    # the scalar one is silently wrong; a prime field keeps no exp or log
+    # For n > 1, after a swap of exp[1] and exp[2] (g and g^2), array mul,
+    # div and pow are mul_poly and miss the swap that the scalar mul still
+    # reads, array legendre still agrees with the scalar one, and the array
+    # inverse, which reads exp and log, fails its mul_poly check where the
+    # scalar one is silently wrong; a prime field keeps no exp or log
     import numpy as np
 
     q = p ** n
@@ -343,14 +344,12 @@ def test_base_operations_serve_code_arrays(p, n):
     v = np.resize(u[::-1], len(x))  # a unit at every element of x
     xs, ys, us, vs = x.tolist(), y.tolist(), u.tolist(), v.tolist()
 
-    def check(ctx, sound=True):
+    def check(ctx):
         assert ctx.mul(x, y).tolist() == [ctx.mul(a, b) for a, b in zip(xs, ys)]
         assert ctx.div(x, ctx.delta).tolist() == [ctx.div(a, ctx.delta) for a in xs]
         assert ctx.legendre(x).tolist() == [ctx.legendre(a) for a in xs]
         for e in (0, 1, (q - 1) // 2, q - 2):
             assert ctx.pow(x, e).tolist() == [ctx.pow(a, e) for a in xs], e
-        if not sound:
-            return
         assert ctx.inv(u).tolist() == [ctx.inv(a) for a in us]
         assert ctx.pow(u, -1).tolist() == [ctx.pow(a, -1) for a in us]
         assert ctx.div(x, v).tolist() == [ctx.div(a, b) for a, b in zip(xs, vs)]
@@ -373,7 +372,14 @@ def test_base_operations_serve_code_arrays(p, n):
         return
     tb.exp[1], tb.exp[2] = tb.exp[2], tb.exp[1]
     tb.log[tb.exp[1]], tb.log[tb.exp[2]] = 1, 2
-    check(ctx, sound=False)
+    mul_poly, one = field(p, n).mul_poly, 0 * x + 1
+    products = mul_poly(x, y).tolist()
+    assert ctx.mul(x, y).tolist() == products
+    assert ctx.div(x, ctx.delta).tolist() == mul_poly(x, ctx.inv(ctx.delta)).tolist()
+    for e in (0, 1, (q - 1) // 2, q - 2):
+        assert ctx.pow(x, e).tolist() == power(x, e, mul_poly, one).tolist(), e
+    assert [ctx.mul(a, b) for a, b in zip(xs, ys)] != products
+    assert ctx.legendre(x).tolist() == [ctx.legendre(a) for a in xs]
     with pytest.raises(IdentityFailure, match="wrong inverse"):
         ctx.inv(u)
 
