@@ -92,7 +92,8 @@ def orbit_of_tau(ctx: FieldCtx, tau) -> Ext2Elem:
     """
     import numpy as np
 
-    v = ctx.e2_add(ctx.e2_sqrt(ctx.add(tau, ctx.one)), ctx.e2_sqrt(tau))
+    s = ctx.e2_sqrt(np.stack([ctx.add(tau, ctx.one), tau]))  # one root table for both
+    v = ctx.e2_add(Ext2Elem(s.lo[0], s.hi[0]), Ext2Elem(s.lo[1], s.hi[1]))
     members = _members(ctx, v)
     least = np.argmin([ctx.e2_key(m) for m in members], axis=0)
     rep = Ext2Elem(*(np.choose(least, part) for part in zip(*members)))

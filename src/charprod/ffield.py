@@ -728,9 +728,9 @@ class FieldCtx:
         """Canonical square root in F_{q^2} of the base element a: the root of
         a where chi(a) != -1, else theta times the root of b = a/delta.
 
-        Raises IdentityFailure, on an array at the first such element, where
-        neither a nor b is a square or the one chi picks has no root: only an
-        inconsistent quadratic character can cause either.
+        Raises IdentityFailure, at the first such element in C order of an
+        array of any shape, where neither a nor b is a square or the one chi
+        picks has no root: only an inconsistent quadratic character can cause either.
         """
         base = (a == 0) | (self.legendre(a) != -1)
         b = self.div(a, self.delta)
@@ -746,7 +746,7 @@ class FieldCtx:
         none = ~base & (self.legendre(b) == -1)
         lost = none | (r < 0)
         if lost.any():
-            i = int(np.argmax(lost))
+            i = np.unravel_index(np.argmax(lost), lost.shape)
             if none[i]:
                 raise IdentityFailure(neither.format(self.elem_str(int(a[i])), self.q))
             y = self.elem_str(int(a[i] if base[i] else b[i]))

@@ -25,8 +25,6 @@ ALL_SUITES = ("tables", "dickson", "cardinality", "correspondence",
               "reciprocity", "rescaling", "intro")
 
 _SEED = 0x5EED
-_PAIR_FAMILIES = {"A": charsets.a_family, "S": charsets.s_family,
-                  "T": charsets.t_family}
 
 
 class SweepConfig(NamedTuple):
@@ -160,7 +158,7 @@ def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
 
 
 def suite_rescaling(ctx: FieldCtx) -> Iterator[dict]:
-    """Random unnormalized products, swaps, and quadruple completions."""
+    """Random T-products, swaps, and quadruples completed from a closed seed."""
     rng = _rng(ctx, "rescaling")
     pairs = []
     while len(pairs) < 20:
@@ -169,10 +167,11 @@ def suite_rescaling(ctx: FieldCtx) -> Iterator[dict]:
             pairs.append((jp, lp))
     for jp, lp in pairs:
         for sp in SIGN_PAIRS:
-            want = charsets.brute_product(ctx, charsets.t_family(jp, lp, sp)).value
+            fam = charsets.t_family(jp, lp, sp)
+            want = charsets.brute_product(ctx, fam).value
             yield _check(f"rescale[{ctx.elem_str(jp)},{ctx.elem_str(lp)}]{sign_str(sp)}",
                          ctx.elem_str(want),
-                         lambda: ctx.elem_str(closedform.rescale_T(ctx, jp, lp, sp)))
+                         lambda: ctx.elem_str(closedform.closed_product(ctx, fam)))
     for _ in range(3):
         j, l = rng.randrange(ctx.q), rng.randrange(ctx.q)
         if ctx.add(j, l) == 0:
@@ -186,17 +185,17 @@ def suite_rescaling(ctx: FieldCtx) -> Iterator[dict]:
         k, l = rng.randrange(ctx.q), rng.randrange(ctx.q)
         if k == l:
             continue
-        brute = {sp: charsets.brute_product(ctx, charsets.s_family(k, l, sp)).value
-                 for sp in SIGN_PAIRS}
-        seed_sp = SIGN_PAIRS[rng.randrange(4)]
-        want = " ".join(ctx.elem_str(brute[sp]) for sp in SIGN_PAIRS)
+        fams = [charsets.s_family(k, l, sp) for sp in SIGN_PAIRS]
+        want = " ".join(ctx.elem_str(charsets.brute_product(ctx, fam).value) for fam in fams)
+        seed = fams[rng.randrange(4)]
 
         def quadruple():
-            quad = closedform.quadruple_from_one(ctx, k, l, (seed_sp, brute[seed_sp]))
+            known = (seed.signs, closedform.closed_product(ctx, seed))
+            quad = closedform.quadruple_from_one(ctx, k, l, known)
             return " ".join(ctx.elem_str(quad[sp]) for sp in SIGN_PAIRS)
 
         yield _check(f"quadruple[{ctx.elem_str(k)},{ctx.elem_str(l)}]"
-                     f"seed{sign_str(seed_sp)}", want, quadruple)
+                     f"seed{sign_str(seed.signs)}", want, quadruple)
 
 
 def dickson_identities(ctx: FieldCtx) -> list[tuple[list[int], tuple, list[int]]]:
@@ -279,7 +278,7 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
     tally[0] = 0  # d = 0: k = l (A, S) or j + l = 0 (T), no family
     count = tally.sum(axis=(2, 3, 5))  # the oracle's c(d) at [d, e1 + 1, e2 + 1]
     ok, ck, cn, ol, cl = np.ix_(*[np.arange(-1, 2)] * 5)  # chi on the axes after d
-    nu = ctx.legendre(np.arange(q)).reshape(-1, 1, 1, 1, 1, 1)  # closed chi(d)
+    nu = (l_class % 3 - 1).reshape(-1, 1, 1, 1, 1, 1)  # closed chi(d)
     for e1, e2 in SIGN_PAIRS:
         for kind in "AST":
             f1 = ctx.eps * e1 if kind == "T" else e1  # chi(j - a) = eps chi(a - j)
@@ -293,7 +292,7 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
                 if n_bad else ""
             yield _row(f"card[{kind}]{sign_str((e1, e2))}", "0 mismatches",
                        f"{n_bad} mismatches{first}")
-    chi = ctx.tables().shifted(0)
+    chi = l_class // 3 - 1  # the oracle's chi
     for e in (1, -1):
         sums = np.count_nonzero(chi == e) - (chi == e)  # a = 0 is in S_k^e iff chi(k) = e
         bad = np.count_nonzero(charsets._single_card(ctx, e, nu.ravel()) != sums)
@@ -302,12 +301,11 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
     for _ in range(10):
         k, l = rng.randrange(q), rng.randrange(q)
         sp = SIGN_PAIRS[rng.randrange(4)]
-        kind = ("A", "S", "T")[rng.randrange(3)]
-        if kind in ("A", "S") and k == l:
+        fam = charsets.SetFamily(("A", "S", "T")[rng.randrange(3)], (k, l), sp)
+        try:
+            fam.validate(ctx)
+        except ValueError:  # the draw is no family
             continue
-        if kind == "T" and ctx.add(k, l) == 0:
-            continue
-        fam = _PAIR_FAMILIES[kind](k, l, sp)
         want = len(charsets.enumerate_family(ctx, fam))
         got = charsets.card_closed(ctx, fam)
         yield _row(f"card-spot[{fam.label(ctx)}]", str(want), str(got))

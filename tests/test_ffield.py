@@ -327,6 +327,8 @@ def test_base_operations_serve_code_arrays(p, n):
     # arrays equal their scalar results element by element (-1 where
     # sqrt_canonical gives None), with and without tables; all of F_q where
     # q <= 343, else 0, g, g^2, their inverses and 500 random elements.
+    # e2_sqrt of a two-row stack, as orbit_of_tau makes, gives each row's
+    # 1-D result.
     # For n > 1, after a swap of exp[1] and exp[2] (g and g^2), array mul,
     # div and pow are mul_poly and miss the swap that the scalar mul still
     # reads, array legendre still agrees with the scalar one, and the array
@@ -360,6 +362,9 @@ def test_base_operations_serve_code_arrays(p, n):
         roots = ctx.e2_sqrt(x)
         assert list(map(Ext2Elem, roots.lo.tolist(), roots.hi.tolist())) == \
             [ctx.e2_sqrt(a) for a in xs]
+        stacked, first = ctx.e2_sqrt(np.stack([y, x])), ctx.e2_sqrt(y)
+        assert stacked.lo.tolist() == [first.lo.tolist(), roots.lo.tolist()]
+        assert stacked.hi.tolist() == [first.hi.tolist(), roots.hi.tolist()]
 
     bare = mk_field(p, n)
     check(bare)
@@ -423,6 +428,22 @@ def test_ext2_sqrt():
         for a in range(ctx.q):
             r = ctx.e2_sqrt(a)
             assert ctx.e2_mul(r, r) == ctx.e2_embed(a)
+
+
+def test_ext2_sqrt_of_a_stack_names_its_first_failure():
+    # chi(2) flipped at q = 17 after delta is cached: neither 2 nor 2/delta
+    # reads as a square, and a stack names 2 as the 1-D call does, whether
+    # its first failure lies in the first row or in the second
+    import numpy as np
+
+    ctx = mk_field(17)
+    ctx.delta
+    ctx.tables().chi[2] *= -1
+    x = np.arange(17, dtype=np.int64)
+    for stack in (x, np.stack([x, x]), np.stack([0 * x + 1, x])):
+        with pytest.raises(IdentityFailure) as failure:
+            ctx.e2_sqrt(stack)
+        assert str(failure.value) == "neither 2 nor 2/delta is a square at q=17"
 
 
 def test_ext2_solve_unit_examples():

@@ -64,8 +64,10 @@ MUTANTS = [
     _mutant("swap-sign-never-flipped", closedform, "swap_T",
             "factor = -factor", "factor = factor"),
     _mutant("S-as-T-without-eps", closedform, "closed_product",
-            "(ctx.eps * e1, e2)", "(e1, e2)",
-            survives="no suite hands closed_product an S or A family"),
+            "(ctx.eps * e1, e2)", "(e1, e2)"),
+    _mutant("A-zero-member-test-negated", closedform, "closed_product",
+            "== tuple(fam.signs)", "!= tuple(fam.signs)",
+            survives="no suite hands closed_product an A family"),
     # the closed cardinalities and the orbit count
     _mutant("pair-card-eps-term-sign", charsets, "_pair_card",
             "(s1 == -1) * ((ctx.eps - 1) // 2)", "(s1 == 1) * ((ctx.eps - 1) // 2)"),
