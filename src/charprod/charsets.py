@@ -13,26 +13,27 @@ field.  It is the oracle every closed formula in this package is tested
 against, so it deliberately takes no shortcuts: every member is
 multiplied in.  Only the order is free, as a product does not depend
 on it.  ``_conditions`` decodes a family into
-its conditions chi(a + s) = e once, for both masks.  Every scan reads
+its conditions chi(a + s) = e once, for both scans.  Every scan reads
 chi from ``FieldCtx.half_unit_squares``: the squares of one unit of each
 pair +-x, by running sums along lines of the field with one ``mul_poly``
 per line, so it shares no chi arithmetic with ``FieldCtx.legendre``
 (Euler's criterion, tabulated with the tables, which the closed side
-uses).  With tables, ``brute_product`` compares shifted character
-vectors (``FieldTables.shifted``, built from those squares) and hands
-the member codes to ``FieldTables.product``, which adds their discrete
-logs over the oracle's own walk of the units, for every n, and reads no
-``exp`` or ``log``.  On a field without tables, and in
-``enumerate_family`` on every field, the scan reads ``square_table``,
-which scatters the squares into q bytes.  Each condition chi(a + s) = e
-is the table of its sign translated by s (``FieldCtx.translate_bytes``),
-and the conditions meet as ints under ``&``: no field operation runs per
-element, and ``ctx.prod`` multiplies the marked positions without listing
-them, for n > 1 by Kronecker substitution.  The table takes q bytes, so
-fields above ``SCAN_LIMIT`` = 2^26 elements are refused.  The closed
-cardinality ``card_closed`` (never enumerates) and the ``cardinality``
-suite of ``sweeps``, on arrays of characters, share one formula per
-kind: ``_single_card`` (S1) and ``_pair_card``.
+uses).  With tables, ``brute_product`` reads one class of the kept
+``FieldTables.tally``, every a classed by two shifted characters
+(``FieldTables.shifted``, built from those squares), each class's product
+a sum of discrete logs over the oracle's own walk of the units, so the
+four sign pairs of one pair of shifts make one scan.  Without tables,
+and in ``enumerate_family`` on every field, the scan reads
+``square_table``, the squares scattered into q bytes.  Each condition
+chi(a + s) = e is the table of its sign translated by s
+(``FieldCtx.translate_bytes``), and the conditions meet as ints under
+``&``: no field operation runs per element, and ``ctx.prod`` multiplies
+the marked positions without listing them, for n > 1 by Kronecker
+substitution.  The table takes q bytes, so fields above ``SCAN_LIMIT`` =
+2^26 elements are refused.  The closed cardinality ``card_closed``
+(never enumerates) and the ``cardinality`` suite of ``sweeps``, on
+arrays of characters, share one formula per kind: ``_single_card`` (S1)
+and ``_pair_card``.
 """
 
 from __future__ import annotations
@@ -192,18 +193,6 @@ def _byte_mask(ctx: FieldCtx, fam: SetFamily) -> bytes:
     return bits.to_bytes(ctx.q, "little")
 
 
-def _mask(ctx: FieldCtx, fam: SetFamily):
-    """Boolean numpy vector over all a, true exactly at the members of fam."""
-    shifted = ctx.tables().shifted
-    (s, e), *rest = _conditions(ctx, fam)
-    mask = shifted(s) == e
-    for s, e in rest:
-        mask &= shifted(s) == e
-    if fam.kind != "A":
-        mask[0] = False
-    return mask
-
-
 def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
     """Exact member list by scanning the whole field, in ascending code order.
 
@@ -220,21 +209,26 @@ def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
     """Oracle product over the members of fam (empty product is 1).
 
     The product does not depend on the order of the members.  With tables
-    the member codes stay a numpy index array, and ``FieldTables.product``
-    multiplies them in the exponent: gen to the sum of their discrete logs,
-    read off the oracle's own walk of the units, never ``exp`` or ``log``.
-    Without tables the members are the positions of ``_byte_mask`` as they
-    come, so no member list is built, ``bytes.count`` gives the cardinality,
-    and ``ctx.prod`` multiplies them into one running product, chunk by
-    chunk, with no field call per member.
+    the conditions chi(a + s1) = e1, chi(a + s2) = e2 (S1's one twice) pick
+    class 3 e1 + e2 + 4 of the kept ``FieldTables.tally`` of (s1, s2): its
+    size, and its product, gen to its members' log sum, never ``exp`` or
+    ``log``; an A family also holds 0 when 0's class is that one.  Without
+    tables the members are the positions of ``_byte_mask`` as they come, so
+    no member list is built, ``bytes.count`` gives the cardinality, and
+    ``ctx.prod`` multiplies them into one running product, chunk by chunk,
+    with no field call per member.
     """
     fam.validate(ctx)
     if ctx._tables is None:
         mask = _byte_mask(ctx, fam)
         return ProductReport(value=ctx.prod(itertools.compress(range(ctx.q), mask)),
                              cardinality=mask.count(1))
-    members = _mask(ctx, fam).nonzero()[0]
-    return ProductReport(value=ctx.tables().product(members), cardinality=len(members))
+    (s1, e1), (s2, e2), *_ = _conditions(ctx, fam) * 2  # S1's one condition twice
+    counts, products, zero = ctx.tables().tally(s1, s2)
+    c = 3 * e1 + e2 + 4
+    with_zero = fam.kind == "A" and zero == c  # a = 0 is a member
+    return ProductReport(value=0 if with_zero else products[c],
+                         cardinality=counts[c] + with_zero)
 
 
 def _pair_card(ctx: FieldCtx, kind: str, signs, nu, ck, cl):

@@ -38,8 +38,8 @@ stays ``mul_poly``, O(len), where the lists would be converted whole.
 ``prod`` reads no table, and no other library module reads ``exp``,
 ``log`` or ``chi``.  They also hold the oracle's character, read off
 ``half_unit_squares``, as the shifted vectors that the product scan and
-the cardinality counts read, on a grid of 2^n q bytes, and its product,
-a sum of discrete logs over its own copy of the units' walk; ``add``,
+the cardinality counts read, on a grid of 2^n q bytes, and its class
+tally, sums of discrete logs over its own copy of the units' walk; ``add``,
 ``sub`` and ``neg`` stay digit arithmetic either way.
 """
 
@@ -293,15 +293,15 @@ class FieldTables:
     list copies of the walk; ``exp`` holds two periods followed by a run of
     zeros that ``log[0]`` points into, so the product of any two elements
     is ``exp[log[a] + log[b]]``.  A prime field keeps None for both.  The
-    oracle's ``product`` reads the walk and its inverse as read-only int64
-    arrays instead.  ``shifted(k)``, the oracle's character moved by k, is
+    oracle's ``tally`` reads the walk and its float64 inverse (0 at 0),
+    read-only, instead.  ``shifted(k)``, the oracle's character moved by k, is
     a slice (``translate``) of the squares of ``ctx.half_unit_squares`` on
     the coefficient grid, doubled along its n digit axes by ``tile``: 1 at
     the nonzero squares, -1 at the other units, 0 at 0, never ``chi``.
     That grid takes 2^n q bytes (1,024 per element at 3^10), the rest O(q).
     """
 
-    __slots__ = ("exp", "log", "chi", "_p", "_n", "_wrap", "_cycle", "_index")
+    __slots__ = ("exp", "log", "chi", "_p", "_n", "_wrap", "_cycle", "_logs", "_kept")
 
     def __init__(self, ctx: "FieldCtx"):
         import numpy as np
@@ -322,23 +322,38 @@ class FieldTables:
             self.exp = cycle.tolist() * 2 + [0] * (2 * q - 1)
             self.log = index.tolist()
             self.log[0] = 2 * u
-        self._cycle, self._index = cycle, index
-        cycle.flags.writeable = index.flags.writeable = False
-        self._p, self._n = ctx.p, ctx.n
+        self._cycle, self._logs = cycle, index.clip(0).astype(np.float64)  # L(0) = 0
+        cycle.flags.writeable = self._logs.flags.writeable = False
+        self._p, self._n, self._kept = ctx.p, ctx.n, (None, None)
         squares = np.fromiter(ctx.half_unit_squares(), dtype=np.int64, count=u // 2)
         sq = np.full(q, -1, dtype=np.int8)
         sq[0], sq[squares] = 0, 1
         self._wrap = self.tile(sq)
         self._wrap.flags.writeable = False
 
-    def product(self, members) -> int:
-        """Product of an int64 array of codes, as gen to the sum of their logs.
+    def tally(self, s1: int, s2: int) -> tuple[list[int], list[int], int]:
+        """(counts, products, zero) of the classes 3 chi(a + s1) + chi(a + s2) + 4.
 
-        The sum is exact in int64, below q^2 < 2^62; a member 0 makes it 0.
+        The units a fall in classes 0 .. 8 (``shifted``), a = 0 in class 9, and
+        ``zero`` is the class 0's characters give.  A product is gen to the
+        class's log sum mod u = q - 1, exact in float64 below u^2/2 < 2^51.  By
+        Wilson's theorem the unit classes hold u elements whose logs add up to
+        u(u - 1)/2, else IdentityFailure.  The last tally is kept by (s1, s2).
         """
-        if not members.all():
-            return 0
-        return int(self._cycle[self._index[members].sum() % len(self._cycle)])
+        import numpy as np
+
+        if self._kept[0] == (s1, s2):
+            return self._kept[1]
+        cls = self.shifted(s1) * 3 + self.shifted(s2) + 4
+        zero, cls[0] = int(cls[0]), 9
+        counts = np.bincount(cls, minlength=10)
+        sums = np.bincount(cls, weights=self._logs, minlength=10)
+        u = len(self._cycle)
+        if counts[:9].sum() != u or sums[:9].sum() != u * (u - 1) // 2:
+            raise IdentityFailure(f"the oracle's log sums miss Wilson's at q={u + 1}")
+        tally = counts.tolist(), self._cycle[(sums % u).astype(np.int64)].tolist(), zero
+        self._kept = (s1, s2), tally
+        return tally
 
     def tile(self, vec):
         """vec (last axis: all a) on the coefficient grid, doubled so shifts are slices."""

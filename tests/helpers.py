@@ -57,6 +57,23 @@ def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
                           text=True, timeout=60, env=env)
 
 
+def members_reference(ctx, fam):
+    """Members of fam in code order, each a decided by ``ctx.legendre`` on the
+    family's own definition, not on ``charsets._conditions``."""
+    chi = ctx.legendre
+    if fam.kind == "S1":
+        (k,), e = fam.params, fam.signs
+        conds = lambda a: [(chi(ctx.add(a, k)), e)]
+    elif fam.kind == "T":
+        (j, l), (e1, e2) = fam.params, fam.signs
+        conds = lambda a: [(chi(ctx.sub(j, a)), e1), (chi(ctx.add(l, a)), e2)]
+    else:
+        (k, l), (e1, e2) = fam.params, fam.signs
+        conds = lambda a: [(chi(ctx.add(a, k)), e1), (chi(ctx.add(a, l)), e2)]
+    return [a for a in range(ctx.q)
+            if (a != 0 or fam.kind == "A") and all(c == e for c, e in conds(a))]
+
+
 def product_reference(ctx, fam):
     """brute_product by the sorted members of enumerate_family, one at a
     time with ctx.mul_poly, so the multiplication reads no table."""

@@ -15,11 +15,11 @@ from charprod.charsets import (SIGN_PAIRS, SetFamily, SignPair, a_family,
                                parse_signs, report_row, s1_family, s_family,
                                sign_str, square_table, t_family, vanishing_poly)
 from charprod.dickson import dickson_first, dickson_second
-from charprod.ffield import mk_field
+from charprod.ffield import IdentityFailure, mk_field
 from helpers import (SMALL_FIELDS, all_families, card_count_blocks,
                      card_counts_reference, card_grid,
-                     card_rows_reference, field, field_faults, pair_chars,
-                     product_reference, small_ctxs)
+                     card_rows_reference, field, field_faults, members_reference,
+                     pair_chars, product_reference, small_ctxs)
 
 
 def test_enumerate_examples():
@@ -323,24 +323,92 @@ def test_report_row_json():
 
 
 def test_scalar_and_vector_scans_agree():
-    # the numpy mask and the byte mask must mark identical members
-    from charprod import charsets
-
+    # the tallied oracle and the byte scan of a table-free twin context must
+    # give the same value and cardinality for every kind
     rng = random.Random(11)
     # 4099 and 17^3 = 4913: a large prime field and a large extension field
-    for ctx in [field(13), field(3, 2), field(5, 2), field(4099), field(17, 3)]:
+    for p, n in [(13, 1), (3, 2), (5, 2), (4099, 1), (17, 3)]:
+        ctx, twin = field(p, n), mk_field(p, n)
+        # a = 0 is a member of A_{k,l} when (chi(k), chi(l)) are its signs
+        k, l = 1, ctx.delta
+        zero_in = a_family(k, l, (ctx.legendre(k), ctx.legendre(l)))
+        assert 0 in enumerate_family(twin, zero_in)
+        fams = [zero_in]
         for _ in range(25):
             k, l = rng.randrange(ctx.q), rng.randrange(ctx.q)
             sp = SIGN_PAIRS[rng.randrange(4)]
-            fams = [s1_family(k, sp.e1)]
+            fams.append(s1_family(k, sp.e1))
             if k != l:
                 fams += [a_family(k, l, sp), s_family(k, l, sp)]
             if ctx.add(k, l) != 0:
                 fams.append(t_family(k, l, sp))
-            for fam in fams:
-                vec = np.flatnonzero(charsets._mask(ctx, fam)).tolist()
-                byt = list(itertools.compress(range(ctx.q), charsets._byte_mask(ctx, fam)))
-                assert vec == byt, (ctx.q, fam)
+        for fam in fams:
+            assert brute_product(ctx, fam) == brute_product(twin, fam), (ctx.q, fam)
+        assert twin._tables is None
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (31, 1), (3, 3), (5, 2), (7, 2)])
+def test_kept_tally_gives_the_results_of_fresh_contexts(p, n):
+    # calls alternate between pairs of shifts and their sign pairs: (k, l),
+    # (k, k), (l, k), (l, l), each sharing one shift with the last, T(-k, l),
+    # which shares the tally of (k, l), and another T pair; each call must
+    # give what a fresh context gives, so no stale tally is ever read
+    def fresh(fam):
+        new = mk_field(p, n)
+        new.tables()
+        return brute_product(new, fam)
+
+    ctx = mk_field(p, n)
+    ctx.tables()
+    rng = random.Random(5 * p + n)
+    k, l, j2, l2 = rng.sample(range(1, ctx.q), 4)
+    if ctx.add(j2, l2) == 0:
+        l2 = l
+    fams = []
+    for sp in SIGN_PAIRS:
+        fams += [s_family(k, l, sp), s1_family(k, sp.e1), a_family(l, k, sp),
+                 s1_family(l, sp.e2), t_family(ctx.neg(k), l, sp), t_family(j2, l2, sp)]
+    assert [brute_product(ctx, fam) for fam in fams] == [fresh(fam) for fam in fams]
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (4099, 1)])
+def test_tally_float_log_sums_equal_int64_sums(p, n):
+    # each class's size and product off the float64 log sums equal those of
+    # int64 sums over a walk of gen built by mul_poly
+    ctx = field(p, n)
+    tb, q, u = ctx.tables(), ctx.q, ctx.q - 1
+    g = ctx.primitive_element()
+    walk = list(itertools.accumulate(range(u - 1), lambda x, _: ctx.mul_poly(x, g), initial=1))
+    logs = np.zeros(q, dtype=np.int64)
+    logs[walk] = np.arange(u)
+    rng = random.Random(p * n)
+    pairs = [(0, 0)] + [(rng.randrange(q), rng.randrange(q)) for _ in range(40)]
+    for s1, s2 in pairs:
+        cls = tb.shifted(s1) * 3 + tb.shifted(s2) + 4
+        zero, cls[0] = int(cls[0]), 9
+        sums = np.zeros(10, dtype=np.int64)
+        np.add.at(sums, cls, logs)
+        want = (np.bincount(cls, minlength=10).tolist(),
+                [walk[s % u] for s in sums.tolist()], zero)
+        assert tb.tally(s1, s2) == want, (q, s1, s2)
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
+def test_tally_guard_fails_every_tables_row(monkeypatch, p, n):
+    # one unit's log off by one breaks Wilson's log sum: brute_product
+    # raises, and the tables suite turns that into 4 q failed rows
+    ctx = mk_field(p, n)
+    tb = ctx.tables()
+    logs = tb._logs.copy()
+    logs[ctx.minus_one] += 1
+    tb._logs = logs
+    with pytest.raises(IdentityFailure, match="Wilson"):
+        brute_product(ctx, t_family(1, 1, (1, -1)))
+    monkeypatch.setattr(sweeps, "mk_field", lambda p, n=1: ctx)
+    rows = sweeps.run_field(p, n, ("tables",))
+    assert len(rows) == 4 * ctx.q
+    assert not any(r["ok"] for r in rows)
+    assert {r["actual"] for r in rows} == {"unchecked"}
 
 
 @functools.lru_cache(maxsize=None)
@@ -360,7 +428,7 @@ def test_brute_product_matches_reference_on_every_small_family(p, n):
 
 @pytest.mark.parametrize("p, n", SMALL_FIELDS)
 def test_table_free_brute_product_matches_reference_on_every_small_family(p, n):
-    # the byte-vector scan against the table-backed numpy scan: a = 0 in A,
+    # the byte-vector scan against the reference of the tallied scan: a = 0 in A,
     # the zero of each shifted condition and the T reflection
     ctx = mk_field(p, n)
     for fam, want in every_family_reference(p, n):
@@ -429,7 +497,7 @@ def test_scan_never_reads_the_field_character(monkeypatch):
 
     rng = random.Random(9)
     for p, n in [(13, 1), (3, 3), (5, 2), (31, 1)]:
-        want = field(p, n)  # tables built: vector scan, chi from the squares
+        want = field(p, n)  # tables built: tallied scan, chi from the squares
         ctx = mk_field(p, n)
         monkeypatch.setattr(ctx, "legendre", broken)
         monkeypatch.setattr(ctx, "pow", broken)
@@ -449,7 +517,7 @@ def test_scan_never_reads_the_field_character(monkeypatch):
 def test_enumerate_family_never_reads_the_log_parity(monkeypatch, p, n):
     # with tables built, member lists still come from the table of squares,
     # never from the log parity that legendre reads for the closed side
-    from charprod import charsets, ffield
+    from charprod import ffield
 
     def broken(*args):
         raise RuntimeError("enumerate_family must not call this")
@@ -466,7 +534,7 @@ def test_enumerate_family_never_reads_the_log_parity(monkeypatch, p, n):
             fams += [a_family(k, l, sp), s_family(k, l, sp)]
         if ctx.add(k, l) != 0:
             fams.append(t_family(k, l, sp))
-    want = [sorted(np.flatnonzero(charsets._mask(ctx, fam)).tolist()) for fam in fams]
+    want = [members_reference(ctx, fam) for fam in fams]
     monkeypatch.setattr(ffield.FieldTables, "shifted", broken)
     monkeypatch.setattr(ctx, "legendre", broken)
     monkeypatch.setattr(ctx, "pow", broken)
