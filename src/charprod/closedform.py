@@ -122,14 +122,14 @@ def quadruple_from_one(ctx: FieldCtx, k: int, l: int,
                        known: tuple[SignPair, int]) -> dict[SignPair, int]:
     """All four S_{k,l} products from any single one.
 
-    Chains the three disjoint-union relations against the closed single
-    products; every product involved is a unit, so the divisions are
-    always defined.
+    Walks the three disjoint-union relations against the closed single
+    products, outward from the known one along their path ++, +-, --, -+;
+    every product involved is a unit, so the divisions are always defined.
+    A pair that is no sign pair raises ValueError.
     """
     if k == l:
         raise ValueError("k != l required")
     signs, value = known
-    signs = SignPair(*signs)
 
     # extra factor contributed by the element killing the other condition
     f_plus = ctx.neg(l) if (ctx.legendre(ctx.sub(k, l)) == 1 and l != 0) else ctx.one
@@ -139,22 +139,16 @@ def quadruple_from_one(ctx: FieldCtx, k: int, l: int,
     pk_minus = prod_S_single(ctx, k, -1)
     pl_minus = prod_S_single(ctx, l, -1)
 
-    # each relation reads total = P[x] * P[y] * factor
-    relations = (
-        (pk_plus, SignPair(1, 1), SignPair(1, -1), f_plus),
-        (pl_minus, SignPair(1, -1), SignPair(-1, -1), f_minus),
-        (pk_minus, SignPair(-1, -1), SignPair(-1, 1), f_minus2),
-    )
-    out: dict[SignPair, int] = {signs: value}
-    for _ in range(3):
-        for total, x, y, factor in relations:
-            if x in out and y not in out:
-                out[y] = ctx.div(total, ctx.mul(out[x], factor))
-            elif y in out and x not in out:
-                out[x] = ctx.div(total, ctx.mul(out[y], factor))
-    if len(out) != 4:
-        raise IdentityFailure(f"the relations left {4 - len(out)} products unsolved")
-    return out
+    # the relations form a path: link t reads totals[t] = prods[t] * prods[t + 1] * factors[t]
+    chain = (SignPair(1, 1), SignPair(1, -1), SignPair(-1, -1), SignPair(-1, 1))
+    totals, factors = (pk_plus, pl_minus, pk_minus), (f_plus, f_minus, f_minus2)
+    i = chain.index(SignPair(*signs))  # ValueError for a pair that is no sign pair
+    prods = [value] * 4
+    for t in range(i, 3):
+        prods[t + 1] = ctx.div(totals[t], ctx.mul(prods[t], factors[t]))
+    for t in range(i - 1, -1, -1):
+        prods[t] = ctx.div(totals[t], ctx.mul(prods[t + 1], factors[t]))
+    return dict(zip(chain, prods))
 
 
 _MIXED_CLASSES = ((1, -1), (-1, 1), (-1, -1))  # the classes of a1, a2, a3

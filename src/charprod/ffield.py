@@ -214,23 +214,13 @@ def _pow_mod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin test: f monic of degree n is irreducible over F_p."""
-    n = len(f) - 1
-    if n == 1:
-        return True
-    if f[0] == 0:  # divisible by x
-        return False
-    x = [0, 1]
-    # x^(p^n) == x (mod f)
-    t = x
-    for _ in range(n):
-        t = _pow_mod(t, p, f, p)
-    if poly_trim([(a - b) % p for a, b in itertools.zip_longest(t, x, fillvalue=0)]):
-        return False
-    for r, _ in factorize(n):
-        t = x
-        for _ in range(n // r):
-            t = _pow_mod(t, p, f, p)
+    """Ben-Or's test: f monic of degree n >= 1 is irreducible over F_p iff
+    gcd(f, x^(p^i) - x) = 1 for i = 1 .. n // 2, as x^(p^i) - x is the product
+    of the monic irreducibles of degree dividing i, and a reducible f has a
+    factor of degree at most n/2, so the loop stops there."""
+    x = t = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        t = _pow_mod(t, p, f, p)  # x^(p^i) mod f
         diff = poly_trim([(a - b) % p for a, b in itertools.zip_longest(t, x, fillvalue=0)])
         if len(_pgcd(f, diff, p)) != 1:
             return False

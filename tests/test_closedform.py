@@ -69,6 +69,8 @@ def test_quadruple_random_seeds():
 def test_quadruple_rejects_equal_params():
     with pytest.raises(ValueError):
         quadruple_from_one(field(7), 3, 3, (SignPair(1, 1), 1))
+    with pytest.raises(ValueError):  # no sign pair: not on the chain of relations
+        quadruple_from_one(field(7), 3, 4, (SignPair(1, 0), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from charprod.charsets import (SIGN_PAIRS, a_family, brute_product, enumerate_fa
                                s1_family, s_family, t_family)
 from charprod.ffield import (EvenCharacteristicError, Ext2Elem, FieldError,
                              FieldTables, FieldTooLargeError, IdentityFailure,
-                             NotPrimeError, PROD_CHUNK, is_prime, mk_field, power,
-                             tonelli_shanks)
+                             NotPrimeError, PROD_CHUNK, _is_irreducible, is_prime, mk_field,
+                             power, tonelli_shanks)
 from helpers import (SMALL_FIELDS, e2_inv, e2_pow, e2_project, ext2_solve_unit,
                      field, field_faults, half_units, prime_power, product_reference,
                      small_ctxs, unit_order_test)
@@ -768,6 +768,23 @@ def test_extension_arithmetic_matches_sympy(p, n):
     assert gf_pow_mod(gen, ctx.q - 1, modulus, p, ZZ) == [1]
     for r in factorint(ctx.q - 1):
         assert gf_pow_mod(gen, (ctx.q - 1) // r, modulus, p, ZZ) != [1]
+
+
+def test_irreducibility_test_matches_sympy_on_every_small_polynomial():
+    # every monic polynomial of degree 2..6 over F_3, 2..5 over F_5, 2..4
+    # over F_7 and 2..3 over F_11 (9,234 in all), reducible ones without a
+    # root such as (x^2 + 1)^2 over F_3 included
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    count = 0
+    for p, top in ((3, 6), (5, 5), (7, 4), (11, 3)):
+        for n in range(2, top + 1):
+            for low in itertools.product(range(p), repeat=n):
+                f = list(low) + [1]
+                assert _is_irreducible(f, p) == gf_irreducible_p(f[::-1], p, ZZ), (p, f)
+                count += 1
+    assert count == 9234
 
 
 def test_tables_reject_non_generator(monkeypatch):
