@@ -3,7 +3,10 @@
 Each suite takes a field context and yields check rows; ``run_verify``
 drives the suites over all prime powers in a range and emits one JSON
 line per check.  A sweep passes only with zero mismatches, which is the
-acceptance bar for the whole package.
+acceptance bar for the whole package.  ``dickson`` and ``cardinality``
+make no loop over the field: the Dickson identities are checked at their
+roots by one ``dickson_values`` call each, and the pair counts of
+``card_tally`` are FFT correlations of class indicators.
 """
 
 from __future__ import annotations
@@ -210,14 +213,34 @@ def dickson_identities(ctx: FieldCtx) -> list[tuple[list[int], tuple, list[int]]
 
 
 def suite_dickson(ctx: FieldCtx) -> Iterator[dict]:
-    """Coefficient-exact polynomial identities D_m and E_{m-1}."""
-    for name, (poly, signs, target) in zip(("D_m", "E_m-1"), dickson_identities(ctx)):
-        ok = poly == target
+    """D_m = V_{A_{-2,2}^{-eps,-}} and E_{m-1} = V_{A_{-2,2}^{eps,+}}, at the roots.
+
+    D_m and E_{m-1} are monic of degrees m and m - 1, so each equals the
+    vanishing polynomial of a set B iff B has that many elements and the
+    polynomial vanishes on B.  One ``dickson_values`` call on the array B
+    gives D_m(B) and D_{m+1}(B), and 2 D_{m+1}(b) - b D_m(b) is (b^2 - 4)
+    E_{m-1}(b), with b^2 != 4 on the E set (chi(0) = 0 matches no sign),
+    checked too.  The coefficient lists (``dickson_identities``) are never
+    built.
+    """
+    import numpy as np
+
+    two, four = ctx.from_int(2), ctx.from_int(4)
+    for name, degree, signs in (("D_m", ctx.m, (-ctx.eps, -1)),
+                                ("E_m-1", ctx.m - 1, (ctx.eps, 1))):
+        fam = charsets.a_family(ctx.neg(two), two, signs)
+        roots = np.array(charsets.enumerate_family(ctx, fam), dtype=np.int64)
+        d_m, d_m1 = dickson.dickson_values(ctx.m, roots, ctx.sub, ctx.mul, two)
+        if name == "D_m":
+            missed = d_m != 0
+        else:
+            missed = (ctx.sub(ctx.mul(two, d_m1), ctx.mul(roots, d_m)) != 0) \
+                | (ctx.mul(roots, roots) == four)
         detail = "identical-coefficients"
-        if not ok:
-            i = next(i for i in range(max(len(poly), len(target)))
-                     if (poly[i:i + 1] or [None]) != (target[i:i + 1] or [None]))
-            detail = f"mismatch-at-degree-{i}"
+        if len(roots) != degree:
+            detail = f"{len(roots)}-roots-for-degree-{degree}"
+        elif missed.any():
+            detail = f"not-a-root-at-{np.count_nonzero(missed)}-of-{degree}"
         yield _row(f"dickson[{name}=f{sign_str(signs)}]",
                    "identical-coefficients", detail)
 
@@ -227,21 +250,39 @@ def card_tally(ctx: FieldCtx):
 
     Each index is a character plus one: ok and ol the oracle's chi
     (``FieldTables.shifted``), ck and cl the closed ``ctx.legendre``, and
-    cn the closed chi(-k), which T reads at j = -k.  Each d is one
-    ``np.bincount`` over a ``FieldTables.translate`` of the class vector of
-    l, whose int8 classes 0..8 keep the tile at 2^n q bytes.  Returns H and
-    the class vectors of k (``(ok*3 + ck)*3 + cn``) and of l.
+    cn the closed chi(-k), which T reads at j = -k.  H[., u, v] is the
+    correlation of the indicators of k-class u and l-class v over the
+    additive group (Z/p)^n, whose little-endian codes ``reshape`` to the
+    digit grid (p,)*n: one ``rfftn`` per realized l-class, one per realized
+    k-class (one k spectrum held at a time) and one ``irfftn`` per realized
+    pair.  Counts are below q, so each pair must round to within 1/4 and
+    sum to |U| |V|, else IdentityFailure.  Returns H and the class vectors
+    of k (``(ok*3 + ck)*3 + cn``) and of l.
     """
     import numpy as np
+    import numpy.fft
 
     tb, q = ctx.tables(), ctx.q
     closed = ctx.legendre(np.arange(q)) + 1
     l_class = ((tb.shifted(0) + 1) * 3 + closed).astype(np.int8)
     k_class = l_class * 3 + closed[ctx.neg(np.arange(q))]
-    wrap, k9 = tb.tile(l_class), k_class * 9
-    tally = np.empty((q, 243), dtype=np.int32)  # counts are below q < 2^31
-    for d in range(q):
-        tally[d] = np.bincount(k9 + tb.translate(wrap, d), minlength=243)
+    grid, axes = (ctx.p,) * ctx.n, tuple(range(ctx.n))
+
+    def spectrum(classes, c):
+        return np.fft.rfftn((classes == c).reshape(grid).astype(np.float64))
+
+    k_sizes, l_sizes = np.bincount(k_class, minlength=27), np.bincount(l_class, minlength=9)
+    l_spectra = {v: spectrum(l_class, v) for v in np.flatnonzero(l_sizes)}
+    tally = np.zeros((q, 27, 9), dtype=np.int32)  # counts are below q < 2^31
+    for u in np.flatnonzero(k_sizes):
+        k_conj = spectrum(k_class, u).conj()
+        for v, l_spectrum in l_spectra.items():
+            h = np.fft.irfftn(k_conj * l_spectrum, s=grid, axes=axes).ravel()
+            counts = np.rint(h)
+            if np.abs(h - counts).max() >= 0.25 or counts.sum() != k_sizes[u] * l_sizes[v]:
+                raise IdentityFailure(f"the pair tally of classes {u}, {v} is no count "
+                                      f"at q={q}")
+            tally[:, u, v] = counts
     return tally.reshape((q,) + (3,) * 5), k_class, l_class
 
 

@@ -176,6 +176,23 @@ def card_count_blocks(ctx, block=32):
         yield rows, {"A": a, "S": a - s_zero, "T": t}
 
 
+def card_tally_reference(ctx):
+    """``sweeps.card_tally`` by one ``np.bincount`` per difference d: the
+    class vector of l, moved by ``FieldTables.translate`` on its ``tile``,
+    read against the classes of k; the reference for the correlations."""
+    import numpy as np
+
+    tb, q = ctx.tables(), ctx.q
+    closed = ctx.legendre(np.arange(q)) + 1
+    l_class = ((tb.shifted(0) + 1) * 3 + closed).astype(np.int8)
+    k_class = l_class * 3 + closed[ctx.neg(np.arange(q))]
+    wrap, k9 = tb.tile(l_class), k_class * 9
+    tally = np.empty((q, 243), dtype=np.int32)
+    for d in range(q):
+        tally[d] = np.bincount(k9 + tb.translate(wrap, d), minlength=243)
+    return tally.reshape((q,) + (3,) * 5), k_class, l_class
+
+
 def card_rows_reference(ctx):
     """The 12 all-pairs rows and the 2 ``card[S1]`` rows of the
     ``cardinality`` suite, as (case, actual): the reference
@@ -323,7 +340,9 @@ def stepped_roots_of_unity_union(ctx):
 
 # ---------------------------------------------------------------------------
 # the explicit sums, the reference for the recursion of dickson_first and
-# dickson_second; Horner evaluation, the reference for dickson.dickson_values
+# dickson_second; the coefficient comparison, the reference for the root
+# check of the dickson suite; Horner evaluation, the reference for
+# dickson.dickson_values
 # ---------------------------------------------------------------------------
 
 def dickson_explicit(ctx, k, first):
@@ -343,6 +362,16 @@ def dickson_explicit(ctx, k, first):
             c = k * c // (k - i)  # k/(k-i) C(k-i, i) = C(k-i, i) + C(k-i-1, i-1)
         f[k - 2 * i] = ctx.from_int((-1) ** i * c)
     return f
+
+
+def dickson_rows_reference(ctx):
+    """(case, ok) of the two rows of ``sweeps.suite_dickson``, by comparing
+    the coefficient lists of ``sweeps.dickson_identities``: the Dickson
+    recursion against the multiplied-out vanishing polynomial."""
+    from charprod.sweeps import dickson_identities
+
+    return [(f"dickson[{name}=f{sign_str(signs)}]", poly == target)
+            for name, (poly, signs, target) in zip(("D_m", "E_m-1"), dickson_identities(ctx))]
 
 
 def poly_eval(ctx, f, x):
@@ -576,3 +605,17 @@ def field_faults(q):
             yield f"swap exp {i} {k}", swap_exp(i, k)
     yield "m + 1", shift_m
     yield "chi 0, 1, -1", zero_one_minus_one
+
+
+def sampled_faults(q):
+    """``field_faults(q)``, every one up to q = 100; above that every fault
+    but the chi flips, of which six, seeded and the first and last among
+    them, stand for the q - 1 of them."""
+    import random
+
+    keep = set(range(1, q))
+    if q > 100:
+        keep = {1, q - 1} | set(random.Random(q).sample(range(2, q - 1), 4))
+    for name, fault in field_faults(q):
+        if not name.startswith("flip ") or int(name.split()[1]) in keep:
+            yield name, fault

@@ -17,9 +17,9 @@ from charprod.charsets import (SIGN_PAIRS, SetFamily, SignPair, a_family,
 from charprod.dickson import dickson_first, dickson_second
 from charprod.ffield import IdentityFailure, mk_field
 from helpers import (SMALL_FIELDS, all_families, card_count_blocks,
-                     card_counts_reference, card_grid,
-                     card_rows_reference, field, field_faults, members_reference,
-                     pair_chars, product_reference, small_ctxs)
+                     card_counts_reference, card_grid, card_rows_reference,
+                     card_tally_reference, field, field_faults, members_reference,
+                     pair_chars, product_reference, sampled_faults, small_ctxs)
 
 
 def test_enumerate_examples():
@@ -176,6 +176,40 @@ def test_card_tally_peak_stays_near_its_tally():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * ctx.q * 243 * 4, peak
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (4099, 1)])
+def test_card_tally_matches_the_bincount_reference(p, n):
+    # the correlations give the per-difference bincount tally array for
+    # array, the class vectors too, on a sound field and under every fault
+    # (a seeded sample of the chi flips above 100 elements)
+    for name, fault in sampled_faults(p ** n):
+        ctx = mk_field(p, n)
+        fault(ctx)
+        got, want = sweeps.card_tally(ctx), card_tally_reference(ctx)
+        assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (ctx.q, name)
+
+
+@pytest.mark.parametrize("off, at", [(0.3, None), (1.0, 5)])
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
+def test_card_tally_guard_aborts_the_suite(monkeypatch, p, n, off, at):
+    # an inverse transform off by 0.3 everywhere is no count, and one off by
+    # a whole count at one difference misses its pair's sum |U| |V|: either
+    # way card_tally raises, and run_field gives one failed aborted row
+    inverse = np.fft.irfftn
+
+    def perturbed(*args, **kwargs):
+        h = inverse(*args, **kwargs)
+        h.reshape(-1)[slice(None) if at is None else at] += off
+        return h
+
+    monkeypatch.setattr(np.fft, "irfftn", perturbed)
+    with pytest.raises(IdentityFailure, match="no count"):
+        sweeps.card_tally(mk_field(p, n))
+    rows = sweeps.run_field(p, n, ("cardinality",))
+    assert [(r["case"], r["ok"]) for r in rows] == [("cardinality-aborted", False)]
+    assert "no count" in rows[0]["actual"]
 
 
 @pytest.mark.parametrize("p, n", SMALL_FIELDS)

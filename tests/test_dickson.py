@@ -1,12 +1,15 @@
 import random
 
+import numpy as np
 import pytest
 
+from charprod import charsets, sweeps
 from charprod.dickson import (dickson_first, dickson_second, dickson_values,
                               poly_str)
-from charprod.ffield import Ext2Elem
-from helpers import (dickson_explicit, e2_div, e2_inv, e2_pow, e2_project, field,
-                     poly_eval, poly_eval_ext2, small_ctxs, unit_of_order)
+from charprod.ffield import Ext2Elem, mk_field
+from helpers import (SMALL_FIELDS, dickson_explicit, dickson_rows_reference, e2_div,
+                     e2_inv, e2_pow, e2_project, field, poly_eval, poly_eval_ext2,
+                     sampled_faults, small_ctxs, unit_of_order)
 
 
 def test_dickson_first_examples():
@@ -57,6 +60,59 @@ def test_dickson_values_ladder_matches_horner():
                     (poly_eval(ctx, dk, x), poly_eval(ctx, dk1, x)), (ctx.q, k, x)
     with pytest.raises(ValueError):
         dickson_values(-1, 3, field(7).sub, field(7).mul, 2)
+
+
+def test_dickson_values_on_arrays_match_the_scalar_ladder():
+    # one call on the int64 array of all codes gives, at every x, the scalar
+    # ladder's (D_k(x), D_{k+1}(x)) for k = m and m + 1, the suite's degrees
+    for ctx in small_ctxs() + [field(13, 3)]:
+        two, codes = ctx.from_int(2), np.arange(ctx.q, dtype=np.int64)
+        for k in (ctx.m, ctx.m + 1):
+            lo, hi = dickson_values(k, codes, ctx.sub, ctx.mul, two)
+            want = [dickson_values(k, x, ctx.sub, ctx.mul, two) for x in range(ctx.q)]
+            assert list(zip(lo.tolist(), hi.tolist())) == want, (ctx.q, k)
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3)])
+def test_dickson_suite_matches_the_coefficient_reference(p, n):
+    # the root check gives the ok flags of the coefficient comparison, on a
+    # sound field and under every fault (a seeded sample of the chi flips
+    # above 100 elements); sound rows keep their text
+    for name, fault in sampled_faults(p ** n):
+        ctx = mk_field(p, n)
+        fault(ctx)
+        rows = list(sweeps.suite_dickson(ctx))
+        assert [(r["case"], r["ok"]) for r in rows] == dickson_rows_reference(ctx), \
+            (ctx.q, name)
+        if name == "sound":
+            assert {r["actual"] for r in rows} == {"identical-coefficients"}
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3), (4099, 1)])
+def test_dickson_suite_names_the_count_under_shifted_m(p, n):
+    # with m off by one, D_{m+1} and E_m have one more degree than roots
+    ctx = mk_field(p, n)
+    m = ctx.m
+    ctx.m += 1
+    assert [r["actual"] for r in sweeps.suite_dickson(ctx)] == \
+        [f"{m}-roots-for-degree-{m + 1}", f"{m - 1}-roots-for-degree-{m}"]
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3), (4099, 1)])
+def test_dickson_suite_checks_every_root(monkeypatch, p, n):
+    # one root of each set swapped for 2, which neither set holds: D_m(2) =
+    # 2 is no zero, and at b = 2 the E_{m-1} expression 2 D_{m+1} - b D_m
+    # vanishes whatever E_{m-1}(2) = m is, so only the b^2 != 4 check fails it
+    enumerate_family = charsets.enumerate_family
+
+    def one_swapped(ctx, fam):
+        roots = enumerate_family(ctx, fam)
+        return roots[:-1] + [ctx.from_int(2)]
+
+    monkeypatch.setattr(charsets, "enumerate_family", one_swapped)
+    ctx = mk_field(p, n)
+    assert [r["actual"] for r in sweeps.suite_dickson(ctx)] == \
+        [f"not-a-root-at-1-of-{ctx.m}", f"not-a-root-at-1-of-{ctx.m - 1}"]
 
 
 def test_poly_eval_examples():
