@@ -220,8 +220,7 @@ def suite_dickson(ctx: FieldCtx) -> Iterator[dict]:
     polynomial vanishes on B.  One ``dickson_values`` call on the array B
     gives D_m(B) and D_{m+1}(B), and 2 D_{m+1}(b) - b D_m(b) is (b^2 - 4)
     E_{m-1}(b), with b^2 != 4 on the E set (chi(0) = 0 matches no sign),
-    checked too.  The coefficient lists (``dickson_identities``) are never
-    built.
+    checked too.
     """
     import numpy as np
 
