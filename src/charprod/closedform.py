@@ -162,17 +162,21 @@ def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame) -> int:
     <u^m>, a3 = <(-u)^m>, where r = <u> and m = (q - eps)/4.  As Dickson
     values of r they are computed in F_q, so the choice of u among u and 1/u
     cannot matter: a2 = D_m(r), a3 = chi(2) D_m(r) and a1 = E_{m-1}(r) =
-    (2 D_{m+1}(r) - r D_m(r))/(r^2 - 4).  Each must square to -4/(r^2 - 4),
-    l or j; IdentityFailure otherwise.
+    (2 D_{m+1}(r) - r D_m(r))/(r^2 - 4) = 2 D_{m+1}(r)/(r^2 - 4), as a1's
+    class, chi(r + 2) = chi(l) = -1 and chi(r - 2) = chi(-j) = -eps, puts r
+    in A_{-2,2}^{-eps,-}, the roots of D_m: D_m(r) = 0 is checked.  Each
+    must square to -4/(r^2 - 4), l or j; IdentityFailure otherwise.
     """
     if frame.cls not in _MIXED_CLASSES:
         raise ValueError(f"tau={tau_str(frame.tau, ctx)} is in no mixed square class")
     r = frame.r
     dm, dm1 = dickson_values(ctx.m, r, ctx.sub, ctx.mul, ctx.from_int(2))
     if frame.cls == (1, -1):
+        if dm != 0:
+            raise IdentityFailure(f"r is no root of D_m for the det root a1 at q={ctx.q}")
         name = "a1"
         d = ctx.sub(ctx.mul(r, r), ctx.from_int(4))  # (u - 1/u)^2 = -j*l, nonzero
-        val = ctx.div(ctx.sub(ctx.mul(ctx.from_int(2), dm1), ctx.mul(r, dm)), d)
+        val = ctx.div(ctx.mul(ctx.from_int(2), dm1), d)
         want = ctx.div(ctx.from_int(-4), d)
     elif frame.cls == (-1, 1):
         name, val, want = "a2", dm, frame.l

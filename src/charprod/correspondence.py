@@ -125,8 +125,9 @@ def orbit_count_card(ctx: FieldCtx, e1: int, e2: int) -> int:
     """|A_{0,1}^{e1,e2}| by counting orbits of {v : v^(q+a) = b}.
 
     With a = -e1*e2 and b = e2 there are q + a such v; dropping the
-    fourth roots of unity among them leaves full orbits of size 4.
-    This is independent of the m/eps cardinality formulas.
+    fourth roots of unity among them leaves full orbits of size 4, so 4
+    must divide what is left; IdentityFailure otherwise.  This is
+    independent of the m/eps cardinality formulas.
     """
     if e1 not in (1, -1) or e2 not in (1, -1):
         raise ValueError("signs must be +1 or -1")
@@ -138,6 +139,9 @@ def orbit_count_card(ctx: FieldCtx, e1: int, e2: int) -> int:
         mu4 += 2  # +1 and -1 always satisfy v^(q+a) = 1
     if (-1) ** ((q + a) // 2) == b:
         mu4 += 2  # the two primitive fourth roots
+    if (q + a - mu4) % 4:
+        raise IdentityFailure(f"{q + a - mu4} roots outside mu_4 make no whole orbits "
+                              f"of 4 at q={q}")
     return (q + a - mu4) // 4
 
 

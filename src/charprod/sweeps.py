@@ -5,8 +5,8 @@ drives the suites over all prime powers in a range and emits one JSON
 line per check.  A sweep passes only with zero mismatches, which is the
 acceptance bar for the whole package.  ``dickson`` and ``cardinality``
 make no loop over the field: the Dickson identities are checked at their
-roots by one ``dickson_values`` call each, and the pair counts of
-``card_tally`` are FFT correlations of class indicators.
+roots by one ``dickson_values`` call each, and ``card_tally`` counts pairs
+by FFT correlation, one row per realized pair of classes at the ends.
 """
 
 from __future__ import annotations
@@ -245,18 +245,17 @@ def suite_dickson(ctx: FieldCtx) -> Iterator[dict]:
 
 
 def card_tally(ctx: FieldCtx):
-    """H[d, ok, ck, cn, ol, cl] = #{k : class(k) = (ok, ck, cn), class(k + d) = (ol, cl)}.
+    """counts[i, d] = #{k : class(k) = u[i], class(k + d) = v[i]}, per realized class pair.
 
-    Each index is a character plus one: ok and ol the oracle's chi
-    (``FieldTables.shifted``), ck and cl the closed ``ctx.legendre``, and
-    cn the closed chi(-k), which T reads at j = -k.  H[., u, v] is the
-    correlation of the indicators of k-class u and l-class v over the
-    additive group (Z/p)^n, whose little-endian codes ``reshape`` to the
-    digit grid (p,)*n: one ``rfftn`` per realized l-class, one per realized
-    k-class (one k spectrum held at a time) and one ``irfftn`` per realized
-    pair.  Counts are below q, so each pair must round to within 1/4 and
-    sum to |U| |V|, else IdentityFailure.  Returns H and the class vectors
-    of k (``(ok*3 + ck)*3 + cn``) and of l.
+    Class digits are characters plus one: k-class (ok*3 + ck)*3 + cn and
+    l-class ol*3 + cl, with the oracle's chi (``FieldTables.shifted``) in ok
+    and ol, the closed ``ctx.legendre`` in ck and cl, and the closed chi(-k),
+    which T reads at j = -k, in cn.  A pair is realized when both classes
+    occur: 9 on a sound field, at most 243.  Its row correlates the two
+    indicators over (Z/p)^n on the digit grid ``reshape((p,)*n)``: one
+    ``rfftn`` per realized class (one k spectrum held at a time), one
+    ``irfftn`` per row.  A row must round to within 1/4 and sum to |U| |V|,
+    else IdentityFailure.  Returns u, v, counts and the class vectors.
     """
     import numpy as np
     import numpy.fft
@@ -271,30 +270,31 @@ def card_tally(ctx: FieldCtx):
         return np.fft.rfftn((classes == c).reshape(grid).astype(np.float64))
 
     k_sizes, l_sizes = np.bincount(k_class, minlength=27), np.bincount(l_class, minlength=9)
-    l_spectra = {v: spectrum(l_class, v) for v in np.flatnonzero(l_sizes)}
-    tally = np.zeros((q, 27, 9), dtype=np.int32)  # counts are below q < 2^31
-    for u in np.flatnonzero(k_sizes):
+    us, vs = np.flatnonzero(k_sizes), np.flatnonzero(l_sizes)
+    l_spectra = [spectrum(l_class, v) for v in vs]
+    counts = np.empty((len(us) * len(vs), q), dtype=np.int32)  # counts are below q < 2^31
+    for i, u in enumerate(us):
         k_conj = spectrum(k_class, u).conj()
-        for v, l_spectrum in l_spectra.items():
+        for j, (v, l_spectrum) in enumerate(zip(vs, l_spectra)):
             h = np.fft.irfftn(k_conj * l_spectrum, s=grid, axes=axes).ravel()
-            counts = np.rint(h)
-            if np.abs(h - counts).max() >= 0.25 or counts.sum() != k_sizes[u] * l_sizes[v]:
+            row = np.rint(h)
+            if np.abs(h - row).max() >= 0.25 or row.sum() != k_sizes[u] * l_sizes[v]:
                 raise IdentityFailure(f"the pair tally of classes {u}, {v} is no count "
                                       f"at q={q}")
-            tally[:, u, v] = counts
-    return tally.reshape((q,) + (3,) * 5), k_class, l_class
+            counts[i * len(vs) + j] = row
+    return np.repeat(us, len(vs)), np.tile(vs, len(us)), counts, k_class, l_class
 
 
-def _first_pair(ctx: FieldCtx, kind: str, bad, k_class, l_class) -> str:
-    """" first=(k,l)": the first pair in row-major order with ``bad[l - k,
-    class(k), class(l)]`` and l != k; the rows of T are j = -k."""
+def _first_pair(ctx: FieldCtx, kind: str, bad, row_of, k_class, l_class) -> str:
+    """" first=(k,l)": the first pair in row-major order with ``bad[row_of[class(k),
+    class(l)], l - k]`` and l != k; the rows of T are j = -k."""
     import numpy as np
 
     codes = np.arange(ctx.q)
     for r in range(ctx.q):
         k = ctx.neg(r) if kind == "T" else r
         d = ctx.sub(codes, k)
-        hit = bad[d, k_class[k], l_class] & (d != 0)
+        hit = bad[row_of[k_class[k], l_class], d] & (d != 0)
         if hit.any():
             return f" first=({ctx.elem_str(r)},{ctx.elem_str(int(hit.argmax()))})"
     return ""
@@ -308,38 +308,38 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
     (eps e1, e2); S and T lose the a = 0 term.  The closed count
     (``charsets._pair_card``, as in ``card_closed``) reads the closed chi at
     d and at the ends.  So both counts of the pair (k, k + d), or of (j, l)
-    = (-k, k + d), are functions of d and the classes of the ends, and
-    ``card_tally`` weighs each function value by its number of pairs.
+    = (-k, k + d), are functions of d and the classes of the ends, and each
+    row of ``card_tally`` weighs them, over d, by its number of pairs.
     """
     import numpy as np
 
-    q = ctx.q
-    tally, k_class, l_class = card_tally(ctx)
-    tally[0] = 0  # d = 0: k = l (A, S) or j + l = 0 (T), no family
-    count = tally.sum(axis=(2, 3, 5))  # the oracle's c(d) at [d, e1 + 1, e2 + 1]
-    ok, ck, cn, ol, cl = np.ix_(*[np.arange(-1, 2)] * 5)  # chi on the axes after d
-    nu = (l_class % 3 - 1).reshape(-1, 1, 1, 1, 1, 1)  # closed chi(d)
+    u, v, counts, k_class, l_class = card_tally(ctx)
+    counts[:, 0] = 0  # d = 0: k = l (A, S) or j + l = 0 (T), no family
+    row_of = np.full((27, 9), -1)  # [class(k), class(l)]: the row of the pair
+    row_of[u, v] = np.arange(len(u))
+    ok, ck, cn, ol, cl = (c[:, None] - 1 for c in (u // 9, u // 3 % 3, u % 3, v // 3, v % 3))
+    nu = l_class % 3 - 1  # closed chi(d)
     for e1, e2 in SIGN_PAIRS:
         for kind in "AST":
             f1 = ctx.eps * e1 if kind == "T" else e1  # chi(j - a) = eps chi(a - j)
-            want = count[:, f1 + 1, e2 + 1].reshape(nu.shape)
+            ends = (ok == f1) & (ol == e2)
+            want = counts[ends[:, 0]].sum(axis=0)  # the oracle's c(d)
             if kind != "A":
-                want = want - (ok == f1) * (ol == e2)  # a = 0, at k = -j for T
+                want = want - ends  # a = 0, at k = -j for T
             got = charsets._pair_card(ctx, kind, (e1, e2), nu, cn if kind == "T" else ck, cl)
-            bad = np.broadcast_to(got != want, tally.shape)
-            n_bad = int(tally[bad].sum())
-            first = _first_pair(ctx, kind, bad.reshape(q, 27, 9), k_class, l_class) \
-                if n_bad else ""
+            bad = np.broadcast_to(got != want, counts.shape)
+            n_bad = int(counts[bad].sum())
+            first = _first_pair(ctx, kind, bad, row_of, k_class, l_class) if n_bad else ""
             yield _row(f"card[{kind}]{sign_str((e1, e2))}", "0 mismatches",
                        f"{n_bad} mismatches{first}")
     chi = l_class // 3 - 1  # the oracle's chi
     for e in (1, -1):
         sums = np.count_nonzero(chi == e) - (chi == e)  # a = 0 is in S_k^e iff chi(k) = e
-        bad = np.count_nonzero(charsets._single_card(ctx, e, nu.ravel()) != sums)
+        bad = np.count_nonzero(charsets._single_card(ctx, e, nu) != sums)
         yield _row(f"card[S1]{sign_str(e)}", "0 mismatches", f"{bad} mismatches")
     rng = _rng(ctx, "card-spot")
     for _ in range(10):
-        k, l = rng.randrange(q), rng.randrange(q)
+        k, l = rng.randrange(ctx.q), rng.randrange(ctx.q)
         sp = SIGN_PAIRS[rng.randrange(4)]
         fam = charsets.SetFamily(("A", "S", "T")[rng.randrange(3)], (k, l), sp)
         try:

@@ -193,6 +193,19 @@ def card_tally_reference(ctx):
     return tally.reshape((q,) + (3,) * 5), k_class, l_class
 
 
+def card_tally_grid(ctx):
+    """``sweeps.card_tally``'s rows scattered onto the (q, 3, 3, 3, 3, 3)
+    grid [d, ok, ck, cn, ol, cl], zero at unrealized class pairs, with the
+    class vectors of k and l: the layout of ``card_tally_reference``."""
+    import numpy as np
+    from charprod.sweeps import card_tally
+
+    u, v, counts, k_class, l_class = card_tally(ctx)
+    grid = np.zeros((ctx.q, 27, 9), dtype=np.int32)
+    grid[:, u, v] = counts.T
+    return grid.reshape((ctx.q,) + (3,) * 5), k_class, l_class
+
+
 def card_rows_reference(ctx):
     """The 12 all-pairs rows and the 2 ``card[S1]`` rows of the
     ``cardinality`` suite, as (case, actual): the reference

@@ -18,8 +18,9 @@ from charprod.dickson import dickson_first, dickson_second
 from charprod.ffield import IdentityFailure, mk_field
 from helpers import (SMALL_FIELDS, all_families, card_count_blocks,
                      card_counts_reference, card_grid, card_rows_reference,
-                     card_tally_reference, field, field_faults, members_reference,
-                     pair_chars, product_reference, sampled_faults, small_ctxs)
+                     card_tally_grid, card_tally_reference, field, field_faults,
+                     members_reference, pair_chars, product_reference, sampled_faults,
+                     small_ctxs)
 
 
 def test_enumerate_examples():
@@ -113,7 +114,7 @@ def test_card_grid_matches_card_closed():
 def _tally_counts_grid(ctx):
     """The oracle's counts c(d) of ``sweeps.card_tally`` moved onto every
     (k, l) pair, less the a = 0 terms: (4, q, q) per kind."""
-    c = sweeps.card_tally(ctx)[0].sum(axis=(2, 3, 5))  # [d, e1 + 1, e2 + 1]
+    c = card_tally_grid(ctx)[0].sum(axis=(2, 3, 5))  # [d, e1 + 1, e2 + 1]
     chi = ctx.tables().shifted(0)
     codes = np.arange(ctx.q)
     diff = ctx.sub(codes, codes[:, None])  # [k, l] = l - k
@@ -161,7 +162,7 @@ def test_card_counts_are_a_reindexing_of_any_vector():
 def test_tally_counts_are_jacobi_sums(p, n):
     # sum_b chi(b) chi(b + d) = -1 for every d != 0, from the oracle's
     # counts alone: c++(d) + c--(d) - c+-(d) - c-+(d) = -1
-    c = sweeps.card_tally(field(p, n))[0].sum(axis=(2, 3, 5))[1:]
+    c = card_tally_grid(field(p, n))[0].sum(axis=(2, 3, 5))[1:]
     assert (c[:, 2, 2] + c[:, 0, 0] - c[:, 2, 0] - c[:, 0, 2] == -1).all()
 
 
@@ -178,6 +179,19 @@ def test_card_tally_peak_stays_near_its_tally():
     assert peak < 1.5 * ctx.q * 243 * 4, peak
 
 
+def test_cardinality_suite_peak_stays_below_a_dense_tally():
+    # the suite keeps one count row per realized class pair, so at 3^7 its
+    # traced peak stays below what a q x 243 int32 tally alone would take
+    ctx = field(3, 7)
+    tracemalloc.start()
+    try:
+        list(sweeps.suite_cardinality(ctx))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ctx.q * 243 * 4, peak
+
+
 @pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (4099, 1)])
 def test_card_tally_matches_the_bincount_reference(p, n):
     # the correlations give the per-difference bincount tally array for
@@ -186,7 +200,7 @@ def test_card_tally_matches_the_bincount_reference(p, n):
     for name, fault in sampled_faults(p ** n):
         ctx = mk_field(p, n)
         fault(ctx)
-        got, want = sweeps.card_tally(ctx), card_tally_reference(ctx)
+        got, want = card_tally_grid(ctx), card_tally_reference(ctx)
         assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), (ctx.q, name)
 
@@ -610,6 +624,6 @@ def test_verify_oracle_never_reads_the_log_parity(monkeypatch, p, n):
     monkeypatch.setattr(ctx, "pow", broken)
     assert [brute_product(ctx, fam) for fam in fams] == want
     monkeypatch.delattr(ctx, "legendre")
-    c = sweeps.card_tally(ctx)[0].sum(axis=(2, 3, 5))[1:]
+    c = card_tally_grid(ctx)[0].sum(axis=(2, 3, 5))[1:]
     assert c[:, [e1 + 1 for e1, _ in SIGN_PAIRS], [e2 + 1 for _, e2 in SIGN_PAIRS]].tolist() \
         == want_counts

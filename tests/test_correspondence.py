@@ -301,6 +301,14 @@ def test_orbit_count_matches_closed_cards():
                 card_closed(ctx, a_family(0, 1, sp))
 
 
+@pytest.mark.parametrize("e1, e2", [(0, 1), (1, 2)])
+def test_orbit_count_rejects_signs_other_than_plus_minus_one(e1, e2):
+    # one bad sign for each half of the guard; without it the count is no
+    # whole number of orbits, an IdentityFailure and not this ValueError
+    with pytest.raises(ValueError, match="signs must be"):
+        orbit_count_card(field(13), e1, e2)
+
+
 def test_vw_relation_exists():
     # w = (2 + i(v - 1/v))/(v + 1/v) has w^2 in the orbit of the unit u
     # with <u> = r, for some branch pair (existential over the choices

@@ -77,6 +77,10 @@ MUTANTS = [
             "if b == 1:", "if b == -1:"),
     _mutant("orbit-card-exponent-sign", correspondence, "orbit_count_card",
             "a = -e1 * e2", "a = e1 * e2"),
+    _mutant("orbit-card-mu4-units-dropped", correspondence, "orbit_count_card",
+            "if b == 1:", "if b == 2:"),
+    _mutant("orbit-card-mu4-fourth-roots-dropped", correspondence, "orbit_count_card",
+            "(-1) ** ((q + a) // 2)", "(-2) ** ((q + a) // 2)"),
 ]
 
 
