@@ -22,9 +22,12 @@ uses).  With tables, ``brute_product`` reads one class of the kept
 ``FieldTables.tally``, every a classed by two shifted characters
 (``FieldTables.shifted``, built from those squares), each class's product
 a sum of discrete logs over the oracle's own walk of the units, so the
-four sign pairs of one pair of shifts make one scan.  Without tables,
+four sign pairs of one pair of shifts make one scan; after ceil(log2 q)
+scans at one difference s2 - s1, the tally reads every later pair at it
+off that difference's correlation vectors instead.  Without tables,
 and in ``enumerate_family`` on every field, the scan reads
-``square_table``, the squares scattered into q bytes.  Each condition
+``square_table``, the squares scattered into q bytes, built once per
+context.  Each condition
 chi(a + s) = e is the table of its sign translated by s
 (``FieldCtx.translate_bytes``), and the conditions meet as ints under
 ``&``: no field operation runs per element, and ``ctx.prod`` multiplies
@@ -141,20 +144,23 @@ def check_scan_bound(q: int) -> None:
                          f"scan first builds tables of q entries")
 
 
-def square_table(ctx: FieldCtx) -> bytearray:
+def square_table(ctx: FieldCtx) -> bytes:
     """Byte x is 1 exactly when x is a nonzero square, from squaring half the units.
 
     x and -x have one square, so only one of each pair is squared: the
     (q - 1)/2 squares of ``ctx.half_unit_squares``, found by running sums
     along lines of the field with one ``mul_poly`` per line, never by
     ``legendre`` or ``pow``: the oracle's character comes from the
-    definition of a square, not Euler's criterion.
+    definition of a square, not Euler's criterion.  Built once per context
+    and kept on it, read-only, for every later scan.
     """
-    check_scan_bound(ctx.q)
-    sq = bytearray(ctx.q)
-    for x in ctx.half_unit_squares():
-        sq[x] = 1
-    return sq
+    if ctx._squares is None:
+        check_scan_bound(ctx.q)
+        sq = bytearray(ctx.q)
+        for x in ctx.half_unit_squares():
+            sq[x] = 1
+        ctx._squares = bytes(sq)
+    return ctx._squares
 
 
 # swaps the bytes 0 and 1 (bytes.translate)
@@ -185,8 +191,7 @@ def _byte_mask(ctx: FieldCtx, fam: SetFamily) -> bytes:
     the conditions are combined as ints with ``&``.
     """
     sq = square_table(ctx)
-    table = {1: sq, -1: sq.translate(_NOT)}
-    table[-1][0] = 0  # chi(0) = 0 matches no sign
+    table = {1: sq, -1: b"\0" + sq[1:].translate(_NOT)}  # chi(0) = 0 matches no sign
     bits = -1 if fam.kind == "A" else ~0xFF  # a = 0, byte 0, is a member of A only
     for s, e in _conditions(ctx, fam):
         bits &= int.from_bytes(ctx.translate_bytes(table[e], s), "little")

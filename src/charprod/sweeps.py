@@ -251,37 +251,28 @@ def card_tally(ctx: FieldCtx):
     l-class ol*3 + cl, with the oracle's chi (``FieldTables.shifted``) in ok
     and ol, the closed ``ctx.legendre`` in ck and cl, and the closed chi(-k),
     which T reads at j = -k, in cn.  A pair is realized when both classes
-    occur: 9 on a sound field, at most 243.  Its row correlates the two
-    indicators over (Z/p)^n on the digit grid ``reshape((p,)*n)``: one
-    ``rfftn`` per realized class (one k spectrum held at a time), one
-    ``irfftn`` per row.  A row must round to within 1/4 and sum to |U| |V|,
-    else IdentityFailure.  Returns u, v, counts and the class vectors.
+    occur: 9 on a sound field, at most 243.  Its row is the
+    ``FieldTables.correlate`` of the two indicators: one ``spectrum`` per
+    realized class (one k spectrum held at a time), one correlation per row,
+    exact up to q = 2^26 by the a-priori bound there.  A row that is not
+    within 1/4 of integers summing to |U| |V| raises IdentityFailure ("no
+    count").  Returns u, v, counts and the class vectors.
     """
     import numpy as np
-    import numpy.fft
 
     tb, q = ctx.tables(), ctx.q
     closed = ctx.legendre(np.arange(q)) + 1
     l_class = ((tb.shifted(0) + 1) * 3 + closed).astype(np.int8)
     k_class = l_class * 3 + closed[ctx.neg(np.arange(q))]
-    grid, axes = (ctx.p,) * ctx.n, tuple(range(ctx.n))
-
-    def spectrum(classes, c):
-        return np.fft.rfftn((classes == c).reshape(grid).astype(np.float64))
-
     k_sizes, l_sizes = np.bincount(k_class, minlength=27), np.bincount(l_class, minlength=9)
     us, vs = np.flatnonzero(k_sizes), np.flatnonzero(l_sizes)
-    l_spectra = [spectrum(l_class, v) for v in vs]
+    l_spectra = [tb.spectrum(l_class == v) for v in vs]
     counts = np.empty((len(us) * len(vs), q), dtype=np.int32)  # counts are below q < 2^31
     for i, u in enumerate(us):
-        k_conj = spectrum(k_class, u).conj()
+        k_spectrum = tb.spectrum(k_class == u)
         for j, (v, l_spectrum) in enumerate(zip(vs, l_spectra)):
-            h = np.fft.irfftn(k_conj * l_spectrum, s=grid, axes=axes).ravel()
-            row = np.rint(h)
-            if np.abs(h - row).max() >= 0.25 or row.sum() != k_sizes[u] * l_sizes[v]:
-                raise IdentityFailure(f"the pair tally of classes {u}, {v} is no count "
-                                      f"at q={q}")
-            counts[i * len(vs) + j] = row
+            counts[i * len(vs) + j] = tb.correlate(
+                k_spectrum, l_spectrum, f"the pair tally of classes {u}, {v} is no count")
     return np.repeat(us, len(vs)), np.tile(vs, len(us)), counts, k_class, l_class
 
 

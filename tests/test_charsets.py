@@ -459,6 +459,97 @@ def test_tally_guard_fails_every_tables_row(monkeypatch, p, n):
     assert {r["actual"] for r in rows} == {"unchecked"}
 
 
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (4099, 1), (65521, 1)])
+def test_difference_vectors_equal_the_scan(p, n):
+    # once the vectors of a difference d are built, every pair (s1, s1 + d)
+    # reads them; each tally must equal the scan's, at d = 0, 4 and a random
+    # d on the sound field, and at one of them in turn under each fault,
+    # which the oracle must not see: every s1 up to 4099, 300 sampled s1 at
+    # 65521
+    q = p ** n
+    rng = random.Random(q)
+    ds = (0, 4 % p, rng.randrange(q))
+    s1s = range(q) if q < 10 ** 4 else rng.sample(range(q), 300)
+    faults = field_faults(q) if q < 100 else sampled_faults(q)
+    for i, (name, fault) in enumerate(faults):
+        ctx = mk_field(p, n)
+        fault(ctx)
+        tb = ctx.tables()
+        for d in ds if name == "sound" else ds[i % 3:i % 3 + 1]:
+            for s1 in range((q - 1).bit_length() + 1):  # ceil(log2 q) scans, then the build
+                tb.tally(s1, ctx.add(s1, d))
+            assert tb._diff[0] == d
+            for s1 in s1s:
+                s2 = ctx.add(s1, d)
+                assert tb.tally(s1, s2) == tb._scan(s1, s2), (q, name, d, s1)
+            assert tb._diff[0] == d
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
+def test_perturbed_inverse_transform_fails_tables_rows_never_raises(monkeypatch, p, n):
+    # an inverse transform off by 0.3 gives no integer log sums: the build
+    # raises, and the tables suite turns that into failed rows. On a fresh
+    # context the first ceil(log2 q) taus, scanned, pass; after as many
+    # scans at d = 4 beforehand, every one of the 4 q rows fails
+    # (the kept tally of the last scanned pair, right, is dropped)
+    inverse = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *args, **kw: inverse(*args, **kw) + 0.3)
+    q = p ** n
+    bits = (q - 1).bit_length()
+    rows = sweeps.run_field(p, n, ("tables",))
+    assert [r["ok"] for r in rows] == [True] * 4 * bits + [False] * 4 * (q - bits)
+    ctx = mk_field(p, n)
+    tb = ctx.tables()
+    for s1 in range(bits):
+        tb.tally(s1, ctx.add(s1, ctx.from_int(4)))
+    tb._kept = (None, None)
+    monkeypatch.setattr(sweeps, "mk_field", lambda p, n=1: ctx)
+    rows = sweeps.run_field(p, n, ("tables",))
+    assert len(rows) == 4 * q
+    assert not any(r["ok"] for r in rows)
+    assert {r["actual"] for r in rows} == {"unchecked"}
+    assert all("are no integers" in r["expected"] for r in rows)
+
+
+def test_tables_suite_scans_ceil_log2_q_pairs():
+    # the q pairs of tables, all at d = 4, make ceil(log2 q) scans of two
+    # shifted vectors each and one build of two: 26 calls at 4093, not 2 q
+    from charprod.ffield import FieldTables
+
+    ctx = mk_field(4093)
+    ctx.tables()
+    calls = []
+    shifted = FieldTables.shifted
+
+    def counted(self, k):
+        calls.append(k)
+        return shifted(self, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FieldTables, "shifted", counted)
+        rows = list(sweeps.suite_tables(ctx))
+    assert all(r["ok"] for r in rows) and len(rows) == 4 * ctx.q
+    assert len(calls) <= 2 * (ctx.q - 1).bit_length() + 2, len(calls)
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS[1:] + [(13, 3), (4093, 1)])
+@pytest.mark.parametrize("suite", ["rescaling", "intro", "reciprocity"])
+def test_one_off_pairs_make_no_transform(monkeypatch, p, n, suite):
+    # suites whose pairs of shifts come alone or a few at one difference
+    # scan them: no FFT call on a fresh context (at q = 3, ceil(log2 q) = 2
+    # and intro's three pairs at d = 1 build)
+    calls = []
+    for name in ("rfftn", "irfftn"):
+        def counted(*args, op=getattr(np.fft, name), **kwargs):
+            calls.append(name)
+            return op(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    rows = sweeps.run_field(p, n, (suite,))
+    assert rows and all(r["ok"] for r in rows)
+    assert calls == []
+
+
 @functools.lru_cache(maxsize=None)
 def every_family_reference(p, n):
     """(family, product_reference) for every family of F_{p^n}: one reference
@@ -535,6 +626,31 @@ def test_square_table_is_euler_criterion(p, n):
     assert len(sq) == ctx.q and sq[0] == 0
     for x in range(1, ctx.q):
         assert (1 if sq[x] else -1) == ctx.legendre(x), (ctx.q, x)
+
+
+def test_square_table_is_built_once_per_context(monkeypatch):
+    # a second enumerate_family (or byte scan) on one context reads the kept,
+    # read-only table: no further half_unit_squares call
+    from charprod.ffield import FieldCtx
+
+    calls = []
+    squares = FieldCtx.half_unit_squares
+
+    def counted(self):
+        calls.append(self.q)
+        return squares(self)
+
+    monkeypatch.setattr(FieldCtx, "half_unit_squares", counted)
+    for p, n in [(13, 1), (3, 3)]:
+        ctx = mk_field(p, n)
+        first = enumerate_family(ctx, a_family(1, 2, (1, -1)))
+        second = enumerate_family(ctx, t_family(1, 3, (-1, -1)))
+        brute_product(ctx, s1_family(0, 1))
+        assert calls == [ctx.q]
+        assert isinstance(square_table(ctx), bytes)
+        assert first == members_reference(ctx, a_family(1, 2, (1, -1)))
+        assert second == members_reference(ctx, t_family(1, 3, (-1, -1)))
+        calls.clear()
 
 
 def test_scan_never_reads_the_field_character(monkeypatch):

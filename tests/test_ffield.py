@@ -705,6 +705,21 @@ def test_table_free_prod_streams_its_codes(p, n, count, bound):
     assert peak < bound, peak
 
 
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3)])
+def test_correlate_equals_the_double_sum(p, n):
+    # c[t] = sum_x f(x) g(x + t), for random integer f and g of both signs,
+    # against the O(q^2) sum over the field's own addition
+    import numpy as np
+
+    ctx = field(p, n)
+    tb, codes = ctx.tables(), np.arange(ctx.q)
+    rng = np.random.default_rng(ctx.q)
+    f, g = rng.integers(-1000, 1000, (2, ctx.q))
+    want = [int(f @ g[ctx.add(codes, t)]) for t in range(ctx.q)]
+    got = tb.correlate(tb.spectrum(f), tb.spectrum(g), "no correlation")
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 def _assert_translation_matches_add(ctx, ks):
     # two byte planes of the codes, so q > 256 is checked exactly
     planes = [bytes(a % 256 for a in range(ctx.q)),
