@@ -22,14 +22,22 @@ choice of a unit u with u + 1/u = r, and no element of F_{q^2}, enters.
 The paper's named corollaries (tau = 1, 3, 1/3, by q mod 8 and mod 12)
 are rows of these classes, not separate cases.
 
-A row depends only on (ctx, j, l), so ``prod_T_values`` keeps the last
-row built on each context, weakly keyed, and a call on the same pair
-returns a copy of it: the ``tables`` suite asks for each tau's row eight
-times and builds it once.  This holds as long as a context is not changed
-between calls; faults are applied to a fresh context before any suite
-runs.  Before a row is kept it must pass the Wilson check: the four
+A row depends only on (ctx, j, l), so each context keeps a table of the
+rows built on it, weakly keyed and indexed by the code of l (j = 4 - l
+once the pair is checked), and ``prod_T_values`` returns a copy of a kept
+row instead of building it again.  This holds as long as a context is not
+changed between calls; faults are applied to a fresh context before any
+suite runs.  Before a row is kept it must pass the Wilson check: the four
 T-sets partition F_q^* minus {j, -l}, so their products multiply to
 1/(jl), to 1/l at tau = 0 and to -1/j at tau = inf.
+
+The ``tables`` suite fills the table first, by ``prod_T_table``: one pass
+over the int64 arrays of every tau but 0 and -1, a class at a time, through
+the same bodies as a scalar row (``normalized_frame``, ``det_sqrt``, the
+class rows and the Wilson check serve ints and code arrays alike).  The
+pass keeps every row or none: where any check fails at any tau, it keeps
+nothing, and every tau's row is built as a scalar, as it is for tau = 0
+and tau = inf.  Numpy is imported only on arrays.
 
 S-products are served exclusively through T-products: S_{k,l}^{s1,s2}
 equals T_{-k,l}^{eps*s1, s2} as a set, eps the character of -1, and
@@ -80,20 +88,38 @@ class NormalizedFrame(NamedTuple):
 
 
 def normalized_frame(ctx: FieldCtx, tau: ProjTau) -> NormalizedFrame:
-    """Compute (j, l, r) and the square class for a ratio tau != -1."""
+    """Compute (j, l, r) and the square class for a ratio tau != -1.
+
+    On a code array of taus, j, l, r and the two characters of cls are
+    arrays, and a check raises if it fails at any tau.
+    """
     four = ctx.from_int(4)
     if isinstance(tau, _Infinity):
         return NormalizedFrame(tau=INF, j=four, l=0, r=ctx.from_int(-2), cls=None)
-    if tau == ctx.minus_one:
+    if _fails(tau == ctx.minus_one):
         raise ValueError("tau = -1 is excluded")
     den = ctx.add(tau, ctx.one)
     l = ctx.div(four, den)
     j = ctx.mul(tau, l)
     r = ctx.sub(l, ctx.from_int(2))
     # round-trip tau = (2-r)/(2+r); 2+r = l is nonzero here
-    if ctx.div(ctx.sub(ctx.from_int(2), r), l) != tau:
+    if _fails(ctx.div(ctx.sub(ctx.from_int(2), r), l) != tau):
         raise IdentityFailure(f"tau = (2-r)/(2+r) fails at q={ctx.q}")
     return NormalizedFrame(tau=tau, j=j, l=l, r=r, cls=square_classes(ctx, tau))
+
+
+def _fails(bad) -> bool:
+    """Whether a check fails: at an int, or at any entry of a code array."""
+    return bool(bad.any()) if hasattr(bad, "any") else bool(bad)
+
+
+def _where(cond, a, b):
+    """a where cond holds, else b: on a bool, or entry by entry on arrays."""
+    if getattr(cond, "ndim", 0) == 0:
+        return a if cond else b
+    import numpy as np
+
+    return np.where(cond, a, b)
 
 
 def square_classes(ctx: FieldCtx, tau: int) -> tuple[int, int]:
@@ -172,7 +198,7 @@ def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame) -> int:
     r = frame.r
     dm, dm1 = dickson_values(ctx.m, r, ctx.sub, ctx.mul, ctx.from_int(2))
     if frame.cls == (1, -1):
-        if dm != 0:
+        if _fails(dm != 0):
             raise IdentityFailure(f"r is no root of D_m for the det root a1 at q={ctx.q}")
         name = "a1"
         d = ctx.sub(ctx.mul(r, r), ctx.from_int(4))  # (u - 1/u)^2 = -j*l, nonzero
@@ -184,15 +210,18 @@ def det_sqrt(ctx: FieldCtx, frame: NormalizedFrame) -> int:
         name = "a3"
         val = dm if ctx.legendre(ctx.from_int(2)) == 1 else ctx.neg(dm)
         want = frame.j
-    if ctx.mul(val, val) != want:
+    if _fails(ctx.mul(val, val) != want):
         raise IdentityFailure(
             f"square identity for the det root {name} failed at q={ctx.q}")
     return val
 
 
+_PP, _PM, _MP, _MM = SIGN_PAIRS
+
+
 def _sign_row(pp: int, pm: int, mp: int, mm: int) -> dict[SignPair, int]:
     """A table row: the values for the sign pairs ++, +-, -+, -- in order."""
-    return dict(zip(SIGN_PAIRS, (pp, pm, mp, mm)))
+    return {_PP: pp, _PM: pm, _MP: mp, _MM: mm}
 
 
 def _specific_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int]:
@@ -224,7 +253,7 @@ def all_square_class(ctx: FieldCtx, frame: NormalizedFrame) -> int:
         raise IdentityFailure(f"l is a nonsquare in the all-square class at q={ctx.q}")
     mu_plus = ctx.legendre(ctx.add(ctx.one, ctx.mul(rt, half)))
     mu_minus = ctx.legendre(ctx.sub(ctx.one, ctx.mul(rt, half)))
-    if not mu_plus == mu_minus != 0:
+    if _fails((mu_plus != mu_minus) | (mu_minus == 0)):
         raise IdentityFailure(f"branch dependence in the all-square class at q={ctx.q}")
     return mu_plus
 
@@ -235,9 +264,8 @@ def _all_square_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, int
     ce = el(ctx.eps)
     jl2 = ctx.mul(el(2), ctx.mul(frame.j, frame.l))
     vals = _sign_row(ctx.div(ce, jl2), ce, ctx.one, el(2))
-    if all_square_class(ctx, frame) == 1:
-        return vals
-    return {sp: ctx.neg(v) for sp, v in vals.items()}
+    keep = all_square_class(ctx, frame) == 1
+    return {sp: _where(keep, v, ctx.neg(v)) for sp, v in vals.items()}
 
 
 def mixed_class_root(ctx: FieldCtx, frame: NormalizedFrame) -> int:
@@ -279,21 +307,17 @@ def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, in
                      ctx.mul(two, c))
 
 
-# the last row built on each context, ctx -> ((j, l), row); weak keys, so a
-# context and its tables are freed once nothing else holds them
-_LAST_ROW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# the rows kept on each context, ctx -> {l: (++, +-, -+, --)}; weak keys, so
+# a context and its tables are freed once nothing else holds them
+_KEPT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _wilson_check(ctx: FieldCtx, j: int, l: int, row: dict[SignPair, int]) -> None:
     """IdentityFailure unless the row multiplies to Wilson's 1/(jl), to 1/l
-    at j = 0 and to -1/j at l = 0 (see the module docstring)."""
-    if j == 0:
-        removed = l
-    elif l == 0:
-        removed = ctx.neg(j)
-    else:
-        removed = ctx.mul(j, l)
-    if functools.reduce(ctx.mul, row.values()) != ctx.inv(removed):
+    at j = 0 and to -1/j at l = 0 (see the module docstring), on ints or,
+    at every entry, on code arrays."""
+    removed = _where(j == 0, l, _where(l == 0, ctx.neg(j), ctx.mul(j, l)))
+    if _fails(functools.reduce(ctx.mul, row.values()) != ctx.inv(removed)):
         raise IdentityFailure(
             f"Wilson product of the four T-values fails at q={ctx.q}")
 
@@ -301,17 +325,19 @@ def _wilson_check(ctx: FieldCtx, j: int, l: int, row: dict[SignPair, int]) -> No
 def prod_T_values(ctx: FieldCtx, j: int, l: int) -> dict[SignPair, int]:
     """All four T_{j,l} products for a normalized pair (j + l = 4).
 
-    Returns a fresh dict.  The row depends only on (ctx, j, l), so the last
-    one built on each context is kept, and a call on the same pair reads it
-    instead of building it again; this holds as long as the context is not
-    changed between calls.  A row is kept only once it passes the Wilson
+    Returns a fresh dict.  The row depends only on (ctx, j, l), and j = 4 - l
+    once the pair is checked, so the context's table keeps it by l, and a
+    kept row is read instead of built again (``prod_T_table`` fills the
+    table in one pass); this holds as long as the context is not changed
+    between calls.  A row built here is kept only once it passes the Wilson
     check; a call that raises keeps nothing, and the next one raises again.
     """
     if ctx.add(j, l) != ctx.from_int(4):
         raise ValueError("pair is not normalized: j + l != 4")
-    last = _LAST_ROW.get(ctx)
-    if last is not None and last[0] == (j, l):
-        return dict(last[1])
+    kept = _KEPT.setdefault(ctx, {})
+    values = kept.get(l)
+    if values is not None:
+        return _sign_row(*values)
     frame = normalized_frame(ctx, INF if l == 0 else ctx.div(j, l))
     if frame.cls == (1, 1):
         row = _all_square_row(ctx, frame)
@@ -320,8 +346,81 @@ def prod_T_values(ctx: FieldCtx, j: int, l: int) -> dict[SignPair, int]:
     else:
         row = _specific_row(ctx, frame)
     _wilson_check(ctx, j, l, row)
-    _LAST_ROW[ctx] = ((j, l), row)
-    return dict(row)
+    kept[l] = tuple(row[sp] for sp in SIGN_PAIRS)
+    return row
+
+
+class _ArrayOps:
+    """A context's operations for the code arrays of ``prod_T_table``.
+
+    ``inv`` and ``div`` of an array read one inverse of every unit, made once,
+    as an array ``ctx.inv`` converts ``exp`` and ``log`` on every call for
+    n > 1.  ``sqrt_canonical`` of an array takes the scalar root of each
+    entry, and None if any has none, as the array one reads neither delta
+    nor chi.  Everything else, and every int, is the context's.
+    """
+
+    def __init__(self, ctx: FieldCtx, inverse):
+        self._ctx, self._inverse = ctx, inverse
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def inv(self, a):
+        if isinstance(a, int):
+            return self._ctx.inv(a)
+        if _fails(a == 0):
+            raise ZeroDivisionError("inverse of zero")
+        return self._inverse[a]
+
+    def div(self, a, b):
+        return self._ctx.mul(a, self.inv(b))
+
+    def sqrt_canonical(self, a):
+        import numpy as np
+
+        roots = [self._ctx.sqrt_canonical(x) for x in a.tolist()]
+        return None if None in roots else np.array(roots, dtype=np.int64)
+
+
+def prod_T_table(ctx: FieldCtx) -> None:
+    """Keep the row of every tau in F_q minus {0, -1}, built in one array pass.
+
+    The frames of those taus are int64 arrays, split by square class; each
+    class runs the bodies of a scalar row on its arrays (one ``dickson_values``
+    ladder per mixed class) and its Wilson check, and every unit is inverted
+    once, up front.  All or nothing: if any check or array operation raises,
+    at any tau, no row is kept, and ``prod_T_values`` builds each row as a
+    scalar, as it does at tau = 0 and tau = inf.  The pass calls neither
+    ``prod_T_values`` nor the oracle.
+    """
+    try:
+        rows = _class_rows(ctx)
+    except (IdentityFailure, ValueError, ZeroDivisionError):
+        return
+    _KEPT.setdefault(ctx, {}).update(rows)
+
+
+def _class_rows(ctx: FieldCtx) -> dict[int, tuple[int, int, int, int]]:
+    """The rows of ``prod_T_table`` by l; raises where any check fails."""
+    import numpy as np
+
+    units = np.arange(1, ctx.q, dtype=np.int64)
+    inverse = np.zeros(ctx.q, dtype=np.int64)
+    inverse[1:] = ctx.inv(units)
+    ops = _ArrayOps(ctx, inverse)
+    taus = units[units != ctx.minus_one]
+    frame = normalized_frame(ops, taus)
+    rows = {}
+    for cls in ((1, 1), *_MIXED_CLASSES):
+        at = (frame.cls[0] == cls[0]) & (frame.cls[1] == cls[1])
+        part = NormalizedFrame(*(x[at] for x in frame[:4]), cls=cls)
+        row = (_all_square_row if cls == (1, 1) else _mixed_class_row)(ops, part)
+        _wilson_check(ops, part.j, part.l, row)
+        rows.update(zip(part.l.tolist(), zip(*(row[sp].tolist() for sp in SIGN_PAIRS))))
+    if len(rows) != len(taus):
+        raise IdentityFailure(f"a tau is in no square class at q={ctx.q}")
+    return rows
 
 
 def rescale_T(ctx: FieldCtx, j_prime: int, l_prime: int, signs) -> int:

@@ -123,10 +123,10 @@ def _rng(ctx: FieldCtx, salt: str) -> random.Random:
 def _closed_vs_rescaled(ctx: FieldCtx, fam: charsets.SetFamily) -> str:
     """Table value of a normalized T-family, cross-checked by closed_product.
 
-    Here lambda = 1, so ``rescale_T`` reads the row that ``prod_T_values``
-    keeps for the context, the row of the first call; what the cross-check
+    Here lambda = 1, so ``rescale_T`` reads the row that the context's
+    table keeps for l, the row the first call read; what the cross-check
     still guards is rescale_T's division of (j, l) by lambda, since a pair
-    it gets wrong misses the kept row and builds its own.
+    it gets wrong reads, or builds, the row of another l.
     """
     closed = closedform.prod_T_values(ctx, *fam.params)[fam.signs]
     rescaled = closedform.closed_product(ctx, fam)
@@ -140,7 +140,11 @@ def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
 
     A failure on the oracle's side is a failed row too, so every tau gives
     its four rows; the oracle's pair (j, l) is worked out once per tau.
+    ``closedform.prod_T_table`` first keeps the closed rows of every tau
+    but 0 and inf in one array pass, or none of them, so the closed side's
+    calls read kept rows and build, as scalars, only those the pass left.
     """
+    closedform.prod_T_table(ctx)
     taus = [INF] + [t for t in range(ctx.q) if t != ctx.minus_one]
     for tau in taus:
         cases = [f"T[{tau_str(tau, ctx)}]{sign_str(sp)}" for sp in SIGN_PAIRS]

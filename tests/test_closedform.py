@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from charprod import closedform, sweeps
+from charprod import cli, closedform, sweeps
 from charprod.charsets import (SIGN_PAIRS, SignPair, a_family, brute_product,
                                card_closed, s1_family, s_family, t_family)
 from charprod.closedform import (INF, all_square_class, closed_product,
@@ -14,7 +14,7 @@ from charprod.closedform import (INF, all_square_class, closed_product,
 from charprod.ffield import IdentityFailure, mk_field
 from helpers import (SMALL_FIELDS, det_root_ext2, e2_div, e2_inv, e2_pow,
                      ext2_solve_unit, field, field_faults, named_ratio_row,
-                     small_ctxs)
+                     sampled_faults, small_ctxs)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +224,7 @@ def test_prod_T_values_reads_the_square_class_once(monkeypatch):
     for ctx in [field(13), field(3, 3)]:
         taus = [t for t in range(1, ctx.q) if t != ctx.minus_one]
         frames = [normalized_frame(ctx, tau) for tau in taus]
+        closedform._KEPT.pop(ctx, None)  # rows kept by earlier calls are read, not built
         reads.clear()
         for f in frames:
             prod_T_values(ctx, f.j, f.l)
@@ -292,7 +293,7 @@ def test_kept_rows_give_the_rows_of_rebuilt_ones(monkeypatch, p, n):
     real = closedform.prod_T_values
 
     def rebuilt(ctx, j, l):
-        closedform._LAST_ROW.clear()
+        closedform._KEPT.clear()
         return real(ctx, j, l)
 
     for name, fault in field_faults(p ** n):
@@ -308,15 +309,81 @@ def test_kept_rows_give_the_rows_of_rebuilt_ones(monkeypatch, p, n):
 
 
 def test_kept_row_is_copied_and_holds_no_context():
+    # a row read from the table, kept by the array pass or by a scalar
+    # build (tau = 0), is returned as a copy, and the context is freed
+    # together with its table
     ctx = mk_field(13)
-    first = prod_T_values(ctx, 1, 3)
-    want = dict(first)
-    first[SignPair(1, 1)] = 0
-    assert prod_T_values(ctx, 1, 3) == want
+    closedform.prod_T_table(ctx)
+    for j, l in ((1, 3), (0, 4)):
+        first = prod_T_values(ctx, j, l)
+        want = dict(first)
+        first[SignPair(1, 1)] = 0
+        assert prod_T_values(ctx, j, l) == want
     ref = weakref.ref(ctx)
+    gc.collect()
+    contexts = len(closedform._KEPT)
     del ctx
     gc.collect()
     assert ref() is None
+    assert len(closedform._KEPT) == contexts - 1
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (4093, 1)])
+def test_table_rows_are_the_scalar_rows(p, n):
+    # every row the array pass keeps is the row that prod_T_values builds as
+    # a scalar on a cleared table: the pass keeps the row of every tau but
+    # 0, -1 and inf on the sound field, and under each fault either none or
+    # only rows whose scalar build passes and agrees
+    for name, fault in sampled_faults(p ** n):
+        ctx = mk_field(p, n)
+        fault(ctx)
+        closedform.prod_T_table(ctx)
+        kept = dict(closedform._KEPT.get(ctx, {}))
+        if name == "sound":
+            assert set(kept) == set(range(1, ctx.q)) - {ctx.from_int(4)}, p ** n
+        for l, row in kept.items():
+            closedform._KEPT.pop(ctx)
+            scalar = prod_T_values(ctx, ctx.sub(ctx.from_int(4), l), l)
+            assert scalar == dict(zip(SIGN_PAIRS, row)), (p ** n, name, l)
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (4093, 1)])
+def test_tables_suite_builds_scalar_rows_only_at_zero_and_inf(monkeypatch, p, n):
+    # on a sound field the pass keeps every other row, so a silent fall
+    # back to scalar rows, correct but slow, fails here
+    scalar = []
+    for name in ("_all_square_row", "_mixed_class_row", "_specific_row"):
+        def counted(ctx, frame, real=getattr(closedform, name)):
+            if not hasattr(frame.tau, "shape"):
+                scalar.append(frame.tau)
+            return real(ctx, frame)
+
+        monkeypatch.setattr(closedform, name, counted)
+    rows = sweeps.run_field(p, n, ("tables",))
+    assert rows and all(r["ok"] for r in rows), p ** n
+    assert scalar == [INF, 0], p ** n
+
+
+def test_one_off_calls_run_no_array_pass(monkeypatch, capsys):
+    # only the tables suite builds the table; rescaling, reciprocity, intro
+    # and eval build the rows they ask for, and no frame of q taus
+    passes = []
+    real = closedform.normalized_frame
+
+    def frame(ctx, tau):
+        if hasattr(tau, "shape"):
+            passes.append(len(tau))
+        return real(ctx, tau)
+
+    monkeypatch.setattr(closedform, "normalized_frame", frame)
+    for p, n in ((13, 1), (3, 3)):
+        rows = sweeps.run_field(p, n, ("rescaling", "reciprocity", "intro"))
+        assert rows and all(r["ok"] for r in rows), p ** n
+    assert cli.main(["eval", "T 1 3 --", "--p", "13"]) == 0
+    assert cli.main(["eval", "S 1 4 -+", "--p", "13"]) == 0
+    assert passes == []
+    sweeps.run_field(13, 1, ("tables",))
+    assert passes == [11]
 
 
 def test_rescale_examples():
