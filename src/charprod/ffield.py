@@ -38,7 +38,7 @@ stays ``mul_poly``, O(len), where the lists would be converted whole.
 ``prod`` reads no table, and no other library module reads ``exp``,
 ``log`` or ``chi``.  They also hold the oracle's character, read off
 ``half_unit_squares``, as the shifted vectors that the product scan and
-the cardinality counts read, on a grid of 2^n q bytes, and its class
+the cardinality counts read, on a digit grid of q bytes, and its class
 tally, sums of discrete logs over its own copy of the units' walk; ``add``,
 ``sub`` and ``neg`` stay digit arithmetic either way.  The tables' one
 transform, ``FieldTables.correlate``, is the only ``np.fft`` user of the
@@ -296,10 +296,9 @@ class FieldTables:
     is ``exp[log[a] + log[b]]``.  A prime field keeps None for both.  The
     oracle's ``tally`` reads the walk and its float64 inverse L (0 at 0),
     read-only, instead.  ``shifted(k)``, the oracle's character moved by k, is
-    a slice (``translate``) of the squares of ``ctx.half_unit_squares`` on
-    the coefficient grid, doubled along its n digit axes by ``tile``: 1 at
-    the nonzero squares, -1 at the other units, 0 at 0, never ``chi``.
-    That grid takes 2^n q bytes (1,024 per element at 3^10), the rest O(q).
+    the one read-only int8 grid ``_grid`` of shape (p,)*n, q bytes, rolled
+    by the digits of -k: 1 at the squares of ``ctx.half_unit_squares``, -1
+    at the other units, 0 at 0, never ``chi``.  Every table is O(q).
 
     ``correlate`` is the one FFT of the package: c[t] = sum_x f(x) g(x + t),
     an exact integer vector or IdentityFailure.  ``tally`` keeps, besides
@@ -308,7 +307,7 @@ class FieldTables:
     bytes).
     """
 
-    __slots__ = ("exp", "log", "chi", "_p", "_n", "_pw", "_wrap", "_cycle", "_logs",
+    __slots__ = ("exp", "log", "chi", "_p", "_n", "_pw", "_grid", "_cycle", "_logs",
                  "_kept", "_scans", "_diff", "_log_spectra")
 
     def __init__(self, ctx: "FieldCtx"):
@@ -337,8 +336,8 @@ class FieldTables:
         squares = np.fromiter(ctx.half_unit_squares(), dtype=np.int64, count=u // 2)
         sq = np.full(q, -1, dtype=np.int8)
         sq[0], sq[squares] = 0, 1
-        self._wrap = self.tile(sq)
-        self._wrap.flags.writeable = False
+        self._grid = sq.reshape((ctx.p,) * ctx.n)  # top digit on axis 0
+        self._grid.flags.writeable = False
 
     def tally(self, s1: int, s2: int) -> tuple[list[int], list[int], int]:
         """(counts, products, zero) of the classes 3 chi(a + s1) + chi(a + s2) + 4.
@@ -459,23 +458,12 @@ class FieldTables:
             raise IdentityFailure(f"{failure} at q={len(c)}")
         return c
 
-    def tile(self, vec):
-        """vec (last axis: all a) on the coefficient grid, doubled so shifts are slices."""
+    def shifted(self, k: int):
+        """Fresh int8 vector of chi(a + k) over all a, indexed by a."""
         import numpy as np
 
-        return np.tile(vec.reshape(vec.shape[:-1] + (self._p,) * self._n), (2,) * self._n)
-
-    def translate(self, wrap, k: int):
-        """``tile``-d vec at a + k over all a, added coefficient by coefficient."""
-        p, idx = self._p, []
-        for _ in range(self._n):
-            k, c = divmod(k, p)
-            idx.append(slice(c, c + p))
-        return wrap[(Ellipsis, *reversed(idx))].reshape(wrap.shape[:-self._n] + (-1,))
-
-    def shifted(self, k: int):
-        """Read-only int8 vector of chi(a + k) over all a, indexed by a."""
-        return self.translate(self._wrap, k)
+        digits = [-(k // w) % self._p for w in reversed(self._pw)]
+        return np.roll(self._grid, digits, axis=tuple(range(self._n))).ravel()
 
 
 class FieldCtx:

@@ -155,22 +155,22 @@ def card_count_blocks(ctx, block=32):
 
     Yields (rows, counts), counts[kind][s, i, l] for (rows[i], l) and
     SIGN_PAIRS[s]: the counts c(d) once per difference, each moved onto the
-    grid by ``FieldTables.translate``, less a = 0 for S and T.
+    grid by a ``ctx.add`` gather, less a = 0 for S and T.
     """
     import numpy as np
 
-    tb, q = ctx.tables(), ctx.q
+    tb, q, codes = ctx.tables(), ctx.q, np.arange(ctx.q)
     chi = tb.shifted(0)  # chi(a), as the scans read it
     e1s, e2s = (np.array(e)[:, None] for e in zip(*SIGN_PAIRS))
     first, second = chi == e1s, chi == e2s  # [s, a]
     c = np.array([np.count_nonzero(first & (tb.shifted(d) == e2s), axis=1)
                   for d in range(q)], dtype=np.int32).T
     t_signs = [SIGN_PAIRS.index((ctx.eps * e1, e2)) for e1, e2 in SIGN_PAIRS]
-    diff_wrap, sum_wrap, neg = tb.tile(c), tb.tile(c[t_signs]), ctx.neg(np.arange(q))
+    neg = ctx.neg(codes)
     for k0 in range(0, q, block):
         rows = slice(k0, min(q, k0 + block))
-        a = np.stack([tb.translate(diff_wrap, ctx.neg(k)) for k in range(q)[rows]], axis=1)
-        t = np.stack([tb.translate(sum_wrap, j) for j in range(q)[rows]], axis=1)
+        a = c[:, ctx.add(codes, neg[rows, None])]  # c(l - k)
+        t = c[t_signs][:, ctx.add(codes, codes[rows, None])]  # c(l + k)
         s_zero = first[:, rows, None] & second[:, None]  # a = 0 in S: chi(k) = e1
         t -= (chi[neg[rows]] == ctx.eps * e1s)[:, :, None] & second[:, None]  # a = 0 in T
         yield rows, {"A": a, "S": a - s_zero, "T": t}
@@ -178,18 +178,18 @@ def card_count_blocks(ctx, block=32):
 
 def card_tally_reference(ctx):
     """``sweeps.card_tally`` by one ``np.bincount`` per difference d: the
-    class vector of l, moved by ``FieldTables.translate`` on its ``tile``,
-    read against the classes of k; the reference for the correlations."""
+    class vector of l, moved by a ``ctx.add`` gather, read against the
+    classes of k; the reference for the correlations."""
     import numpy as np
 
-    tb, q = ctx.tables(), ctx.q
-    closed = ctx.legendre(np.arange(q)) + 1
+    tb, q, codes = ctx.tables(), ctx.q, np.arange(ctx.q)
+    closed = ctx.legendre(codes) + 1
     l_class = ((tb.shifted(0) + 1) * 3 + closed).astype(np.int8)
-    k_class = l_class * 3 + closed[ctx.neg(np.arange(q))]
-    wrap, k9 = tb.tile(l_class), k_class * 9
+    k_class = l_class * 3 + closed[ctx.neg(codes)]
+    k9 = k_class * 9
     tally = np.empty((q, 243), dtype=np.int32)
     for d in range(q):
-        tally[d] = np.bincount(k9 + tb.translate(wrap, d), minlength=243)
+        tally[d] = np.bincount(k9 + l_class[ctx.add(codes, d)], minlength=243)
     return tally.reshape((q,) + (3,) * 5), k_class, l_class
 
 

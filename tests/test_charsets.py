@@ -152,7 +152,7 @@ def test_card_counts_are_a_reindexing_of_any_vector():
     for p, n in SMALL_FIELDS:
         ctx = mk_field(p, n)
         tb = ctx.tables()
-        tb._wrap = tb.tile(rng.integers(-1, 2, ctx.q).astype(np.int8))
+        tb._grid = rng.integers(-1, 2, ctx.q).astype(np.int8).reshape((p,) * n)
         got, want = _tally_counts_grid(ctx), card_counts_reference(ctx)
         for kind in "AST":
             assert (got[kind] == want[kind]).all(), (ctx.q, kind)
@@ -167,8 +167,10 @@ def test_tally_counts_are_jacobi_sums(p, n):
 
 
 def test_card_tally_peak_stays_near_its_tally():
-    # at 3^7 the class tile has 2^7 q entries: as int64 it alone is near
-    # the q x 243 int32 tally, as int8 an eighth of that
+    # card_tally keeps one int32 count row per realized class pair (9 on a
+    # sound field) and one spectrum per class, about 190 bytes per element
+    # at 3^7: the bound, 1.5 times a dense q x 243 int32 tally, fails if
+    # such a tally of every class pair comes back
     ctx = field(3, 7)
     tracemalloc.start()
     try:

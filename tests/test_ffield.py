@@ -705,6 +705,44 @@ def test_table_free_prod_streams_its_codes(p, n, count, bound):
     assert peak < bound, peak
 
 
+@pytest.mark.parametrize("p, n, ks", [(p, n, None) for p, n in SMALL_FIELDS]
+                         + [(3, 4, 200), (3, 5, 200), (5, 4, 200), (3, 8, 200), (7, 5, 200)])
+def test_shifted_is_the_character_at_a_plus_k(p, n, ks):
+    # the roll of the digit grid against the field's own addition: every k
+    # of the small fields, 200 seeded k above n = 3, where the order of the
+    # digit axes matters most
+    import numpy as np
+
+    ctx = field(p, n)
+    tb, codes = ctx.tables(), np.arange(ctx.q)
+    chi = tb.shifted(0)
+    if ks is None:
+        ks = range(ctx.q)
+    else:
+        ks = np.random.default_rng(ctx.q).integers(0, ctx.q, ks).tolist()
+    for k in ks:
+        got = tb.shifted(k)
+        assert got.dtype == np.int8 and not np.shares_memory(got, tb._grid)
+        assert (got == chi[ctx.add(codes, k)]).all(), (ctx.q, k)
+
+
+def test_tables_stay_linear_in_q():
+    # every table is O(q), the oracle's character grid q bytes: about 142
+    # bytes per element at 3^8, where a grid doubled along its 8 digit axes
+    # would take 256 bytes per element alone; numpy is imported first, so
+    # that its own allocations are not traced
+    import numpy  # noqa: F401
+
+    ctx = mk_field(3, 8)
+    tracemalloc.start()
+    try:
+        ctx.tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * ctx.q, peak
+
+
 @pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3)])
 def test_correlate_equals_the_double_sum(p, n):
     # c[t] = sum_x f(x) g(x + t), for random integer f and g of both signs,
