@@ -152,14 +152,20 @@ def square_table(ctx: FieldCtx) -> bytes:
     along lines of the field with one ``mul_poly`` per line, never by
     ``legendre`` or ``pow``: the oracle's character comes from the
     definition of a square, not Euler's criterion.  Built once per context
-    and kept on it, read-only, for every later scan.
+    and kept on it, read-only, for every later scan; a context with tables
+    reads their grid (``FieldTables.square_bytes``), made from the same
+    squares, and a later ``FieldTables`` reads these bytes, so
+    ``half_unit_squares`` runs at most once per context.
     """
     if ctx._squares is None:
         check_scan_bound(ctx.q)
-        sq = bytearray(ctx.q)
-        for x in ctx.half_unit_squares():
-            sq[x] = 1
-        ctx._squares = bytes(sq)
+        if ctx._tables is not None:
+            ctx._squares = ctx._tables.square_bytes()
+        else:
+            sq = bytearray(ctx.q)
+            for x in ctx.half_unit_squares():
+                sq[x] = 1
+            ctx._squares = bytes(sq)
     return ctx._squares
 
 

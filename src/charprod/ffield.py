@@ -298,7 +298,9 @@ class FieldTables:
     read-only, instead.  ``shifted(k)``, the oracle's character moved by k, is
     the one read-only int8 grid ``_grid`` of shape (p,)*n, q bytes, rolled
     by the digits of -k: 1 at the squares of ``ctx.half_unit_squares``, -1
-    at the other units, 0 at 0, never ``chi``.  Every table is O(q).
+    at the other units, 0 at 0, never ``chi``; where ``charsets.square_table``
+    already listed those squares the grid reads its bytes instead, and
+    ``square_bytes`` hands them back to it.  Every table is O(q).
 
     ``correlate`` is the one FFT of the package: c[t] = sum_x f(x) g(x + t),
     an exact integer vector or IdentityFailure.  ``tally`` keeps, besides
@@ -333,9 +335,13 @@ class FieldTables:
         cycle.flags.writeable = self._logs.flags.writeable = False
         self._p, self._n, self._pw, self._kept = ctx.p, ctx.n, ctx._pw, (None, None)
         self._scans, self._diff, self._log_spectra = (None, 0), (None,), None
-        squares = np.fromiter(ctx.half_unit_squares(), dtype=np.int64, count=u // 2)
-        sq = np.full(q, -1, dtype=np.int8)
-        sq[0], sq[squares] = 0, 1
+        if ctx._squares is None:
+            squares = np.fromiter(ctx.half_unit_squares(), dtype=np.int64, count=u // 2)
+            sq = np.full(q, -1, dtype=np.int8)
+            sq[0], sq[squares] = 0, 1
+        else:  # charsets.square_table's bytes, 1 exactly at the nonzero squares
+            sq = np.frombuffer(ctx._squares, dtype=np.int8) * 2 - 1
+            sq[0] = 0
         self._grid = sq.reshape((ctx.p,) * ctx.n)  # top digit on axis 0
         self._grid.flags.writeable = False
 
@@ -465,6 +471,10 @@ class FieldTables:
         digits = [-(k // w) % self._p for w in reversed(self._pw)]
         return np.roll(self._grid, digits, axis=tuple(range(self._n))).ravel()
 
+    def square_bytes(self) -> bytes:
+        """q bytes, 1 exactly at the nonzero squares of the grid, in code order."""
+        return (self._grid == 1).tobytes()
+
 
 class FieldCtx:
     """Immutable context for F_{p^n}; all element operations live here."""
@@ -483,7 +493,7 @@ class FieldCtx:
         self.minus_one = p - 1
         self._tables: FieldTables | None = None
         self._delta: int | None = None
-        self._squares: bytes | None = None  # kept by charsets.square_table
+        self._squares: bytes | None = None  # kept by charsets.square_table, read by FieldTables
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, n={self.n})"

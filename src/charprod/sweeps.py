@@ -92,6 +92,9 @@ def _row(case: str, expected: str, actual: str) -> dict:
             "ok": expected == actual}
 
 
+# json.dumps' encoder without its cycle check, which a flat row never needs
+_encode_row = json.JSONEncoder(check_circular=False).encode
+
 # what a check raises on a broken identity or on arithmetic that is no field
 _CHECK_FAILURES = (IdentityFailure, ValueError, ZeroDivisionError)
 
@@ -443,30 +446,42 @@ SUITE_FUNCS: dict[str, Callable[[FieldCtx], Iterator[dict]]] = {
 }
 
 
-def run_field(p: int, n: int, suites: Iterable[str]) -> list[dict]:
+def run_field(p: int, n: int, suites: Iterable[str],
+              emit: Callable[[dict], object] | None = None) -> list[dict]:
     """All requested checks for one field, as finished report rows; a
-    _CHECK_FAILURES exception ends its suite with a failed <suite>-aborted row."""
+    _CHECK_FAILURES exception ends its suite with a failed <suite>-aborted row.
+
+    Each row goes to ``emit(row)`` as soon as its suite yields it, and the
+    returned list is empty; with no ``emit`` the rows are returned instead,
+    the picklable result a pool worker sends back.
+    """
     ctx = mk_field(p, n)
     ctx.tables()
-    rows = []
+    rows: list[dict] = []
+    if emit is None:
+        emit = rows.append
     for name in suites:
         try:
             for row in SUITE_FUNCS[name](ctx):
                 row.update(q=ctx.q, suite=name)
-                rows.append(row)
+                emit(row)
         except _CHECK_FAILURES as exc:
-            rows.append(dict(_row(f"{name}-aborted", "completed", f"failed: {exc}"),
-                             q=ctx.q, suite=name))
+            emit(dict(_row(f"{name}-aborted", "completed", f"failed: {exc}"),
+                      q=ctx.q, suite=name))
     return rows
 
 
 def run_verify(config: SweepConfig, stream=None) -> int:
     """Run the sweep, emit JSON lines, return the exit code (0 iff clean).
 
-    With ``workers > 1`` and more than one field, the fields run in a
+    In one process each row is written as soon as its suite yields it, so
+    no field's rows are held at once, and an exception outside
+    _CHECK_FAILURES leaves the rows written before it in the report.  With
+    ``workers > 1`` and more than one field, the fields run in a
     ``concurrent.futures.ProcessPoolExecutor``, imported only then, so a
-    one-process sweep never loads ``multiprocessing``.  Rows come out in
-    field order either way.
+    one-process sweep never loads ``multiprocessing``; each worker returns
+    its field's rows as one list, written by the same ``write_row``.  Rows
+    come out in field order either way.
     """
     config.validate()
     fields = prime_powers(config.q_min, config.q_max, config.max_degree)
@@ -478,16 +493,24 @@ def run_verify(config: SweepConfig, stream=None) -> int:
         if stream is None:
             stream = (stack.enter_context(open(config.report_path, "w", encoding="utf-8"))
                       if config.report_path else sys.stdout)
-        mapper = map
+        write = stream.write
+
+        def write_row(row: dict) -> None:
+            nonlocal mismatches
+            mismatches += not row["ok"]
+            write(_encode_row(row) + "\n")
+
+        ps, ns = [p for _, p, _ in fields], [n for _, _, n in fields]
+        suites = tuple(config.suites)
         # the pool forks all its workers at once, so ask for no idle ones
         workers = min(config.workers, len(fields))
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        ps, ns = [p for _, p, _ in fields], [n for _, _, n in fields]
-        # chain drops each field's rows before the next field runs
-        for row in itertools.chain.from_iterable(
-                mapper(run_field, ps, ns, itertools.repeat(tuple(config.suites)))):
-            mismatches += not row["ok"]
-            stream.write(json.dumps(row) + "\n")
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            for rows in pool.map(run_field, ps, ns, itertools.repeat(suites)):
+                for row in rows:
+                    write_row(row)
+        else:
+            for p, n in zip(ps, ns):
+                run_field(p, n, suites, write_row)
     return 0 if mismatches == 0 else 1

@@ -655,6 +655,41 @@ def test_square_table_is_built_once_per_context(monkeypatch):
         calls.clear()
 
 
+def test_squares_are_listed_once_per_context_with_tables(monkeypatch):
+    # tables and square_table share one listing of the squares, in either
+    # order: the tables' grid gives the byte scan its table and a grid built
+    # after a byte scan reads its bytes; a verify field's dickson suite, whose
+    # enumerate_family scans bytes after the tables, lists them once too
+    from charprod.ffield import FieldCtx
+
+    calls = []
+    squares = FieldCtx.half_unit_squares
+
+    def counted(self):
+        calls.append(self.q)
+        return squares(self)
+
+    monkeypatch.setattr(FieldCtx, "half_unit_squares", counted)
+    for p, n in [(13, 1), (3, 3), (5, 2)]:
+        alone = square_table(mk_field(p, n))
+        grid = mk_field(p, n).tables().shifted(0)
+        calls.clear()
+        ctx = mk_field(p, n)
+        ctx.tables()
+        assert square_table(ctx) == alone
+        assert enumerate_family(ctx, a_family(1, 2, (1, -1))) == members_reference(
+            ctx, a_family(1, 2, (1, -1)))
+        ctx = mk_field(p, n)
+        square_table(ctx)
+        assert np.array_equal(ctx.tables().shifted(0), grid)
+        assert calls == [ctx.q] * 2, (p, n, calls)
+        calls.clear()
+        rows = sweeps.run_field(p, n, ("dickson",))
+        assert rows and all(r["ok"] for r in rows)
+        assert calls == [ctx.q], (p, n, calls)
+        calls.clear()
+
+
 def test_scan_never_reads_the_field_character(monkeypatch):
     # brute_product on a table-free field is right with legendre and pow
     # gone: the oracle shares no chi arithmetic with the closed side

@@ -1,4 +1,5 @@
 import concurrent.futures
+import io
 import json
 
 import pytest
@@ -176,6 +177,77 @@ def test_verify_pool_never_exceeds_the_field_count(monkeypatch, capsys):
     assert main(["verify", "--qmin", "13", "--qmax", "13", "--workers", "64",
                  "--suites", "intro"]) == 0
     assert sizes == [6]  # one field runs without a pool
+
+
+def test_one_process_verify_writes_each_row_before_the_next_is_made(monkeypatch):
+    # every suite counts the rows it yields; the stream records that count at
+    # each write, so the k-th write comes before the (k + 1)-th row is made
+    made = [0]
+
+    def counted(suite):
+        def rows(ctx):
+            for row in suite(ctx):
+                made[0] += 1
+                yield row
+        return rows
+
+    class Stream:
+        def __init__(self):
+            self.lines, self.made = [], []
+
+        def write(self, text):
+            self.lines.append(text)
+            self.made.append(made[0])
+
+    for name, suite in list(sweeps.SUITE_FUNCS.items()):
+        monkeypatch.setitem(sweeps.SUITE_FUNCS, name, counted(suite))
+    config = sweeps.SweepConfig(q_min=3, q_max=27)
+    stream = Stream()
+    assert sweeps.run_verify(config, stream) == 0
+    assert stream.made == list(range(1, len(stream.lines) + 1))
+    monkeypatch.undo()
+    report = "".join(stream.lines)
+    rows = [row for _, p, n in sweeps.prime_powers(3, 27, 3)
+            for row in sweeps.run_field(p, n, sweeps.ALL_SUITES)]
+    assert report == "".join(json.dumps(row) + "\n" for row in rows)
+    pooled = io.StringIO()
+    assert sweeps.run_verify(config._replace(workers=2), pooled) == 0
+    assert pooled.getvalue() == report
+
+
+def test_one_process_verify_keeps_the_rows_written_before_a_crash(monkeypatch):
+    # an exception outside the check failures ends the sweep, but the rows
+    # already made, this field's first ones included, stay in the report
+    def crash(ctx):
+        yield from sweeps.suite_intro(ctx)
+        if ctx.q == 5:
+            raise RuntimeError("crash")
+
+    monkeypatch.setitem(sweeps.SUITE_FUNCS, "intro", crash)
+    out = io.StringIO()
+    with pytest.raises(RuntimeError):
+        sweeps.run_verify(sweeps.SweepConfig(q_min=3, q_max=7, suites=("intro",)), out)
+    rows = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [r["q"] for r in rows] == [3] * 3 + [5] * 3
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch):
+    from charprod import cli
+
+    assert run_python("import charprod.cli as cli; print(cli._parser)").stdout == "None\n"
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    assert main(["eval", "T 1 3 --", "--p", "13"]) == 0
+    assert main(["eval", "S1 0 +", "--p", "13"]) == 0
+    assert main(["verify", "--qmax", "5", "--suites", "intro"]) == 0
+    assert len(built) == 1
 
 
 def test_verify_small_range_report_roundtrip(tmp_path):
