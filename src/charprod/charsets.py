@@ -27,7 +27,8 @@ scans at one difference s2 - s1, the tally reads every later pair at it
 off that difference's correlation vectors instead.  Without tables,
 and in ``enumerate_family`` on every field, the scan reads
 ``square_table``, the squares scattered into q bytes, built once per
-context.  Each condition
+context by ``FieldCtx.square_bytes``, which the tables' grid reads too.
+Each condition
 chi(a + s) = e is the table of its sign translated by s
 (``FieldCtx.translate_bytes``), and the conditions meet as ints under
 ``&``: no field operation runs per element, and ``ctx.prod`` multiplies
@@ -151,22 +152,12 @@ def square_table(ctx: FieldCtx) -> bytes:
     (q - 1)/2 squares of ``ctx.half_unit_squares``, found by running sums
     along lines of the field with one ``mul_poly`` per line, never by
     ``legendre`` or ``pow``: the oracle's character comes from the
-    definition of a square, not Euler's criterion.  Built once per context
-    and kept on it, read-only, for every later scan; a context with tables
-    reads their grid (``FieldTables.square_bytes``), made from the same
-    squares, and a later ``FieldTables`` reads these bytes, so
-    ``half_unit_squares`` runs at most once per context.
+    definition of a square, not Euler's criterion.  These are
+    ``ctx.square_bytes()``, listed once per context and kept on it,
+    read-only, for every later scan and for the tables' grid.
     """
-    if ctx._squares is None:
-        check_scan_bound(ctx.q)
-        if ctx._tables is not None:
-            ctx._squares = ctx._tables.square_bytes()
-        else:
-            sq = bytearray(ctx.q)
-            for x in ctx.half_unit_squares():
-                sq[x] = 1
-            ctx._squares = bytes(sq)
-    return ctx._squares
+    check_scan_bound(ctx.q)
+    return ctx.square_bytes()
 
 
 # swaps the bytes 0 and 1 (bytes.translate)
@@ -210,7 +201,8 @@ def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
     Lists the positions of ``_byte_mask``, built from ``square_table`` by
     whole-vector byte operations, on every context, with or without
     tables; it raises ValueError above ``SCAN_LIMIT``.  It decides every
-    element and never reads ``FieldTables`` or ``legendre``.
+    element and never reads ``FieldTables`` or ``legendre``; its bytes
+    are the ones the tables' grid is made from.
     """
     fam.validate(ctx)
     return list(itertools.compress(range(ctx.q), _byte_mask(ctx, fam)))

@@ -10,7 +10,8 @@ computes digits.  Three helpers serve the table-free scan without numpy
 and without a field call per element: ``translate_bytes`` moves a q-byte
 vector by a field translation, digit by digit; ``half_unit_squares``
 lists the squares of one unit of each pair +-x by running sums along
-lines {y + c : c in F_p}, one ``mul_poly`` per line; and ``prod``
+lines {y + c : c in F_p}, one ``mul_poly`` per line, which
+``square_bytes`` scatters once per context into q bytes; and ``prod``
 multiplies an iterable of codes into one running product, a chunk per
 ``math.prod``, reduced mod q for n = 1 and, for n > 1, by Kronecker
 substitution, each code's digits packed into 64-bit slots of one integer.
@@ -37,7 +38,7 @@ the product of two ints and every inverse with lookups; an array ``mul``
 stays ``mul_poly``, O(len), where the lists would be converted whole.
 ``prod`` reads no table, and no other library module reads ``exp``,
 ``log`` or ``chi``.  They also hold the oracle's character, read off
-``half_unit_squares``, as the shifted vectors that the product scan and
+``square_bytes``, as the shifted vectors that the product scan and
 the cardinality counts read, on a digit grid of q bytes, and its class
 tally, sums of discrete logs over its own copy of the units' walk; ``add``,
 ``sub`` and ``neg`` stay digit arithmetic either way.  The tables' one
@@ -297,10 +298,8 @@ class FieldTables:
     oracle's ``tally`` reads the walk and its float64 inverse L (0 at 0),
     read-only, instead.  ``shifted(k)``, the oracle's character moved by k, is
     the one read-only int8 grid ``_grid`` of shape (p,)*n, q bytes, rolled
-    by the digits of -k: 1 at the squares of ``ctx.half_unit_squares``, -1
-    at the other units, 0 at 0, never ``chi``; where ``charsets.square_table``
-    already listed those squares the grid reads its bytes instead, and
-    ``square_bytes`` hands them back to it.  Every table is O(q).
+    by the digits of -k: 1 at the squares of ``ctx.square_bytes``, -1 at
+    the other units, 0 at 0, never ``chi``.  Every table is O(q).
 
     ``correlate`` is the one FFT of the package: c[t] = sum_x f(x) g(x + t),
     an exact integer vector or IdentityFailure.  ``tally`` keeps, besides
@@ -335,13 +334,8 @@ class FieldTables:
         cycle.flags.writeable = self._logs.flags.writeable = False
         self._p, self._n, self._pw, self._kept = ctx.p, ctx.n, ctx._pw, (None, None)
         self._scans, self._diff, self._log_spectra = (None, 0), (None,), None
-        if ctx._squares is None:
-            squares = np.fromiter(ctx.half_unit_squares(), dtype=np.int64, count=u // 2)
-            sq = np.full(q, -1, dtype=np.int8)
-            sq[0], sq[squares] = 0, 1
-        else:  # charsets.square_table's bytes, 1 exactly at the nonzero squares
-            sq = np.frombuffer(ctx._squares, dtype=np.int8) * 2 - 1
-            sq[0] = 0
+        sq = np.frombuffer(ctx.square_bytes(), dtype=np.int8) * 2 - 1
+        sq[0] = 0
         self._grid = sq.reshape((ctx.p,) * ctx.n)  # top digit on axis 0
         self._grid.flags.writeable = False
 
@@ -471,10 +465,6 @@ class FieldTables:
         digits = [-(k // w) % self._p for w in reversed(self._pw)]
         return np.roll(self._grid, digits, axis=tuple(range(self._n))).ravel()
 
-    def square_bytes(self) -> bytes:
-        """q bytes, 1 exactly at the nonzero squares of the grid, in code order."""
-        return (self._grid == 1).tobytes()
-
 
 class FieldCtx:
     """Immutable context for F_{p^n}; all element operations live here."""
@@ -493,7 +483,7 @@ class FieldCtx:
         self.minus_one = p - 1
         self._tables: FieldTables | None = None
         self._delta: int | None = None
-        self._squares: bytes | None = None  # kept by charsets.square_table, read by FieldTables
+        self._squares: bytes | None = None  # kept by square_bytes
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, n={self.n})"
@@ -533,6 +523,19 @@ class FieldCtx:
         no other multiplication.  For n = 1 the line y = 0 is all.
         """
         return itertools.chain.from_iterable(self._square_lines())
+
+    def square_bytes(self) -> bytes:
+        """q bytes, 1 exactly at the nonzero squares, from ``half_unit_squares``.
+
+        Listed once per context and kept, read-only: the one source of the
+        oracle's character for the byte scan and for the tables' grid.
+        """
+        if self._squares is None:
+            sq = bytearray(self.q)
+            for x in self.half_unit_squares():
+                sq[x] = 1
+            self._squares = bytes(sq)
+        return self._squares
 
     def _square_lines(self) -> Iterator[Iterator[int]]:
         p, half, odd = self.p, (self.p + 1) // 2, range(1, 2 * self.p - 1, 2)

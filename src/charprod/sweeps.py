@@ -507,9 +507,10 @@ def run_verify(config: SweepConfig, stream=None) -> int:
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            for rows in pool.map(run_field, ps, ns, itertools.repeat(suites)):
-                for row in rows:
-                    write_row(row)
+            # chain drops each field's rows before it waits for the next field
+            for row in itertools.chain.from_iterable(
+                    pool.map(run_field, ps, ns, itertools.repeat(suites))):
+                write_row(row)
         else:
             for p, n in zip(ps, ns):
                 run_field(p, n, suites, write_row)

@@ -656,10 +656,9 @@ def test_square_table_is_built_once_per_context(monkeypatch):
 
 
 def test_squares_are_listed_once_per_context_with_tables(monkeypatch):
-    # tables and square_table share one listing of the squares, in either
-    # order: the tables' grid gives the byte scan its table and a grid built
-    # after a byte scan reads its bytes; a verify field's dickson suite, whose
-    # enumerate_family scans bytes after the tables, lists them once too
+    # tables and square_table both read ctx.square_bytes, in either order,
+    # so the squares are listed once per context; a verify field's dickson
+    # suite, whose enumerate_family scans bytes after the tables, too
     from charprod.ffield import FieldCtx
 
     calls = []
