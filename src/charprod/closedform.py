@@ -334,7 +334,9 @@ def prod_T_values(ctx: FieldCtx, j: int, l: int) -> dict[SignPair, int]:
     """
     if ctx.add(j, l) != ctx.from_int(4):
         raise ValueError("pair is not normalized: j + l != 4")
-    kept = _KEPT.setdefault(ctx, {})
+    kept = _KEPT.get(ctx)
+    if kept is None:
+        kept = _KEPT.setdefault(ctx, {})
     values = kept.get(l)
     if values is not None:
         return _sign_row(*values)
@@ -430,14 +432,15 @@ def rescale_T(ctx: FieldCtx, j_prime: int, l_prime: int, signs) -> int:
     by the character of lambda, and multiplies back lambda^|T_{j',l'}^{e1,e2}|,
     the closed cardinality that ``charsets._pair_card`` counts.
     """
-    e1, e2 = SignPair(*signs)
+    e1, e2 = signs
     s = ctx.add(j_prime, l_prime)
     if s == 0:
         raise ValueError("j' + l' must be nonzero")
     lam = ctx.div(s, ctx.from_int(4))
     nu = ctx.legendre(s)
-    j = ctx.div(j_prime, lam)
-    l = ctx.div(l_prime, lam)
+    over_lam = ctx.inv(lam)  # one inverse for both: ctx.div(x, lam) is ctx.mul(x, ctx.inv(lam))
+    j = ctx.mul(j_prime, over_lam)
+    l = ctx.mul(l_prime, over_lam)
     if ctx.add(j, l) != ctx.from_int(4):
         raise IdentityFailure(f"(j' + l')/lambda != 4 at q={ctx.q}")
     card = _pair_card(ctx, "T", (e1, e2), nu, ctx.legendre(j_prime), ctx.legendre(l_prime))

@@ -359,7 +359,9 @@ class FieldTables:
         later pair at d read them; only a new build replaces them.  Each
         correlation is below 2^39 and, a priori, exact up to q of about 7.8 *
         10^5 (``correlate``); at every s1 the build's log sums must add up to
-        u(u - 1)/2, else IdentityFailure, and are kept mod u as int32.
+        u(u - 1)/2, else IdentityFailure.  The build keeps each class's
+        product, gen to its log sum, in one C-contiguous int32 row of the ten
+        classes per s1, so a pair at d reads its row as it stands.
         """
         if self._kept[0] == (s1, s2):
             return self._kept[1]
@@ -371,12 +373,12 @@ class FieldTables:
                 self._kept = (s1, s2), self._scan(s1, s2)
                 return self._kept[1]
             self._diff = d, *self._difference_vectors(d)
-        _, cls, sizes, sums = self._diff
+        _, cls, sizes, products = self._diff
         zero = int(cls[s1])
         counts = list(sizes)
         counts[zero] -= 1  # b = s1 is a = 0, class 9
         counts[9] = 1
-        self._kept = (s1, s2), (counts, self._cycle[sums[:, s1]].tolist(), zero)
+        self._kept = (s1, s2), (counts, products[s1].tolist(), zero)
         return self._kept[1]
 
     def _scan(self, s1: int, s2: int) -> tuple[list[int], list[int], int]:
@@ -393,11 +395,12 @@ class FieldTables:
         return counts.tolist(), self._cycle[(sums % u).astype(np.int64)].tolist(), zero
 
     def _difference_vectors(self, d: int):
-        """(class of every b, class sizes, log sums mod u) of ``tally`` at d.
+        """(class of every b, class sizes, class products) of ``tally`` at d.
 
-        Row e of the int32 sums holds sum_{b in E_e} L(b - s1) mod u at every
-        s1; row 9, a = 0 alone, is 0.  L's halves are below 2^13, so each
-        correlation is below 2^39.
+        The products are int32, one C-contiguous row per s1: entry e of row s1
+        is gen to sum_{b in E_e} L(b - s1) mod u, and 1, the empty product,
+        for an empty class and for class 9, a = 0 alone.  L's halves are
+        below 2^13, so each correlation is below 2^39.
         """
         import numpy as np
 
@@ -407,7 +410,7 @@ class FieldTables:
             self._log_spectra = [self.spectrum(logs >> 13 * i & 0x1FFF) for i in (0, 1)]
         cls = self.shifted(0) * 3 + self.shifted(d) + 4
         sizes = np.bincount(cls, minlength=10)
-        sums = np.zeros((10, u + 1), dtype=np.int32)
+        products = np.ones((u + 1, 10), dtype=np.int32)  # codes are below q < 2^31
         wilson = np.zeros(u + 1, dtype=np.int64)
         for e in np.flatnonzero(sizes):
             members = self.spectrum(cls == e)
@@ -416,10 +419,10 @@ class FieldTables:
                       for half in self._log_spectra)
             log_sums = lo + (hi << 13)
             wilson += log_sums
-            sums[e] = log_sums % u
+            products[:, e] = self._cycle[log_sums % u]
         if (wilson != u * (u - 1) // 2).any():
             raise IdentityFailure(f"the oracle's log sums miss Wilson's at q={u + 1}")
-        return cls, sizes.tolist(), sums
+        return cls, sizes.tolist(), products
 
     def spectrum(self, vec) -> Spectrum:
         """The ``Spectrum`` of an integer vector over all a, indexed by a."""
@@ -619,7 +622,8 @@ class FieldCtx:
         """Textual form: decimal residue, or comma-separated coefficients."""
         if self.n == 1:
             return str(a)
-        return ",".join(str(c) for c in self.decode(a))
+        p = self.p
+        return ",".join([str(a // w % p) for w in self._pw])
 
     def parse_elem(self, text: str) -> int:
         """Inverse of elem_str; bare integers embed as constants."""

@@ -92,8 +92,20 @@ def _row(case: str, expected: str, actual: str) -> dict:
             "ok": expected == actual}
 
 
-# json.dumps' encoder without its cycle check, which a flat row never needs
-_encode_row = json.JSONEncoder(check_circular=False).encode
+def _row_encoder(make_encoder=json.encoder.c_make_encoder) -> Callable[[dict], str]:
+    """``json.dumps`` of a flat row, built once: the C encoder made with
+    json.dumps' own arguments less its cycle check, which a flat row never
+    needs; where there is no C encoder, ``JSONEncoder.encode`` without it."""
+    if make_encoder is None:
+        return json.JSONEncoder(check_circular=False).encode
+    enc = json.JSONEncoder()
+    chunks = make_encoder(None, enc.default, json.encoder.encode_basestring_ascii,
+                          enc.indent, enc.key_separator, enc.item_separator,
+                          enc.sort_keys, enc.skipkeys, enc.allow_nan)
+    return lambda row: "".join(chunks(row, 0))
+
+
+_encode_row = _row_encoder()
 
 # what a check raises on a broken identity or on arithmetic that is no field
 _CHECK_FAILURES = (IdentityFailure, ValueError, ZeroDivisionError)
@@ -149,8 +161,10 @@ def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
     """
     closedform.prod_T_table(ctx)
     taus = [INF] + [t for t in range(ctx.q) if t != ctx.minus_one]
+    signs = [sign_str(sp) for sp in SIGN_PAIRS]
     for tau in taus:
-        cases = [f"T[{tau_str(tau, ctx)}]{sign_str(sp)}" for sp in SIGN_PAIRS]
+        text = tau_str(tau, ctx)
+        cases = [f"T[{text}]{s}" for s in signs]
         try:  # the oracle's pair, apart from the closed side's checked frame
             l = 0 if tau is INF else ctx.div(ctx.from_int(4), ctx.add(tau, ctx.one))
             j = ctx.from_int(4) if tau is INF else ctx.mul(tau, l)
@@ -158,7 +172,7 @@ def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
             yield from (_row(case, f"failed: {exc}", "unchecked") for case in cases)
             continue
         for case, sp in zip(cases, SIGN_PAIRS):
-            fam = charsets.t_family(j, l, sp)
+            fam = charsets.SetFamily("T", (j, l), sp)
             try:
                 brute = ctx.elem_str(charsets.brute_product(ctx, fam).value)
             except _CHECK_FAILURES as exc:

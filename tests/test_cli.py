@@ -215,6 +215,29 @@ def test_one_process_verify_writes_each_row_before_the_next_is_made(monkeypatch)
     assert pooled.getvalue() == report
 
 
+@pytest.mark.parametrize("make_encoder", [json.encoder.c_make_encoder, None],
+                         ids=["c-encoder", "no-c-encoder"])
+def test_row_encoder_is_json_dumps(make_encoder):
+    # either encoder _row_encoder can choose writes json.dumps' bytes, and
+    # refuses what json.dumps refuses
+    encode = sweeps._row_encoder(make_encoder)
+    rows = [
+        sweeps._row('T["1,2"]\\+-', "é ∞ 𝄞", "\x00\x1f\x7f\n\t "),
+        dict(sweeps._row("card[T]++", "0 mismatches", "3 mismatches first=(1,2)"),
+             q=2197, suite="cardinality"),
+        {"case": "", "ok": True, "none": None, "big": 1 << 70, "float": 0.1,
+         "nan": float("nan"), "list": [1, "a", False]},
+    ]
+    assert rows[0]["ok"] is False
+    for row in rows:
+        assert encode(row) == json.dumps(row)
+    for bad in ({"case": {1}}, {"case": "x", "q": 1j}, {"q": object()}):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            encode(bad)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            json.dumps(bad)
+
+
 def test_one_process_verify_keeps_the_rows_written_before_a_crash(monkeypatch):
     # an exception outside the check failures ends the sweep, but the rows
     # already made, this field's first ones included, stay in the report

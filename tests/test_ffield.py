@@ -225,6 +225,15 @@ def test_elem_text_roundtrip():
         c27.parse_elem("1,2")
 
 
+@pytest.mark.parametrize("p, n", [(3, 3), (5, 2), (7, 2)])
+def test_elem_str_is_the_digits_of_every_code(p, n):
+    ctx = field(p, n)
+    for a in range(ctx.q):
+        text = ctx.elem_str(a)
+        assert text == ",".join(map(str, ctx.decode(a)))
+        assert ctx.parse_elem(text) == a
+
+
 def test_canonical_order_vs_index_order():
     c9 = field(3, 2)
     # the canonical order is the order of the codes: (1,0) = 1 comes before
