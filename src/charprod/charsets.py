@@ -226,7 +226,8 @@ def brute_product(ctx: FieldCtx, fam: SetFamily) -> ProductReport:
         mask = _byte_mask(ctx, fam)
         return ProductReport(value=ctx.prod(itertools.compress(range(ctx.q), mask)),
                              cardinality=mask.count(1))
-    (s1, e1), (s2, e2), *_ = _conditions(ctx, fam) * 2  # S1's one condition twice
+    conds = _conditions(ctx, fam)
+    (s1, e1), (s2, e2) = conds[0], conds[-1]  # S1's one condition twice
     counts, products, zero = ctx.tables().tally(s1, s2)
     c = 3 * e1 + e2 + 4
     with_zero = fam.kind == "A" and zero == c  # a = 0 is a member

@@ -135,31 +135,40 @@ def _rng(ctx: FieldCtx, salt: str) -> random.Random:
 # suites
 # ---------------------------------------------------------------------------
 
-def _closed_vs_rescaled(ctx: FieldCtx, fam: charsets.SetFamily) -> str:
-    """Table value of a normalized T-family, cross-checked by closed_product.
+def _closed_vs_rescaled(ctx: FieldCtx, j: int, l: int, signs, r, code_str) -> str:
+    """Table value of a normalized T-family, cross-checked by rescale_T.
 
     Here lambda = 1, so ``rescale_T`` reads the row that the context's
     table keeps for l, the row the first call read; what the cross-check
-    still guards is rescale_T's division of (j, l) by lambda, since a pair
-    it gets wrong reads, or builds, the row of another l.
+    still guards is the division of (j, l) by lambda, since a pair it gets
+    wrong reads, or builds, the row of another l.  ``r`` is the tau's
+    ``closedform.rescaling``, or what it raised, raised here in its place.
     """
-    closed = closedform.prod_T_values(ctx, *fam.params)[fam.signs]
-    rescaled = closedform.closed_product(ctx, fam)
+    closed = closedform.prod_T_values(ctx, j, l)[signs]
+    if isinstance(r, Exception):
+        raise r
+    rescaled = closedform.rescale_T(ctx, j, l, signs, r)
     if closed == rescaled:
-        return ctx.elem_str(closed)
-    return f"closed={ctx.elem_str(closed)} rescaled={ctx.elem_str(rescaled)}"
+        return code_str(closed)
+    return f"closed={code_str(closed)} rescaled={code_str(rescaled)}"
 
 
 def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
     """Normalized T-products: closed form vs oracle, all tau, all signs.
 
     A failure on the oracle's side is a failed row too, so every tau gives
-    its four rows; the oracle's pair (j, l) is worked out once per tau.
+    its four rows; the oracle's pair (j, l) and its ``closedform.rescaling``
+    are worked out once per tau, and the text of every code once per field.
     ``closedform.prod_T_table`` first keeps the closed rows of every tau
     but 0 and inf in one array pass, or none of them, so the closed side's
     calls read kept rows and build, as scalars, only those the pass left.
     """
     closedform.prod_T_table(ctx)
+    texts = [ctx.elem_str(c) for c in range(ctx.q)]
+
+    def code_str(c: int) -> str:  # a code outside 0 .. q - 1 gets its own text
+        return texts[c] if 0 <= c < ctx.q else ctx.elem_str(c)
+
     taus = [INF] + [t for t in range(ctx.q) if t != ctx.minus_one]
     signs = [sign_str(sp) for sp in SIGN_PAIRS]
     for tau in taus:
@@ -171,14 +180,18 @@ def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
         except _CHECK_FAILURES as exc:
             yield from (_row(case, f"failed: {exc}", "unchecked") for case in cases)
             continue
+        try:
+            r = closedform.rescaling(ctx, j, l)
+        except _CHECK_FAILURES as exc:
+            r = exc
         for case, sp in zip(cases, SIGN_PAIRS):
             fam = charsets.SetFamily("T", (j, l), sp)
             try:
-                brute = ctx.elem_str(charsets.brute_product(ctx, fam).value)
+                brute = code_str(charsets.brute_product(ctx, fam).value)
             except _CHECK_FAILURES as exc:
                 yield _row(case, f"failed: {exc}", "unchecked")
                 continue
-            yield _check(case, brute, lambda: _closed_vs_rescaled(ctx, fam))
+            yield _check(case, brute, lambda: _closed_vs_rescaled(ctx, j, l, sp, r, code_str))
 
 
 def suite_rescaling(ctx: FieldCtx) -> Iterator[dict]:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -364,6 +365,28 @@ def test_tables_suite_builds_scalar_rows_only_at_zero_and_inf(monkeypatch, p, n)
     assert scalar == [INF, 0], p ** n
 
 
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3), (5, 2)])
+def test_tables_suite_makes_each_code_text_once(monkeypatch, p, n):
+    # the suite makes the text of every code once, and of every finite tau
+    # once for its cases: 2q - 1 elem_str calls, not two per row more
+    from charprod.ffield import FieldCtx
+
+    calls = []
+    real = FieldCtx.elem_str
+
+    def counted(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(FieldCtx, "elem_str", counted)
+    ctx = mk_field(p, n)
+    ctx.tables()
+    calls.clear()
+    rows = list(sweeps.suite_tables(ctx))
+    assert len(rows) == 4 * ctx.q and all(r["ok"] for r in rows)
+    assert len(calls) == 2 * ctx.q - 1, (ctx.q, len(calls))
+
+
 def test_one_off_calls_run_no_array_pass(monkeypatch, capsys):
     # only the tables suite builds the table; rescaling, reciprocity, intro
     # and eval build the rows they ask for, and no frame of q taus
@@ -426,6 +449,45 @@ def test_rescale_q3_negative_exponent_edge():
                 want = brute_product(c3, fam)
                 assert 0 <= card_closed(c3, fam) == want.cardinality, fam
                 assert rescale_T(c3, jp, lp, sp) == want.value
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return call(*args)
+    except (IdentityFailure, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_rescaling_is_what_rescale_T_computes_of_the_pair(p, n):
+    # rescale_T given rescaling(ctx, j', l') returns what the one-shot call
+    # returns, for each sign pair; where rescaling raises, the one-shot call
+    # raises the same, sound and under every sampled fault.  Every pair at
+    # 13, 3^2 and 3^3, seeded pairs at 5^2 and 7^2
+    q = p ** n
+    rng = random.Random(q)
+    pairs = list(itertools.product(range(q), repeat=2))
+    if q > 27:
+        pairs = rng.sample(pairs, 60)
+    raised = 0
+    for name, fault in sampled_faults(q):
+        ctx = mk_field(p, n)
+        fault(ctx)
+        for jp, lp in pairs:
+            if jp == ctx.neg(lp):
+                continue
+            r = _outcome(closedform.rescaling, ctx, jp, lp)
+            for sp in SIGN_PAIRS:
+                once = _outcome(rescale_T, ctx, jp, lp, sp)
+                if isinstance(r, closedform.Rescaling):
+                    assert _outcome(rescale_T, ctx, jp, lp, sp, r) == once, (q, name, jp, lp, sp)
+                else:
+                    raised += 1
+                    assert once == r, (q, name, jp, lp, sp)
+        if name == "sound":
+            assert raised == 0
+    assert raised or n == 1  # the exp swaps break the sum check somewhere
 
 
 def test_closed_product_matches_brute_every_family():

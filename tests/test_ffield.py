@@ -648,6 +648,30 @@ def test_tabled_brute_product_equals_the_reference_under_faults(p, n):
         assert [brute_product(ctx, fam) for fam in fams] == want, (q, name)
 
 
+@pytest.mark.parametrize("p, n", [(3, 3), (5, 2)])
+def test_tabled_int_pow_is_the_ladder_over_mul(p, n):
+    # on an int of F_{p^n} with tables, pow reads exp and log itself; each
+    # result is square-and-multiply over ctx.mul, sound and with two exp
+    # entries swapped, negative exponents through ctx.inv
+    q = p ** n
+    rng = random.Random(q)
+    exponents = [0, 1, 2, q - 2, q - 1, q, -1] + [rng.randrange(-3 * q, 3 * q) for _ in range(8)]
+    faults = [(name, fault) for name, fault in field_faults(q)
+              if name == "sound" or name.startswith("swap exp")]
+    assert len(faults) == 5
+    for name, fault in faults:
+        ctx = mk_field(p, n)
+        fault(ctx)
+        for a in range(q):
+            for e in exponents:
+                if e < 0 and a == 0:
+                    with pytest.raises(ZeroDivisionError):
+                        ctx.pow(a, e)
+                    continue
+                x = ctx.inv(a) if e < 0 else a
+                assert ctx.pow(a, e) == power(x, abs(e), ctx.mul, ctx.one), (q, name, a, e)
+
+
 @pytest.mark.parametrize("p, n", [(3, 2), (7, 2), (3, 4), (3, 5), (5, 3), (17, 3), (4093, 2)])
 def test_table_free_prod_equals_a_mul_poly_fold(p, n):
     # k factors go into each math.prod, k the largest with
