@@ -425,19 +425,16 @@ def _class_rows(ctx: FieldCtx) -> dict[int, tuple[int, int, int, int]]:
     return rows
 
 
-class Rescaling(NamedTuple):
-    """lambda = (j' + l')/4, nu = chi(j' + l'), (j, l) = (j', l')/lambda, chi(j'), chi(l')."""
+def rescale_T(ctx: FieldCtx, j_prime: int, l_prime: int, signs) -> int:
+    """T-product for arbitrary parameters, via the rescaling correction.
 
-    lam: int
-    nu: int
-    j: int
-    l: int
-    chi_j: int
-    chi_l: int
-
-
-def rescaling(ctx: FieldCtx, j_prime: int, l_prime: int) -> Rescaling:
-    """The half of ``rescale_T`` that reads no sign, with the same raises."""
+    Public entry point: divides out lambda = (j'+l')/4, twists the signs
+    by the character of lambda, and multiplies back lambda^|T_{j',l'}^{e1,e2}|,
+    the closed cardinality that ``charsets._pair_card`` counts.  At lambda = 1,
+    which holds for every normalized pair, the lemma is the identity: the
+    table entry is returned as it stands, with no count and no power.
+    """
+    e1, e2 = signs
     s = ctx.add(j_prime, l_prime)
     if s == 0:
         raise ValueError("j' + l' must be nonzero")
@@ -448,22 +445,10 @@ def rescaling(ctx: FieldCtx, j_prime: int, l_prime: int) -> Rescaling:
     l = ctx.mul(l_prime, over_lam)
     if ctx.add(j, l) != ctx.from_int(4):
         raise IdentityFailure(f"(j' + l')/lambda != 4 at q={ctx.q}")
-    return Rescaling(lam, nu, j, l, ctx.legendre(j_prime), ctx.legendre(l_prime))
-
-
-def rescale_T(ctx: FieldCtx, j_prime: int, l_prime: int, signs,
-              r: Optional[Rescaling] = None) -> int:
-    """T-product for arbitrary parameters, via the rescaling correction.
-
-    Public entry point: divides out lambda = (j'+l')/4, twists the signs
-    by the character of lambda, and multiplies back lambda^|T_{j',l'}^{e1,e2}|,
-    the closed cardinality that ``charsets._pair_card`` counts.  ``r`` is
-    ``rescaling(ctx, j', l')``, made once for four sign pairs, or made here.
-    """
-    e1, e2 = signs
-    lam, nu, j, l, chi_j, chi_l = rescaling(ctx, j_prime, l_prime) if r is None else r
-    card = _pair_card(ctx, "T", (e1, e2), nu, chi_j, chi_l)
     base = prod_T_values(ctx, j, l)[SignPair(nu * e1, nu * e2)]
+    if lam == ctx.one:
+        return base
+    card = _pair_card(ctx, "T", (e1, e2), nu, ctx.legendre(j_prime), ctx.legendre(l_prime))
     return ctx.mul(ctx.pow(lam, card), base)
 
 

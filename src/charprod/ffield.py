@@ -751,17 +751,12 @@ class FieldCtx:
     def pow(self, a, e: int):
         """a^e for any integer e (negative exponents invert first): Python's
         ``pow`` on an int of a prime field, otherwise, for ints of F_{p^n} and
-        int64 code arrays alike, square-and-multiply over ``mul``, which on
-        ints with tables runs as ``exp[log x + log y]``, without its call."""
+        int64 code arrays alike, square-and-multiply over ``mul``."""
         if e < 0:
             a = self.inv(a)
             e = -e
         if self.n == 1 and isinstance(a, int):
             return pow(a, e, self.q)
-        tb = self._tables
-        if tb is not None and isinstance(a, int):
-            exp, log = tb.exp, tb.log
-            return power(a, e, lambda x, y: exp[log[x] + log[y]], self.one)
         return power(a, e, self.mul, 0 * a + self.one)
 
     # -- quadratic character and square roots --------------------------------

@@ -135,19 +135,16 @@ def _rng(ctx: FieldCtx, salt: str) -> random.Random:
 # suites
 # ---------------------------------------------------------------------------
 
-def _closed_vs_rescaled(ctx: FieldCtx, j: int, l: int, signs, r, code_str) -> str:
+def _closed_vs_rescaled(ctx: FieldCtx, j: int, l: int, signs, code_str) -> str:
     """Table value of a normalized T-family, cross-checked by rescale_T.
 
-    Here lambda = 1, so ``rescale_T`` reads the row that the context's
-    table keeps for l, the row the first call read; what the cross-check
-    still guards is the division of (j, l) by lambda, since a pair it gets
-    wrong reads, or builds, the row of another l.  ``r`` is the tau's
-    ``closedform.rescaling``, or what it raised, raised here in its place.
+    Here lambda = 1, so ``rescale_T`` returns the entry of the row that the
+    context's table keeps for l, the row the first call read; what the
+    cross-check still guards is the division of (j, l) by lambda, since a
+    pair it gets wrong reads, or builds, the row of another l.
     """
     closed = closedform.prod_T_values(ctx, j, l)[signs]
-    if isinstance(r, Exception):
-        raise r
-    rescaled = closedform.rescale_T(ctx, j, l, signs, r)
+    rescaled = closedform.rescale_T(ctx, j, l, signs)
     if closed == rescaled:
         return code_str(closed)
     return f"closed={code_str(closed)} rescaled={code_str(rescaled)}"
@@ -157,8 +154,8 @@ def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
     """Normalized T-products: closed form vs oracle, all tau, all signs.
 
     A failure on the oracle's side is a failed row too, so every tau gives
-    its four rows; the oracle's pair (j, l) and its ``closedform.rescaling``
-    are worked out once per tau, and the text of every code once per field.
+    its four rows; the oracle's pair (j, l) is worked out once per tau, and
+    the text of every code once per field.
     ``closedform.prod_T_table`` first keeps the closed rows of every tau
     but 0 and inf in one array pass, or none of them, so the closed side's
     calls read kept rows and build, as scalars, only those the pass left.
@@ -180,10 +177,6 @@ def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
         except _CHECK_FAILURES as exc:
             yield from (_row(case, f"failed: {exc}", "unchecked") for case in cases)
             continue
-        try:
-            r = closedform.rescaling(ctx, j, l)
-        except _CHECK_FAILURES as exc:
-            r = exc
         for case, sp in zip(cases, SIGN_PAIRS):
             fam = charsets.SetFamily("T", (j, l), sp)
             try:
@@ -191,7 +184,7 @@ def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
             except _CHECK_FAILURES as exc:
                 yield _row(case, f"failed: {exc}", "unchecked")
                 continue
-            yield _check(case, brute, lambda: _closed_vs_rescaled(ctx, j, l, sp, r, code_str))
+            yield _check(case, brute, lambda: _closed_vs_rescaled(ctx, j, l, sp, code_str))
 
 
 def suite_rescaling(ctx: FieldCtx) -> Iterator[dict]:

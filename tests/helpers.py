@@ -242,6 +242,34 @@ def card_rows_reference(ctx):
 
 
 # ---------------------------------------------------------------------------
+# the rescaling lemma in full, the reference for closedform.rescale_T
+# ---------------------------------------------------------------------------
+
+def rescale_T_reference(ctx, j_prime, l_prime, signs):
+    """lambda^|T_{j',l'}^{e1,e2}| times the entry of T_{j,l}^{nu e1,nu e2},
+    lambda = (j'+l')/4, nu = chi(j'+l'), (j, l) = (j', l')/lambda: the
+    power taken and multiplied in at lambda = 1 too, with the raises of
+    ``rescale_T`` in its order."""
+    from charprod.closedform import prod_T_values
+
+    e1, e2 = signs
+    s = ctx.add(j_prime, l_prime)
+    if s == 0:
+        raise ValueError("j' + l' must be nonzero")
+    lam = ctx.div(s, ctx.from_int(4))
+    nu = ctx.legendre(s)
+    over_lam = ctx.inv(lam)
+    j = ctx.mul(j_prime, over_lam)
+    l = ctx.mul(l_prime, over_lam)
+    if ctx.add(j, l) != ctx.from_int(4):
+        raise IdentityFailure(f"(j' + l')/lambda != 4 at q={ctx.q}")
+    card = charsets._pair_card(ctx, "T", (e1, e2), nu,
+                               ctx.legendre(j_prime), ctx.legendre(l_prime))
+    base = prod_T_values(ctx, j, l)[SignPair(nu * e1, nu * e2)]
+    return ctx.mul(ctx.pow(lam, card), base)
+
+
+# ---------------------------------------------------------------------------
 # F_{q^2} reference for the det roots, which the library computes in F_q
 # ---------------------------------------------------------------------------
 

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from charprod import cli, closedform, sweeps
+from charprod import charsets, cli, closedform, sweeps
 from charprod.charsets import (SIGN_PAIRS, SignPair, a_family, brute_product,
                                card_closed, s1_family, s_family, t_family)
 from charprod.closedform import (INF, all_square_class, closed_product,
@@ -15,7 +15,7 @@ from charprod.closedform import (INF, all_square_class, closed_product,
 from charprod.ffield import IdentityFailure, mk_field
 from helpers import (SMALL_FIELDS, det_root_ext2, e2_div, e2_inv, e2_pow,
                      ext2_solve_unit, field, field_faults, named_ratio_row,
-                     sampled_faults, small_ctxs)
+                     rescale_T_reference, sampled_faults, small_ctxs)
 
 
 # ---------------------------------------------------------------------------
@@ -460,34 +460,50 @@ def _outcome(call, *args):
 
 
 @pytest.mark.parametrize("p, n", [(13, 1), (3, 2), (3, 3), (5, 2), (7, 2)])
-def test_rescaling_is_what_rescale_T_computes_of_the_pair(p, n):
-    # rescale_T given rescaling(ctx, j', l') returns what the one-shot call
-    # returns, for each sign pair; where rescaling raises, the one-shot call
-    # raises the same, sound and under every sampled fault.  Every pair at
-    # 13, 3^2 and 3^3, seeded pairs at 5^2 and 7^2
+def test_rescale_T_is_the_full_rescaling_formula(p, n):
+    # rescale_T returns at lambda = 1 the table entry as it stands; it gives
+    # what the full formula gives, the value or the type and text of the
+    # raise, for every sign pair, sound and under every sampled fault.
+    # Every pair at 13, 3^2 and 3^3, seeded pairs at 5^2 and 7^2
     q = p ** n
     rng = random.Random(q)
     pairs = list(itertools.product(range(q), repeat=2))
     if q > 27:
         pairs = rng.sample(pairs, 60)
-    raised = 0
+    at_one = set()
     for name, fault in sampled_faults(q):
         ctx = mk_field(p, n)
         fault(ctx)
         for jp, lp in pairs:
             if jp == ctx.neg(lp):
                 continue
-            r = _outcome(closedform.rescaling, ctx, jp, lp)
+            at_one.add(ctx.add(jp, lp) == ctx.from_int(4))
             for sp in SIGN_PAIRS:
-                once = _outcome(rescale_T, ctx, jp, lp, sp)
-                if isinstance(r, closedform.Rescaling):
-                    assert _outcome(rescale_T, ctx, jp, lp, sp, r) == once, (q, name, jp, lp, sp)
-                else:
-                    raised += 1
-                    assert once == r, (q, name, jp, lp, sp)
-        if name == "sound":
-            assert raised == 0
-    assert raised or n == 1  # the exp swaps break the sum check somewhere
+                assert _outcome(rescale_T, ctx, jp, lp, sp) == \
+                    _outcome(rescale_T_reference, ctx, jp, lp, sp), (q, name, jp, lp, sp)
+    assert at_one == {True, False}  # pairs at lambda = 1 and at lambda != 1
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3), (5, 2)])
+def test_tables_suite_rescales_without_a_count(monkeypatch, p, n):
+    # every tables row has lambda = 1: 4q rescale_T calls and no _pair_card
+    calls = {"rescale_T": 0, "_pair_card": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, call)
+
+    counted(closedform, "rescale_T")
+    counted(closedform, "_pair_card")
+    counted(charsets, "_pair_card")
+    rows = sweeps.run_field(p, n, ("tables",))
+    q = p ** n
+    assert len(rows) == 4 * q and all(r["ok"] for r in rows)
+    assert calls == {"rescale_T": 4 * q, "_pair_card": 0}, (q, calls)
 
 
 def test_closed_product_matches_brute_every_family():

@@ -650,8 +650,8 @@ def test_tabled_brute_product_equals_the_reference_under_faults(p, n):
 
 @pytest.mark.parametrize("p, n", [(3, 3), (5, 2)])
 def test_tabled_int_pow_is_the_ladder_over_mul(p, n):
-    # on an int of F_{p^n} with tables, pow reads exp and log itself; each
-    # result is square-and-multiply over ctx.mul, sound and with two exp
+    # on an int of F_{p^n} with tables, each result of pow is
+    # square-and-multiply over ctx.mul, sound and with two exp
     # entries swapped, negative exponents through ctx.inv
     q = p ** n
     rng = random.Random(q)
