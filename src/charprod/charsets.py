@@ -22,9 +22,9 @@ uses).  With tables, ``brute_product`` reads one class of the kept
 ``FieldTables.tally``, every a classed by two shifted characters
 (``FieldTables.shifted``, built from those squares), each class's product
 a sum of discrete logs over the oracle's own walk of the units, so the
-four sign pairs of one pair of shifts make one scan; after ceil(log2 q)
-scans at one difference s2 - s1, the tally reads every later pair at it
-off that difference's correlation vectors instead.  Without tables,
+four sign pairs of one pair of shifts make one scan; at the difference
+s2 - s1 that a caller named (``FieldTables.name_difference``), every pair
+reads that difference's correlation vectors instead.  Without tables,
 and in ``enumerate_family`` on every field, the scan reads
 ``square_table``, the squares scattered into q bytes, built once per
 context by ``FieldCtx.square_bytes``, which the tables' grid reads too.

@@ -242,14 +242,14 @@ def all_square_class(ctx: FieldCtx, frame: NormalizedFrame) -> int:
     """Common square class mu of 1 +/- sqrt(l)/2 when tau, tau+1 are squares.
 
     The two branches must agree.  IdentityFailure is raised if they do not,
-    or if l reads as a nonsquare, which only an inconsistent character can
-    cause.
+    or if l = 4/(tau+1) reads as a nonsquare (chi(l) != 1, or no root from
+    ``ctx.sqrt_canonical``), which only an inconsistent character can cause.
     """
     if frame.cls != (1, 1):
         raise ValueError("tau and tau+1 must both be nonzero squares")
     half = ctx.inv(ctx.from_int(2))
     rt = ctx.sqrt_canonical(frame.l)
-    if rt is None:  # l = 4/(tau+1) is a square whenever tau+1 is
+    if rt is None or _fails((rt < 0) | (ctx.legendre(frame.l) != 1)):
         raise IdentityFailure(f"l is a nonsquare in the all-square class at q={ctx.q}")
     mu_plus = ctx.legendre(ctx.add(ctx.one, ctx.mul(rt, half)))
     mu_minus = ctx.legendre(ctx.sub(ctx.one, ctx.mul(rt, half)))
@@ -357,9 +357,8 @@ class _ArrayOps:
 
     ``inv`` and ``div`` of an array read one inverse of every unit, made once,
     as an array ``ctx.inv`` converts ``exp`` and ``log`` on every call for
-    n > 1.  ``sqrt_canonical`` of an array takes the scalar root of each
-    entry, and None if any has none, as the array one reads neither delta
-    nor chi.  Everything else, and every int, is the context's.
+    n > 1.  Everything else, and every int, is the context's: the roots of l
+    are ``ctx.sqrt_canonical``'s array table (see ``prod_T_table``).
     """
 
     def __init__(self, ctx: FieldCtx, inverse):
@@ -378,12 +377,6 @@ class _ArrayOps:
     def div(self, a, b):
         return self._ctx.mul(a, self.inv(b))
 
-    def sqrt_canonical(self, a):
-        import numpy as np
-
-        roots = [self._ctx.sqrt_canonical(x) for x in a.tolist()]
-        return None if None in roots else np.array(roots, dtype=np.int64)
-
 
 def prod_T_table(ctx: FieldCtx) -> None:
     """Keep the row of every tau in F_q minus {0, -1}, built in one array pass.
@@ -394,7 +387,11 @@ def prod_T_table(ctx: FieldCtx) -> None:
     once, up front.  All or nothing: if any check or array operation raises,
     at any tau, no row is kept, and ``prod_T_values`` builds each row as a
     scalar, as it does at tau = 0 and tau = inf.  The pass calls neither
-    ``prod_T_values`` nor the oracle.
+    ``prod_T_values`` nor the oracle.  Its roots of l, true roots from a
+    table that reads no character, equal a scalar row's Tonelli-Shanks roots
+    wherever those return; so it fails where chi(l) != 1, and keeps nothing
+    where delta has a root in the table, the one case in which Tonelli-Shanks
+    can fail on a true square: a kept row is the scalar row.
     """
     try:
         rows = _class_rows(ctx)
@@ -407,6 +404,8 @@ def _class_rows(ctx: FieldCtx) -> dict[int, tuple[int, int, int, int]]:
     """The rows of ``prod_T_table`` by l; raises where any check fails."""
     import numpy as np
 
+    if ctx.sqrt_canonical(np.array([ctx.delta])) >= 0:
+        raise IdentityFailure(f"delta is a square at q={ctx.q}")
     units = np.arange(1, ctx.q, dtype=np.int64)
     inverse = np.zeros(ctx.q, dtype=np.int64)
     inverse[1:] = ctx.inv(units)

@@ -303,13 +303,13 @@ class FieldTables:
 
     ``correlate`` is the one FFT of the package: c[t] = sum_x f(x) g(x + t),
     an exact integer vector or IdentityFailure.  ``tally`` keeps, besides
-    its last pair, the vectors of one difference s2 - s1 (41 q bytes) and,
-    once they are first built, the spectra of L's two 13-bit halves (16 q
-    bytes).
+    its last pair, the vectors of the one difference s2 - s1 that its caller
+    named (``name_difference``; 41 q bytes) and, once they are first built,
+    the spectra of L's two 13-bit halves (16 q bytes).
     """
 
     __slots__ = ("exp", "log", "chi", "_p", "_n", "_pw", "_grid", "_cycle", "_logs",
-                 "_kept", "_scans", "_diff", "_log_spectra")
+                 "_kept", "_diff", "_log_spectra")
 
     def __init__(self, ctx: "FieldCtx"):
         import numpy as np
@@ -333,7 +333,7 @@ class FieldTables:
         self._cycle, self._logs = cycle, index.clip(0).astype(np.float64)  # L(0) = 0
         cycle.flags.writeable = self._logs.flags.writeable = False
         self._p, self._n, self._pw, self._kept = ctx.p, ctx.n, ctx._pw, (None, None)
-        self._scans, self._diff, self._log_spectra = (None, 0), (None,), None
+        self._diff, self._log_spectra = (None,), None
         sq = np.frombuffer(ctx.square_bytes(), dtype=np.int8) * 2 - 1
         sq[0] = 0
         self._grid = sq.reshape((ctx.p,) * ctx.n)  # top digit on axis 0
@@ -351,15 +351,14 @@ class FieldTables:
         The tally depends only on d = s2 - s1 and s1: with b = a + s1, class e
         is E_e = {b : 3 chi(b) + chi(b + d) + 4 = e} less b = s1, the a = 0,
         and its log sum is sum_{b in E_e} L(b - s1), a correlation of L with
-        the indicator of E_e (``correlate``).  A pair whose d is new scans the
-        q elements: two ``np.bincount`` calls, exact in float64 below u^2/2 <
-        2^51.  After ceil(log2 q) scans in a row at one d, as many element
-        reads as one transform, the next pair at d builds that difference's
-        vectors, one class at a time, L in two 13-bit halves, and it and every
-        later pair at d read them; only a new build replaces them.  Each
-        correlation is below 2^39 and, a priori, exact up to q of about 7.8 *
-        10^5 (``correlate``); at every s1 the build's log sums must add up to
-        u(u - 1)/2, else IdentityFailure.  The build keeps each class's
+        the indicator of E_e (``correlate``).  A pair scans the q elements,
+        two ``np.bincount`` calls exact in float64 below u^2/2 < 2^51, unless
+        its d is named (``name_difference``): the first pair at that d builds
+        its vectors, one class at a time, L in two 13-bit halves, for it and
+        every later pair at d to read; a build that raises keeps nothing.
+        Each correlation is below 2^39 and, a priori, exact up to q of about
+        7.8 * 10^5 (``correlate``); at every s1 the build's log sums must add
+        up to u(u - 1)/2, else IdentityFailure.  The build keeps each class's
         product, gen to its log sum, in one C-contiguous int32 row of the ten
         classes per s1, so a pair at d reads its row as it stands.
         """
@@ -367,11 +366,9 @@ class FieldTables:
             return self._kept[1]
         d = sum((s2 // w - s1 // w) % self._p * w for w in self._pw)  # ctx.sub(s2, s1)
         if self._diff[0] != d:
-            scans = self._scans[1] + 1 if self._scans[0] == d else 1
-            if scans <= len(self._cycle).bit_length():  # ceil(log2 q)
-                self._scans = d, scans
-                self._kept = (s1, s2), self._scan(s1, s2)
-                return self._kept[1]
+            self._kept = (s1, s2), self._scan(s1, s2)
+            return self._kept[1]
+        if len(self._diff) == 1:  # named, not yet built
             self._diff = d, *self._difference_vectors(d)
         _, cls, sizes, products = self._diff
         zero = int(cls[s1])
@@ -380,6 +377,11 @@ class FieldTables:
         counts[9] = 1
         self._kept = (s1, s2), (counts, products[s1].tolist(), zero)
         return self._kept[1]
+
+    def name_difference(self, d: int) -> None:
+        """Make the code d the one difference s2 - s1 that ``tally`` builds."""
+        if self._diff[0] != d:
+            self._diff = (d,)
 
     def _scan(self, s1: int, s2: int) -> tuple[list[int], list[int], int]:
         """``tally`` of (s1, s2) by one pass over the q elements."""
@@ -492,11 +494,6 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, n={self.n})"
 
     # -- encoding ----------------------------------------------------------
-
-    def decode(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector of element a, little-endian, length n."""
-        p = self.p
-        return tuple(a // w % p for w in self._pw)
 
     def encode(self, coeffs) -> int:
         acc, pw = 0, 1

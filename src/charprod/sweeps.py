@@ -159,8 +159,11 @@ def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
     ``closedform.prod_T_table`` first keeps the closed rows of every tau
     but 0 and inf in one array pass, or none of them, so the closed side's
     calls read kept rows and build, as scalars, only those the pass left.
+    The oracle's pairs (-j, l) all differ by 4, which the suite names to its
+    tally: the first row's call builds that difference for every row.
     """
     closedform.prod_T_table(ctx)
+    ctx.tables().name_difference(ctx.from_int(4))
     texts = [ctx.elem_str(c) for c in range(ctx.q)]
 
     def code_str(c: int) -> str:  # a code outside 0 .. q - 1 gets its own text

@@ -31,6 +31,12 @@ def small_ctxs():
     return [field(p, n) for p, n in SMALL_FIELDS]
 
 
+def decode(ctx, a):
+    """Coefficient vector of element a, little-endian, length n: the digits
+    of the code, the reference for ``encode`` and ``elem_str``."""
+    return tuple(a // ctx.p ** i % ctx.p for i in range(ctx.n))
+
+
 def half_units(ctx):
     """One unit of each pair +-x: the codes whose top nonzero digit is below
     p/2, the reference for ``FieldCtx.half_unit_squares``."""

@@ -463,11 +463,11 @@ def test_tally_guard_fails_every_tables_row(monkeypatch, p, n):
 
 @pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (4099, 1), (65521, 1)])
 def test_difference_vectors_equal_the_scan(p, n):
-    # once the vectors of a difference d are built, every pair (s1, s1 + d)
-    # reads them; each tally must equal the scan's, at d = 0, 4 and a random
-    # d on the sound field, and at one of them in turn under each fault,
-    # which the oracle must not see: every s1 up to 4099, 300 sampled s1 at
-    # 65521
+    # once a difference d is named, its first pair (s1, s1 + d) builds its
+    # vectors and every pair reads them; each tally must equal the scan's,
+    # at d = 0, 4 and a random d on the sound field, and at one of them in
+    # turn under each fault, which the oracle must not see: every s1 up to
+    # 4099, 300 sampled s1 at 65521
     q = p ** n
     rng = random.Random(q)
     ds = (0, 4 % p, rng.randrange(q))
@@ -478,34 +478,23 @@ def test_difference_vectors_equal_the_scan(p, n):
         fault(ctx)
         tb = ctx.tables()
         for d in ds if name == "sound" else ds[i % 3:i % 3 + 1]:
-            for s1 in range((q - 1).bit_length() + 1):  # ceil(log2 q) scans, then the build
-                tb.tally(s1, ctx.add(s1, d))
+            tb.name_difference(d)
             assert tb._diff[0] == d
             for s1 in s1s:
                 s2 = ctx.add(s1, d)
                 assert tb.tally(s1, s2) == tb._scan(s1, s2), (q, name, d, s1)
-            assert tb._diff[0] == d
+            assert tb._diff[0] == d and len(tb._diff) == 4
 
 
 @pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])
 def test_perturbed_inverse_transform_fails_tables_rows_never_raises(monkeypatch, p, n):
     # an inverse transform off by 0.3 gives no integer log sums: the build
-    # raises, and the tables suite turns that into failed rows. On a fresh
-    # context the first ceil(log2 q) taus, scanned, pass; after as many
-    # scans at d = 4 beforehand, every one of the 4 q rows fails
-    # (the kept tally of the last scanned pair, right, is dropped)
+    # of d = 4, which the tables suite names, raises at every pair, and the
+    # suite turns that into failed rows: on a fresh context every one of
+    # the 4 q rows fails
     inverse = np.fft.irfftn
     monkeypatch.setattr(np.fft, "irfftn", lambda *args, **kw: inverse(*args, **kw) + 0.3)
     q = p ** n
-    bits = (q - 1).bit_length()
-    rows = sweeps.run_field(p, n, ("tables",))
-    assert [r["ok"] for r in rows] == [True] * 4 * bits + [False] * 4 * (q - bits)
-    ctx = mk_field(p, n)
-    tb = ctx.tables()
-    for s1 in range(bits):
-        tb.tally(s1, ctx.add(s1, ctx.from_int(4)))
-    tb._kept = (None, None)
-    monkeypatch.setattr(sweeps, "mk_field", lambda p, n=1: ctx)
     rows = sweeps.run_field(p, n, ("tables",))
     assert len(rows) == 4 * q
     assert not any(r["ok"] for r in rows)
@@ -513,9 +502,9 @@ def test_perturbed_inverse_transform_fails_tables_rows_never_raises(monkeypatch,
     assert all("are no integers" in r["expected"] for r in rows)
 
 
-def test_tables_suite_scans_ceil_log2_q_pairs():
-    # the q pairs of tables, all at d = 4, make ceil(log2 q) scans of two
-    # shifted vectors each and one build of two: 26 calls at 4093, not 2 q
+def test_tables_suite_builds_its_one_difference():
+    # the q pairs of tables, all at d = 4, which the suite names, make one
+    # build of two shifted vectors and no scan: 2 calls at 4093, not 2 q
     from charprod.ffield import FieldTables
 
     ctx = mk_field(4093)
@@ -531,15 +520,11 @@ def test_tables_suite_scans_ceil_log2_q_pairs():
         mp.setattr(FieldTables, "shifted", counted)
         rows = list(sweeps.suite_tables(ctx))
     assert all(r["ok"] for r in rows) and len(rows) == 4 * ctx.q
-    assert len(calls) <= 2 * (ctx.q - 1).bit_length() + 2, len(calls)
+    assert calls == [0, ctx.from_int(4)]
 
 
-@pytest.mark.parametrize("p, n", SMALL_FIELDS[1:] + [(13, 3), (4093, 1)])
-@pytest.mark.parametrize("suite", ["rescaling", "intro", "reciprocity"])
-def test_one_off_pairs_make_no_transform(monkeypatch, p, n, suite):
-    # suites whose pairs of shifts come alone or a few at one difference
-    # scan them: no FFT call on a fresh context (at q = 3, ceil(log2 q) = 2
-    # and intro's three pairs at d = 1 build)
+def _count_transforms(monkeypatch):
+    """The names of the np.fft calls made from now on, in order."""
     calls = []
     for name in ("rfftn", "irfftn"):
         def counted(*args, op=getattr(np.fft, name), **kwargs):
@@ -547,9 +532,32 @@ def test_one_off_pairs_make_no_transform(monkeypatch, p, n, suite):
             return op(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS[1:] + [(13, 3), (4093, 1)])
+@pytest.mark.parametrize("suite", ["rescaling", "intro", "reciprocity"])
+def test_one_off_pairs_make_no_transform(monkeypatch, p, n, suite):
+    # suites whose pairs of shifts come alone or a few at one difference
+    # name none and scan them: no FFT call on a fresh context
+    calls = _count_transforms(monkeypatch)
     rows = sweeps.run_field(p, n, (suite,))
     assert rows and all(r["ok"] for r in rows)
     assert calls == []
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (13, 1), (3, 3), (4093, 1)])
+def test_many_pairs_at_an_unnamed_difference_only_scan(monkeypatch, p, n):
+    # more than ceil(log2 q) pairs in a row at d = 4, which no one named,
+    # are each scanned: no transform, no build, and the scan's tallies
+    calls = _count_transforms(monkeypatch)
+    ctx = mk_field(p, n)
+    tb = ctx.tables()
+    d = ctx.from_int(4)
+    for s1 in range(min(ctx.q, (ctx.q - 1).bit_length() + 4)):
+        s2 = ctx.add(s1, d)
+        assert tb.tally(s1, s2) == tb._scan(s1, s2), (ctx.q, s1)
+    assert calls == [] and tb._diff == (None,)
 
 
 @functools.lru_cache(maxsize=None)

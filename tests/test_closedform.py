@@ -329,12 +329,13 @@ def test_kept_row_is_copied_and_holds_no_context():
     assert len(closedform._KEPT) == contexts - 1
 
 
-@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3), (4093, 1)])
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(97, 1), (257, 1), (3, 4), (13, 3), (4093, 1)])
 def test_table_rows_are_the_scalar_rows(p, n):
     # every row the array pass keeps is the row that prod_T_values builds as
     # a scalar on a cleared table: the pass keeps the row of every tau but
     # 0, -1 and inf on the sound field, and under each fault either none or
-    # only rows whose scalar build passes and agrees
+    # only rows whose scalar build passes and agrees; 97, 257 and 3^4 have
+    # v2(q - 1) = 5, 8 and 4, where delta drives Tonelli-Shanks' steps
     for name, fault in sampled_faults(p ** n):
         ctx = mk_field(p, n)
         fault(ctx)
@@ -602,6 +603,22 @@ def test_all_square_class_inconsistent_character():
     ctx.tables().chi[5] *= -1
     with pytest.raises(IdentityFailure, match="l is a nonsquare"):
         all_square_class(ctx, normalized_frame(ctx, 4))
+
+
+def test_all_square_class_reads_chi_of_l_on_arrays():
+    # chi(3) flipped at q = 13 leaves tau = 9 in the all-square class with
+    # l = 3, a true square that reads as a nonsquare: the int's root is None,
+    # while the array roots, which read no character, have one, so the
+    # array call must raise where the int call does
+    import numpy as np
+
+    ctx = mk_field(13)
+    ctx.delta
+    ctx.tables().chi[3] *= -1
+    for tau in (9, np.array([9])):
+        frame = normalized_frame(ctx, tau)._replace(cls=(1, 1))
+        with pytest.raises(IdentityFailure, match="l is a nonsquare"):
+            all_square_class(ctx, frame)
 
 
 def test_all_square_key_branch_independent():
