@@ -352,46 +352,21 @@ def prod_T_values(ctx: FieldCtx, j: int, l: int) -> dict[SignPair, int]:
     return row
 
 
-class _ArrayOps:
-    """A context's operations for the code arrays of ``prod_T_table``.
-
-    ``inv`` and ``div`` of an array read one inverse of every unit, made once,
-    as an array ``ctx.inv`` converts ``exp`` and ``log`` on every call for
-    n > 1.  Everything else, and every int, is the context's: the roots of l
-    are ``ctx.sqrt_canonical``'s array table (see ``prod_T_table``).
-    """
-
-    def __init__(self, ctx: FieldCtx, inverse):
-        self._ctx, self._inverse = ctx, inverse
-
-    def __getattr__(self, name):
-        return getattr(self._ctx, name)
-
-    def inv(self, a):
-        if isinstance(a, int):
-            return self._ctx.inv(a)
-        if _fails(a == 0):
-            raise ZeroDivisionError("inverse of zero")
-        return self._inverse[a]
-
-    def div(self, a, b):
-        return self._ctx.mul(a, self.inv(b))
-
-
 def prod_T_table(ctx: FieldCtx) -> None:
     """Keep the row of every tau in F_q minus {0, -1}, built in one array pass.
 
     The frames of those taus are int64 arrays, split by square class; each
     class runs the bodies of a scalar row on its arrays (one ``dickson_values``
-    ladder per mixed class) and its Wilson check, and every unit is inverted
-    once, up front.  All or nothing: if any check or array operation raises,
-    at any tau, no row is kept, and ``prod_T_values`` builds each row as a
-    scalar, as it does at tau = 0 and tau = inf.  The pass calls neither
-    ``prod_T_values`` nor the oracle.  Its roots of l, true roots from a
-    table that reads no character, equal a scalar row's Tonelli-Shanks roots
-    wherever those return; so it fails where chi(l) != 1, and keeps nothing
-    where delta has a root in the table, the one case in which Tonelli-Shanks
-    can fail on a true square: a kept row is the scalar row.
+    ladder per mixed class) and its Wilson check, by the context's array ``inv``
+    and ``sqrt_canonical``, each table made once per context.  All or nothing:
+    if any check or array operation raises, at any tau, no row is kept, and
+    ``prod_T_values`` builds each row as a scalar, as it does at tau = 0 and
+    tau = inf.  The pass calls neither ``prod_T_values`` nor the oracle.  Its
+    roots of l, true roots from a table that reads no character, equal a
+    scalar row's Tonelli-Shanks roots wherever those return; so it fails where
+    chi(l) != 1, and keeps nothing where delta has a root in the table, the
+    one case in which Tonelli-Shanks can fail on a true square: a kept row is
+    the scalar row.
     """
     try:
         rows = _class_rows(ctx)
@@ -401,23 +376,21 @@ def prod_T_table(ctx: FieldCtx) -> None:
 
 
 def _class_rows(ctx: FieldCtx) -> dict[int, tuple[int, int, int, int]]:
-    """The rows of ``prod_T_table`` by l; raises where any check fails."""
+    """The rows of ``prod_T_table`` by l, through ``ctx``'s own array operations,
+    which make their tables once per context; raises where any check fails."""
     import numpy as np
 
     if ctx.sqrt_canonical(np.array([ctx.delta])) >= 0:
         raise IdentityFailure(f"delta is a square at q={ctx.q}")
     units = np.arange(1, ctx.q, dtype=np.int64)
-    inverse = np.zeros(ctx.q, dtype=np.int64)
-    inverse[1:] = ctx.inv(units)
-    ops = _ArrayOps(ctx, inverse)
     taus = units[units != ctx.minus_one]
-    frame = normalized_frame(ops, taus)
+    frame = normalized_frame(ctx, taus)
     rows = {}
     for cls in ((1, 1), *_MIXED_CLASSES):
         at = (frame.cls[0] == cls[0]) & (frame.cls[1] == cls[1])
         part = NormalizedFrame(*(x[at] for x in frame[:4]), cls=cls)
-        row = (_all_square_row if cls == (1, 1) else _mixed_class_row)(ops, part)
-        _wilson_check(ops, part.j, part.l, row)
+        row = (_all_square_row if cls == (1, 1) else _mixed_class_row)(ctx, part)
+        _wilson_check(ctx, part.j, part.l, row)
         rows.update(zip(part.l.tolist(), zip(*(row[sp].tolist() for sp in SIGN_PAIRS))))
     if len(rows) != len(taus):
         raise IdentityFailure(f"a tau is in no square class at q={ctx.q}")

@@ -86,14 +86,14 @@ def tau_of_orbit(ctx: FieldCtx, v: Ext2Elem):
 
 def orbit_of_tau(ctx: FieldCtx, tau) -> Ext2Elem:
     """The least member of the orbit of sqrt(tau+1) + sqrt(tau) for each tau
-    of an int64 array, roots taken in F_{q^2}.
+    of an int64 array, roots taken in F_{q^2}: two ``e2_sqrt`` calls, which
+    read the one root table the context makes at its first array call.
 
     Raises IdentityFailure unless every orbit maps back to its tau.
     """
     import numpy as np
 
-    s = ctx.e2_sqrt(np.stack([ctx.add(tau, ctx.one), tau]))  # one root table for both
-    v = ctx.e2_add(Ext2Elem(s.lo[0], s.hi[0]), Ext2Elem(s.lo[1], s.hi[1]))
+    v = ctx.e2_add(ctx.e2_sqrt(ctx.add(tau, ctx.one)), ctx.e2_sqrt(tau))
     members = _members(ctx, v)
     least = np.argmin([ctx.e2_key(m) for m in members], axis=0)
     rep = Ext2Elem(*(np.choose(least, part) for part in zip(*members)))
@@ -154,8 +154,7 @@ def roots_of_unity_union(ctx: FieldCtx) -> Ext2Elem:
     units, zero = x[1:], np.zeros(ctx.q - 1, dtype=np.int64)
     dh = ctx.mul(ctx.mul(x, x), ctx.delta)  # N(lo + hi*theta) = lo^2 - dh
     lo, hi = [units, zero], [zero, units]
-    signs = np.array([[ctx.one], [ctx.minus_one]], dtype=np.int64)
-    for r in ctx.sqrt_canonical(ctx.add(signs, dh)):  # one root table for both signs
+    for r in (ctx.sqrt_canonical(ctx.add(sign, dh)) for sign in (ctx.one, ctx.minus_one)):
         has = r >= 0
         lo += [r[has], ctx.neg(r[has])]
         hi += [x[has], x[has]]

@@ -355,7 +355,8 @@ class FieldTables:
         two ``np.bincount`` calls exact in float64 below u^2/2 < 2^51, unless
         its d is named (``name_difference``): the first pair at that d builds
         its vectors, one class at a time, L in two 13-bit halves, for it and
-        every later pair at d to read; a build that raises keeps nothing.
+        every later pair at d to read; a build that raises IdentityFailure
+        keeps it, its traceback dropped, and raises it again at every pair at d.
         Each correlation is below 2^39 and, a priori, exact up to q of about
         7.8 * 10^5 (``correlate``); at every s1 the build's log sums must add
         up to u(u - 1)/2, else IdentityFailure.  The build keeps each class's
@@ -369,7 +370,12 @@ class FieldTables:
             self._kept = (s1, s2), self._scan(s1, s2)
             return self._kept[1]
         if len(self._diff) == 1:  # named, not yet built
-            self._diff = d, *self._difference_vectors(d)
+            try:
+                self._diff = d, *self._difference_vectors(d)
+            except IdentityFailure as exc:
+                self._diff = d, exc
+        if len(self._diff) == 2:  # the build failed
+            raise self._diff[1].with_traceback(None)
         _, cls, sizes, products = self._diff
         zero = int(cls[s1])
         counts = list(sizes)
@@ -489,6 +495,7 @@ class FieldCtx:
         self._tables: FieldTables | None = None
         self._delta: int | None = None
         self._squares: bytes | None = None  # kept by square_bytes
+        self._inverse = self._roots = None  # kept by array inv and sqrt_canonical
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, n={self.n})"
@@ -715,8 +722,9 @@ class FieldCtx:
         return acc
 
     def inv(self, a):
-        """1/a; an int64 code array takes exp[q - 1 - log a] (n > 1, tables) or
-        a^(q-2), and raises IdentityFailure unless a*(1/a) = 1 by ``mul_poly``,
+        """1/a; an int64 code array reads the inverse of every unit, made once per
+        context at the first array call: exp[q - 1 - log u] (n > 1, tables) or
+        u^(q-2).  It raises IdentityFailure unless a*(1/a) = 1 by ``mul_poly``,
         as two swapped exp entries give a wrong map that is its own inverse."""
         if isinstance(a, int):
             if a == 0:
@@ -731,11 +739,12 @@ class FieldCtx:
 
         if np.any(a == 0):
             raise ZeroDivisionError("inverse of zero")
-        tb = self._tables
-        if self.n > 1 and tb is not None:
-            ai = np.take(tb.exp, self.q - 1 - np.take(tb.log, a))
-        else:
-            ai = power(a, self.q - 2, self.mul, self.one)
+        if self._inverse is None:
+            units, tb = np.arange(1, self.q, dtype=np.int64), self._tables
+            ai = (np.take(tb.exp, self.q - 1 - np.take(tb.log, units))
+                  if self.n > 1 and tb is not None else power(units, self.q - 2, self.mul, self.one))
+            self._inverse = np.concatenate(([0], ai))
+        ai = self._inverse[a]
         wrong = self.mul_poly(a, ai) != self.one
         if np.any(wrong):
             bad = self.elem_str(int(np.extract(wrong, a)[0]))
@@ -775,24 +784,27 @@ class FieldCtx:
     def delta(self) -> int:
         """The nonsquare with the smallest code; theta^2 = delta defines F_{q^2}."""
         if self._delta is None:
-            self._delta = next(x for x in self.elements_canonical() if self.legendre(x) == -1)
+            self._delta = next((x for x in self.elements_canonical() if self.legendre(x) == -1), None)
+            if self._delta is None:
+                raise IdentityFailure(f"F_{self.q} has no nonsquare")
         return self._delta
 
     def sqrt_canonical(self, a):
         """The smaller code of the two square roots of a.
 
         Returns None exactly when a is a nonsquare.  On an int64 code array,
-        -1 marks the nonsquares and no character or table is read: every x
-        is squared by ``mul_poly``, and the smaller code of each pair +-x kept.
+        -1 marks the nonsquares and no character is read: a table made at the
+        first array call holds the smaller code of each pair +-x at x^2 by ``mul_poly``.
         """
         if not isinstance(a, int):
-            import numpy as np
+            if self._roots is None:
+                import numpy as np
 
-            x = np.arange(self.q, dtype=np.int64)
-            canon = x[x <= self.neg(x)]
-            roots = np.full(self.q, -1, dtype=np.int64)
-            roots[self.mul_poly(canon, canon)] = canon
-            return roots[a]
+                x = np.arange(self.q, dtype=np.int64)
+                canon = x[x <= self.neg(x)]
+                self._roots = np.full(self.q, -1, dtype=np.int64)
+                self._roots[self.mul_poly(canon, canon)] = canon
+            return self._roots[a]
         if a == 0:
             return 0
         if self.legendre(a) == -1:

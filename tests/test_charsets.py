@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+import traceback
 import tracemalloc
 
 import numpy as np
@@ -500,6 +501,39 @@ def test_perturbed_inverse_transform_fails_tables_rows_never_raises(monkeypatch,
     assert not any(r["ok"] for r in rows)
     assert {r["actual"] for r in rows} == {"unchecked"}
     assert all("are no integers" in r["expected"] for r in rows)
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (4093, 1)])
+def test_failed_build_of_the_named_difference_is_kept(monkeypatch, p, n):
+    # under the same perturbed transform the failed build of d = 4 is kept
+    # and raised again, with no traceback of its own, at every later pair:
+    # one build per tables run, where each of the 4 q rows would build it
+    from charprod.ffield import FieldTables
+
+    inverse = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *args, **kw: inverse(*args, **kw) + 0.3)
+    builds = []
+    build = FieldTables._difference_vectors
+
+    def counted(self, d):
+        builds.append(d)
+        return build(self, d)
+
+    monkeypatch.setattr(FieldTables, "_difference_vectors", counted)
+    ctx = mk_field(p, n)
+    monkeypatch.setattr(sweeps, "mk_field", lambda p, n=1: ctx)
+    rows = sweeps.run_field(p, n, ("tables",))
+    assert builds == [ctx.from_int(4)]
+    assert len(rows) == 4 * ctx.q
+    assert not any(r["ok"] for r in rows)
+    assert all("are no integers" in r["expected"] for r in rows)
+    d, failure = ctx.tables()._diff
+    assert d == ctx.from_int(4) and isinstance(failure, IdentityFailure)
+    with pytest.raises(IdentityFailure, match="are no integers") as info:
+        ctx.tables().tally(0, d)
+    assert info.value is failure and len(builds) == 1
+    frames = [frame.name for frame in traceback.extract_tb(failure.__traceback__)]
+    assert "tally" in frames and "_difference_vectors" not in frames
 
 
 def test_tables_suite_builds_its_one_difference():

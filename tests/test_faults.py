@@ -8,7 +8,7 @@ fault must show as at least one failed row in some suite.
 import pytest
 
 from charprod import sweeps
-from charprod.ffield import mk_field
+from charprod.ffield import IdentityFailure, mk_field
 
 
 def _suite_rows(monkeypatch, p, n, fault, suite):
@@ -38,6 +38,23 @@ def test_flipped_character_fails_rows_never_raises(monkeypatch, p, n):
 
         failed = _failed_rows(monkeypatch, p, n, flip)
         assert sum(failed.values()) > 0, (p ** n, k, failed)
+
+
+def test_no_nonsquare_fails_rows_never_raises(monkeypatch):
+    # chi(2) flipped at q = 3 before delta is first read leaves F_3 with no
+    # nonsquare: delta raises IdentityFailure naming q, which every suite
+    # turns into failed rows
+    def flip(ctx):
+        ctx.tables().chi[2] *= -1
+
+    ctx = mk_field(3)
+    flip(ctx)
+    with pytest.raises(IdentityFailure, match="F_3 has no nonsquare"):
+        ctx.delta
+    failed = _failed_rows(monkeypatch, 3, 1, flip)
+    assert sum(failed.values()) > 0, failed
+    rows = sweeps.run_field(3, 1, sweeps.ALL_SUITES)  # one context, every suite
+    assert any(not r["ok"] for r in rows)
 
 
 @pytest.mark.parametrize("p, n", [(13, 1), (3, 3)])

@@ -398,6 +398,50 @@ def test_base_operations_serve_code_arrays(p, n):
         ctx.inv(u)
 
 
+@pytest.mark.parametrize("p, n", [(3, 3), (5, 2)])
+def test_array_inverse_is_made_once_per_context(p, n):
+    # the first array inv reads exp and log and keeps the inverse of every
+    # unit, so a second call reads neither: with both gone it gives the same
+    # codes, the scalar inverses
+    import numpy as np
+
+    ctx = mk_field(p, n)
+    tb = ctx.tables()
+    units = np.arange(1, ctx.q, dtype=np.int64)
+    first = ctx.inv(units)
+    assert first.tolist() == [ctx.inv(a) for a in units.tolist()]
+    tb.exp = tb.log = None
+    assert ctx.inv(units).tolist() == first.tolist()
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3), (5, 2), (4093, 1)])
+def test_one_root_table_per_context(monkeypatch, p, n):
+    # tables and correspondence take their array roots from one table, made
+    # at the first array sqrt_canonical: one mul_poly over the (q + 1)/2
+    # canonical codes per run_field
+    import numpy as np
+
+    from charprod import sweeps
+    from charprod.ffield import FieldCtx
+
+    ctx = mk_field(p, n)
+    x = np.arange(ctx.q, dtype=np.int64)
+    canon = x[x <= ctx.neg(x)]
+    assert len(canon) == (ctx.q + 1) // 2
+    squarings = []
+    mul_poly = FieldCtx.mul_poly
+
+    def counted(self, a, b):
+        if a is b and np.array_equal(a, canon):
+            squarings.append(len(a))
+        return mul_poly(self, a, b)
+
+    monkeypatch.setattr(FieldCtx, "mul_poly", counted)
+    rows = sweeps.run_field(p, n, ("tables", "correspondence"))
+    assert rows and all(r["ok"] for r in rows)
+    assert squarings == [len(canon)]
+
+
 def test_ext2_conjugation_is_frobenius():
     rng = random.Random(7)
     for ctx in small_ctxs():
