@@ -8,6 +8,9 @@ Four kinds of family over F_q (signs are +1/-1, written +/- in text):
   T   T_{j,l}^{e1,e2} = {a in F_q^* : chi(j-a) = e1, chi(l+a) = e2},  j+l != 0
 
 chi is the quadratic character; a chi value of 0 never matches a sign.
+``SetFamily.label`` writes a family as 'KIND params signs', as above with
+the parameters in ``FieldCtx.elem_str`` form ('T 1 3 --', 'S1 0 +'), and
+``parse_family`` reads that text back into the same family.
 ``brute_product`` multiplies the members found by a full scan of the
 field.  It is the oracle every closed formula in this package is tested
 against, so it deliberately takes no shortcuts: every member is
@@ -56,6 +59,7 @@ class SignPair(NamedTuple):
 SIGN_PAIRS = (SignPair(1, 1), SignPair(1, -1), SignPair(-1, 1), SignPair(-1, -1))
 
 _SIGN_CHR = {1: "+", -1: "-"}
+_SIGN_VAL = {"+": 1, "-": -1}
 
 
 def sign_str(signs) -> str:
@@ -63,22 +67,6 @@ def sign_str(signs) -> str:
         return "".join(_SIGN_CHR[s] for s in signs)
     except TypeError:
         return _SIGN_CHR[signs]
-
-
-def parse_signs(text: str):
-    vals = []
-    for ch in text:
-        if ch == "+":
-            vals.append(1)
-        elif ch == "-":
-            vals.append(-1)
-        else:
-            raise ValueError(f"bad sign character {ch!r}")
-    if len(vals) == 1:
-        return vals[0]
-    if len(vals) == 2:
-        return SignPair(*vals)
-    raise ValueError(f"expected one or two signs, got {text!r}")
 
 
 class SetFamily(NamedTuple):
@@ -125,6 +113,39 @@ def s1_family(k: int, sign: int) -> SetFamily:
 
 def t_family(j: int, l: int, signs) -> SetFamily:
     return SetFamily("T", (j, l), SignPair(*signs))
+
+
+def parse_family(ctx: FieldCtx, text: str) -> SetFamily:
+    """The family whose text ``SetFamily.label`` writes, 'KIND params signs' as in
+    'T 1 3 --' or 'S1 0 +', KIND in any case; a ValueError names the bad token."""
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty family spec")
+    kind = tokens[0].upper()
+    if kind not in ("A", "S", "S1", "T"):
+        raise ValueError(f"token 1 ({tokens[0]!r}): unknown family kind")
+    want = 3 if kind == "S1" else 4
+    if len(tokens) != want:
+        raise ValueError(f"{kind} spec needs {want} tokens, got {len(tokens)}")
+    params = []
+    for i, tok in enumerate(tokens[1:-1], start=2):
+        try:
+            params.append(ctx.parse_elem(tok))
+        except ValueError as exc:
+            raise ValueError(f"token {i} ({tok!r}): {exc}") from None
+    tok = tokens[-1]
+    bad = [ch for ch in tok if ch not in _SIGN_VAL]
+    if bad:
+        raise ValueError(f"token {want} ({tok!r}): bad sign character {bad[0]!r}")
+    if len(tok) > 2:
+        raise ValueError(f"token {want} ({tok!r}): expected one or two signs, got {tok!r}")
+    if len(tok) != want - 2:  # S1 takes one sign, the others two
+        raise ValueError(f"token {want}: " + ("S1 takes a single sign" if kind == "S1"
+                                              else f"{kind} takes two signs"))
+    signs = [_SIGN_VAL[ch] for ch in tok]
+    fam = SetFamily(kind, tuple(params), signs[0] if kind == "S1" else SignPair(*signs))
+    fam.validate(ctx)
+    return fam
 
 
 class ProductReport(NamedTuple):

@@ -4,7 +4,9 @@ Exit codes: 0 all checks passed, 1 at least one mismatch, 2 no verdict:
 usage or I/O error.
 ``verify`` emits one JSON line per check; ``eval`` prints a closed-form
 product side by side with its brute-force value; ``table`` renders the
-four summary tables of normalized products for one field.
+four summary tables of normalized products for one field.  This module only
+parses arguments, checks the scan bound, builds the field and prints: the
+family grammar is ``charsets.parse_family``, the tables ``sweeps.render_table``.
 """
 
 from __future__ import annotations
@@ -13,50 +15,15 @@ import argparse
 import json
 import sys
 
-from . import charsets, closedform, sweeps
-from .charsets import SIGN_PAIRS, SetFamily, parse_signs, sign_str
+from . import charsets, sweeps
 from .closedform import closed_product
-from .dickson import poly_str
-from .ffield import FieldCtx, field_order, mk_field
-
-
-def parse_family(ctx: FieldCtx, text: str) -> SetFamily:
-    """Parse 'KIND params signs', e.g. 'T 1 3 --' or 'S1 0 +'."""
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty family spec")
-    kind = tokens[0].upper()
-    if kind not in ("A", "S", "S1", "T"):
-        raise ValueError(f"token 1 ({tokens[0]!r}): unknown family kind")
-    want = 3 if kind == "S1" else 4
-    if len(tokens) != want:
-        raise ValueError(f"{kind} spec needs {want} tokens, got {len(tokens)}")
-    params = []
-    for i, tok in enumerate(tokens[1:-1], start=2):
-        try:
-            params.append(ctx.parse_elem(tok))
-        except ValueError as exc:
-            raise ValueError(f"token {i} ({tok!r}): {exc}") from None
-    try:
-        signs = parse_signs(tokens[-1])
-    except ValueError as exc:
-        raise ValueError(f"token {want} ({tokens[-1]!r}): {exc}") from None
-    if kind == "S1":
-        if not isinstance(signs, int):
-            raise ValueError(f"token {want}: S1 takes a single sign")
-        fam = charsets.s1_family(params[0], signs)
-    else:
-        if isinstance(signs, int):
-            raise ValueError(f"token {want}: {kind} takes two signs")
-        fam = SetFamily(kind, tuple(params), signs)
-    fam.validate(ctx)
-    return fam
+from .ffield import field_order, mk_field
 
 
 def _cmd_eval(args) -> int:
     charsets.check_scan_bound(field_order(args.p, args.n))  # before the modulus search
     ctx = mk_field(args.p, args.n)
-    fam = parse_family(ctx, args.family)
+    fam = charsets.parse_family(ctx, args.family)
     closed = closed_product(ctx, fam)
     rep = charsets.brute_product(ctx, fam)
     match = closed == rep.value
@@ -74,104 +41,11 @@ def _cmd_eval(args) -> int:
     return 0 if match else 1
 
 
-# ---------------------------------------------------------------------------
-# table rendering
-# ---------------------------------------------------------------------------
-
-def _specific_rows(ctx: FieldCtx):
-    """(label, frame, skip_reason) for the named-ratio table rows."""
-    q = ctx.q
-    branch8 = "q=+-1 mod 8" if q % 8 in (1, 7) else "q=+-3 mod 8"
-    named = [("tau=0", 0), ("tau=inf", closedform.INF), (f"tau=1 [{branch8}]", ctx.one)]
-    if ctx.p != 3:
-        branch12 = "q=+-1 mod 12" if q % 12 in (1, 11) else "q=+-5 mod 12"
-        three = ctx.from_int(3)
-        named += [(f"tau=3 [{branch12}]", three), (f"tau=1/3 [{branch12}]", ctx.inv(three))]
-    rows = [(label, closedform.normalized_frame(ctx, tau), None) for label, tau in named]
-    if ctx.p == 3:
-        rows.append(("tau=3", None, "p=3 folds this into tau=0"))
-        rows.append(("tau=1/3", None, "p=3 folds this into tau=inf"))
-    return rows
-
-
-def _witness_frame(ctx: FieldCtx, cls: tuple[int, int], mu: int | None = None):
-    """Frame of the tau of smallest code with the given square classes
-    (and, if mu is given, with all-square class mu), or None."""
-    for tau in ctx.elements_canonical():
-        if tau == ctx.minus_one:
-            continue
-        frame = closedform.normalized_frame(ctx, tau)
-        if frame.cls == cls and (mu is None or closedform.all_square_class(ctx, frame) == mu):
-            return frame
-    return None
-
-
-def _square_class_rows(ctx: FieldCtx, table_id: int):
-    if table_id in (1, 2):
-        wanted = [((1, 1), mu, f"tau,tau+1 squares; 1+-sqrt(l)/2 {name}")
-                  for mu, name in ((1, "squares"), (-1, "nonsquares"))]
-    else:
-        wanted = [(cls, None, f"chi(tau)={cls[0]:+d}, chi(tau+1)={cls[1]:+d}")
-                  for cls in ((1, -1), (-1, 1), (-1, -1))]
-    rows = []
-    for cls, mu, label in wanted:
-        frame = _witness_frame(ctx, cls, mu)
-        if frame is None:
-            rows.append((label, None, "no such tau at this q"))
-            continue
-        note = f"tau={ctx.elem_str(frame.tau)}"
-        if mu is None:
-            note += f", c={ctx.elem_str(closedform.mixed_class_root(ctx, frame))}"
-        rows.append((f"{label} [{note}]", frame, None))
-    return rows
-
-
-def render_table(ctx: FieldCtx, table_id: int) -> tuple[list[str], int]:
-    """Rows of one summary table with closed and brute values side by side."""
-    if table_id not in (1, 2, 3, 4):
-        raise ValueError("table id must be 1..4")
-    s_flavor = table_id in (1, 3)
-    rows = (_specific_rows(ctx) if table_id in (1, 2) else []) \
-        + _square_class_rows(ctx, table_id)
-    lines = [f"table {table_id} at q={ctx.q} (p={ctx.p}, n={ctx.n}); "
-             f"{'S' if s_flavor else 'T'}-products, "
-             f"{'l-k=4' if s_flavor else 'j+l=4'} normalization"]
-    family, x_name = (charsets.s_family, "k") if s_flavor else (charsets.t_family, "j")
-    mismatches = 0
-    for label, frame, skip in rows:
-        if skip is not None:
-            lines.append(f"  {label}: skipped ({skip})")
-            continue
-        x, l = (ctx.neg(frame.j) if s_flavor else frame.j), frame.l
-        parts = []
-        for sp in SIGN_PAIRS:
-            fam = family(x, l, sp)
-            closed = closed_product(ctx, fam)
-            brute = charsets.brute_product(ctx, fam).value
-            ok = closed == brute
-            mismatches += not ok
-            parts.append(f"{sign_str(sp)}: {ctx.elem_str(closed)}"
-                         f"/{ctx.elem_str(brute)}{'' if ok else ' MISMATCH'}")
-        head = f"{x_name}={ctx.elem_str(x)} l={ctx.elem_str(l)}"
-        lines.append(f"  {label} [{head}]  " + "  ".join(parts))
-    lines.append("  (entries are closed/brute)")
-    # the polynomial identities behind the tables, coefficient lists
-    # low degree first
-    for name, (poly, signs, target) in zip(("D_m", "E_(m-1)"),
-                                           sweeps.dickson_identities(ctx)):
-        ok = poly == target
-        mismatches += not ok
-        lines.append(f"  {name} = {poly_str(ctx, poly)}")
-        lines.append(f"  vanishing{sign_str(signs)} = {poly_str(ctx, target)}"
-                     f"  [{'equal' if ok else 'MISMATCH'}]")
-    return lines, mismatches
-
-
 def _cmd_table(args) -> int:
     charsets.check_scan_bound(field_order(args.p, args.n))  # before the modulus search
     ctx = mk_field(args.p, args.n)
     ctx.tables()
-    lines, mismatches = render_table(ctx, args.table_id)
+    lines, mismatches = sweeps.render_table(ctx, args.table_id)
     for line in lines:
         print(line)
     return 0 if mismatches == 0 else 1

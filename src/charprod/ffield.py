@@ -304,12 +304,12 @@ class FieldTables:
     ``correlate`` is the one FFT of the package: c[t] = sum_x f(x) g(x + t),
     an exact integer vector or IdentityFailure.  ``tally`` keeps, besides
     its last pair, the vectors of the one difference s2 - s1 that its caller
-    named (``name_difference``; 41 q bytes) and, once they are first built,
-    the spectra of L's two 13-bit halves (16 q bytes).
+    named (``name_difference``; 41 q bytes); the spectra of L's two 13-bit
+    halves that build them are not kept.
     """
 
     __slots__ = ("exp", "log", "chi", "_p", "_n", "_pw", "_grid", "_cycle", "_logs",
-                 "_kept", "_diff", "_log_spectra")
+                 "_kept", "_diff")
 
     def __init__(self, ctx: "FieldCtx"):
         import numpy as np
@@ -333,7 +333,7 @@ class FieldTables:
         self._cycle, self._logs = cycle, index.clip(0).astype(np.float64)  # L(0) = 0
         cycle.flags.writeable = self._logs.flags.writeable = False
         self._p, self._n, self._pw, self._kept = ctx.p, ctx.n, ctx._pw, (None, None)
-        self._diff, self._log_spectra = (None,), None
+        self._diff = (None,)
         sq = np.frombuffer(ctx.square_bytes(), dtype=np.int8) * 2 - 1
         sq[0] = 0
         self._grid = sq.reshape((ctx.p,) * ctx.n)  # top digit on axis 0
@@ -412,10 +412,8 @@ class FieldTables:
         """
         import numpy as np
 
-        u = len(self._cycle)
-        if self._log_spectra is None:
-            logs = self._logs.astype(np.int64)
-            self._log_spectra = [self.spectrum(logs >> 13 * i & 0x1FFF) for i in (0, 1)]
+        u, logs = len(self._cycle), self._logs.astype(np.int64)
+        log_spectra = [self.spectrum(logs >> 13 * i & 0x1FFF) for i in (0, 1)]
         cls = self.shifted(0) * 3 + self.shifted(d) + 4
         sizes = np.bincount(cls, minlength=10)
         products = np.ones((u + 1, 10), dtype=np.int32)  # codes are below q < 2^31
@@ -424,7 +422,7 @@ class FieldTables:
             members = self.spectrum(cls == e)
             lo, hi = (self.correlate(half, members, f"the log sums of class {e} at "
                                      f"difference {d} are no integers")
-                      for half in self._log_spectra)
+                      for half in log_spectra)
             log_sums = lo + (hi << 13)
             wilson += log_sums
             products[:, e] = self._cycle[log_sums % u]
@@ -495,7 +493,7 @@ class FieldCtx:
         self._tables: FieldTables | None = None
         self._delta: int | None = None
         self._squares: bytes | None = None  # kept by square_bytes
-        self._inverse = self._roots = None  # kept by array inv and sqrt_canonical
+        self._inverse = self._roots = self._chi = None  # each kept by its array call
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, n={self.n})"
@@ -768,15 +766,19 @@ class FieldCtx:
     # -- quadratic character and square roots --------------------------------
 
     def legendre(self, a):
-        """The quadratic character of a: +1 square, -1 nonsquare, 0 zero."""
+        """The quadratic character of a: +1 square, -1 nonsquare, 0 zero; with
+        tables, an int64 code array gets int64 values from an int8 copy of
+        ``chi``, made once per context at the first array call."""
         tb = self._tables
         if tb is not None:
             try:
                 return tb.chi[a]
-            except TypeError:  # a code array reads the list as it stands
+            except TypeError:
                 import numpy as np
 
-                return np.take(tb.chi, a)
+                if self._chi is None:
+                    self._chi = np.array(tb.chi, dtype=np.int8)
+                return self._chi[a].astype(np.int64)
         # Euler's criterion: a^((q-1)/2) is 1 at the squares and 0 at 0
         return (self.pow(a, (self.q - 1) // 2) == self.one) * 2 - (a != 0)
 

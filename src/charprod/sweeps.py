@@ -7,6 +7,9 @@ acceptance bar for the whole package.  ``dickson`` and ``cardinality``
 make no loop over the field: the Dickson identities are checked at their
 roots by one ``dickson_values`` call each, and ``card_tally`` counts pairs
 by FFT correlation, one row per realized pair of classes at the ends.
+``render_table`` builds the ``table`` command's summary tables: it picks
+their tau, checks each row's closed products against the oracle, and the
+Dickson identities (``dickson_identities``) against their vanishing polynomials.
 """
 
 from __future__ import annotations
@@ -229,17 +232,6 @@ def suite_rescaling(ctx: FieldCtx) -> Iterator[dict]:
 
         yield _check(f"quadruple[{ctx.elem_str(k)},{ctx.elem_str(l)}]"
                      f"seed{sign_str(seed.signs)}", want, quadruple)
-
-
-def dickson_identities(ctx: FieldCtx) -> list[tuple[list[int], tuple, list[int]]]:
-    """(Dickson polynomial, signs, vanishing polynomial) for D_m and E_{m-1}.
-
-    The identities pair D_m with the signs (-eps, -) and E_{m-1} with
-    (eps, +); each Dickson polynomial must equal its vanishing polynomial.
-    """
-    return [(poly, signs, charsets.vanishing_poly(ctx, *signs))
-            for poly, signs in ((dickson.dickson_first(ctx, ctx.m), (-ctx.eps, -1)),
-                                (dickson.dickson_second(ctx, ctx.m - 1), (ctx.eps, 1)))]
 
 
 def suite_dickson(ctx: FieldCtx) -> Iterator[dict]:
@@ -538,3 +530,107 @@ def run_verify(config: SweepConfig, stream=None) -> int:
             for p, n in zip(ps, ns):
                 run_field(p, n, suites, write_row)
     return 0 if mismatches == 0 else 1
+
+
+# ---------------------------------------------------------------------------
+# summary tables, the rows of the ``table`` command
+# ---------------------------------------------------------------------------
+
+def dickson_identities(ctx: FieldCtx) -> list[tuple[list[int], tuple, list[int]]]:
+    """(Dickson polynomial, signs, vanishing polynomial) for D_m and E_{m-1}.
+
+    The identities pair D_m with the signs (-eps, -) and E_{m-1} with
+    (eps, +); each Dickson polynomial must equal its vanishing polynomial.
+    """
+    return [(poly, signs, charsets.vanishing_poly(ctx, *signs))
+            for poly, signs in ((dickson.dickson_first(ctx, ctx.m), (-ctx.eps, -1)),
+                                (dickson.dickson_second(ctx, ctx.m - 1), (ctx.eps, 1)))]
+
+
+def _specific_rows(ctx: FieldCtx):
+    """(label, frame, skip_reason) for the named-ratio table rows."""
+    q = ctx.q
+    branch8 = "q=+-1 mod 8" if q % 8 in (1, 7) else "q=+-3 mod 8"
+    named = [("tau=0", 0), ("tau=inf", INF), (f"tau=1 [{branch8}]", ctx.one)]
+    if ctx.p != 3:
+        branch12 = "q=+-1 mod 12" if q % 12 in (1, 11) else "q=+-5 mod 12"
+        three = ctx.from_int(3)
+        named += [(f"tau=3 [{branch12}]", three), (f"tau=1/3 [{branch12}]", ctx.inv(three))]
+    rows = [(label, closedform.normalized_frame(ctx, tau), None) for label, tau in named]
+    if ctx.p == 3:
+        rows.append(("tau=3", None, "p=3 folds this into tau=0"))
+        rows.append(("tau=1/3", None, "p=3 folds this into tau=inf"))
+    return rows
+
+
+def _witness_frame(ctx: FieldCtx, cls: tuple[int, int], mu: int | None = None):
+    """Frame of the tau of smallest code with the given square classes
+    (and, if mu is given, with all-square class mu), or None."""
+    for tau in ctx.elements_canonical():
+        if tau == ctx.minus_one:
+            continue
+        frame = closedform.normalized_frame(ctx, tau)
+        if frame.cls == cls and (mu is None or closedform.all_square_class(ctx, frame) == mu):
+            return frame
+    return None
+
+
+def _square_class_rows(ctx: FieldCtx, table_id: int):
+    if table_id in (1, 2):
+        wanted = [((1, 1), mu, f"tau,tau+1 squares; 1+-sqrt(l)/2 {name}")
+                  for mu, name in ((1, "squares"), (-1, "nonsquares"))]
+    else:
+        wanted = [(cls, None, f"chi(tau)={cls[0]:+d}, chi(tau+1)={cls[1]:+d}")
+                  for cls in ((1, -1), (-1, 1), (-1, -1))]
+    rows = []
+    for cls, mu, label in wanted:
+        frame = _witness_frame(ctx, cls, mu)
+        if frame is None:
+            rows.append((label, None, "no such tau at this q"))
+            continue
+        note = f"tau={ctx.elem_str(frame.tau)}"
+        if mu is None:
+            note += f", c={ctx.elem_str(closedform.mixed_class_root(ctx, frame))}"
+        rows.append((f"{label} [{note}]", frame, None))
+    return rows
+
+
+def render_table(ctx: FieldCtx, table_id: int) -> tuple[list[str], int]:
+    """Rows of one summary table with closed and brute values side by side."""
+    if table_id not in (1, 2, 3, 4):
+        raise ValueError("table id must be 1..4")
+    s_flavor = table_id in (1, 3)
+    rows = (_specific_rows(ctx) if table_id in (1, 2) else []) \
+        + _square_class_rows(ctx, table_id)
+    lines = [f"table {table_id} at q={ctx.q} (p={ctx.p}, n={ctx.n}); "
+             f"{'S' if s_flavor else 'T'}-products, "
+             f"{'l-k=4' if s_flavor else 'j+l=4'} normalization"]
+    family, x_name = (charsets.s_family, "k") if s_flavor else (charsets.t_family, "j")
+    mismatches = 0
+    for label, frame, skip in rows:
+        if skip is not None:
+            lines.append(f"  {label}: skipped ({skip})")
+            continue
+        x, l = (ctx.neg(frame.j) if s_flavor else frame.j), frame.l
+        parts = []
+        for sp in SIGN_PAIRS:
+            fam = family(x, l, sp)
+            closed = closedform.closed_product(ctx, fam)
+            brute = charsets.brute_product(ctx, fam).value
+            ok = closed == brute
+            mismatches += not ok
+            parts.append(f"{sign_str(sp)}: {ctx.elem_str(closed)}"
+                         f"/{ctx.elem_str(brute)}{'' if ok else ' MISMATCH'}")
+        head = f"{x_name}={ctx.elem_str(x)} l={ctx.elem_str(l)}"
+        lines.append(f"  {label} [{head}]  " + "  ".join(parts))
+    lines.append("  (entries are closed/brute)")
+    # the polynomial identities behind the tables, coefficient lists
+    # low degree first
+    for name, (poly, signs, target) in zip(("D_m", "E_(m-1)"),
+                                           dickson_identities(ctx)):
+        ok = poly == target
+        mismatches += not ok
+        lines.append(f"  {name} = {dickson.poly_str(ctx, poly)}")
+        lines.append(f"  vanishing{sign_str(signs)} = {dickson.poly_str(ctx, target)}"
+                     f"  [{'equal' if ok else 'MISMATCH'}]")
+    return lines, mismatches

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from charprod import sweeps
 from charprod.charsets import (SIGN_PAIRS, SetFamily, SignPair, a_family,
                                brute_product, card_closed, enumerate_family,
-                               parse_signs, report_row, s1_family, s_family,
+                               parse_family, report_row, s1_family, s_family,
                                sign_str, square_table, t_family, vanishing_poly)
 from charprod.dickson import dickson_first, dickson_second
 from charprod.ffield import IdentityFailure, mk_field
@@ -56,12 +56,34 @@ def test_family_validation():
 
 
 def test_sign_parsing():
-    assert parse_signs("-+") == SignPair(-1, 1)
-    assert parse_signs("+") == 1
+    ctx = field(13)
+    assert parse_family(ctx, "T 1 3 -+").signs == SignPair(-1, 1)
+    assert parse_family(ctx, "S1 3 +").signs == 1
     assert sign_str(SignPair(-1, 1)) == "-+"
     assert sign_str(-1) == "-"
-    with pytest.raises(ValueError):
-        parse_signs("+x")
+    with pytest.raises(ValueError, match=r"^token 4 \('\+x'\): bad sign character 'x'$"):
+        parse_family(ctx, "T 1 3 +x")
+    with pytest.raises(ValueError, match=r"^token 3 \('\+-\+'\): expected one or two "
+                                         r"signs, got '\+-\+'$"):
+        parse_family(ctx, "S1 3 +-+")
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3), (5, 2)])
+def test_family_labels_parse_back(p, n):
+    # parse_family reads the grammar SetFamily.label writes: every kind and
+    # sign pair, at seeded parameters
+    ctx = field(p, n)
+    rng = random.Random(f"labels:{ctx.q}")
+    pairs = []
+    while len(pairs) < 5:
+        k, l = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        if k != l and ctx.add(k, l) != 0:  # a family of every kind
+            pairs.append((k, l))
+    fams = [s1_family(k, sign) for k, _ in pairs for sign in (1, -1)]
+    fams += [make(k, l, sp) for make in (a_family, s_family, t_family)
+             for sp in SIGN_PAIRS for k, l in pairs]
+    for fam in fams:
+        assert parse_family(ctx, fam.label(ctx)) == fam, fam.label(ctx)
 
 
 def test_card_examples():

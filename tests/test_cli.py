@@ -5,9 +5,10 @@ import json
 import pytest
 
 from charprod import charsets, sweeps
-from charprod.cli import main, parse_family, render_table
-from charprod.charsets import SignPair
+from charprod.charsets import SignPair, parse_family
+from charprod.cli import main
 from charprod.ffield import IdentityFailure, mk_field
+from charprod.sweeps import render_table
 from helpers import field, prime_power, run_python
 
 
@@ -109,6 +110,19 @@ def test_parse_family_shapes():
         parse_family(ctx, "S1 3 -+")
     with pytest.raises(ValueError):
         parse_family(ctx, "")
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3), (5, 2)])
+def test_card_spot_rows_replay_through_eval(p, n, capsys):
+    # each card-spot row names its family in the grammar eval reads, so the
+    # row replays as it stands, and eval counts the members the row counted
+    rows = [row for row in sweeps.run_field(p, n, ("cardinality",))
+            if row["case"].startswith("card-spot[")]
+    assert rows
+    for row in rows:
+        label = row["case"][len("card-spot["):-1]
+        assert main(["eval", label, "--p", str(p), "--n", str(n), "--json"]) == 0, label
+        assert json.loads(capsys.readouterr().out)["cardinality"] == int(row["expected"])
 
 
 def test_verify_empty_range(capsys, tmp_path):

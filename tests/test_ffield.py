@@ -336,8 +336,8 @@ def test_base_operations_serve_code_arrays(p, n):
     # arrays equal their scalar results element by element (-1 where
     # sqrt_canonical gives None), with and without tables; all of F_q where
     # q <= 343, else 0, g, g^2, their inverses and 500 random elements.
-    # e2_sqrt of a two-row stack, as orbit_of_tau makes, gives each row's
-    # 1-D result.
+    # e2_sqrt of a two-row stack gives each row's 1-D result, as it serves
+    # arrays of any shape (orbit_of_tau makes two 1-D calls).
     # For n > 1, after a swap of exp[1] and exp[2] (g and g^2), array mul,
     # div and pow are mul_poly and miss the swap that the scalar mul still
     # reads, array legendre still agrees with the scalar one, and the array
