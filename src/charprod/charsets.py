@@ -29,9 +29,8 @@ four sign pairs of one pair of shifts make one scan; at the difference
 s2 - s1 that a caller named (``FieldTables.name_difference``), every pair
 reads that difference's correlation vectors instead.  Without tables,
 and in ``enumerate_family`` on every field, the scan reads
-``square_table``, the squares scattered into q bytes, built once per
-context by ``FieldCtx.square_bytes``, which the tables' grid reads too.
-Each condition
+``FieldCtx.square_bytes``, the squares scattered into q bytes, built once
+per context, which the tables' grid reads too.  Each condition
 chi(a + s) = e is the table of its sign translated by s
 (``FieldCtx.translate_bytes``), and the conditions meet as ints under
 ``&``: no field operation runs per element, and ``ctx.prod`` multiplies
@@ -166,21 +165,6 @@ def check_scan_bound(q: int) -> None:
                          f"scan first builds tables of q entries")
 
 
-def square_table(ctx: FieldCtx) -> bytes:
-    """Byte x is 1 exactly when x is a nonzero square, from squaring half the units.
-
-    x and -x have one square, so only one of each pair is squared: the
-    (q - 1)/2 squares of ``ctx.half_unit_squares``, found by running sums
-    along lines of the field with one ``mul_poly`` per line, never by
-    ``legendre`` or ``pow``: the oracle's character comes from the
-    definition of a square, not Euler's criterion.  These are
-    ``ctx.square_bytes()``, listed once per context and kept on it,
-    read-only, for every later scan and for the tables' grid.
-    """
-    check_scan_bound(ctx.q)
-    return ctx.square_bytes()
-
-
 # swaps the bytes 0 and 1 (bytes.translate)
 _NOT = bytes.maketrans(b"\0\1", b"\1\0")
 
@@ -203,12 +187,18 @@ def _conditions(ctx: FieldCtx, fam: SetFamily) -> list[tuple[int, int]]:
 def _byte_mask(ctx: FieldCtx, fam: SetFamily) -> bytes:
     """q bytes over all a, 1 exactly at the members of fam; no numpy.
 
-    Byte x of ``table[e]`` is 1 exactly where chi(x) = e: ``square_table``
-    and, built once, its complement less byte 0.  Each condition chi(a + s)
-    = e is its sign's table translated by s, as a whole byte vector, and
-    the conditions are combined as ints with ``&``.
+    Byte x of ``table[e]`` is 1 exactly where chi(x) = e: the kept
+    ``ctx.square_bytes()`` and, built once, its complement less byte 0.
+    Those bytes come from squaring one unit of each pair +-x
+    (``ctx.half_unit_squares``), never from ``legendre`` or ``pow``: the
+    oracle's character is the definition of a square, not Euler's
+    criterion.  The scan bound is checked first, so no q-byte table exists
+    above ``SCAN_LIMIT``.  Each condition chi(a + s) = e is its sign's
+    table translated by s, as a whole byte vector, and the conditions are
+    combined as ints with ``&``.
     """
-    sq = square_table(ctx)
+    check_scan_bound(ctx.q)
+    sq = ctx.square_bytes()
     table = {1: sq, -1: b"\0" + sq[1:].translate(_NOT)}  # chi(0) = 0 matches no sign
     bits = -1 if fam.kind == "A" else ~0xFF  # a = 0, byte 0, is a member of A only
     for s, e in _conditions(ctx, fam):
@@ -219,7 +209,7 @@ def _byte_mask(ctx: FieldCtx, fam: SetFamily) -> bytes:
 def enumerate_family(ctx: FieldCtx, fam: SetFamily) -> list[int]:
     """Exact member list by scanning the whole field, in ascending code order.
 
-    Lists the positions of ``_byte_mask``, built from ``square_table`` by
+    Lists the positions of ``_byte_mask``, built from ``square_bytes`` by
     whole-vector byte operations, on every context, with or without
     tables; it raises ValueError above ``SCAN_LIMIT``.  It decides every
     element and never reads ``FieldTables`` or ``legendre``; its bytes

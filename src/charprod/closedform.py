@@ -54,7 +54,7 @@ from typing import NamedTuple, Optional, Union
 
 from .charsets import SIGN_PAIRS, SetFamily, SignPair, _pair_card
 from .dickson import dickson_values
-from .ffield import FieldCtx, IdentityFailure
+from .ffield import CHECK_FAILURES, FieldCtx, IdentityFailure
 
 
 class _Infinity:
@@ -370,7 +370,7 @@ def prod_T_table(ctx: FieldCtx) -> None:
     """
     try:
         rows = _class_rows(ctx)
-    except (IdentityFailure, ValueError, ZeroDivisionError):
+    except CHECK_FAILURES:
         return
     _KEPT.setdefault(ctx, {}).update(rows)
 

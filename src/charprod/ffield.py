@@ -88,6 +88,10 @@ class IdentityFailure(AssertionError):
     """
 
 
+# what a check raises on a broken identity or on arithmetic that is no field
+CHECK_FAILURES = (IdentityFailure, ValueError, ZeroDivisionError)
+
+
 def factorize(m: int) -> list[tuple[int, int]]:
     """Factor m by trial division; returns [(prime, exponent), ...].
 
@@ -304,8 +308,7 @@ class FieldTables:
     ``correlate`` is the one FFT of the package: c[t] = sum_x f(x) g(x + t),
     an exact integer vector or IdentityFailure.  ``tally`` keeps, besides
     its last pair, the vectors of the one difference s2 - s1 that its caller
-    named (``name_difference``; 41 q bytes); the spectra of L's two 13-bit
-    halves that build them are not kept.
+    named (``name_difference``; 41 q bytes).
     """
 
     __slots__ = ("exp", "log", "chi", "_p", "_n", "_pw", "_grid", "_cycle", "_logs",
@@ -527,13 +530,31 @@ class FieldCtx:
         arithmetic progression mod p: one ``mul_poly(y, y)`` per line and
         no other multiplication.  For n = 1 the line y = 0 is all.
         """
-        return itertools.chain.from_iterable(self._square_lines())
+        p, half, odd = self.p, (self.p + 1) // 2, range(1, 2 * self.p - 1, 2)
+        mod, ps = operator.mod, itertools.repeat(p)
+
+        def lines():
+            yield map(mod, itertools.accumulate(odd[1:half - 1], initial=1), ps)  # c^2, c >= 1
+            for w in self._pw[1:]:
+                for y in range(w, half * w, p):
+                    yy = self.mul_poly(y, y)
+                    digits = [map(mod, itertools.accumulate(odd, initial=yy % p), ps)]
+                    for v in self._pw[1:]:
+                        # digit d at place v is d*v, and (k*v) % (p*v) == (k % p)*v
+                        a, step = yy // v % p * v, 2 * (y // v) % p * v
+                        digit = range(a, a + step * p, step) if step else itertools.repeat(a, p)
+                        digits.append(map(mod, digit, itertools.repeat(p * v)))
+                    yield functools.reduce(functools.partial(map, operator.add), digits)
+
+        return itertools.chain.from_iterable(lines())
 
     def square_bytes(self) -> bytes:
         """q bytes, 1 exactly at the nonzero squares, from ``half_unit_squares``.
 
-        Listed once per context and kept, read-only: the one source of the
-        oracle's character for the byte scan and for the tables' grid.
+        The oracle's character from the definition of a square, never from
+        ``legendre`` or ``pow``.  Listed once per context and kept,
+        read-only: the one source of that character for the byte scan and
+        for the tables' grid.
         """
         if self._squares is None:
             sq = bytearray(self.q)
@@ -541,21 +562,6 @@ class FieldCtx:
                 sq[x] = 1
             self._squares = bytes(sq)
         return self._squares
-
-    def _square_lines(self) -> Iterator[Iterator[int]]:
-        p, half, odd = self.p, (self.p + 1) // 2, range(1, 2 * self.p - 1, 2)
-        mod, ps = operator.mod, itertools.repeat(p)
-        yield map(mod, itertools.accumulate(odd[1:half - 1], initial=1), ps)  # c^2, c >= 1
-        for w in self._pw[1:]:
-            for y in range(w, half * w, p):
-                yy = self.mul_poly(y, y)
-                digits = [map(mod, itertools.accumulate(odd, initial=yy % p), ps)]
-                for v in self._pw[1:]:
-                    # digit d at place v is d*v, and (k*v) % (p*v) == (k % p)*v
-                    a, step = yy // v % p * v, 2 * (y // v) % p * v
-                    digit = range(a, a + step * p, step) if step else itertools.repeat(a, p)
-                    digits.append(map(mod, digit, itertools.repeat(p * v)))
-                yield functools.reduce(functools.partial(map, operator.add), digits)
 
     def prod(self, codes) -> int:
         """Product of the codes of an iterable, consumed once; the empty product is one.

@@ -14,7 +14,7 @@ from charprod import sweeps
 from charprod.charsets import (SIGN_PAIRS, SetFamily, SignPair, a_family,
                                brute_product, card_closed, enumerate_family,
                                parse_family, report_row, s1_family, s_family,
-                               sign_str, square_table, t_family, vanishing_poly)
+                               sign_str, t_family, vanishing_poly)
 from charprod.dickson import dickson_first, dickson_second
 from charprod.ffield import IdentityFailure, mk_field
 from helpers import (SMALL_FIELDS, all_families, card_count_blocks,
@@ -687,7 +687,7 @@ def test_square_table_is_euler_criterion(p, n):
     # the oracle's character (squares found by squaring every unit) equals
     # a^((q-1)/2) on every element of a table-free field
     ctx = mk_field(p, n)
-    sq = square_table(ctx)
+    sq = ctx.square_bytes()
     assert ctx._tables is None
     assert len(sq) == ctx.q and sq[0] == 0
     for x in range(1, ctx.q):
@@ -713,14 +713,14 @@ def test_square_table_is_built_once_per_context(monkeypatch):
         second = enumerate_family(ctx, t_family(1, 3, (-1, -1)))
         brute_product(ctx, s1_family(0, 1))
         assert calls == [ctx.q]
-        assert isinstance(square_table(ctx), bytes)
+        assert isinstance(ctx.square_bytes(), bytes)
         assert first == members_reference(ctx, a_family(1, 2, (1, -1)))
         assert second == members_reference(ctx, t_family(1, 3, (-1, -1)))
         calls.clear()
 
 
 def test_squares_are_listed_once_per_context_with_tables(monkeypatch):
-    # tables and square_table both read ctx.square_bytes, in either order,
+    # tables and the byte scan both read ctx.square_bytes, in either order,
     # so the squares are listed once per context; a verify field's dickson
     # suite, whose enumerate_family scans bytes after the tables, too
     from charprod.ffield import FieldCtx
@@ -734,16 +734,16 @@ def test_squares_are_listed_once_per_context_with_tables(monkeypatch):
 
     monkeypatch.setattr(FieldCtx, "half_unit_squares", counted)
     for p, n in [(13, 1), (3, 3), (5, 2)]:
-        alone = square_table(mk_field(p, n))
+        alone = mk_field(p, n).square_bytes()
         grid = mk_field(p, n).tables().shifted(0)
         calls.clear()
         ctx = mk_field(p, n)
         ctx.tables()
-        assert square_table(ctx) == alone
+        assert ctx.square_bytes() == alone
         assert enumerate_family(ctx, a_family(1, 2, (1, -1))) == members_reference(
             ctx, a_family(1, 2, (1, -1)))
         ctx = mk_field(p, n)
-        square_table(ctx)
+        ctx.square_bytes()
         assert np.array_equal(ctx.tables().shifted(0), grid)
         assert calls == [ctx.q] * 2, (p, n, calls)
         calls.clear()
@@ -751,6 +751,25 @@ def test_squares_are_listed_once_per_context_with_tables(monkeypatch):
         assert rows and all(r["ok"] for r in rows)
         assert calls == [ctx.q], (p, n, calls)
         calls.clear()
+
+
+def test_scans_check_the_bound_before_the_squares(monkeypatch):
+    # the library's own bound, which cli and SweepConfig.validate reach
+    # first: above SCAN_LIMIT a table-free scan raises before square_bytes
+    # makes its q bytes, and at the bound both scans run
+    from charprod import charsets
+
+    monkeypatch.setattr(charsets, "SCAN_LIMIT", 13)
+    fam = t_family(1, 3, (-1, -1))
+    ctx = mk_field(17)
+    for scan in (enumerate_family, brute_product):
+        with pytest.raises(ValueError, match="q=17 is above the scan bound 13"):
+            scan(ctx, fam)
+    assert ctx._squares is None and ctx._tables is None
+    ctx = mk_field(13)
+    assert enumerate_family(ctx, fam) == members_reference(ctx, fam)
+    assert brute_product(ctx, fam) == product_reference(ctx, fam)
+    assert ctx._tables is None
 
 
 def test_scan_never_reads_the_field_character(monkeypatch):

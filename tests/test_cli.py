@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from charprod import charsets, sweeps
+from charprod import charsets, ffield, sweeps
 from charprod.charsets import SignPair, parse_family
 from charprod.cli import main
 from charprod.ffield import IdentityFailure, mk_field
@@ -63,7 +63,7 @@ def test_eval_refuses_a_scan_above_the_bound(monkeypatch, capsys):
     def no_alloc(size):
         raise AssertionError(f"allocated a {size}-byte table")
 
-    monkeypatch.setattr(charsets, "bytearray", no_alloc, raising=False)
+    monkeypatch.setattr(ffield, "bytearray", no_alloc, raising=False)
     assert main(["eval", "T 5 7 +-", "--p", "2147483629"]) == 2
     err = capsys.readouterr().err
     assert "q=2147483629" in err and f"bound {charsets.SCAN_LIMIT}" in err
@@ -78,8 +78,6 @@ def test_eval_refuses_a_scan_above_the_bound(monkeypatch, capsys):
 def test_eval_and_table_refuse_before_the_modulus_search(monkeypatch, capsys):
     # q = 3^19 is below the machine bound but above the scan bound: both
     # commands exit 2 before the degree-19 modulus search would start
-    from charprod import ffield
-
     def no_search(p, n):
         raise AssertionError(f"searched a modulus of degree {n} over F_{p}")
 
@@ -444,8 +442,6 @@ def test_table_render_extension_field():
 def test_table_refuses_a_field_above_the_scan_bound(monkeypatch, capsys):
     # table refuses the fields eval and verify refuse, before its O(q)
     # tables are built
-    from charprod import ffield
-
     def no_tables(ctx):
         raise AssertionError(f"built the tables of q={ctx.q}")
 
