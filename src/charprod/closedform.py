@@ -22,14 +22,14 @@ choice of a unit u with u + 1/u = r, and no element of F_{q^2}, enters.
 The paper's named corollaries (tau = 1, 3, 1/3, by q mod 8 and mod 12)
 are rows of these classes, not separate cases.
 
-A row depends only on (ctx, j, l), so each context keeps a table of the
-rows built on it, weakly keyed and indexed by the code of l (j = 4 - l
-once the pair is checked), and ``prod_T_values`` returns a copy of a kept
-row instead of building it again.  This holds as long as a context is not
-changed between calls; faults are applied to a fresh context before any
-suite runs.  Before a row is kept it must pass the Wilson check: the four
-T-sets partition F_q^* minus {j, -l}, so their products multiply to
-1/(jl), to 1/l at tau = 0 and to -1/j at tau = inf.
+A row depends only on (ctx, j, l), so each context keeps the rows built
+on it in ``ctx.t_rows``, indexed by the code of l (j = 4 - l once the pair
+is checked), and ``prod_T_values`` returns a copy of a kept row instead of
+building it again.  This holds as long as a context is not changed between
+calls; faults are applied to a fresh context before any suite runs.
+Before a row is kept it must pass the Wilson check: the four T-sets
+partition F_q^* minus {j, -l}, so their products multiply to 1/(jl), to
+1/l at tau = 0 and to -1/j at tau = inf.
 
 The ``tables`` suite fills the table first, by ``prod_T_table``: one pass
 over the int64 arrays of every tau but 0 and -1, a class at a time, through
@@ -49,7 +49,6 @@ family, the closed-form counterpart of ``charsets.brute_product``.
 from __future__ import annotations
 
 import functools
-import weakref
 from typing import NamedTuple, Optional, Union
 
 from .charsets import SIGN_PAIRS, SetFamily, SignPair, _pair_card
@@ -307,11 +306,6 @@ def _mixed_class_row(ctx: FieldCtx, frame: NormalizedFrame) -> dict[SignPair, in
                      ctx.mul(two, c))
 
 
-# the rows kept on each context, ctx -> {l: (++, +-, -+, --)}; weak keys, so
-# a context and its tables are freed once nothing else holds them
-_KEPT: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _wilson_check(ctx: FieldCtx, j: int, l: int, row: dict[SignPair, int]) -> None:
     """IdentityFailure unless the row multiplies to Wilson's 1/(jl), to 1/l
     at j = 0 and to -1/j at l = 0 (see the module docstring), on ints or,
@@ -326,18 +320,15 @@ def prod_T_values(ctx: FieldCtx, j: int, l: int) -> dict[SignPair, int]:
     """All four T_{j,l} products for a normalized pair (j + l = 4).
 
     Returns a fresh dict.  The row depends only on (ctx, j, l), and j = 4 - l
-    once the pair is checked, so the context's table keeps it by l, and a
-    kept row is read instead of built again (``prod_T_table`` fills the
-    table in one pass); this holds as long as the context is not changed
-    between calls.  A row built here is kept only once it passes the Wilson
+    once the pair is checked, so ``ctx.t_rows`` keeps it by l, as the int
+    tuple (++, +-, -+, --), and a kept row is read instead of built again
+    (``prod_T_table`` fills it in one pass), as long as the context is not
+    changed between calls.  A row is kept only once it passes the Wilson
     check; a call that raises keeps nothing, and the next one raises again.
     """
     if ctx.add(j, l) != ctx.from_int(4):
         raise ValueError("pair is not normalized: j + l != 4")
-    kept = _KEPT.get(ctx)
-    if kept is None:
-        kept = _KEPT.setdefault(ctx, {})
-    values = kept.get(l)
+    values = ctx.t_rows.get(l)
     if values is not None:
         return _sign_row(*values)
     frame = normalized_frame(ctx, INF if l == 0 else ctx.div(j, l))
@@ -348,7 +339,7 @@ def prod_T_values(ctx: FieldCtx, j: int, l: int) -> dict[SignPair, int]:
     else:
         row = _specific_row(ctx, frame)
     _wilson_check(ctx, j, l, row)
-    kept[l] = tuple(row[sp] for sp in SIGN_PAIRS)
+    ctx.t_rows[l] = tuple(row[sp] for sp in SIGN_PAIRS)
     return row
 
 
@@ -359,8 +350,8 @@ def prod_T_table(ctx: FieldCtx) -> None:
     class runs the bodies of a scalar row on its arrays (one ``dickson_values``
     ladder per mixed class) and its Wilson check, by the context's array ``inv``
     and ``sqrt_canonical``, each table made once per context.  All or nothing:
-    if any check or array operation raises, at any tau, no row is kept, and
-    ``prod_T_values`` builds each row as a scalar, as it does at tau = 0 and
+    if any check or array operation raises, at any tau, ``ctx.t_rows`` keeps
+    none, and ``prod_T_values`` builds each row as a scalar, as at tau = 0 and
     tau = inf.  The pass calls neither ``prod_T_values`` nor the oracle.  Its
     roots of l, true roots from a table that reads no character, equal a
     scalar row's Tonelli-Shanks roots wherever those return; so it fails where
@@ -372,7 +363,7 @@ def prod_T_table(ctx: FieldCtx) -> None:
         rows = _class_rows(ctx)
     except CHECK_FAILURES:
         return
-    _KEPT.setdefault(ctx, {}).update(rows)
+    ctx.t_rows.update(rows)
 
 
 def _class_rows(ctx: FieldCtx) -> dict[int, tuple[int, int, int, int]]:
@@ -397,16 +388,8 @@ def _class_rows(ctx: FieldCtx) -> dict[int, tuple[int, int, int, int]]:
     return rows
 
 
-def rescale_T(ctx: FieldCtx, j_prime: int, l_prime: int, signs) -> int:
-    """T-product for arbitrary parameters, via the rescaling correction.
-
-    Public entry point: divides out lambda = (j'+l')/4, twists the signs
-    by the character of lambda, and multiplies back lambda^|T_{j',l'}^{e1,e2}|,
-    the closed cardinality that ``charsets._pair_card`` counts.  At lambda = 1,
-    which holds for every normalized pair, the lemma is the identity: the
-    table entry is returned as it stands, with no count and no power.
-    """
-    e1, e2 = signs
+def _rescaling(ctx: FieldCtx, j_prime: int, l_prime: int) -> tuple[int, int, int, int]:
+    """(lambda, nu, j, l): lambda = (j'+l')/4, nu = chi(j'+l'), (j, l) = (j', l')/lambda."""
     s = ctx.add(j_prime, l_prime)
     if s == 0:
         raise ValueError("j' + l' must be nonzero")
@@ -417,7 +400,30 @@ def rescale_T(ctx: FieldCtx, j_prime: int, l_prime: int, signs) -> int:
     l = ctx.mul(l_prime, over_lam)
     if ctx.add(j, l) != ctx.from_int(4):
         raise IdentityFailure(f"(j' + l')/lambda != 4 at q={ctx.q}")
+    return lam, nu, j, l
+
+
+def rescale_T(ctx: FieldCtx, j_prime: int, l_prime: int, signs) -> int:
+    """T-product for arbitrary parameters, via the rescaling correction.
+
+    Public entry point: divides out lambda = (j'+l')/4, twists the signs
+    by the character of lambda, and multiplies back lambda^|T_{j',l'}^{e1,e2}|,
+    the closed cardinality that ``charsets._pair_card`` counts.  At lambda = 1,
+    which holds for every normalized pair, the lemma is the identity: the
+    table entry is returned as it stands, with no count and no power.
+
+    ``ctx.rescaled`` keeps the ``_rescaling`` of the last pair that returned,
+    so the four sign pairs of a pair share one; the count and the power run
+    on every call at lambda != 1.  A pair that raises keeps nothing.
+    """
+    e1, e2 = signs
+    pair = (j_prime, l_prime)
+    kept, rescaling = ctx.rescaled
+    if kept != pair:
+        rescaling = _rescaling(ctx, j_prime, l_prime)
+    lam, nu, j, l = rescaling
     base = prod_T_values(ctx, j, l)[SignPair(nu * e1, nu * e2)]
+    ctx.rescaled = pair, rescaling
     if lam == ctx.one:
         return base
     card = _pair_card(ctx, "T", (e1, e2), nu, ctx.legendre(j_prime), ctx.legendre(l_prime))

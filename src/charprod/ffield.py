@@ -479,7 +479,10 @@ class FieldTables:
 
 
 class FieldCtx:
-    """Immutable context for F_{p^n}; all element operations live here."""
+    """Immutable context for F_{p^n}; all element operations live here.
+
+    It also carries, freed with it, what ``closedform`` keeps for it: the T
+    rows by l (``t_rows``) and the last rescaling (``rescaled``)."""
 
     def __init__(self, p: int, n: int = 1):
         q = field_order(p, n)
@@ -497,6 +500,8 @@ class FieldCtx:
         self._delta: int | None = None
         self._squares: bytes | None = None  # kept by square_bytes
         self._inverse = self._roots = self._chi = None  # each kept by its array call
+        self.t_rows: dict[int, tuple[int, int, int, int]] = {}  # l -> (++, +-, -+, --)
+        self.rescaled: tuple = (None, None)  # (j', l'), (lambda, nu, j, l)
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, n={self.n})"

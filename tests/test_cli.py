@@ -9,7 +9,7 @@ from charprod.charsets import SignPair, parse_family
 from charprod.cli import main
 from charprod.ffield import IdentityFailure, mk_field
 from charprod.sweeps import render_table
-from helpers import field, prime_power, run_python
+from helpers import field, prime_power, run_python, sampled_faults
 
 
 def test_eval_t13(capsys):
@@ -227,27 +227,54 @@ def test_one_process_verify_writes_each_row_before_the_next_is_made(monkeypatch)
     assert pooled.getvalue() == report
 
 
-@pytest.mark.parametrize("make_encoder", [json.encoder.c_make_encoder, None],
-                         ids=["c-encoder", "no-c-encoder"])
-def test_row_encoder_is_json_dumps(make_encoder):
-    # either encoder _row_encoder can choose writes json.dumps' bytes, and
-    # refuses what json.dumps refuses
-    encode = sweeps._row_encoder(make_encoder)
-    rows = [
-        sweeps._row('T["1,2"]\\+-', "é ∞ 𝄞", "\x00\x1f\x7f\n\t "),
-        dict(sweeps._row("card[T]++", "0 mismatches", "3 mismatches first=(1,2)"),
-             q=2197, suite="cardinality"),
-        {"case": "", "ok": True, "none": None, "big": 1 << 70, "float": 0.1,
-         "nan": float("nan"), "list": [1, "a", False]},
-    ]
-    assert rows[0]["ok"] is False
-    for row in rows:
-        assert encode(row) == json.dumps(row)
-    for bad in ({"case": {1}}, {"case": "x", "q": 1j}, {"q": object()}):
-        with pytest.raises(TypeError, match="is not JSON serializable"):
-            encode(bad)
-        with pytest.raises(TypeError, match="is not JSON serializable"):
-            json.dumps(bad)
+def _written(monkeypatch, p, n, emit_rows) -> tuple[list[dict], str]:
+    """The rows ``emit_rows(p, n, suites, emit)`` hands run_verify at p^n in
+    place of run_field, and the report run_verify writes from them."""
+    rows = []
+
+    def recorded(p, n, suites, emit):
+        def both(row):
+            rows.append(row)
+            emit(row)
+        emit_rows(p, n, suites, both)
+
+    monkeypatch.setattr(sweeps, "run_field", recorded)
+    out = io.StringIO()
+    sweeps.run_verify(sweeps.SweepConfig(q_min=p ** n, q_max=p ** n), out)
+    return rows, out.getvalue()
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3), (5, 2)])
+def test_report_rows_keep_the_schema(monkeypatch, p, n):
+    # every row run_field yields, sound and under every sampled fault, has
+    # the keys case, expected, actual, ok, q, suite in that order, of types
+    # str, str, str, bool, int, str, and verify writes it as json.dumps does
+    real = sweeps.run_field
+    for name, fault in sampled_faults(p ** n):
+        def corrupted(p, n=1):
+            ctx = mk_field(p, n)
+            fault(ctx)
+            return ctx
+
+        monkeypatch.setattr(sweeps, "mk_field", corrupted)
+        rows, report = _written(monkeypatch, p, n, real)
+        assert rows and all(row["ok"] for row in rows) == (name == "sound"), (p ** n, name)
+        for row in rows:
+            assert list(row) == ["case", "expected", "actual", "ok", "q", "suite"], row
+            assert [type(v) for v in row.values()] == [str, str, str, bool, int, str], row
+        assert report == "".join(json.dumps(row) + "\n" for row in rows), (p ** n, name)
+
+
+def test_written_row_escapes_as_json_dumps(monkeypatch):
+    # quotes, backslashes, non-ASCII, astral and control characters are
+    # written as json.dumps writes them
+    def odd_row(p, n, suites, emit):
+        emit(dict(sweeps._row('T["1,2"]\\+-', "é ∞ 𝄞", "\x00\x1f\x7f\n\t "),
+                  q=p, suite="tables"))
+
+    rows, report = _written(monkeypatch, 13, 1, odd_row)
+    assert len(rows) == 1 and rows[0]["ok"] is False
+    assert report == json.dumps(rows[0]) + "\n"
 
 
 def test_one_process_verify_keeps_the_rows_written_before_a_crash(monkeypatch):

@@ -225,7 +225,7 @@ def test_prod_T_values_reads_the_square_class_once(monkeypatch):
     for ctx in [field(13), field(3, 3)]:
         taus = [t for t in range(1, ctx.q) if t != ctx.minus_one]
         frames = [normalized_frame(ctx, tau) for tau in taus]
-        closedform._KEPT.pop(ctx, None)  # rows kept by earlier calls are read, not built
+        ctx.t_rows.clear()  # rows kept by earlier calls are read, not built
         reads.clear()
         for f in frames:
             prod_T_values(ctx, f.j, f.l)
@@ -290,18 +290,24 @@ def test_wilson_check_rejects_a_corrupted_row(monkeypatch):
 @pytest.mark.parametrize("p, n", SMALL_FIELDS)
 def test_kept_rows_give_the_rows_of_rebuilt_ones(monkeypatch, p, n):
     # the tables and rescaling rows, sound and under every fault, are the
-    # same when every prod_T_values call builds its row afresh
-    real = closedform.prod_T_values
+    # same when every prod_T_values call builds its row afresh and every
+    # rescale_T call its rescaling: each clears what the context keeps for it
+    real_values, real_rescale = closedform.prod_T_values, closedform.rescale_T
 
     def rebuilt(ctx, j, l):
-        closedform._KEPT.clear()
-        return real(ctx, j, l)
+        ctx.t_rows.clear()
+        return real_values(ctx, j, l)
+
+    def rescaled_afresh(ctx, j_prime, l_prime, signs):
+        ctx.rescaled = (None, None)
+        return real_rescale(ctx, j_prime, l_prime, signs)
 
     for name, fault in field_faults(p ** n):
         runs = []
         for patched in (False, True):
             if patched:
                 monkeypatch.setattr(closedform, "prod_T_values", rebuilt)
+                monkeypatch.setattr(closedform, "rescale_T", rescaled_afresh)
             ctx = mk_field(p, n)
             fault(ctx)
             runs.append([*sweeps.suite_tables(ctx), *sweeps.suite_rescaling(ctx)])
@@ -310,9 +316,9 @@ def test_kept_rows_give_the_rows_of_rebuilt_ones(monkeypatch, p, n):
 
 
 def test_kept_row_is_copied_and_holds_no_context():
-    # a row read from the table, kept by the array pass or by a scalar
-    # build (tau = 0), is returned as a copy, and the context is freed
-    # together with its table
+    # a row read from the context's rows, kept by the array pass or by a
+    # scalar build (tau = 0), is returned as a copy; the kept rows are int
+    # tuples, and the context is freed together with them
     ctx = mk_field(13)
     closedform.prod_T_table(ctx)
     for j, l in ((1, 3), (0, 4)):
@@ -320,13 +326,14 @@ def test_kept_row_is_copied_and_holds_no_context():
         want = dict(first)
         first[SignPair(1, 1)] = 0
         assert prod_T_values(ctx, j, l) == want
+        assert ctx.t_rows[l] == tuple(want[sp] for sp in SIGN_PAIRS)
+    assert rescale_T(ctx, 2, 5, (1, -1)) == brute_product(ctx, t_family(2, 5, (1, -1))).value
+    assert ctx.rescaled[0] == (2, 5)
+    assert all(type(x) is int for row in ctx.t_rows.values() for x in row)
     ref = weakref.ref(ctx)
-    gc.collect()
-    contexts = len(closedform._KEPT)
     del ctx
     gc.collect()
     assert ref() is None
-    assert len(closedform._KEPT) == contexts - 1
 
 
 @pytest.mark.parametrize("p, n", SMALL_FIELDS + [(97, 1), (257, 1), (3, 4), (13, 3), (4093, 1)])
@@ -340,11 +347,11 @@ def test_table_rows_are_the_scalar_rows(p, n):
         ctx = mk_field(p, n)
         fault(ctx)
         closedform.prod_T_table(ctx)
-        kept = dict(closedform._KEPT.get(ctx, {}))
+        kept = dict(ctx.t_rows)
         if name == "sound":
             assert set(kept) == set(range(1, ctx.q)) - {ctx.from_int(4)}, p ** n
         for l, row in kept.items():
-            closedform._KEPT.pop(ctx)
+            ctx.t_rows.clear()
             scalar = prod_T_values(ctx, ctx.sub(ctx.from_int(4), l), l)
             assert scalar == dict(zip(SIGN_PAIRS, row)), (p ** n, name, l)
 
@@ -483,6 +490,78 @@ def test_rescale_T_is_the_full_rescaling_formula(p, n):
                 assert _outcome(rescale_T, ctx, jp, lp, sp) == \
                     _outcome(rescale_T_reference, ctx, jp, lp, sp), (q, name, jp, lp, sp)
     assert at_one == {True, False}  # pairs at lambda = 1 and at lambda != 1
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3), (5, 2)])
+def test_kept_rescaling_is_the_full_rescaling_formula(p, n):
+    # the rescaling kept for the last pair is read only by that pair: over
+    # interleaved pairs, A, B, A with all four sign pairs each, rescale_T
+    # gives what the full formula gives, sound and under every sampled
+    # fault; seeded pairs, some at lambda = 1 and some at j' + l' = 0
+    q = p ** n
+    rng = random.Random(q)
+    pairs = rng.sample(list(itertools.product(range(q), repeat=2)), 24) + [(1, 3), (1, p - 1)]
+    rng.shuffle(pairs)
+    for name, fault in sampled_faults(q):
+        ctx = mk_field(p, n)
+        fault(ctx)
+        for a, b in zip(pairs, pairs[1:]):
+            for jp, lp in (a, b, a):
+                for sp in SIGN_PAIRS:
+                    got = _outcome(rescale_T, ctx, jp, lp, sp)
+                    assert got == _outcome(rescale_T_reference, ctx, jp, lp, sp), \
+                        (q, name, jp, lp, sp)
+
+
+@pytest.mark.parametrize("p, n", [(13, 1), (3, 3), (5, 2)])
+def test_raising_pair_raises_at_every_call(p, n):
+    # a pair that raises, in its rescaling or in its row, keeps nothing: it
+    # raises the same again at every call, before and after a pair that
+    # returns, and the context keeps the last pair that returned
+    q = p ** n
+    pairs = random.Random(q).sample(list(itertools.product(range(q), repeat=2)), 40)
+    pairs.append((1, p - 1))  # 1 + (-1) = 0
+    raised = set()
+    for name, fault in sampled_faults(q):
+        ctx = mk_field(p, n)
+        fault(ctx)
+        good = [(pair, sp) for pair in pairs for sp in SIGN_PAIRS
+                if not isinstance(_outcome(rescale_T, ctx, *pair, sp), tuple)]
+        for pair in pairs:
+            for sp in SIGN_PAIRS:
+                first = _outcome(rescale_T, ctx, *pair, sp)
+                if not isinstance(first, tuple):
+                    continue
+                raised.add(first[1].split(" at q=")[0])
+                for other in good[:2]:
+                    rescale_T(ctx, *other[0], other[1])
+                    assert ctx.rescaled[0] == other[0]
+                    assert _outcome(rescale_T, ctx, *pair, sp) == first, (q, name, pair, sp)
+                    assert ctx.rescaled[0] == other[0], (q, name, pair, sp)
+    assert "j' + l' must be nonzero" in raised, q
+    assert len(raised) > 1, q  # raises of the rows under faults too
+    if n > 1:  # a swapped exp breaks the division by lambda itself
+        assert "(j' + l')/lambda != 4" in raised, q
+
+
+def test_tables_suite_rescales_once_per_tau(monkeypatch):
+    # the four sign pairs of a tau share one rescaling: at 13, q = 13 of
+    # them for the 4q = 52 rescale_T calls, where each call once made its own
+    calls = {"rescale_T": 0, "_rescaling": 0}
+
+    def counted(name):
+        real = getattr(closedform, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(closedform, name, call)
+
+    counted("rescale_T")
+    counted("_rescaling")
+    rows = sweeps.run_field(13, 1, ("tables",))
+    assert len(rows) == 52 and all(r["ok"] for r in rows)
+    assert calls == {"rescale_T": 52, "_rescaling": 13}
 
 
 @pytest.mark.parametrize("p, n", [(13, 1), (3, 3), (5, 2)])
