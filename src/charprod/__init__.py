@@ -4,6 +4,10 @@ Closed formulas for products like prod{a : chi(j-a) = e1, chi(l+a) = e2},
 the Dickson-polynomial identities behind them, an orbit correspondence
 for the cardinalities, deterministic square roots, and a brute-force
 oracle plus sweep harness that re-verifies every formula exhaustively.
+
+Importing the package loads neither numpy nor a process pool: numpy loads
+with the first field tables or code array, and ``run_verify`` loads its
+pool only when it runs more than one field on more than one worker.
 """
 
 from .charsets import (SIGN_PAIRS, ProductReport, SetFamily, SignPair,

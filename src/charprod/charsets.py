@@ -15,31 +15,17 @@ the parameters in ``FieldCtx.elem_str`` form ('T 1 3 --', 'S1 0 +'), and
 field.  It is the oracle every closed formula in this package is tested
 against, so it deliberately takes no shortcuts: every member is
 multiplied in.  Only the order is free, as a product does not depend
-on it.  ``_conditions`` decodes a family into
-its conditions chi(a + s) = e once, for both scans.  Every scan reads
-chi from ``FieldCtx.half_unit_squares``: the squares of one unit of each
-pair +-x, by running sums along lines of the field with one ``mul_poly``
-per line, so it shares no chi arithmetic with ``FieldCtx.legendre``
-(Euler's criterion, tabulated with the tables, which the closed side
-uses).  With tables, ``brute_product`` reads one class of the kept
-``FieldTables.tally``, every a classed by two shifted characters
-(``FieldTables.shifted``, built from those squares), each class's product
-a sum of discrete logs over the oracle's own walk of the units, so the
-four sign pairs of one pair of shifts make one scan; at the difference
-s2 - s1 that a caller named (``FieldTables.name_difference``), every pair
-reads that difference's correlation vectors instead.  Without tables,
-and in ``enumerate_family`` on every field, the scan reads
-``FieldCtx.square_bytes``, the squares scattered into q bytes, built once
-per context, which the tables' grid reads too.  Each condition
-chi(a + s) = e is the table of its sign translated by s
-(``FieldCtx.translate_bytes``), and the conditions meet as ints under
-``&``: no field operation runs per element, and ``ctx.prod`` multiplies
-the marked positions without listing them, for n > 1 by Kronecker
-substitution.  The table takes q bytes, so fields above ``SCAN_LIMIT`` =
-2^26 elements are refused.  The closed cardinality ``card_closed``
-(never enumerates) and the ``cardinality`` suite of ``sweeps``, on
-arrays of characters, share one formula per kind: ``_single_card`` (S1)
-and ``_pair_card``.
+on it.  ``_conditions`` decodes a family into its conditions
+chi(a + s) = e once, for both scans.  Both read chi from
+``FieldCtx.square_bytes``, the definition of a square, so they share no
+chi arithmetic with ``FieldCtx.legendre``, which the closed side uses.
+With tables, ``brute_product`` reads a class of ``FieldTables.tally``;
+without them, and in ``enumerate_family`` on every field, it reads
+``_byte_mask``.  The mask takes q bytes, so fields above ``SCAN_LIMIT`` =
+2^26 elements are refused.  The closed cardinality ``card_closed`` (never
+enumerates) and the ``cardinality`` suite of ``sweeps``, on arrays of
+characters, share one formula per kind: ``_single_card`` (S1) and
+``_pair_card``.
 """
 
 from __future__ import annotations
@@ -265,7 +251,8 @@ def _pair_card(ctx: FieldCtx, kind: str, signs, nu, ck, cl):
 
 
 def _single_card(ctx: FieldCtx, e: int, ck):
-    """|S_k^e| = (q - 1)/2 - [chi(k) = e] for ck = chi(k), an int or an array."""
+    """|S_k^e| = (q - 1)/2 - [chi(k) = e] for ck = chi(k), an int or an array;
+    chi(0) = 0 makes k = 0 no special case."""
     return (ctx.q - 1) // 2 - (ck == e)
 
 
@@ -280,7 +267,8 @@ def card_closed(ctx: FieldCtx, fam: SetFamily) -> int:
 
 
 def vanishing_poly(ctx: FieldCtx, e1: int, e2: int) -> list[int]:
-    """Monic polynomial whose root set is A_{-2,2}^{e1,e2}."""
+    """Monic polynomial whose root set is A_{-2,2}^{e1,e2}, by one array
+    ``ctx.add`` and ``ctx.mul_poly`` step per root."""
     import numpy as np
 
     two = ctx.from_int(2)

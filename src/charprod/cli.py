@@ -4,9 +4,11 @@ Exit codes: 0 all checks passed, 1 at least one mismatch, 2 no verdict:
 usage or I/O error.
 ``verify`` emits one JSON line per check; ``eval`` prints a closed-form
 product side by side with its brute-force value; ``table`` renders the
-four summary tables of normalized products for one field.  This module only
-parses arguments, checks the scan bound, builds the field and prints: the
-family grammar is ``charsets.parse_family``, the tables ``sweeps.render_table``.
+four summary tables of normalized products for one field.  ``verify`` and
+``table`` build each field's tables; ``eval`` scans without them and never
+imports numpy.  This module only parses arguments, checks the scan bound,
+builds the field and prints: the family grammar is
+``charsets.parse_family``, the tables ``sweeps.render_table``.
 """
 
 from __future__ import annotations

@@ -147,7 +147,8 @@ def orbit_count_card(ctx: FieldCtx, e1: int, e2: int) -> int:
 
 def roots_of_unity_union(ctx: FieldCtx) -> Ext2Elem:
     """mu_{2(q-1)} = F_q^* u theta*F_q^* united with mu_{2(q+1)} = {v : N(v) = +-1},
-    in key order, each element once."""
+    in key order, each element once; the v of norm +-1 are the lo + h*theta
+    with lo a root of +-1 + delta*h^2, one array root per sign."""
     import numpy as np
 
     x = np.arange(ctx.q, dtype=np.int64)

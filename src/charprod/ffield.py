@@ -28,23 +28,13 @@ The quadratic extension F_{q^2} is represented as pairs lo + hi*theta
 with theta^2 = delta, delta the nonsquare of F_q with the smallest code.
 ``e2_add``, ``e2_sub``, ``e2_neg``, ``e2_mul``, ``e2_norm``, ``e2_key`` and
 ``e2_sqrt`` are built from the operations above, so they too serve ints
-and int64 arrays.
+and int64 arrays; only ``correspondence`` and ``reciprocity`` use them.
 
 Every operation works without precomputation.  ``FieldCtx.tables()``
-adds lookup tables of size O(q): the quadratic character and, for n > 1,
-discrete logarithms to the generator of F_q^* with the smallest code.
-Once built, they replace power-based Legendre symbols and, for n > 1,
-the product of two ints and every inverse with lookups; an array ``mul``
-stays ``mul_poly``, O(len), where the lists would be converted whole.
-``prod`` reads no table, and no other library module reads ``exp``,
-``log`` or ``chi``.  They also hold the oracle's character, read off
-``square_bytes``, as the shifted vectors that the product scan and
-the cardinality counts read, on a digit grid of q bytes, and its class
-tally, sums of discrete logs over its own copy of the units' walk; ``add``,
-``sub`` and ``neg`` stay digit arithmetic either way.  The tables' one
-transform, ``FieldTables.correlate``, is the only ``np.fft`` user of the
-package: a correlation over the additive group on the digit grid, returned
-only once it rounds to integers with the right sum.
+adds the O(q) lookup tables that the ``FieldTables`` docstring describes;
+``mul``, ``inv`` and ``legendre`` say which of their calls read them, and
+``add``, ``sub`` and ``neg`` stay digit arithmetic either way.  No other
+library module reads ``exp``, ``log`` or ``chi``.
 """
 
 from __future__ import annotations
@@ -123,7 +113,8 @@ def is_prime(m: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def power(x, e: int, mul, one):
-    """x^e for e >= 0 by square-and-multiply."""
+    """x^e for e >= 0 by square-and-multiply, the package's only one: run by
+    ``FieldCtx.pow``, array ``FieldCtx.inv`` and the modulus search."""
     result = one
     while e:
         if e & 1:
@@ -303,7 +294,8 @@ class FieldTables:
     read-only, instead.  ``shifted(k)``, the oracle's character moved by k, is
     the one read-only int8 grid ``_grid`` of shape (p,)*n, q bytes, rolled
     by the digits of -k: 1 at the squares of ``ctx.square_bytes``, -1 at
-    the other units, 0 at 0, never ``chi``.  Every table is O(q).
+    the other units, 0 at 0, never ``chi``.  Every table is O(q): ``tables()``
+    peaks near 142 bytes per element at 3^8 and 3^10 (tracemalloc).
 
     ``correlate`` is the one FFT of the package: c[t] = sum_x f(x) g(x + t),
     an exact integer vector or IdentityFailure.  ``tally`` keeps, besides
@@ -349,7 +341,8 @@ class FieldTables:
         ``zero`` is the class 0's characters give.  A product is gen to the
         class's log sum mod u = q - 1.  By Wilson's theorem the unit classes
         hold u elements whose logs add up to u(u - 1)/2, else IdentityFailure.
-        The last tally is kept by (s1, s2).
+        The last tally is kept by (s1, s2), so the four sign pairs of one pair
+        of shifts make one scan.
 
         The tally depends only on d = s2 - s1 and s1: with b = a + s1, class e
         is E_e = {b : 3 chi(b) + chi(b + d) + 4 = e} less b = s1, the a = 0,
@@ -411,7 +404,9 @@ class FieldTables:
         The products are int32, one C-contiguous row per s1: entry e of row s1
         is gen to sum_{b in E_e} L(b - s1) mod u, and 1, the empty product,
         for an empty class and for class 9, a = 0 alone.  L's halves are
-        below 2^13, so each correlation is below 2^39.
+        below 2^13, so each correlation is below 2^39.  Their spectra are
+        dropped with the build; only the class of every b and the products
+        are kept.
         """
         import numpy as np
 
@@ -479,10 +474,18 @@ class FieldTables:
 
 
 class FieldCtx:
-    """Immutable context for F_{p^n}; all element operations live here.
+    """Context for F_{p^n}; all element operations live here.
 
-    It also carries, freed with it, what ``closedform`` keeps for it: the T
-    rows by l (``t_rows``) and the last rescaling (``rescaled``)."""
+    It keeps what it builds, each at the first call that needs it:
+    ``_tables`` (``tables()``), ``_delta`` (``delta``), ``_squares``
+    (``square_bytes``), ``_inverse``, ``_roots`` and ``_chi`` (the first
+    array ``inv``, ``sqrt_canonical`` and ``legendre``) and ``_kronecker``
+    (the first ``prod`` for n > 1).  It also carries, freed with it, what
+    ``closedform`` keeps for it: the T rows by l (``t_rows``) and the last
+    rescaling (``rescaled``).  Each holds for the field as it stood when it
+    was built, so a context must not change after the first call that
+    builds from it: a fault goes to a fresh context, before any suite runs.
+    """
 
     def __init__(self, p: int, n: int = 1):
         q = field_order(p, n)
@@ -694,6 +697,9 @@ class FieldCtx:
         return self.sub(0, a)
 
     def mul(self, a, b):
+        """a*b; with tables, two ints of F_{p^n} read exp[log a + log b].  A code
+        array stays ``mul_poly``, O(len), where a lookup would convert the
+        whole lists on every call."""
         if self.n == 1:
             return a * b % self.q
         tb = self._tables
@@ -706,6 +712,9 @@ class FieldCtx:
 
     def mul_poly(self, a, b):
         """a*b by polynomial multiplication modulo the modulus; reads no table.
+
+        Outside this module only the oracle (``charsets``) calls it by name:
+        the closed side calls ``mul``, which reads the tables.
 
         Before the last ``% p`` a coefficient is below p^2 < 2^62 for n = 1
         and below n^2 p^3 < 2^50 for n > 1 (as p^n < 2^31), so int64 arrays
@@ -731,7 +740,8 @@ class FieldCtx:
         return acc
 
     def inv(self, a):
-        """1/a; an int64 code array reads the inverse of every unit, made once per
+        """1/a; with tables, an int of F_{p^n} reads exp[q - 1 - log a].  An
+        int64 code array reads the inverse of every unit, made once per
         context at the first array call: exp[q - 1 - log u] (n > 1, tables) or
         u^(q-2).  It raises IdentityFailure unless a*(1/a) = 1 by ``mul_poly``,
         as two swapped exp entries give a wrong map that is its own inverse."""
@@ -777,8 +787,10 @@ class FieldCtx:
     # -- quadratic character and square roots --------------------------------
 
     def legendre(self, a):
-        """The quadratic character of a: +1 square, -1 nonsquare, 0 zero; with
-        tables, an int64 code array gets int64 values from an int8 copy of
+        """The quadratic character of a: +1 square, -1 nonsquare, 0 zero.
+
+        Euler's criterion without tables.  With tables an int reads ``chi``,
+        and an int64 code array gets int64 values from an int8 copy of
         ``chi``, made once per context at the first array call."""
         tb = self._tables
         if tb is not None:
@@ -795,7 +807,10 @@ class FieldCtx:
 
     @property
     def delta(self) -> int:
-        """The nonsquare with the smallest code; theta^2 = delta defines F_{q^2}."""
+        """The nonsquare with the smallest code; theta^2 = delta defines F_{q^2}.
+
+        IdentityFailure where the character has no nonsquare, which only a
+        fault gives."""
         if self._delta is None:
             self._delta = next((x for x in self.elements_canonical() if self.legendre(x) == -1), None)
             if self._delta is None:

@@ -135,7 +135,8 @@ def suite_tables(ctx: FieldCtx) -> Iterator[dict]:
     tally: the first row's call builds that difference for every row.
     The closed side, the table value, is cross-checked by ``rescale_T``: at
     lambda = 1 that guards its division of (j, l) by lambda, since a pair it
-    gets wrong reads, or builds, the row of another l.
+    gets wrong reads, or builds, the row of another l.  So each tau's row is
+    read eight times, twice per sign pair, and its rescaling worked out once.
     """
     closedform.prod_T_table(ctx)
     ctx.tables().name_difference(ctx.from_int(4))
@@ -254,9 +255,10 @@ def card_tally(ctx: FieldCtx):
     occur: 9 on a sound field, at most 243.  Its row is the
     ``FieldTables.correlate`` of the two indicators: one ``spectrum`` per
     realized class (one k spectrum held at a time), one correlation per row,
-    exact up to q = 2^26 by the a-priori bound there.  A row that is not
-    within 1/4 of integers summing to |U| |V| raises IdentityFailure ("no
-    count").  Returns u, v, counts and the class vectors.
+    exact up to q = 2^26 by the a-priori bound there; memory is linear in q,
+    at most 243 q int32 counts.  A row that is not within 1/4 of integers
+    summing to |U| |V| raises IdentityFailure ("no count").  Returns u, v,
+    counts and the class vectors.
     """
     import numpy as np
 
@@ -344,7 +346,9 @@ def suite_cardinality(ctx: FieldCtx) -> Iterator[dict]:
 
 def suite_correspondence(ctx: FieldCtx) -> Iterator[dict]:
     """Orbit bijection, order classification, and orbit counting: one array
-    pass over the field for each of the first four checks."""
+    pass over the field for each of the first four checks, so ``all_orbits``,
+    ``orbit_of_tau`` and ``classify_tau`` run once per field and
+    ``tau_of_orbit`` twice (the image, and the round trip of ``orbit_of_tau``)."""
     import numpy as np
 
     q, none = ctx.q, np.zeros(0, dtype=np.int64)
