@@ -10,7 +10,8 @@ Four kinds of family over F_q (signs are +1/-1, written +/- in text):
 chi is the quadratic character; a chi value of 0 never matches a sign.
 ``SetFamily.label`` writes a family as 'KIND params signs', as above with
 the parameters in ``FieldCtx.elem_str`` form ('T 1 3 --', 'S1 0 +'), and
-``parse_family`` reads that text back into the same family.
+``parse_family`` reads that text back into the same family, reducing any
+integer to its code: every entry point refuses a parameter outside 0..q-1.
 ``brute_product`` multiplies the members found by a full scan of the
 field.  It is the oracle every closed formula in this package is tested
 against, so it deliberately takes no shortcuts: every member is
@@ -62,18 +63,21 @@ class SetFamily(NamedTuple):
     signs: tuple  # SignPair, or a single sign for S1
 
     def validate(self, ctx: FieldCtx) -> None:
+        """ValueError unless the family is one of F_q, its parameters codes 0 <= c < q."""
         if self.kind not in ("A", "S", "S1", "T"):
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.kind == "S1":
             if len(self.params) != 1 or self.signs not in (1, -1):
                 raise ValueError("S1 takes one parameter and one sign")
-            return
-        if len(self.params) != 2:
+            x = y = self.params[0]
+        elif len(self.params) != 2:
             raise ValueError(f"{self.kind} takes two parameters")
-        e1, e2 = self.signs
-        if e1 not in (1, -1) or e2 not in (1, -1):
-            raise ValueError("signs must be +1 or -1")
-        x, y = self.params
+        else:
+            (x, y), (e1, e2) = self.params, self.signs
+            if e1 not in (1, -1) or e2 not in (1, -1):
+                raise ValueError("signs must be +1 or -1")
+        if not (0 <= x < ctx.q and 0 <= y < ctx.q):
+            raise ValueError(f"parameters must be codes 0 <= c < {ctx.q}: {self.params}")
         if self.kind in ("A", "S") and x == y:
             raise ValueError(f"{self.kind} family requires k != l")
         if self.kind == "T" and ctx.add(x, y) == 0:

@@ -283,19 +283,21 @@ class FieldTables:
 
     One walk of the units, gen^0 .. gen^(q-2) for the generator with the
     smallest code, is built by doubling in about log2 q array ``mul_poly``
-    calls, before the tables are attached, so it reads none.  ``chi`` is the
-    parity of the walk's index (the squares are the even powers of gen), 0
-    at 0.  For n > 1, where ``mul`` reads them for ints and ``inv`` for ints
-    and arrays, ``exp[i]`` is gen^i and ``log`` its inverse on the units,
-    list copies of the walk; ``exp`` holds two periods followed by a run of
-    zeros that ``log[0]`` points into, so the product of any two elements
-    is ``exp[log[a] + log[b]]``.  A prime field keeps None for both.  The
+    calls, before the tables are attached, so it reads none.  ``chi``, one
+    int8 array that ``legendre`` reads for ints and code arrays alike, is
+    the parity of the walk's index (the squares are the even powers of
+    gen), 0 at 0.  For n > 1, where ``mul`` reads them for ints and ``inv``
+    for ints and arrays, ``exp[i]`` is gen^i and ``log`` its inverse on the
+    units, list copies of the walk, as scalar ``mul`` reads a list faster;
+    ``exp`` holds two periods followed by a run of zeros that ``log[0]``
+    points into, so the product of any two elements is
+    ``exp[log[a] + log[b]]``.  A prime field keeps None for both.  The
     oracle's ``tally`` reads the walk and its float64 inverse L (0 at 0),
     read-only, instead.  ``shifted(k)``, the oracle's character moved by k, is
     the one read-only int8 grid ``_grid`` of shape (p,)*n, q bytes, rolled
     by the digits of -k: 1 at the squares of ``ctx.square_bytes``, -1 at
     the other units, 0 at 0, never ``chi``.  Every table is O(q): ``tables()``
-    peaks near 142 bytes per element at 3^8 and 3^10 (tracemalloc).
+    peaks near 135 bytes per element at 3^8 and 137 at 3^10 (tracemalloc).
 
     ``correlate`` is the one FFT of the package: c[t] = sum_x f(x) g(x + t),
     an exact integer vector or IdentityFailure.  ``tally`` keeps, besides
@@ -319,7 +321,8 @@ class FieldTables:
         index[cycle] = np.arange(u)
         if index[1:].min() < 0:
             raise FieldError(f"{ctx.elem_str(gen)} does not generate F_{q}^*")
-        self.chi = [0] + (1 - index[1:] % 2 * 2).tolist()  # squares: even powers of gen
+        self.chi = (1 - index % 2 * 2).astype(np.int8)  # squares: even powers of gen
+        self.chi[0] = 0
         self.exp = self.log = None
         if ctx.n > 1:
             self.exp = cycle.tolist() * 2 + [0] * (2 * q - 1)
@@ -478,13 +481,13 @@ class FieldCtx:
 
     It keeps what it builds, each at the first call that needs it:
     ``_tables`` (``tables()``), ``_delta`` (``delta``), ``_squares``
-    (``square_bytes``), ``_inverse``, ``_roots`` and ``_chi`` (the first
-    array ``inv``, ``sqrt_canonical`` and ``legendre``) and ``_kronecker``
-    (the first ``prod`` for n > 1).  It also carries, freed with it, what
-    ``closedform`` keeps for it: the T rows by l (``t_rows``) and the last
-    rescaling (``rescaled``).  Each holds for the field as it stood when it
-    was built, so a context must not change after the first call that
-    builds from it: a fault goes to a fresh context, before any suite runs.
+    (``square_bytes``), ``_inverse`` and ``_roots`` (the first array ``inv``
+    and ``sqrt_canonical``) and ``_kronecker`` (the first ``prod`` for
+    n > 1).  It also carries, freed with it, what ``closedform`` keeps for
+    it: the T rows by l (``t_rows``) and the last rescaling (``rescaled``).
+    Each holds for the field as it stood when it was built, so a context
+    must not change after the first call that builds from it: a fault goes
+    to a fresh context, before any suite runs.
     """
 
     def __init__(self, p: int, n: int = 1):
@@ -502,7 +505,7 @@ class FieldCtx:
         self._tables: FieldTables | None = None
         self._delta: int | None = None
         self._squares: bytes | None = None  # kept by square_bytes
-        self._inverse = self._roots = self._chi = None  # each kept by its array call
+        self._inverse = self._roots = None  # each kept by its array call
         self.t_rows: dict[int, tuple[int, int, int, int]] = {}  # l -> (++, +-, -+, --)
         self.rescaled: tuple = (None, None)  # (j', l'), (lambda, nu, j, l)
 
@@ -789,19 +792,12 @@ class FieldCtx:
     def legendre(self, a):
         """The quadratic character of a: +1 square, -1 nonsquare, 0 zero.
 
-        Euler's criterion without tables.  With tables an int reads ``chi``,
-        and an int64 code array gets int64 values from an int8 copy of
-        ``chi``, made once per context at the first array call."""
+        Euler's criterion without tables.  With tables both read the one
+        array ``chi``: an int gets an int, an int64 code array int64 values,
+        as int8 would overflow ``from_int`` for p > 127."""
         tb = self._tables
         if tb is not None:
-            try:
-                return tb.chi[a]
-            except TypeError:
-                import numpy as np
-
-                if self._chi is None:
-                    self._chi = np.array(tb.chi, dtype=np.int8)
-                return self._chi[a].astype(np.int64)
+            return tb.chi.item(a) if isinstance(a, int) else tb.chi[a].astype("int64")
         # Euler's criterion: a^((q-1)/2) is 1 at the squares and 0 at 0
         return (self.pow(a, (self.q - 1) // 2) == self.one) * 2 - (a != 0)
 

@@ -210,8 +210,7 @@ def prod_T_quadratic_irrational(ctx: FieldCtx, base: str, *,
     base's congruence precondition fails at this q.
     """
     q, eps = ctx.q, ctx.eps
-    if base not in TOWER_BASES:
-        raise ValueError(f"unknown base {base!r}")
+    base = TowerSpec(base).base  # ValueError on an unknown base
     cands = _level0_candidates(ctx, base)
     if cands is None:
         raise ValueError(f"{TOWER_BASES[base].radicand} is a nonsquare at q={q}")

@@ -134,7 +134,7 @@ def card_counts_reference(ctx):
 def pair_chars(ctx, chi, kind, rows):
     """int8 arrays (nu, chi(k), chi(l)) over the A/S/T pairs (k, l), k in ``rows``.
 
-    ``chi`` is ``tables().chi`` as an int8 array.  nu is chi(l - k), or
+    ``chi`` is the int8 array ``tables().chi``.  nu is chi(l - k), or
     chi(k + l) for T, at the codes that ``ctx.sub`` (or ``ctx.add``)
     computes on arrays.
     """
@@ -223,7 +223,7 @@ def card_rows_reference(ctx):
     q = ctx.q
     codes = np.arange(q)
     neg = ctx.neg(codes)
-    closed_chi = np.array(ctx.tables().chi, dtype=np.int8)
+    closed_chi = ctx.tables().chi
     tally = {(kind, s): [0, ""] for s in range(4) for kind in "AST"}  # mismatches, first
     for rows, counts in card_count_blocks(ctx):
         a_chars = pair_chars(ctx, closed_chi, "A", rows)

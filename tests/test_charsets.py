@@ -15,6 +15,7 @@ from charprod.charsets import (SIGN_PAIRS, SetFamily, SignPair, a_family,
                                brute_product, card_closed, enumerate_family,
                                parse_family, report_row, s1_family, s_family,
                                sign_str, t_family, vanishing_poly)
+from charprod.closedform import closed_product
 from charprod.dickson import dickson_first, dickson_second
 from charprod.ffield import IdentityFailure, mk_field
 from helpers import (SMALL_FIELDS, all_families, card_count_blocks,
@@ -86,6 +87,29 @@ def test_family_labels_parse_back(p, n):
         assert parse_family(ctx, fam.label(ctx)) == fam, fam.label(ctx)
 
 
+@pytest.mark.parametrize("p, n, tabled, fam", [
+    (13, 1, False, t_family(1, 16, (-1, -1))),
+    (13, 1, True, t_family(1, 16, (-1, -1))),
+    (13, 1, False, s1_family(-1, 1)),
+    (13, 1, True, s_family(13, 2, (1, -1))),
+    (3, 2, False, a_family(1, -1, (1, 1))),
+    (3, 2, True, a_family(1, -1, (1, 1))),
+], ids=["13-T-1-16", "13-T-1-16-tables", "13-S1-neg", "13-S-13-tables",
+        "9-A-1-neg", "9-A-1-neg-tables"])
+def test_family_parameters_must_be_codes(p, n, tabled, fam):
+    # a parameter outside range(q) is no code: every entry point refuses it,
+    # with or without tables, where the closed side and the scan would read
+    # it apart; parse_family reduces any integer it reads to its code
+    ctx = mk_field(p, n)
+    if tabled:
+        ctx.tables()
+    for call in (closed_product, brute_product, enumerate_family, card_closed):
+        with pytest.raises(ValueError, match="parameters must be codes"):
+            call(ctx, fam)
+    text = f"{fam.kind} {' '.join(map(str, fam.params))} {sign_str(fam.signs)}"
+    assert parse_family(ctx, text) == fam._replace(params=tuple(map(ctx.from_int, fam.params)))
+
+
 def test_card_examples():
     assert card_closed(field(13), a_family(0, 1, (1, 1))) == 2
     assert enumerate_family(field(13), a_family(0, 1, (1, 1))) == [3, 9]
@@ -118,7 +142,7 @@ def test_card_grid_matches_card_closed():
     # the scalar form at every pair where the family is defined
     makers = {"A": a_family, "S": s_family, "T": t_family}
     for ctx in small_ctxs():
-        chi = np.array(ctx.tables().chi, dtype=np.int8)
+        chi = ctx.tables().chi
         for kind, mk in makers.items():
             for k0 in range(0, ctx.q, 4):
                 rows = slice(k0, min(ctx.q, k0 + 4))

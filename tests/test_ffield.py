@@ -948,9 +948,27 @@ def test_tables_chi_is_table_free_legendre(monkeypatch, p, n):
         monkeypatch.setattr(ctx, name, counted)
     monkeypatch.setattr(ctx, "primitive_element", lambda: gen)
     tb = ctx.tables()
-    assert tb.chi == want
+    assert tb.chi.tolist() == want
     assert (tb.exp is None and tb.log is None) == (n == 1)
     bits = ctx.q.bit_length()
     assert sum(array for _, array in calls) <= 6 * bits, calls
     assert ("mul", False) not in calls
     assert calls.count(("mul_poly", False)) <= bits + ctx.q // p
+
+
+@pytest.mark.parametrize("p, n", SMALL_FIELDS + [(13, 3)])
+def test_one_chi_table_serves_both_legendre_paths(p, n):
+    # with tables, int and array legendre read the one chi table: a flip of
+    # chi(1) after an array call reaches both paths alike, and every int
+    # call gives a Python int
+    import numpy as np
+
+    ctx = mk_field(p, n)
+    x = np.arange(ctx.q)
+    ctx.tables()
+    ctx.legendre(x)
+    ctx.tables().chi[1] *= -1
+    scalar = [ctx.legendre(a) for a in range(ctx.q)]
+    assert {type(c) for c in scalar} == {int}
+    assert scalar[1] == -1
+    assert ctx.legendre(x).tolist() == scalar
